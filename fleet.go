@@ -41,10 +41,11 @@ type Fleet struct {
 	// rejoins.
 	active []bool
 
-	// errs and started are stepAllInto's per-tick scratch, hoisted here so
-	// a steady-state fleet tick allocates nothing. StepAll/Run are
-	// documented as not concurrency-safe with themselves, so one scratch
-	// set per fleet suffices.
+	// errs and started are the per-tick scratch of stepAllInto (and errs
+	// of ReportAll), hoisted here so a steady-state fleet tick allocates
+	// nothing. StepAll, ReportAll and Run are documented as not
+	// concurrency-safe with one another, so one scratch set per fleet
+	// suffices.
 	errs    []error
 	started []bool
 }
@@ -256,17 +257,24 @@ func (f *Fleet) stepAllInto(ctx context.Context, budgets []float64, allocs []All
 // energy device i actually spent during the period StepAll last planned.
 // Inactive devices (SetActive) are skipped — they executed nothing, so
 // their entry is ignored rather than booked as a zero-consumption period.
+// ReportAll shares StepAll's per-tick scratch, so it is not safe to call
+// concurrently with StepAll (or Run) on the same fleet.
+//
+//reap:hotpath
 func (f *Fleet) ReportAll(consumed []float64) error {
 	if len(consumed) != len(f.ctls) {
-		return fmt.Errorf("%w: %d reports for %d devices", ErrInvalidConfig, len(consumed), len(f.ctls))
+		return fmt.Errorf("%w: %d reports for %d devices", ErrInvalidConfig, len(consumed), len(f.ctls)) //lint:reapvet hotalloc -- cold error path
 	}
-	errs := make([]error, len(f.ctls))
+	// errors.Join copies the non-nil errors it keeps, so the scratch
+	// can be reused next tick.
+	errs := f.errs
+	clear(errs)
 	for i, ctl := range f.ctls {
 		if f.active != nil && !f.active[i] {
 			continue
 		}
 		if err := ctl.Report(consumed[i]); err != nil {
-			errs[i] = fmt.Errorf("device %d: %w", i, err)
+			errs[i] = fmt.Errorf("device %d: %w", i, err) //lint:reapvet hotalloc -- cold error path
 		}
 	}
 	return errors.Join(errs...)

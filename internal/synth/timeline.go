@@ -17,7 +17,7 @@ type Timeline struct {
 
 	current   Activity
 	remaining int // windows left in the current bout
-	hour      int // hour of day, advanced by the caller via Advance
+	hour      int // hour of day; advances every WindowsPerHour windows
 	windows   int // windows generated within the current hour
 }
 
@@ -69,20 +69,46 @@ func NewTimeline(u UserProfile, startHour int, seed int64) (*Timeline, error) {
 	return tl, nil
 }
 
-// startBout draws the next persistent activity and its dwell time.
-func (tl *Timeline) startBout() {
-	mix := hourlyMix(tl.hour)
-	r := tl.rng.Float64()
-	acc := 0.0
-	next := Sit
-	for _, a := range Activities() {
-		p, ok := mix[a]
-		if !ok {
-			continue
+// boutMix is one hour's hourlyMix as a cumulative table: the activities
+// the mix names, in Activities() order, each with the running sum of
+// the probabilities up to and including it, accumulated in that order.
+// startBout compares its draw against exactly the partial sums a walk
+// of the map produces, so the table picks the same activity for every
+// draw.
+type boutMix struct {
+	n    int
+	acts [NumActivities]Activity
+	cum  [NumActivities]float64
+}
+
+// boutMixes holds each hour of day's table, built once from hourlyMix.
+var boutMixes = func() (t [24]boutMix) {
+	for h := range t {
+		mix, m := hourlyMix(h), &t[h]
+		acc := 0.0
+		for _, a := range Activities() {
+			p, ok := mix[a]
+			if !ok {
+				continue
+			}
+			acc += p
+			m.acts[m.n], m.cum[m.n] = a, acc
+			m.n++
 		}
-		acc += p
-		if r < acc {
-			next = a
+	}
+	return t
+}()
+
+// startBout draws the next persistent activity and its dwell time.
+//
+//reap:hotpath
+func (tl *Timeline) startBout() {
+	m := &boutMixes[tl.hour]
+	r := tl.rng.Float64()
+	next := Sit
+	for j := 0; j < m.n; j++ {
+		if r < m.cum[j] {
+			next = m.acts[j]
 			break
 		}
 	}
@@ -97,18 +123,14 @@ func (tl *Timeline) Next() Window {
 }
 
 // NextLabel advances the stream one window and returns its label without
-// synthesizing the 640-sample sensor window. Hour-scale consumers — the
-// sim package's activity-dependent consumption model needs the per-hour
-// activity mix, not the raw signals — step the same bout state machine
-// at a tiny fraction of the cost. Interleaving NextLabel and Next on one
-// Timeline is valid; the bout sequence only diverges from an all-Next
-// run because Generate consumes additional randomness.
+// synthesizing the 640-sample sensor window; Next is Generate over it.
+// Callers that need how many windows carried each label, not their
+// order, should use Advance, which covers the same windows a bout at a
+// time. Interleaving NextLabel and Next on one Timeline is valid; the
+// bout sequence only diverges from an all-Next run because Generate
+// consumes additional randomness.
 func (tl *Timeline) NextLabel() Activity {
-	tl.windows++
-	if tl.windows >= WindowsPerHour {
-		tl.windows = 0
-		tl.hour = (tl.hour + 1) % 24
-	}
+	tl.tick(1)
 	if tl.remaining <= 0 {
 		tl.startBout()
 		return Transition
@@ -117,15 +139,42 @@ func (tl *Timeline) NextLabel() Activity {
 	return tl.current
 }
 
-// Skip advances the stream n windows without returning labels — the
-// churn seam: a device that leaves the fleet stops observing its user,
-// but the user keeps living, so when the device rejoins the timeline
-// must have moved on to the right hour of day (and the right point in
-// the bout state machine), not frozen at the hour it left.
-func (tl *Timeline) Skip(n int) {
-	for i := 0; i < n; i++ {
-		tl.NextLabel()
+// Advance moves the stream n windows ahead and returns how many of them
+// carried each label. It ends in the same window, hour and bout state as
+// n NextLabel calls, and draws the same randomness, but steps once per
+// bout rather than once per window. The sim package's consumption model
+// uses it for an hour's activity mix, and for the churn seam: a device
+// that leaves the fleet stops observing its user, but the user keeps
+// living, so when the device rejoins the timeline must have moved on to
+// the right hour of day and the right point in the bout, not frozen at
+// the hour it left. Advance(n) with n <= 0 is a no-op.
+//
+//reap:hotpath
+func (tl *Timeline) Advance(n int) (counts [NumActivities]int) {
+	for n > 0 {
+		if tl.remaining <= 0 {
+			// A bout boundary, as in NextLabel: the next bout is drawn
+			// at the hour of the Transition window.
+			tl.tick(1)
+			tl.startBout()
+			counts[Transition]++
+			n--
+			continue
+		}
+		k := min(n, tl.remaining)
+		tl.tick(k)
+		tl.remaining -= k
+		counts[tl.current] += k
+		n -= k
 	}
+	return counts
+}
+
+// tick moves the clock k windows ahead, wrapping hours and days.
+func (tl *Timeline) tick(k int) {
+	tl.windows += k
+	tl.hour = (tl.hour + tl.windows/WindowsPerHour) % 24
+	tl.windows %= WindowsPerHour
 }
 
 // Hour returns the current hour of day.

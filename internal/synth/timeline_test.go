@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -159,30 +161,123 @@ func TestDayGeneratesFullStream(t *testing.T) {
 	}
 }
 
-// Skip must advance the stream exactly as n NextLabel calls would — the
-// churn seam: a device that was offline for an hour rejoins a user who
-// kept living through it.
-func TestTimelineSkipAdvancesLikeNext(t *testing.T) {
-	user := NewUserProfile(3, 99)
-	a, err := NewTimeline(user, 0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewTimeline(user, 0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < WindowsPerHour; i++ {
-		a.NextLabel()
-	}
-	b.Skip(WindowsPerHour)
-	for i := 0; i < 3*WindowsPerHour; i++ {
-		if la, lb := a.NextLabel(), b.NextLabel(); la != lb {
-			t.Fatalf("window %d after skip: %v vs %v", i, la, lb)
+// Advance(n) must cover n windows exactly as n NextLabel calls would:
+// the same per-label counts, and the same clock, bout and RNG state
+// afterwards, from every start hour and across hour and day wraps. The
+// sim's consumption model relies on the counts; the churn seam (an
+// offline device's user keeps living) relies on the state.
+func TestAdvanceMatchesNextLabel(t *testing.T) {
+	lengths := rand.New(rand.NewSource(1))
+	for hour := 0; hour < 24; hour++ {
+		for seed := int64(0); seed < 100; seed++ {
+			user := NewUserProfile(int(seed), seed)
+			ref, err := NewTimeline(user, hour, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := NewTimeline(user, hour, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ns := []int{0, 1, lengths.Intn(3*WindowsPerHour + 1), WindowsPerHour,
+				3 * WindowsPerHour, lengths.Intn(3*WindowsPerHour + 1), 0}
+			for step, n := range ns {
+				var want [NumActivities]int
+				for i := 0; i < n; i++ {
+					want[ref.NextLabel()]++
+				}
+				if counts := got.Advance(n); counts != want {
+					t.Fatalf("hour %d seed %d step %d: Advance(%d) counts %v, NextLabel counts %v",
+						hour, seed, step, n, counts, want)
+				}
+				if got.windows != ref.windows || got.hour != ref.hour ||
+					got.remaining != ref.remaining || got.current != ref.current {
+					t.Fatalf("hour %d seed %d step %d: after Advance(%d) (window %d, hour %d, bout %v with %d left), "+
+						"after NextLabel (window %d, hour %d, bout %v with %d left)", hour, seed, step, n,
+						got.windows, got.hour, got.current, got.remaining,
+						ref.windows, ref.hour, ref.current, ref.remaining)
+				}
+			}
+			if a, b := got.rng.Int63(), ref.rng.Int63(); a != b {
+				t.Fatalf("hour %d seed %d: Advance drew different randomness than NextLabel", hour, seed)
+			}
 		}
 	}
-	b.Skip(0) // no-op
-	if la, lb := a.NextLabel(), b.NextLabel(); la != lb {
-		t.Fatalf("Skip(0) advanced the stream: %v vs %v", la, lb)
+}
+
+// mapDraw is the bout draw as a walk of hourlyMix's map in Activities()
+// order, the reference startBout's per-hour tables must reproduce.
+func mapDraw(hour int, rng *rand.Rand) (Activity, int) {
+	mix := hourlyMix(hour)
+	r := rng.Float64()
+	acc := 0.0
+	next := Sit
+	for _, a := range Activities() {
+		p, ok := mix[a]
+		if !ok {
+			continue
+		}
+		acc += p
+		if r < acc {
+			next = a
+			break
+		}
+	}
+	return next, minBout + rng.Intn(maxBout-minBout)
+}
+
+// scriptedSource replays fixed Int63 values, so a test can aim
+// rand.Rand.Float64 at chosen draws.
+type scriptedSource struct {
+	vals []int64
+	i    int
+}
+
+func (s *scriptedSource) Int63() int64 {
+	v := s.vals[s.i%len(s.vals)]
+	s.i++
+	return v
+}
+
+func (s *scriptedSource) Seed(int64) {}
+
+// startBout must pick the same activity and dwell as the map walk for
+// every hour: on random draws, and on draws aimed exactly at, and just
+// below, each cumulative boundary, and at the largest draw below 1.
+func TestStartBoutMatchesMapDraw(t *testing.T) {
+	for hour := 0; hour < 24; hour++ {
+		probes := []float64{0, math.Nextafter(1, 0)}
+		acc := 0.0
+		for _, a := range Activities() {
+			if p, ok := hourlyMix(hour)[a]; ok {
+				acc += p
+				probes = append(probes, acc, math.Nextafter(acc, 0))
+			}
+		}
+		var script []int64
+		for i, r := range probes {
+			if r >= 1 {
+				continue // no draw reaches it
+			}
+			// Float64 returns Int63/2^63; the dwell draw reads the top 31
+			// bits, kept small so Intn never rejects.
+			script = append(script, int64(r*(1<<63)), int64(i)<<32)
+		}
+		sources := []func() rand.Source{
+			func() rand.Source { return &scriptedSource{vals: script} },
+			func() rand.Source { return rand.NewSource(int64(hour)) },
+		}
+		for _, src := range sources {
+			ref := rand.New(src())
+			tl := &Timeline{rng: rand.New(src()), hour: hour}
+			for i := 0; i < 1000; i++ {
+				wantAct, wantDwell := mapDraw(hour, ref)
+				tl.startBout()
+				if tl.current != wantAct || tl.remaining != wantDwell {
+					t.Fatalf("hour %d draw %d: startBout %v for %d windows, map draw %v for %d",
+						hour, i, tl.current, tl.remaining, wantAct, wantDwell)
+				}
+			}
+		}
 	}
 }

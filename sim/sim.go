@@ -590,7 +590,7 @@ func (s *simulator) Consumed(step int, allocs []reap.Allocation, dst []float64) 
 		s.faults[i] = synth.NoFault
 		if !s.fleet.Active(i) {
 			if s.timelines != nil {
-				s.timelines[i].Skip(synth.WindowsPerHour)
+				s.timelines[i].Advance(synth.WindowsPerHour)
 			}
 			s.intensity[i] = 0
 			dst[i] = 0
@@ -608,7 +608,7 @@ func (s *simulator) Consumed(step int, allocs []reap.Allocation, dst []float64) 
 			dst[i] = planned + telemetry
 			continue
 		}
-		intensity := s.hourIntensity(i)
+		intensity := hourIntensity(s.timelines[i])
 		s.intensity[i] = intensity
 		consumed := planned * (0.95 + 0.10*intensity)
 		rate := s.sc.FaultRate
@@ -639,12 +639,17 @@ func (s *simulator) Consumed(step int, allocs []reap.Allocation, dst []float64) 
 	return nil
 }
 
-// hourIntensity streams one hour of activity labels from device i's
-// timeline and returns their mean intensity.
-func (s *simulator) hourIntensity(i int) float64 {
+// hourIntensity advances tl one hour and returns the mean intensity of
+// its windows, from the hour's per-label window counts. Its exact value
+// is an integer over 225,000 (intensities are hundredths, 2,250 windows
+// an hour), which is never within 1.1e-6 of the trace's 4-decimal
+// rounding boundary, so the float summation order cannot move a trace
+// digit.
+func hourIntensity(tl *synth.Timeline) float64 {
+	counts := tl.Advance(synth.WindowsPerHour)
 	var sum float64
-	for w := 0; w < synth.WindowsPerHour; w++ {
-		sum += activityIntensity[s.timelines[i].NextLabel()]
+	for a, n := range counts {
+		sum += float64(n) * activityIntensity[a]
 	}
 	return sum / synth.WindowsPerHour
 }

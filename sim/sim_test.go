@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/synth"
 )
 
 // corpusScenarios returns every scenario in the embedded corpus,
@@ -548,4 +549,43 @@ func TestMultiSeedStatisticalGolden(t *testing.T) {
 	if nLo < 0 || nHi > 0.5 {
 		t.Fatalf("neutrality CI [%v, %v] outside [0, 0.5] (samples %v)", nLo, nHi, neutralities)
 	}
+}
+
+// hourIntensity sums an hour's intensity from per-label window counts,
+// not window by window, so its float rounding differs from the
+// per-window mean in the last bits only. The trace cannot see that:
+// the exact mean is an integer over 225,000, at least 1.1e-6 from any
+// 4-decimal rounding boundary. Over fresh timelines stepped as the sim
+// steps them, every hour must stay within 1e-12 of the per-window sum
+// and format to the same int= field.
+func TestHourIntensityMatchesPerWindowSum(t *testing.T) {
+	const timelines, days = 100, 40
+	perWindow := func(tl *synth.Timeline) float64 {
+		var sum float64
+		for w := 0; w < synth.WindowsPerHour; w++ {
+			sum += activityIntensity[tl.NextLabel()]
+		}
+		return sum / synth.WindowsPerHour
+	}
+	var worst float64
+	for i := 0; i < timelines; i++ {
+		user := synth.NewUserProfile(i, 1)
+		got, err := synth.NewTimeline(user, 0, subSeed(1, i, saltTimeline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := synth.NewTimeline(user, 0, subSeed(1, i, saltTimeline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h := 0; h < days*24; h++ {
+			v, want := hourIntensity(got), perWindow(ref)
+			worst = math.Max(worst, math.Abs(v-want))
+			if math.Abs(v-want) > 1e-12 || f4(v) != f4(want) {
+				t.Fatalf("timeline %d hour %d: intensity %v (int=%s), per-window sum %v (int=%s)",
+					i, h, v, f4(v), want, f4(want))
+			}
+		}
+	}
+	t.Logf("largest difference over %d hours: %g", timelines*days*24, worst)
 }

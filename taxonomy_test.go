@@ -161,6 +161,11 @@ func TestFleetReportAllEdgeCases(t *testing.T) {
 		if strings.Contains(msg, "device 0") || strings.Contains(msg, "device 3") {
 			t.Errorf("error %q blames a healthy device", msg)
 		}
+		// ReportAll reuses the fleet's error scratch: a failed report
+		// must not resurface in the next call.
+		if err := fleet.ReportAll([]float64{1, 1, 1, 1}); err != nil {
+			t.Fatalf("valid reports after failed ones: %v", err)
+		}
 	})
 
 	t.Run("healthy devices still reported", func(t *testing.T) {
