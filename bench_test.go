@@ -157,7 +157,7 @@ func BenchmarkAblationDutyCycle(b *testing.B) {
 func BenchmarkSolve5DPs(b *testing.B) {
 	cfg := DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(cfg, 5.0); err != nil {
+		if _, err := core.Solve(cfg, 5.0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,7 +188,7 @@ func BenchmarkSolve100DPs(b *testing.B) {
 func BenchmarkSolveEnumerate5DPs(b *testing.B) {
 	cfg := DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveEnumerate(cfg, 5.0); err != nil {
+		if _, err := core.SolveEnumerate(cfg, 5.0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func BenchmarkSolvePlan100DPs(b *testing.B) {
 // BenchmarkControllerStep measures one closed-loop hour: budget folding,
 // LP solve and accounting.
 func BenchmarkControllerStep(b *testing.B) {
-	ctl, err := NewController(DefaultConfig(), 20, 100)
+	ctl, err := core.NewController(DefaultConfig(), 20, 100)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -308,53 +308,43 @@ func BenchmarkSolveBatch(b *testing.B) {
 
 // correlatedBudgets models a geographically clustered fleet: devices in
 // the same cluster (same weather cell, same panel tilt) harvest
-// near-identical energy, differing by far less than the cache's 1 mJ
-// quantization resolution — the workload the solve cache is built for.
+// near-identical energy, differing by a few microjoules.
 func correlatedBudgets(n int) []float64 {
 	budgets := make([]float64, n)
 	for i := range budgets {
 		cluster := i % 24
 		base := 0.5 + 9.0*float64(cluster)/24.0
-		budgets[i] = base + 1e-6*float64(i%7) // jitter ≪ DefaultCacheResolution
+		budgets[i] = base + 1e-6*float64(i%7)
 	}
 	return budgets
 }
 
 // BenchmarkFleetStepAll measures one fleet re-planning tick (stateful
 // sessions, battery + accounting) at 1k and 10k devices under
-// correlated budgets, across the solver backends and cache modes that
-// make up the committed benchmark trajectory (BENCH_solve.json in CI):
+// correlated budgets, across the solver backends that make up the
+// committed benchmark trajectory (BENCH_solve.json in CI):
 //
-//   - uncached-simplex / uncached-enumerate: every device runs the
-//     iterative LP solver on the pooled path;
-//   - uncached-plan: the compiled parametric backend, solving straight
-//     into each controller's reused allocation via the plan fast path —
-//     the benchmark behind the "miss path is near-free" claim
-//     (uncached-plan/10000 versus uncached-simplex/10000 is the
-//     headline, ≥3x on one core);
+//   - default: NewFleet with no options — the compiled parametric
+//     plan, solving straight into each controller's reused allocation
+//     (default/10000 versus uncached-simplex/10000 is the headline,
+//     ≥3x on one core);
 //   - sequential-uncached-plan: the same without the worker pool,
 //     isolating pool overhead at plan-solve speeds;
-//   - default: NewFleet with no options — since the plan-first re-tier
-//     this is the plan-direct path, and the trajectory's acceptance
-//     line is default/10000 ≤ uncached-plan/10000 (same code path, so
-//     equal to noise);
-//   - cached: the opted-in shared 1 mJ solve cache over the plan
-//     backend (NewFleet's default before the re-tier — kept in the
-//     trajectory to show why the default flipped: the cache pays
-//     fingerprint+quantize+lookup per solve to save a ~300 ns binary
-//     search).
+//   - uncached-simplex / uncached-enumerate: every device runs the
+//     iterative LP solver on the pooled path.
+//
+// The variant names predate the solve cache's removal and are kept so
+// BENCH_solve.json rows stay comparable across revisions.
 func BenchmarkFleetStepAll(b *testing.B) {
 	ctx := context.Background()
 	variants := []struct {
 		name string
 		opts []Option
 	}{
-		{"sequential-uncached-plan", []Option{WithoutSolveCache(), WithWorkers(1)}},
-		{"uncached-plan", []Option{WithoutSolveCache()}},
-		{"default", nil}, // plan-direct since the plan-first re-tier
-		{"uncached-simplex", []Option{WithoutSolveCache(), WithSolver(SolverSimplex)}},
-		{"uncached-enumerate", []Option{WithoutSolveCache(), WithSolver(SolverEnumerate)}},
-		{"cached", []Option{WithSolveCache(DefaultCacheSize, DefaultCacheResolution)}},
+		{"sequential-uncached-plan", []Option{WithWorkers(1)}},
+		{"default", nil},
+		{"uncached-simplex", []Option{WithSolver(SolverSimplex)}},
+		{"uncached-enumerate", []Option{WithSolver(SolverEnumerate)}},
 	}
 	for _, n := range []int{1000, 10000} {
 		budgets := correlatedBudgets(n)
@@ -398,12 +388,12 @@ func (m benchConsumption) Consumed(step int, allocs []Allocation, dst []float64)
 
 // BenchmarkFleetRunClosedLoop measures one full closed-loop period
 // (budgets → StepAll → consumption → ReportAll) per op at 1000 devices
-// on the uncached plan path. Run reuses one allocation buffer across
+// on the plan path. Run reuses one allocation buffer across
 // steps and every controller solves into its retained Active slice, so
 // steady-state allocs/op stays O(1) per period — not O(devices).
 func BenchmarkFleetRunClosedLoop(b *testing.B) {
 	const n = 1000
-	fleet, err := NewFleet(n, WithBattery(20, 100), WithoutSolveCache())
+	fleet, err := NewFleet(n, WithBattery(20, 100))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -550,7 +540,7 @@ func BenchmarkMonthClosedLoop(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctl, err := NewController(DefaultConfig(), 20, 100)
+		ctl, err := core.NewController(DefaultConfig(), 20, 100)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,12 +11,15 @@
 // -cpu suffix stripped, so trajectories diff cleanly across machines
 // with different core counts):
 //
-//	{"benchmarks": {"BenchmarkFleetStepAll/uncached-plan/10000":
+//	{"benchmarks": {"BenchmarkFleetStepAll/default/10000":
 //	    {"ns_per_op": 1016034, "allocs_per_op": 10004, "bytes_per_op": 1055616}, ...}}
 //
-// Lines that are not benchmark results (the header, PASS/ok trailers)
-// pass through to the "context" field so a trajectory records which
-// package, CPU and Go version produced it.
+// The header lines (goos, goarch, pkg, cpu) pass through to the
+// "context" field, followed by a "cpus: N" line holding the stripped
+// GOMAXPROCS suffix (no suffix means 1), so a trajectory records which
+// machine and core count produced it — allocation counts of pooled
+// benchmarks depend on the latter. Input mixing several -cpu values is
+// rejected, since their entries would collide.
 package main
 
 import (
@@ -48,13 +51,14 @@ type document struct {
 
 // benchLine matches e.g.
 //
-//	BenchmarkFleetStepAll/cached/10000-4  100  42 ns/op  16 B/op  2 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+//	BenchmarkFleetStepAll/default/10000-4  100  42 ns/op  16 B/op  2 allocs/op
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
 	doc := document{Benchmarks: map[string]result{}}
+	cpus := ""
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -70,15 +74,23 @@ func main() {
 			}
 			continue
 		}
-		var r result
-		r.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
-		r.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		if m[4] != "" {
-			v, _ := strconv.ParseFloat(m[4], 64)
-			r.BytesPerOp = &v
+		n := m[2]
+		if n == "" {
+			n = "1"
 		}
+		if cpus != "" && cpus != n {
+			log.Fatalf("benchmarks ran at -cpu %s and %s; run one -cpu value per document", cpus, n)
+		}
+		cpus = n
+		var r result
+		r.Iterations, _ = strconv.ParseInt(m[3], 10, 64)
+		r.NsPerOp, _ = strconv.ParseFloat(m[4], 64)
 		if m[5] != "" {
 			v, _ := strconv.ParseFloat(m[5], 64)
+			r.BytesPerOp = &v
+		}
+		if m[6] != "" {
+			v, _ := strconv.ParseFloat(m[6], 64)
 			r.AllocsPerOp = &v
 		}
 		doc.Benchmarks[m[1]] = r
@@ -89,6 +101,7 @@ func main() {
 	if len(doc.Benchmarks) == 0 {
 		log.Fatal("no benchmark lines on stdin")
 	}
+	doc.Context = append(doc.Context, "cpus: "+cpus)
 
 	// encoding/json sorts map keys, so the document is stable; indent
 	// for reviewable diffs and echo the entry count to stderr.

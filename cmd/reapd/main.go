@@ -7,7 +7,6 @@
 //
 //	reapd [-addr :8080] [-devices 1024] [-shards 8]
 //	      [-battery 0] [-capacity 0] [-solver plan]
-//	      [-cache 0] [-cacheres 0.001]
 //	      [-rate 0] [-burst 0] [-drain-timeout 30s]
 //	      [-journal DIR] [-fsync interval] [-fsync-interval 100ms]
 //	      [-snapshot-every 4096] [-retain-segments 4]
@@ -22,7 +21,7 @@
 //	POST /v1/report         measured consumption for owned devices
 //	POST /v1/telemetry      NDJSON stream: harvest in, allocation out
 //	POST /v1/alpha          re-weight one device's accuracy-time objective
-//	GET  /v1/stats          counters, shards, cache, journal, replication
+//	GET  /v1/stats          counters, shards, journal, replication
 //	GET  /healthz           liveness + role/epoch/lag (503 while draining)
 //	GET  /v1/replicate      journal-shipping stream for followers
 //	POST /v1/replicate/ack  follower apply-position acks
@@ -81,8 +80,6 @@ func main() {
 	battery := flag.Float64("battery", 0, "per-device initial battery charge in J")
 	capacity := flag.Float64("capacity", 0, "per-device battery capacity in J")
 	solver := flag.String("solver", "", "solver backend (default: compiled plan)")
-	cacheSize := flag.Int("cache", 0, "solve cache entries (0 = plan-direct, the fast default)")
-	cacheRes := flag.Float64("cacheres", 0.001, "cache budget quantization in J")
 	rate := flag.Float64("rate", 0, "per-tenant admitted solves/second (0 = unlimited)")
 	burst := flag.Int("burst", 0, "admission burst (0 = max(rate, 1))")
 	drainTimeout := flag.Duration("drain-timeout", 30e9, "grace period for in-flight work on SIGTERM")
@@ -101,25 +98,23 @@ func main() {
 	flag.Parse()
 
 	svc, err := service.New(service.Config{
-		Devices:          *devices,
-		Shards:           *shards,
-		BatteryJ:         *battery,
-		CapacityJ:        *capacity,
-		Solver:           *solver,
-		CacheSize:        *cacheSize,
-		CacheResolutionJ: *cacheRes,
-		RatePerSec:       *rate,
-		Burst:            *burst,
-		JournalDir:       *journalDir,
-		FsyncPolicy:      *fsync,
-		FsyncInterval:    *fsyncInterval,
-		SnapshotEvery:    *snapshotEvery,
-		Role:             *role,
-		PrimaryAddr:      *primary,
-		FollowerID:       *followerID,
-		RetainSegments:   *retainSegments,
-		QuarantineAfter:  *quarantineAfter,
-		MaxInflight:      *maxInflight,
+		Devices:         *devices,
+		Shards:          *shards,
+		BatteryJ:        *battery,
+		CapacityJ:       *capacity,
+		Solver:          *solver,
+		RatePerSec:      *rate,
+		Burst:           *burst,
+		JournalDir:      *journalDir,
+		FsyncPolicy:     *fsync,
+		FsyncInterval:   *fsyncInterval,
+		SnapshotEvery:   *snapshotEvery,
+		Role:            *role,
+		PrimaryAddr:     *primary,
+		FollowerID:      *followerID,
+		RetainSegments:  *retainSegments,
+		QuarantineAfter: *quarantineAfter,
+		MaxInflight:     *maxInflight,
 		Deadline: resilience.DeadlinePolicy{
 			Default: *defaultDeadline,
 			Max:     *maxDeadline,

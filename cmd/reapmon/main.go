@@ -8,15 +8,10 @@
 //
 //	reapmon [-days 3] [-month 9] [-year 2015] [-alpha 1] [-battery 20]
 //	        [-capacity 100] [-noise 0.03] [-solver plan] [-lookahead]
-//	        [-cache] [-cachesize 4096] [-cacheres 0.001]
 //
-// With -cache the controller's solves go through a solve cache (the same
-// subsystem fleets share; see reap.WithSolveCache) and the final line
-// reports its statistics — hits, misses, singleflight-coalesced lookups,
-// evictions and hit rate. -solver picks the hourly optimizer backend
-// (default plan, the compiled parametric solver). The -lookahead planner
-// bypasses the hourly solver entirely, so neither -solver nor the cache
-// applies there.
+// -solver picks the hourly optimizer backend (default plan, the compiled
+// parametric solver). The -lookahead planner bypasses the hourly solver
+// entirely, so -solver does not apply there.
 package main
 
 import (
@@ -44,9 +39,6 @@ func main() {
 	solverName := flag.String("solver", reap.DefaultSolver,
 		"optimizer backend: "+strings.Join(reap.Solvers(), ", "))
 	lookahead := flag.Bool("lookahead", false, "use the 24h receding-horizon planner instead of myopic REAP")
-	useCache := flag.Bool("cache", false, "route solves through a solve cache and report its stats")
-	cacheSize := flag.Int("cachesize", 4096, "solve cache capacity in entries")
-	cacheRes := flag.Float64("cacheres", 0.001, "budget quantization resolution in J (0 = exact)")
 	flag.Parse()
 
 	tr, err := solar.MonthlyTrace(*month, *year, solar.DefaultCell())
@@ -88,17 +80,8 @@ func main() {
 		return
 	}
 
-	opts := []reap.Option{reap.WithConfig(cfg), reap.WithBattery(*battery, *capacity),
-		reap.WithSolver(*solverName)}
-	var sc *reap.SolveCache
-	if *useCache {
-		sc, err = reap.NewSolveCache(*cacheSize, *cacheRes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts = append(opts, reap.WithSharedSolveCache(sc))
-	}
-	ctl, err := reap.New(opts...)
+	ctl, err := reap.New(reap.WithConfig(cfg), reap.WithBattery(*battery, *capacity),
+		reap.WithSolver(*solverName))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,13 +97,6 @@ func main() {
 	}
 	fmt.Printf("\nmean E{a} %.3f over %d hours, final battery %.1f J\n",
 		sum/float64(len(outs)), len(outs), ctl.Battery())
-	if sc != nil {
-		s := sc.Stats()
-		fmt.Printf("solve cache: %d hits, %d misses, %d coalesced, %d evictions "+
-			"(%.1f%% served without a fresh solve, %d/%d entries, %g J resolution)\n",
-			s.Hits, s.Misses, s.Coalesced, s.Evictions,
-			100*s.HitRate(), s.Entries, s.Capacity, sc.Resolution())
-	}
 }
 
 func printHour(cfg core.Config, i int, harvest, budget float64, alloc core.Allocation, battery float64) {

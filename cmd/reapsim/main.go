@@ -6,7 +6,7 @@
 // Usage:
 //
 //	reapsim -list
-//	reapsim -scenario cache-hot
+//	reapsim -scenario lockstep
 //	reapsim -scenario brownout -devices 8 -days 7 -seed 99 -trace -
 //	reapsim -config my-world.json -metrics -
 //	reapsim -all -metrics-dir out/

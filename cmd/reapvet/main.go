@@ -9,8 +9,6 @@
 //	hotalloc     //reap:hotpath functions contain no allocating
 //	             constructs
 //	floatcmp     no raw == / != on floats outside internal/fpx
-//	nodeprecated no new callers of Deprecated: symbols — the root
-//	             package's compatibility wrappers stay caller-free
 //	recoverboundary
 //	             no bare go statements in internal/service — daemon
 //	             goroutines start via resilience.Go recover boundaries
@@ -39,7 +37,6 @@ import (
 	"repro/internal/analysis/floatcmp"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/nodeprecated"
 	"repro/internal/analysis/recoverboundary"
 )
 
@@ -48,7 +45,6 @@ var suite = []*analysis.Analyzer{
 	ctxflow.Analyzer,
 	hotalloc.Analyzer,
 	floatcmp.Analyzer,
-	nodeprecated.Analyzer,
 	recoverboundary.Analyzer,
 }
 

@@ -58,11 +58,11 @@ func TestErrorsIsRoundTrips(t *testing.T) {
 			t.Errorf("LookupSolver: err %v, want ErrUnknownSolver", err)
 		}
 		// NaN battery state must fail construction on both the options
-		// path and the deprecated positional path.
+		// path and the core positional path.
 		if _, err := New(WithBattery(math.NaN(), 100)); !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("New with NaN battery: err %v, want ErrInvalidConfig", err)
 		}
-		if _, err := NewController(DefaultConfig(), math.NaN(), 100); !errors.Is(err, ErrInvalidConfig) {
+		if _, err := core.NewController(DefaultConfig(), math.NaN(), 100); !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("NewController with NaN battery: err %v, want ErrInvalidConfig", err)
 		}
 	})

@@ -64,10 +64,6 @@ func main() {
 	}
 	fmt.Printf("\n24 fleet-hours (%d steps) in %v; day-mean E{a} %.1f%%\n",
 		24*devices, time.Since(start).Round(time.Millisecond), 100*totalAcc/(24*devices))
-	if stats, ok := fleet.CacheStats(); ok {
-		fmt.Printf("solve cache: %.1f%% served without a fresh solve (%d hits, %d coalesced, %d LP solves)\n",
-			100*stats.HitRate(), stats.Hits, stats.Coalesced, stats.Misses)
-	}
 
 	// Stateless batch: a what-if sweep over budgets, cross-checking the
 	// default plan backend against the paper's simplex per request.

@@ -1,7 +1,7 @@
 // The scenario example demonstrates the sim package: it runs a
 // starved-winter scenario twice to show determinism (same seed, byte-
-// identical trace), then contrasts it with the correlated cache-hot
-// regime where sixteen identical devices collapse onto one LP solve per
+// identical trace), then contrasts it with the correlated lockstep
+// regime where sixteen identical devices solve the same budget every
 // hour.
 package main
 
@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 
 	"repro/sim"
 )
@@ -31,14 +32,24 @@ func main() {
 	fmt.Printf("determinism: run twice with seed %d -> traces identical: %v (%d bytes)\n\n",
 		sc.Seed, bytes.Equal(first.Trace.Bytes(), second.Trace.Bytes()), len(first.Trace.Bytes()))
 
-	hot := sim.CacheHot()
-	res, err := sim.Run(ctx, hot)
+	ls := sim.Lockstep()
+	res, err := sim.Run(ctx, ls)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("== %s: %s\n%s\n", hot.Name, hot.Description, res.Summary)
-	if res.CacheStats != nil {
-		fmt.Printf("\ncorrelated budgets: %d device-hours served by %d LP solves (%.1f%% hit rate)\n",
-			res.Summary.Devices*res.Summary.Steps, res.CacheStats.Misses, 100*res.Summary.CacheHitRate)
+	fmt.Printf("== %s: %s\n%s\n", ls.Name, ls.Description, res.Summary)
+	// Identical devices under identical skies with exact execution never
+	// drift apart: every hour, every device hands the LP the same budget.
+	tr := res.Trace
+	spread := 0.0
+	for step := 0; step < tr.Steps; step++ {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for dev := 0; dev < tr.Devices; dev++ {
+			b := tr.At(step, dev).SolveBudgetJ
+			lo, hi = math.Min(lo, b), math.Max(hi, b)
+		}
+		spread = math.Max(spread, hi-lo)
 	}
+	fmt.Printf("\ncorrelated budgets: %d devices over %d hours, largest per-hour LP budget spread %g J\n",
+		tr.Devices, tr.Steps, spread)
 }

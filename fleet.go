@@ -23,15 +23,10 @@ import (
 //
 // By default every device solves directly on the compiled parametric
 // plan: devices sharing a configuration share one memoized core.Plan,
-// so a solve is a lock-free binary search with no allocation. A solve
-// cache (WithSolveCache) is an explicit opt-in for expensive backends
-// — simplex or remote solvers — where budgets quantize down to share
-// one LP solution across near-identical devices and concurrent misses
-// coalesce onto a single solve.
+// so a solve is a lock-free binary search with no allocation.
 type Fleet struct {
 	ctls    []*Controller
 	workers int
-	cache   *SolveCache
 
 	// active is the membership mask for mid-run churn (SetActive): nil
 	// means every device participates, the common case, so fleets that
@@ -53,9 +48,7 @@ type Fleet struct {
 // NewFleet creates n controller sessions from the same options New
 // accepts, plus WithWorkers to bound StepAll's concurrency and
 // WithDeviceOverride to vary settings per device. The default solve
-// path is the fingerprint-memoized compiled plan — the fastest path;
-// WithSolveCache opts into budget-quantized caching for expensive
-// backends.
+// path is the fingerprint-memoized compiled plan.
 func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: fleet size %d must be positive", ErrInvalidConfig, n)
@@ -64,19 +57,18 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	if err := s.apply(opts); err != nil {
 		return nil, err
 	}
-	solver, tag, err := s.resolveSolver()
+	solver, err := s.resolveSolver()
 	if err != nil {
 		return nil, err
 	}
 	f := &Fleet{
 		ctls:    make([]*Controller, n),
 		workers: s.workers,
-		cache:   s.solveCache,
 		errs:    make([]error, n),
 		started: make([]bool, n),
 	}
 	for i := range f.ctls {
-		ds, dSolver, dTag := s, solver, tag
+		ds, dSolver := s, solver
 		if s.deviceOverride != nil {
 			// Copy the fleet-wide settings and refine them with the
 			// device's own options. The copy shares the design-point slice
@@ -86,18 +78,18 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 			if err := dv.apply(s.deviceOverride(i)); err != nil {
 				return nil, fmt.Errorf("device %d: %w", i, err)
 			}
-			if dSolver, dTag, err = dv.resolveSolver(); err != nil {
+			if dSolver, err = dv.resolveSolver(); err != nil {
 				return nil, fmt.Errorf("device %d: %w", i, err)
 			}
 			ds = &dv
 		}
 		ctl, err := core.NewController(ds.cfg, ds.batteryJ, ds.capacityJ)
 		if err == nil {
-			// Devices sharing a configuration share one compiled plan on
-			// the uncached plan path (wireResolved memoizes per
-			// fingerprint); a compiled core.Plan is immutable and safe
-			// for the whole fleet to solve on concurrently.
-			err = ds.wireResolved(ctl, dSolver, dTag)
+			// Devices sharing a configuration share one compiled plan
+			// (the plan backend memoizes per fingerprint); a compiled
+			// core.Plan is immutable and safe for the whole fleet to
+			// solve on concurrently.
+			err = wireSolver(ctl, dSolver)
 		}
 		if err != nil {
 			if s.deviceOverride != nil {
@@ -173,17 +165,6 @@ func (f *Fleet) ActiveCount() int {
 	return n
 }
 
-// CacheStats snapshots the fleet's shared solve cache; ok is false when
-// the fleet solves without one (the default) — callers must branch on
-// ok to tell "no cache configured" from "cache configured but cold",
-// whose stats are both zero.
-func (f *Fleet) CacheStats() (stats CacheStats, ok bool) {
-	if f.cache == nil {
-		return CacheStats{}, false
-	}
-	return f.cache.Stats(), true
-}
-
 // StepAll plans the next activity period for every device: budgets[i] is
 // the energy (J) device i's harvesting subsystem expects to collect. The
 // solves run on a bounded worker pool (WithWorkers, default GOMAXPROCS).
@@ -204,10 +185,10 @@ func (f *Fleet) StepAll(ctx context.Context, budgets []float64) ([]Allocation, e
 }
 
 // stepAllInto is StepAll writing into a caller-owned allocation slice:
-// each device steps with StepInto, so on the plan and cache-hit paths a
-// reused allocs slice (Fleet.Run's loop) makes the whole fleet tick
-// allocation-free per device in steady state — the single-worker case
-// even avoids the worker-pool closure. Entries of failed or unstarted
+// each device steps with StepInto, so on the plan path a reused allocs
+// slice (Fleet.Run's loop) makes the whole fleet tick allocation-free
+// per device in steady state — the single-worker case even avoids the
+// worker-pool closure. Entries of failed or unstarted
 // devices are reset to the zero Allocation.
 //
 //reap:hotpath
@@ -432,27 +413,13 @@ type Result struct {
 // serving stateless solve RPCs). results[i] answers reqs[i]; cancelling
 // the context marks every unstarted request with ctx.Err().
 //
-// Batches solve uncached by default, like every constructor since the
-// plan-first re-tier (a sweep's budgets are all distinct, and exactness
-// matters for grids). Opting in with WithSolveCache or
-// WithSharedSolveCache routes every request through the cache — sharing
-// entries across batches when the cache is shared.
-// Option errors fail the whole batch: every result carries the error.
-// Requests on the default plan backend compile each distinct
-// configuration fingerprint once (the backend memoizes compiled plans),
-// so a sweep of N budgets over one Config pays one compilation and N
-// binary-search solves.
-func SolveBatch(ctx context.Context, reqs []Request, opts ...Option) []Result {
+// Each request names its own backend (Request.Solver). Requests on the
+// default plan backend compile each distinct configuration fingerprint
+// once (the backend memoizes compiled plans), so a sweep of N budgets
+// over one Config pays one compilation and N binary-search solves.
+func SolveBatch(ctx context.Context, reqs []Request) []Result {
 	results := make([]Result, len(reqs))
 	started := make([]bool, len(reqs))
-
-	s := defaultSettings()
-	if err := s.apply(opts); err != nil {
-		for i := range results {
-			results[i].Err = err
-		}
-		return results
-	}
 
 	// Resolve every request's backend up front, memoized per distinct
 	// name: the per-request work is a microsecond-scale solve, so
@@ -472,11 +439,6 @@ func SolveBatch(ctx context.Context, reqs []Request, opts ...Option) []Result {
 			if solver, err := LookupSolver(name); err != nil {
 				errByName[name] = err
 			} else {
-				if s.solveCache != nil {
-					// Tag by registry name: entries stay per-backend but
-					// shared across batches hitting the same cache.
-					solver = s.solveCache.wrapTagged(registryTag(name), solver)
-				}
 				byName[name] = solver
 			}
 		}

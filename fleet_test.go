@@ -13,21 +13,15 @@ import (
 
 // TestFleetStepAllMatchesSequential checks that the concurrent fleet path
 // produces exactly the schedules a sequential per-device loop would, over
-// 1000 devices spanning every operating region. WithoutSolveCache here is
-// belt-and-braces: uncached solving is the default since the plan-first
-// re-tier, and the opted-in quantizing cache has its own test
-// (TestFleetOptInCacheWithinQuantizationBound). Run under -race this is
+// 1000 devices spanning every operating region. Run under -race this is
 // also the fleet's data-race test.
 func TestFleetStepAllMatchesSequential(t *testing.T) {
 	const n = 1000
 	ctx := context.Background()
 
-	fleet, err := NewFleet(n, WithBattery(20, 100), WithoutSolveCache())
+	fleet, err := NewFleet(n, WithBattery(20, 100))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := fleet.CacheStats(); ok {
-		t.Fatal("WithoutSolveCache fleet reports a cache")
 	}
 	budgets := make([]float64, n)
 	for i := range budgets {
@@ -104,111 +98,6 @@ func TestFleetDeviceOutOfRange(t *testing.T) {
 	}
 	if dev, err := fleet.Device(2); err != nil || dev == nil {
 		t.Fatalf("Device(2) = %v, %v, want a controller", dev, err)
-	}
-}
-
-// maxMarginalValue is the LP value function's initial (and, by
-// concavity, maximal) slope in the budget: max_i aᵢ^α/(TP·(Pᵢ−Poff)).
-// It bounds the objective a quantized-down solve can lose.
-func maxMarginalValue(cfg Config) float64 {
-	var slope float64
-	for _, d := range cfg.DPs {
-		w := math.Pow(d.Accuracy, cfg.Alpha)
-		if cfg.Alpha == 0 {
-			w = 1
-		}
-		if s := w / (cfg.Period * (d.Power - cfg.POff)); s > slope {
-			slope = s
-		}
-	}
-	return slope
-}
-
-// TestFleetOptInCacheWithinQuantizationBound checks a fleet with the
-// opted-in quantizing solve cache against a default (plan-direct)
-// fleet: every cached allocation stays feasible for the true budget and
-// loses at most resolution·maxslope objective.
-func TestFleetOptInCacheWithinQuantizationBound(t *testing.T) {
-	const n = 500
-	ctx := context.Background()
-	cached, err := NewFleet(n, WithSolveCache(DefaultCacheSize, DefaultCacheResolution))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := NewFleet(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// 50 distinct budget levels across the fleet: plenty of sharing, all
-	// operating regions covered. Battery-less devices keep the effective
-	// budget equal to the harvested energy, so the bound is checkable.
-	budgets := make([]float64, n)
-	for i := range budgets {
-		budgets[i] = 11.0 * float64(i%50) / 50
-	}
-	cachedAllocs, err := cached.StepAll(ctx, budgets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactAllocs, err := exact.StepAll(ctx, budgets)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg, err := NewConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := DefaultCacheResolution*maxMarginalValue(cfg) + 1e-9
-	for i := range cachedAllocs {
-		if energy := cachedAllocs[i].Energy(cfg); energy > budgets[i]+1e-9 {
-			t.Fatalf("device %d: cached allocation spends %v J of a %v J budget", i, energy, budgets[i])
-		}
-		if loss := exactAllocs[i].Objective(cfg) - cachedAllocs[i].Objective(cfg); loss > bound || loss < -1e-9 {
-			t.Fatalf("device %d: objective loss %v outside [0, %v]", i, loss, bound)
-		}
-	}
-
-	stats, ok := cached.CacheStats()
-	if !ok {
-		t.Fatal("opted-in fleet reports no cache")
-	}
-	if lookups := stats.Hits + stats.Misses + stats.Coalesced; lookups != n {
-		t.Fatalf("cache saw %d lookups for %d devices", lookups, n)
-	}
-	if stats.Misses > 50 {
-		t.Fatalf("%d misses for 50 distinct budget levels", stats.Misses)
-	}
-	if stats.Hits+stats.Coalesced < n-50 {
-		t.Fatalf("stats %+v: want at least %d lookups deduplicated", stats, n-50)
-	}
-}
-
-// TestFleetCacheStatsDistinguishesAbsentFromCold is the regression test
-// for the stats ambiguity the reapd stats endpoint depends on: a fleet
-// without a cache answers ok=false, while a fleet whose opted-in cache
-// has simply never been hit answers ok=true with zero counters. Before
-// the (CacheStats, bool) signature both cases read as zero-value stats.
-func TestFleetCacheStatsDistinguishesAbsentFromCold(t *testing.T) {
-	uncached, err := NewFleet(3) // plan-direct default: no cache
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats, ok := uncached.CacheStats(); ok {
-		t.Fatalf("default (plan-direct) fleet reports a cache: %+v", stats)
-	}
-
-	cold, err := NewFleet(3, WithSolveCache(64, DefaultCacheResolution))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, ok := cold.CacheStats()
-	if !ok {
-		t.Fatal("opted-in fleet reports no cache")
-	}
-	if stats != (CacheStats{Capacity: 64}) {
-		t.Fatalf("cold cache stats = %+v, want zero counters with capacity 64", stats)
 	}
 }
 
@@ -407,61 +296,6 @@ func TestSolveBatchCancellationMidBatch(t *testing.T) {
 	}
 	if cancelled == 0 {
 		t.Fatal("no request observed the cancellation")
-	}
-}
-
-// TestSolveBatchWithSolveCache opts a batch into a shared cache: one LP
-// solve serves every same-bucket request, across batches.
-func TestSolveBatchWithSolveCache(t *testing.T) {
-	ctx := context.Background()
-	sc, err := NewSolveCache(1024, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := NewConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := LookupSolverMust(t, SolverSimplex).Solve(ctx, cfg, 5.00) // the bucket floor
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reqs := make([]Request, 100)
-	for i := range reqs {
-		reqs[i] = Request{Budget: 5.004 + 1e-4*float64(i%5)} // one 10 mJ bucket
-	}
-	for round := 0; round < 2; round++ {
-		for i, res := range SolveBatch(ctx, reqs, WithSharedSolveCache(sc)) {
-			if res.Err != nil {
-				t.Fatalf("round %d request %d: %v", round, i, res.Err)
-			}
-			if math.Abs(res.Allocation.Objective(cfg)-want.Objective(cfg)) > 1e-12 {
-				t.Fatalf("round %d request %d: cached %v, want bucket-floor solve %v",
-					round, i, res.Allocation, want)
-			}
-		}
-	}
-	stats := sc.Stats()
-	if stats.Misses != 1 {
-		t.Fatalf("%d LP solves for one bucket over two batches, want 1", stats.Misses)
-	}
-	if stats.Hits+stats.Coalesced != 199 {
-		t.Fatalf("stats %+v: want 199 deduplicated lookups", stats)
-	}
-}
-
-// TestSolveBatchBadOption: an option error fails the whole batch, one
-// error per result.
-func TestSolveBatchBadOption(t *testing.T) {
-	results := SolveBatch(context.Background(), make([]Request, 3), WithSolveCache(-1, 1e-3))
-	if len(results) != 3 {
-		t.Fatalf("%d results, want 3", len(results))
-	}
-	for i, res := range results {
-		if !errors.Is(res.Err, ErrInvalidConfig) {
-			t.Fatalf("request %d: err %v, want ErrInvalidConfig", i, res.Err)
-		}
 	}
 }
 

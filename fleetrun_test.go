@@ -82,7 +82,7 @@ func (r *recordedLoop) Consumed(_ int, allocs []Allocation, dst []float64) error
 }
 
 func TestFleetRun(t *testing.T) {
-	fleet, err := NewFleet(3, WithoutSolveCache())
+	fleet, err := NewFleet(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestFleetRun(t *testing.T) {
 }
 
 func TestFleetRunErrors(t *testing.T) {
-	fleet, err := NewFleet(2, WithoutSolveCache())
+	fleet, err := NewFleet(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,6 @@ import (
 // registered Solver backends through this type.
 type SolveFunc func(ctx context.Context, c Config, budget float64) (Allocation, error)
 
-// SolveIntoFunc is the buffer-reusing backend shape: it writes the
-// allocation into dst, reusing dst.Active's capacity, so a steady-state
-// solve can answer without allocating (the solve-cache hit path uses
-// this). dst's previous contents are fully overwritten.
-type SolveIntoFunc func(ctx context.Context, c Config, budget float64, dst *Allocation) error
-
 // Controller is the runtime side of REAP: once per activity period it
 // receives the energy made available by the harvesting subsystem, folds in
 // the accounting surplus or deficit of the previous period (planned versus
@@ -42,9 +36,6 @@ type Controller struct {
 	lastBudget  float64
 	steps       int
 
-	// solveInto is the buffer-reusing optimizer backend; when set it wins
-	// over solve and plan (StepInto solves straight into dst).
-	solveInto SolveIntoFunc
 	// solve is the optimizer backend; when nil, plan answers solves if
 	// set, and SolveContext (simplex) otherwise.
 	solve SolveFunc
@@ -105,13 +96,6 @@ func (ct *Controller) SetAlpha(alpha float64) error {
 // the controller before starting its period loop.
 func (ct *Controller) SetSolveFunc(fn SolveFunc) { ct.solve = fn }
 
-// SetSolveIntoFunc selects a buffer-reusing optimizer backend, which wins
-// over SetSolveFunc and SetPlan: StepInto hands fn its own dst, so a
-// backend that reuses dst.Active (the solve-cache hit path) keeps the
-// steady-state step allocation-free. A nil fn restores the SolveFunc /
-// plan / simplex fallback chain. Not safe for concurrent use with Step.
-func (ct *Controller) SetSolveIntoFunc(fn SolveIntoFunc) { ct.solveInto = fn }
-
 // SetPlan installs a compiled parametric plan as the controller's
 // allocation-free solve path, used whenever no SolveFunc is set. The
 // plan must be compiled from the controller's exact configuration; a
@@ -160,11 +144,6 @@ func (ct *Controller) StepInto(ctx context.Context, harvested float64, dst *Allo
 		budget = 0
 	}
 	switch {
-	case ct.solveInto != nil:
-		if err := ct.solveInto(ctx, ct.cfg, budget, dst); err != nil {
-			*dst = Allocation{}
-			return err
-		}
 	case ct.solve != nil:
 		alloc, err := ct.solve(ctx, ct.cfg, budget)
 		if err != nil {

@@ -27,16 +27,17 @@ func (h *fnv64) f64(v float64) { h.u64(math.Float64bits(v)) }
 // read: Period, POff, Alpha and each design point's (Accuracy, Power), in
 // order. Design-point names are deliberately excluded — they never reach
 // the LP, so two configurations differing only in labels produce
-// bit-identical allocations and may share cache entries. The encoding is
-// length-prefixed, so no two distinct configurations collide by
-// concatenation; distinct float bit patterns (including -0 versus +0)
+// bit-identical allocations and may share one compiled plan. The
+// encoding is length-prefixed, so no two distinct configurations collide
+// by concatenation; distinct float bit patterns (including -0 versus +0)
 // hash distinctly.
 //
-// The solve cache (internal/cache) keys entries by this fingerprint plus
-// the quantized budget. A 64-bit hash makes a cross-configuration
+// The root package's plan backend memoizes compiled plans by this
+// fingerprint, and Controller.SetPlan uses it to refuse a plan compiled
+// for another configuration. A 64-bit hash makes a cross-configuration
 // collision astronomically unlikely (~2⁻⁶⁴ per pair), not impossible;
-// callers needing hard isolation between configurations should use one
-// cache per configuration.
+// callers needing hard isolation between configurations should compile
+// their own plans.
 func (c Config) Fingerprint() uint64 {
 	h := fnv64(fnvOffset64)
 	h.f64(c.Period)

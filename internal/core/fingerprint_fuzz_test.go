@@ -29,7 +29,7 @@ func cloneConfig(c Config) Config {
 	return c
 }
 
-// FuzzFingerprint checks the two properties the solve cache stakes its
+// FuzzFingerprint checks the two properties the plan memo stakes its
 // correctness on: identical canonical configurations always agree, and
 // any change to a solver-read field (at the bit-pattern level) always
 // changes the fingerprint — the length-prefixed encoding admits no

@@ -46,13 +46,23 @@ func SolveContext(ctx context.Context, c Config, budget float64) (Allocation, er
 
 	n := len(c.DPs)
 	// Variables: t_1..t_N, t_off. The weight vector is computed once up
-	// front so math.Pow stays out of the row-building loop.
+	// front so math.Pow stays out of the row-building loop. It is scaled
+	// so the largest weight is 1: the optimal vertex does not depend on
+	// the scale, but the simplex compares reduced costs with an absolute
+	// tolerance, and raw weights aᵢ^α/TP fall near it at large α (0.2⁸/TP
+	// is ~10⁻⁹), where the pivots stopped short of the optimum.
 	obj := make([]float64, n+1)
 	c.weightVector(obj[:n])
+	wmax := 0.0
+	for _, w := range obj[:n] {
+		wmax = math.Max(wmax, w)
+	}
 	timeRow := make([]float64, n+1)
 	energyRow := make([]float64, n+1)
 	for i := 0; i < n; i++ {
-		obj[i] /= c.Period
+		if wmax > 0 {
+			obj[i] /= wmax
+		}
 		timeRow[i] = 1
 		energyRow[i] = c.DPs[i].Power
 	}

@@ -65,12 +65,6 @@ type Config struct {
 	BatteryJ, CapacityJ float64
 	// Solver names the backend for every solve; empty = default (plan).
 	Solver string
-	// CacheSize, when positive, opts the owned fleet into one solve
-	// cache of that capacity shared across all shards, quantizing at
-	// CacheResolutionJ. Zero (the default) is the plan-direct fast
-	// path — see the plan-first re-tier in DESIGN.md.
-	CacheSize        int
-	CacheResolutionJ float64
 	// RatePerSec is the per-tenant admission rate in solves per second;
 	// 0 disables rate limiting. Burst is the token-bucket depth, at
 	// least 1 (default max(RatePerSec, 1)).
@@ -135,7 +129,6 @@ type Service struct {
 	cfg     Config
 	shards  []*shard
 	bounds  []int // shard i owns global devices [bounds[i], bounds[i+1])
-	cache   *reap.SolveCache
 	limiter *limiter
 	store   *journal.Store // nil when journaling is off
 	gate    *resilience.Gate
@@ -198,9 +191,7 @@ type shard struct {
 	breaker *resilience.Breaker
 }
 
-// New builds the sharded service. Every shard's fleet shares one solve
-// cache when caching is opted in, so stats and entries aggregate across
-// the whole daemon.
+// New builds the sharded service.
 func New(cfg Config) (*Service, error) {
 	if cfg.Devices <= 0 {
 		return nil, fmt.Errorf("%w: service needs a positive device count, got %d",
@@ -253,14 +244,6 @@ func New(cfg Config) (*Service, error) {
 	opts := []reap.Option{reap.WithBattery(cfg.BatteryJ, cfg.CapacityJ)}
 	if cfg.Solver != "" {
 		opts = append(opts, reap.WithSolver(cfg.Solver))
-	}
-	if cfg.CacheSize > 0 {
-		sc, err := reap.NewSolveCache(cfg.CacheSize, cfg.CacheResolutionJ)
-		if err != nil {
-			return nil, err
-		}
-		s.cache = sc
-		opts = append(opts, reap.WithSharedSolveCache(sc))
 	}
 
 	s.bounds = make([]int, cfg.Shards+1)
@@ -833,11 +816,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// Stats snapshots the service counters. Cache is nil when the fleet
-// runs plan-direct (no cache configured) and non-nil — possibly all
-// zeros — when a cache exists but is cold; reapd's stats endpoint keeps
-// the two distinguishable because Fleet.CacheStats reports presence
-// separately from counters.
+// Stats snapshots the service counters.
 func (s *Service) Stats() *wire.StatsResponse {
 	resp := &wire.StatsResponse{
 		V:           wire.Version,
@@ -867,11 +846,6 @@ func (s *Service) Stats() *wire.StatsResponse {
 			}
 		}
 		sh.mu.Unlock()
-	}
-	// All shards share one cache, so any shard's fleet answers for the
-	// daemon; a plan-direct fleet answers ok=false and Cache stays nil.
-	if stats, ok := s.shards[0].fleet.CacheStats(); ok {
-		resp.Cache = wire.FromCacheStats(stats)
 	}
 	if s.store != nil {
 		js := s.store.Stats()

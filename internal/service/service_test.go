@@ -520,22 +520,6 @@ func TestTelemetryDrainFinishesCurrentEvent(t *testing.T) {
 	}
 }
 
-func TestStatsDistinguishesNoCacheFromColdCache(t *testing.T) {
-	planDirect := newTestService(t, Config{})
-	if got := planDirect.Stats().Cache; got != nil {
-		t.Errorf("plan-direct service reports cache stats %+v, want nil", got)
-	}
-
-	cached := newTestService(t, Config{CacheSize: 64, CacheResolutionJ: 0.001})
-	stats := cached.Stats().Cache
-	if stats == nil {
-		t.Fatal("cached service reports nil cache stats, want cold (zero) stats")
-	}
-	if stats.Capacity != 64 || stats.Hits != 0 {
-		t.Errorf("cold cache stats = %+v, want capacity 64 and zero hits", stats)
-	}
-}
-
 func TestShardForCoversFleet(t *testing.T) {
 	svc := newTestService(t, Config{Devices: 10, Shards: 3})
 	for device := 0; device < 10; device++ {

@@ -23,10 +23,6 @@ type settings struct {
 	capacityJ  float64
 	workers    int
 
-	// solveCache is the shared solve cache, nil (the default) for the
-	// direct compiled-plan path.
-	solveCache *SolveCache
-
 	// deviceOverride refines settings per device when NewFleet builds a
 	// heterogeneous fleet; nil means every device is identical.
 	deviceOverride func(device int) []Option
@@ -48,19 +44,13 @@ func (s *settings) apply(opts []Option) error {
 	return nil
 }
 
-// resolveSolver returns the configured backend and its cache tag: an
-// explicit WithSolverBackend wins (anonymous tag — its identity is
-// unknowable), otherwise the named registry entry (tagged by name, so
-// shared caches dedup across constructions).
-func (s *settings) resolveSolver() (Solver, uint64, error) {
+// resolveSolver returns the configured backend: an explicit
+// WithSolverBackend wins, otherwise the named registry entry.
+func (s *settings) resolveSolver() (Solver, error) {
 	if s.solver != nil {
-		return s.solver, anonymousTag(), nil
+		return s.solver, nil
 	}
-	solver, err := LookupSolver(s.solverName)
-	if err != nil {
-		return nil, 0, err
-	}
-	return solver, registryTag(s.solverName), nil
+	return LookupSolver(s.solverName)
 }
 
 // WithConfig replaces the whole configuration, for callers that already
@@ -131,8 +121,9 @@ func WithSolver(name string) Option {
 }
 
 // WithSolverBackend installs an unregistered Solver directly, bypassing
-// the registry — useful for tests and for decorators (caching, metrics)
-// that wrap a registered backend. NewConfig ignores this option.
+// the registry — useful for tests and for decorators (metrics, fault
+// injection) that wrap a registered backend. NewConfig ignores this
+// option.
 func WithSolverBackend(s Solver) Option {
 	return func(st *settings) error {
 		if s == nil {
@@ -157,53 +148,13 @@ func WithBattery(chargeJ, capacityJ float64) Option {
 	}
 }
 
-// WithSolveCache installs a fresh solve cache holding at most size
-// entries, with budgets quantized down to resolutionJ joules so
-// near-identical devices share entries (zero resolution keys budgets
-// exactly — bit-identical results, dedup only). New, NewFleet and
-// SolveBatch route every solve through the cache; NewConfig ignores it.
+// WithoutSolveCache does nothing: the solve cache it once disabled has
+// been removed, and every device solves directly on its configured
+// backend.
 //
-// Caching is an explicit opt-in for expensive backends — simplex,
-// enumerate, or future remote solvers — where memoizing an LP solve
-// actually pays. On the default compiled-plan backend a solve is a
-// ~300 ns binary search, cheaper than the cache's own
-// fingerprint+quantize+lookup work, so plan-backed fleets run fastest
-// without this option (the default since the plan-first re-tier; see
-// DESIGN.md).
-func WithSolveCache(size int, resolutionJ float64) Option {
-	return func(s *settings) error {
-		sc, err := NewSolveCache(size, resolutionJ)
-		if err != nil {
-			return err
-		}
-		s.solveCache = sc
-		return nil
-	}
-}
-
-// WithSharedSolveCache installs an existing cache, sharing entries and
-// statistics across fleets, controllers and batches that solve the same
-// configurations.
-func WithSharedSolveCache(sc *SolveCache) Option {
-	return func(s *settings) error {
-		if sc == nil {
-			return fmt.Errorf("%w: nil solve cache", ErrInvalidConfig)
-		}
-		s.solveCache = sc
-		return nil
-	}
-}
-
-// WithoutSolveCache disables solve caching, overriding any earlier
-// WithSolveCache/WithSharedSolveCache in the option list. Uncached
-// solving has been the default since the plan-first re-tier, so with no
-// cache option in play this is a no-op; it remains the explicit
-// spelling for device overrides and option lists built by composition.
+// Deprecated: drop the option; it has no effect.
 func WithoutSolveCache() Option {
-	return func(s *settings) error {
-		s.solveCache = nil
-		return nil
-	}
+	return func(*settings) error { return nil }
 }
 
 // WithDeviceOverride makes a fleet heterogeneous: when NewFleet builds
@@ -221,10 +172,9 @@ func WithoutSolveCache() Option {
 //	        return nil
 //	    }))
 //
-// The fleet-level solve cache stays shared across all devices unless an
-// override replaces it; devices whose overrides change the Config simply
-// occupy distinct cache keys (the cache is keyed by a configuration
-// fingerprint). New, NewConfig and SolveBatch ignore this option.
+// Devices whose overrides yield the same Config share one compiled
+// plan (the plan backend memoizes by configuration fingerprint). New
+// and NewConfig ignore this option.
 func WithDeviceOverride(override func(device int) []Option) Option {
 	return func(s *settings) error {
 		if override == nil {
@@ -263,8 +213,9 @@ func NewConfig(opts ...Option) (Config, error) {
 }
 
 // New creates a runtime controller session from options. The zero-option
-// call reproduces the paper's setup: simplex backend, Table 2 design
-// points, battery-less device.
+// call reproduces the paper's setup — Table 2 design points, a
+// battery-less device — on the default backend (DefaultSolver, the
+// compiled plan).
 //
 //	ctl, err := reap.New(
 //	    reap.WithAlpha(2),
@@ -280,38 +231,23 @@ func New(opts ...Option) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.wireSolver(ctl); err != nil {
+	solver, err := s.resolveSolver()
+	if err != nil {
+		return nil, err
+	}
+	if err := wireSolver(ctl, solver); err != nil {
 		return nil, err
 	}
 	return ctl, nil
 }
 
-// wireSolver resolves the configured backend and installs it on the
-// controller. The plan backend gets special treatment when solves are
-// uncached: the controller receives the compiled core.Plan directly
-// (SetPlan), so its steady-state step solves with zero allocations
-// instead of round-tripping each solve through the Solver interface.
-// Cached or non-plan backends install the usual SolveFunc, routed
-// through the solve cache when one is configured.
-func (s *settings) wireSolver(ctl *Controller) error {
-	solver, tag, err := s.resolveSolver()
-	if err != nil {
-		return err
-	}
-	return s.wireResolved(ctl, solver, tag)
-}
-
-// wireResolved is wireSolver for a backend the caller already resolved
-// — NewFleet resolves once per fleet (or per overridden device) so that
-// anonymous backends keep one cache tag across all devices.
-func (s *settings) wireResolved(ctl *Controller, solver Solver, tag uint64) error {
-	if s.solveCache != nil {
-		// Cached solving takes the buffer-reusing path: hits copy into
-		// the controller's own allocation instead of cloning, so cached
-		// steady-state steps allocate nothing.
-		ctl.SetSolveIntoFunc(s.solveCache.solveIntoFunc(tag, solver.Solve))
-		return nil
-	}
+// wireSolver installs a resolved backend on the controller — NewFleet
+// resolves once per fleet (or per overridden device). The plan backend
+// hands the controller the compiled core.Plan directly (SetPlan), so its
+// steady-state step solves with zero allocations instead of
+// round-tripping each solve through the Solver interface; any other
+// backend installs as the controller's SolveFunc.
+func wireSolver(ctl *Controller, solver Solver) error {
 	if pb, ok := solver.(*planBackend); ok {
 		p, err := pb.planFor(ctl.Config())
 		if err != nil {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestNewConfigDefaultsMatchPaper(t *testing.T) {
@@ -106,7 +108,7 @@ func TestNewDefaultSessionMatchesLegacyController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := NewController(DefaultConfig(), 0, 0)
+	legacy, err := core.NewController(DefaultConfig(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

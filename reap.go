@@ -24,10 +24,9 @@
 //     WithAlpha, WithPeriod, WithSolver, WithBattery, ...).
 //   - Fleet layer: Fleet steps many per-device sessions on a bounded
 //     worker pool; SolveBatch is its stateless counterpart. Devices
-//     solve directly on a shared compiled plan by default; a solve
-//     cache (SolveCache, opt-in via WithSolveCache) quantizes budgets
-//     so near-identical devices reuse one LP solution on expensive
-//     backends, with singleflight dedup for concurrent misses.
+//     solve directly on their configured backend — by default a
+//     compiled plan shared by every device with the same
+//     configuration.
 //   - Wire layer: package wire defines the versioned request/response
 //     structs of the reapd network service (cmd/reapd), shared verbatim
 //     by clients; internal/service hosts the sharded daemon behind
@@ -57,14 +56,11 @@
 // # Fleets
 //
 // Fleet coordinates many devices from one process. By default every
-// device solves on the fingerprint-memoized compiled plan — the
-// fastest path. Fleets on expensive backends opt into a shared solve
-// cache (WithSolveCache): budgets quantize down so devices under
-// near-identical harvesting conditions reuse one LP solution:
+// device solves on the fingerprint-memoized compiled plan, a binary
+// search with no allocation:
 //
 //	fleet, _ := reap.NewFleet(1000, reap.WithBattery(20, 100))
 //	allocs, _ := fleet.StepAll(ctx, budgets)  // budgets[i] for device i
-//	stats, ok := fleet.CacheStats()           // ok only when caching is on
 //
 // # Beyond the optimizer
 //
@@ -118,44 +114,13 @@ const (
 )
 
 // DefaultConfig returns the paper's configuration: one-hour period, 50 µW
-// off-state power, α = 1 and the five Table 2 design points.
-//
-// Deprecated: use NewConfig, which starts from the same defaults and
-// composes with options. DefaultConfig remains for source compatibility.
+// off-state power, α = 1 and the five Table 2 design points. It equals
+// NewConfig() without options.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // PaperDesignPoints returns the five Pareto-optimal design points of
 // Table 2 as measured on the paper's prototype.
 func PaperDesignPoints() []DesignPoint { return core.PaperDesignPoints() }
-
-// Solve computes the optimal time allocation for one activity period with
-// the given energy budget in joules, using the simplex method (the paper's
-// Algorithm 1).
-//
-// Deprecated: look up a backend through the solver registry instead
-// (LookupSolver(SolverSimplex)), which adds context cancellation and
-// backend choice. Solve remains as a thin wrapper.
-func Solve(cfg Config, budget float64) (Allocation, error) { return core.Solve(cfg, budget) }
-
-// SolveEnumerate computes the same optimum by direct vertex enumeration;
-// it exists as an independent cross-check and is faster for small N.
-//
-// Deprecated: use LookupSolver(SolverEnumerate). SolveEnumerate remains
-// as a thin wrapper.
-func SolveEnumerate(cfg Config, budget float64) (Allocation, error) {
-	return core.SolveEnumerate(cfg, budget)
-}
-
-// NewController creates a runtime controller with a backup battery of the
-// given charge and capacity in joules (zero capacity for battery-less
-// devices).
-//
-// Deprecated: use New with options — New(WithConfig(cfg),
-// WithBattery(batteryJ, capacityJ)) — which also selects the solver
-// backend. NewController remains as a thin wrapper.
-func NewController(cfg Config, batteryJ, capacityJ float64) (*Controller, error) {
-	return core.NewController(cfg, batteryJ, capacityJ)
-}
 
 // StaticAllocation is the single-design-point baseline: run design point i
 // for as long as the budget allows, then switch off.

@@ -3,18 +3,20 @@ package reap
 import (
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestPublicAPISolve(t *testing.T) {
 	cfg := DefaultConfig()
-	alloc, err := Solve(cfg, 5.0)
+	alloc, err := core.Solve(cfg, 5.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(alloc.Utilization(cfg, 3)-0.42) > 0.02 {
 		t.Fatalf("DP4 share %.3f, want ~0.42", alloc.Utilization(cfg, 3))
 	}
-	enum, err := SolveEnumerate(cfg, 5.0)
+	enum, err := core.SolveEnumerate(cfg, 5.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestPublicAPIRegions(t *testing.T) {
 
 func TestPublicAPIController(t *testing.T) {
 	cfg := DefaultConfig()
-	ctl, err := NewController(cfg, 10, 50)
+	ctl, err := core.NewController(cfg, 10, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestPublicAPIController(t *testing.T) {
 func TestPublicAPIStaticBaseline(t *testing.T) {
 	cfg := DefaultConfig()
 	for budget := 0.5; budget < 11; budget += 0.5 {
-		reapAlloc, err := Solve(cfg, budget)
+		reapAlloc, err := core.Solve(cfg, budget)
 		if err != nil {
 			t.Fatal(err)
 		}

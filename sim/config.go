@@ -53,10 +53,6 @@ type ScenarioConfig struct {
 	Solver    string  `json:"solver,omitempty"`
 	Workers   int     `json:"workers,omitempty"`
 
-	Cache            bool    `json:"cache,omitempty"`
-	CacheSize        int     `json:"cache_size,omitempty"`
-	CacheResolutionJ float64 `json:"cache_resolution_j,omitempty"`
-
 	Forecast       bool    `json:"forecast,omitempty"`
 	ForecastLambda float64 `json:"forecast_lambda,omitempty"`
 
@@ -109,31 +105,28 @@ type StormConfig struct {
 // and ParseScenario both apply it).
 func (c ScenarioConfig) Scenario() Scenario {
 	sc := Scenario{
-		Name:             c.Name,
-		Description:      c.Description,
-		Devices:          c.Devices,
-		Days:             c.Days,
-		Seed:             c.Seed,
-		Month:            c.Month,
-		Year:             c.Year,
-		Months:           c.Months,
-		HarvestScale:     c.HarvestScale,
-		DeviceJitter:     c.DeviceJitter,
-		Alpha:            c.Alpha,
-		BatteryJ:         c.BatteryJ,
-		CapacityJ:        c.CapacityJ,
-		Solver:           c.Solver,
-		Workers:          c.Workers,
-		Cache:            c.Cache,
-		CacheSize:        c.CacheSize,
-		CacheResolutionJ: c.CacheResolutionJ,
-		Forecast:         c.Forecast,
-		ForecastLambda:   c.ForecastLambda,
-		Noise:            c.Noise,
-		FaultRate:        c.FaultRate,
-		TelemetryBytes:   c.TelemetryBytes,
-		AgingPerDay:      c.AgingPerDay,
-		FlatConsumption:  c.FlatConsumption,
+		Name:            c.Name,
+		Description:     c.Description,
+		Devices:         c.Devices,
+		Days:            c.Days,
+		Seed:            c.Seed,
+		Month:           c.Month,
+		Year:            c.Year,
+		Months:          c.Months,
+		HarvestScale:    c.HarvestScale,
+		DeviceJitter:    c.DeviceJitter,
+		Alpha:           c.Alpha,
+		BatteryJ:        c.BatteryJ,
+		CapacityJ:       c.CapacityJ,
+		Solver:          c.Solver,
+		Workers:         c.Workers,
+		Forecast:        c.Forecast,
+		ForecastLambda:  c.ForecastLambda,
+		Noise:           c.Noise,
+		FaultRate:       c.FaultRate,
+		TelemetryBytes:  c.TelemetryBytes,
+		AgingPerDay:     c.AgingPerDay,
+		FlatConsumption: c.FlatConsumption,
 	}
 	for _, p := range c.Populations {
 		sc.Populations = append(sc.Populations, Population(p))
@@ -161,32 +154,29 @@ func ConfigFromScenario(sc Scenario) (ScenarioConfig, error) {
 			"%w: %s: a PerDevice func is not representable as config; use Populations", ErrInvalidScenario, sc.Name)
 	}
 	c := ScenarioConfig{
-		V:                ConfigVersion,
-		Name:             sc.Name,
-		Description:      sc.Description,
-		Devices:          sc.Devices,
-		Days:             sc.Days,
-		Seed:             sc.Seed,
-		Month:            sc.Month,
-		Year:             sc.Year,
-		Months:           sc.Months,
-		HarvestScale:     sc.HarvestScale,
-		DeviceJitter:     sc.DeviceJitter,
-		Alpha:            sc.Alpha,
-		BatteryJ:         sc.BatteryJ,
-		CapacityJ:        sc.CapacityJ,
-		Solver:           sc.Solver,
-		Workers:          sc.Workers,
-		Cache:            sc.Cache,
-		CacheSize:        sc.CacheSize,
-		CacheResolutionJ: sc.CacheResolutionJ,
-		Forecast:         sc.Forecast,
-		ForecastLambda:   sc.ForecastLambda,
-		Noise:            sc.Noise,
-		FaultRate:        sc.FaultRate,
-		TelemetryBytes:   sc.TelemetryBytes,
-		AgingPerDay:      sc.AgingPerDay,
-		FlatConsumption:  sc.FlatConsumption,
+		V:               ConfigVersion,
+		Name:            sc.Name,
+		Description:     sc.Description,
+		Devices:         sc.Devices,
+		Days:            sc.Days,
+		Seed:            sc.Seed,
+		Month:           sc.Month,
+		Year:            sc.Year,
+		Months:          sc.Months,
+		HarvestScale:    sc.HarvestScale,
+		DeviceJitter:    sc.DeviceJitter,
+		Alpha:           sc.Alpha,
+		BatteryJ:        sc.BatteryJ,
+		CapacityJ:       sc.CapacityJ,
+		Solver:          sc.Solver,
+		Workers:         sc.Workers,
+		Forecast:        sc.Forecast,
+		ForecastLambda:  sc.ForecastLambda,
+		Noise:           sc.Noise,
+		FaultRate:       sc.FaultRate,
+		TelemetryBytes:  sc.TelemetryBytes,
+		AgingPerDay:     sc.AgingPerDay,
+		FlatConsumption: sc.FlatConsumption,
 	}
 	for _, p := range sc.Populations {
 		c.Populations = append(c.Populations, PopulationConfig(p))

@@ -144,6 +144,12 @@ func TestConfigStrictDecode(t *testing.T) {
 		"wrong type":       `{"v": 2, "name": "x", "devices": "many", "days": 1, "seed": 1, "month": 6, "year": 2016}`,
 		"empty":            ``,
 		"array":            `[1, 2, 3]`,
+
+		// The solve-cache keys were removed from the v2 schema; a
+		// config still naming them must fail rather than run uncached.
+		"removed cache":              `{"v": 2, "name": "x", "devices": 1, "days": 1, "seed": 1, "month": 6, "year": 2016, "cache": true}`,
+		"removed cache_size":         `{"v": 2, "name": "x", "devices": 1, "days": 1, "seed": 1, "month": 6, "year": 2016, "cache_size": 64}`,
+		"removed cache_resolution_j": `{"v": 2, "name": "x", "devices": 1, "days": 1, "seed": 1, "month": 6, "year": 2016, "cache_resolution_j": 0.001}`,
 	}
 	for name, input := range cases {
 		_, err := DecodeScenarioConfig(strings.NewReader(input))

@@ -3,45 +3,23 @@ package sim
 import (
 	"context"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro"
 )
 
-// variant reruns a scenario with the solver/cache combination under
-// test, keeping everything else (seed, climate, consumption model)
-// identical. Per-device solver overrides (mixed-fleet) stay in place —
-// those devices are simply identical across variants.
-func variant(t *testing.T, sc Scenario, solver string, cached bool, resolutionJ float64) *Result {
+// variant reruns a scenario on the solver under test, keeping
+// everything else (seed, climate, consumption model) identical.
+// Per-device solver overrides (mixed-fleet) stay in place — those
+// devices are simply identical across variants.
+func variant(t *testing.T, sc Scenario, solver string) *Result {
 	t.Helper()
 	sc.Solver = solver
-	sc.Cache = cached
-	sc.CacheResolutionJ = resolutionJ
 	res, err := Run(context.Background(), sc)
 	if err != nil {
-		t.Fatalf("%s/%s cached=%v: %v", sc.Name, solver, cached, err)
+		t.Fatalf("%s/%s: %v", sc.Name, solver, err)
 	}
 	return res
-}
-
-// quantizationBound is the documented objective-loss bound of budget
-// quantization: resolution · max_i aᵢ^α / (TP·(Pᵢ−Poff)). The LP's
-// value function is concave in the budget, so its steepest marginal
-// value — the initial slope — bounds the loss over any resolution-sized
-// segment.
-func quantizationBound(cfg reap.Config, resolutionJ float64) float64 {
-	maxRatio := 0.0
-	for _, d := range cfg.DPs {
-		w := math.Pow(d.Accuracy, cfg.Alpha)
-		if cfg.Alpha == 0 {
-			w = 1
-		}
-		if ratio := w / (cfg.Period * (d.Power - cfg.POff)); ratio > maxRatio {
-			maxRatio = ratio
-		}
-	}
-	return resolutionJ * maxRatio
 }
 
 func allocOf(r *StepRecord) reap.Allocation {
@@ -49,7 +27,7 @@ func allocOf(r *StepRecord) reap.Allocation {
 }
 
 // TestDifferentialBackends runs every corpus scenario through the
-// simplex, enumerate and plan backends, uncached, and requires the
+// simplex, enumerate and plan backends and requires the
 // closed loops to agree step for step: same LP budgets, same planned
 // energy, same objective, same battery trajectory. Simplex is the
 // reference; enumerate and the compiled parametric plan must each track
@@ -61,9 +39,9 @@ func TestDifferentialBackends(t *testing.T) {
 	for _, sc := range corpusScenarios(t) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			a := variant(t, sc, reap.SolverSimplex, false, 0)
+			a := variant(t, sc, reap.SolverSimplex)
 			for _, solver := range []string{reap.SolverEnumerate, reap.SolverPlan} {
-				b := variant(t, sc, solver, false, 0)
+				b := variant(t, sc, solver)
 				if len(a.Trace.Records) != len(b.Trace.Records) {
 					t.Fatalf("%s: record counts differ: %d vs %d", solver, len(a.Trace.Records), len(b.Trace.Records))
 				}
@@ -91,96 +69,38 @@ func TestDifferentialBackends(t *testing.T) {
 	}
 }
 
-// TestDifferentialCacheExactMode requires the cache's exact mode (zero
-// resolution: budgets keyed by bit pattern, dedup only) to reproduce
-// the uncached run bit for bit, under all three backends, for every
-// scenario — the cache layer must be invisible when it does not
-// quantize.
-func TestDifferentialCacheExactMode(t *testing.T) {
-	for _, sc := range corpusScenarios(t) {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			for _, solver := range []string{reap.SolverSimplex, reap.SolverEnumerate, reap.SolverPlan} {
-				uncached := variant(t, sc, solver, false, 0)
-				exact := variant(t, sc, solver, true, -1)
-				if !reflect.DeepEqual(uncached.Trace.Records, exact.Trace.Records) {
-					for i := range uncached.Trace.Records {
-						if !reflect.DeepEqual(uncached.Trace.Records[i], exact.Trace.Records[i]) {
-							t.Fatalf("%s: exact-mode cache diverged at record %d:\nuncached: %+v\ncached:   %+v",
-								solver, i, uncached.Trace.Records[i], exact.Trace.Records[i])
-						}
-					}
-					t.Fatalf("%s: exact-mode cache diverged", solver)
-				}
-			}
-		})
-	}
-}
-
-// TestDifferentialCachedWithinQuantizationBound runs every scenario
-// cached at the default 1 mJ resolution, under all three backends, and
-// checks each step of the cached closed loop against an exact solve at
-// the same LP budget: the cached plan must stay feasible (never spend
-// more than the true budget) and its objective must sit within the
-// documented quantization bound of the exact optimum. This validates
-// the bound inside full closed-loop trajectories, not just on isolated
-// solves.
-func TestDifferentialCachedWithinQuantizationBound(t *testing.T) {
-	const eps = 1e-9
-	resolution := reap.DefaultCacheResolution
-	exactSolver, err := reap.LookupSolver(reap.SolverSimplex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, sc := range corpusScenarios(t) {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			for _, solver := range []string{reap.SolverSimplex, reap.SolverEnumerate, reap.SolverPlan} {
-				res := variant(t, sc, solver, true, resolution)
-				for i := range res.Trace.Records {
-					r := &res.Trace.Records[i]
-					cfg := res.Configs[r.Device]
-					if r.PlannedJ > r.SolveBudgetJ+eps {
-						t.Fatalf("%s step %d dev %d: cached plan spends %v J of a %v J budget",
-							solver, r.Step, r.Device, r.PlannedJ, r.SolveBudgetJ)
-					}
-					exact, err := exactSolver.Solve(ctx, cfg, r.SolveBudgetJ)
-					if err != nil {
-						t.Fatalf("%s step %d dev %d: exact solve: %v", solver, r.Step, r.Device, err)
-					}
-					jCached := allocOf(r).Objective(cfg)
-					jExact := exact.Objective(cfg)
-					bound := quantizationBound(cfg, resolution)
-					if jCached < jExact-bound-eps {
-						t.Fatalf("%s step %d dev %d: cached objective %v below exact %v by more than the bound %v",
-							solver, r.Step, r.Device, jCached, jExact, bound)
-					}
-					if jCached > jExact+eps {
-						t.Fatalf("%s step %d dev %d: cached objective %v exceeds exact optimum %v",
-							solver, r.Step, r.Device, jCached, jExact)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestDifferentialSummariesClose cross-checks the aggregate metrics of
-// cached and uncached runs: quantizing budgets down by at most 1 mJ per
-// solve must not visibly move fleet-level utility or the neutrality
-// residual.
+// the backends: the enumerate and plan backends must report the same
+// fleet-level utility, accuracy, time shares and neutrality residual as
+// the simplex reference, and the same counts. Each metric averages or
+// totals per-step quantities that TestDifferentialBackends holds within
+// 1e-6 of the reference, so the same tolerance bounds the summaries.
 func TestDifferentialSummariesClose(t *testing.T) {
+	const tol = 1e-6
 	for _, sc := range corpusScenarios(t) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			uncached := variant(t, sc, reap.SolverSimplex, false, 0)
-			cached := variant(t, sc, reap.SolverSimplex, true, reap.DefaultCacheResolution)
-			if d := math.Abs(uncached.Summary.MeanUtility - cached.Summary.MeanUtility); d > 1e-2 {
-				t.Fatalf("mean utility moved by %g under caching", d)
-			}
-			if d := math.Abs(uncached.Summary.NeutralityError - cached.Summary.NeutralityError); d > 2e-2 {
-				t.Fatalf("neutrality error moved by %g under caching", d)
+			ref := variant(t, sc, reap.SolverSimplex).Summary
+			for _, solver := range []string{reap.SolverEnumerate, reap.SolverPlan} {
+				got := variant(t, sc, solver).Summary
+				if got.Devices != ref.Devices || got.Steps != ref.Steps || got.FaultCount != ref.FaultCount {
+					t.Fatalf("%s: counts differ: devices %d/%d, steps %d/%d, faults %d/%d", solver,
+						got.Devices, ref.Devices, got.Steps, ref.Steps, got.FaultCount, ref.FaultCount)
+				}
+				for _, m := range []struct {
+					name     string
+					ref, got float64
+				}{
+					{"mean utility", ref.MeanUtility, got.MeanUtility},
+					{"mean accuracy", ref.MeanAccuracy, got.MeanAccuracy},
+					{"active fraction", ref.ActiveFraction, got.ActiveFraction},
+					{"dead fraction", ref.DeadFraction, got.DeadFraction},
+					{"neutrality error", ref.NeutralityError, got.NeutralityError},
+				} {
+					if d := math.Abs(m.ref - m.got); d > tol {
+						t.Fatalf("%s: %s moved by %g from the simplex reference", solver, m.name, d)
+					}
+				}
 			}
 		})
 	}

@@ -21,7 +21,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden trace files")
 
 // TestGoldenTraces locks every corpus scenario's trace down
-// byte-for-byte. Any change to the solvers, the cache, the controller
+// byte-for-byte. Any change to the solvers, the controller
 // accounting, the harvest/consumption models or the trace encoding
 // shows up here as a diff against testdata/<scenario>.golden.
 //

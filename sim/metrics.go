@@ -60,10 +60,6 @@ type Summary struct {
 	// FaultCount is the number of injected fault episodes.
 	FaultCount int
 
-	// CacheHitRate is the shared solve cache's hit rate (hits plus
-	// coalesced over lookups); -1 when the scenario ran uncached.
-	CacheHitRate float64
-
 	// Elapsed and StepsPerSec measure wall-clock performance
 	// (device-steps per second). Nondeterministic — excluded from golden
 	// comparisons.
@@ -87,7 +83,6 @@ func summarize(res *Result, batteryStarts []float64, batteryEnd float64, elapsed
 		Steps:         t.Steps,
 		BatteryStartJ: batteryStart,
 		BatteryEndJ:   batteryEnd,
-		CacheHitRate:  -1,
 		Elapsed:       elapsed,
 	}
 	var periodTotal float64
@@ -140,9 +135,6 @@ func summarize(res *Result, batteryStarts []float64, batteryEnd float64, elapsed
 	}
 	s.UtilityHist = NewHistogram(utilities, 0, 1, histBuckets)
 	s.NeutralityErrHist = NewHistogram(residuals, 0, 1, histBuckets)
-	if res.CacheStats != nil {
-		s.CacheHitRate = res.CacheStats.HitRate()
-	}
 	if sec := elapsed.Seconds(); sec > 0 {
 		s.StepsPerSec = float64(len(t.Records)) / sec
 	}
@@ -163,9 +155,6 @@ func (s Summary) String() string {
 		s.MeanAccuracy, s.MeanUtility, 100*s.ActiveFraction, 100*s.DeadFraction, s.FaultCount)
 	fmt.Fprintf(&b, "utility/step: p50=%.4f p90=%.4f p99=%.4f min=%.4f\n",
 		s.UtilityDist.P50, s.UtilityDist.P90, s.UtilityDist.P99, s.UtilityDist.Min)
-	if s.CacheHitRate >= 0 {
-		fmt.Fprintf(&b, "cache: hit rate=%.1f%%\n", 100*s.CacheHitRate)
-	}
 	fmt.Fprintf(&b, "perf: %s elapsed, %.0f device-steps/sec", s.Elapsed.Round(time.Millisecond), s.StepsPerSec)
 	return b.String()
 }

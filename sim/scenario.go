@@ -70,22 +70,20 @@ func Brownout() Scenario {
 		DeviceJitter: 0.08,
 		BatteryJ:     3,
 		CapacityJ:    12,
-		Cache:        true,
 		Noise:        0.08,
 		FaultRate:    0.12,
 	}
 }
 
-// MixedFleet is a heterogeneous September fleet sharing one solve
-// cache: a third of the devices emphasize active time (α = 0.5), a
-// third emphasize accuracy with bigger batteries (α = 2), and a third
-// run the enumerate backend — distinct cache keys per population. The
+// MixedFleet is a heterogeneous September fleet: a third of the devices
+// emphasize active time (α = 0.5), a third emphasize accuracy with
+// bigger batteries (α = 2), and a third run the enumerate backend. The
 // populations are declarative, so the scenario round-trips through its
 // config-file form unchanged.
 func MixedFleet() Scenario {
 	return Scenario{
 		Name:         "mixed-fleet",
-		Description:  "heterogeneous alphas, batteries and backends on one cache",
+		Description:  "heterogeneous alphas, batteries and backends in one fleet",
 		Devices:      6,
 		Days:         3,
 		Seed:         4,
@@ -94,7 +92,6 @@ func MixedFleet() Scenario {
 		DeviceJitter: 0.10,
 		BatteryJ:     15,
 		CapacityJ:    80,
-		Cache:        true,
 		Noise:        0.04,
 		FaultRate:    0.03,
 		Populations: []Population{
@@ -105,14 +102,14 @@ func MixedFleet() Scenario {
 	}
 }
 
-// CacheHot is the correlated-budget regime the solve cache is built
-// for: sixteen identical devices under identical skies with exact
-// (flat) execution, so every device's budget lands on the same
-// quantized cache entry and the fleet solves each hour once.
-func CacheHot() Scenario {
+// Lockstep is the fully correlated regime: sixteen identical devices
+// under identical skies with exact (flat) execution, stepped on an
+// explicit four-worker pool, so every device sees the same budget every
+// hour and the fleet moves in lockstep.
+func Lockstep() Scenario {
 	return Scenario{
-		Name:            "cache-hot",
-		Description:     "16 identical devices, correlated budgets, shared cache",
+		Name:            "lockstep",
+		Description:     "16 identical devices, correlated budgets, 4 workers",
 		Devices:         16,
 		Days:            2,
 		Seed:            5,
@@ -122,7 +119,6 @@ func CacheHot() Scenario {
 		BatteryJ:        20,
 		CapacityJ:       100,
 		Workers:         4,
-		Cache:           true,
 		FlatConsumption: true,
 	}
 }
@@ -132,7 +128,7 @@ func CacheHot() Scenario {
 // five plus the config-only scenarios; the corpus config files for
 // these five are pinned byte-for-byte against the constructors.
 func Library() []Scenario {
-	lib := []Scenario{ClearMonth(), CloudyBursts(), Brownout(), MixedFleet(), CacheHot()}
+	lib := []Scenario{ClearMonth(), CloudyBursts(), Brownout(), MixedFleet(), Lockstep()}
 	sort.Slice(lib, func(i, j int) bool { return lib[i].Name < lib[j].Name })
 	return lib
 }

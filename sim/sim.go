@@ -29,9 +29,7 @@
 //
 // Determinism: every random draw derives from Scenario.Seed through
 // per-device, per-purpose sub-streams consumed in a fixed order, and the
-// LP backends and solve cache are deterministic (the cache solves the
-// quantized representative budget, so results do not depend on which
-// device populated an entry). Two runs of the same scenario therefore
+// LP backends are deterministic. Two runs of the same scenario therefore
 // produce byte-identical traces — the property the golden-trace harness
 // in this package's tests locks down. Goldens are regenerated with
 // `go test ./sim -run TestGolden -update`.
@@ -79,7 +77,7 @@ type Scenario struct {
 	// HarvestScale scales every hourly harvest (default 1). DeviceJitter
 	// spreads a per-device multiplicative factor uniformly in
 	// [1-j, 1+j]; zero gives every device an identical harvest, the
-	// correlated-budget regime the solve cache exploits.
+	// correlated-budget regime of the lockstep scenario.
 	HarvestScale, DeviceJitter float64
 
 	// Alpha, BatteryJ, CapacityJ configure every controller (refine per
@@ -93,15 +91,6 @@ type Scenario struct {
 	BatteryJ, CapacityJ float64
 	Solver              string
 	Workers             int
-
-	// Cache routes solves through a shared solve cache of CacheSize
-	// entries (default reap.DefaultCacheSize) at CacheResolutionJ
-	// (default reap.DefaultCacheResolution; negative selects the
-	// cache's exact mode — no quantization, bit-identical to uncached,
-	// dedup only). Without Cache the fleet solves exactly, uncached.
-	Cache            bool
-	CacheSize        int
-	CacheResolutionJ float64
 
 	// Forecast plans each budget from an EWMA prediction of the hour's
 	// harvest (internal/forecast, per device) instead of the actual
@@ -128,7 +117,7 @@ type Scenario struct {
 
 	// FlatConsumption makes execution exact: consumed = planned energy
 	// (+ telemetry), no activity modulation, noise, faults or aging.
-	// Used by cache-correlation scenarios, where divergent consumption
+	// Used by correlated-budget scenarios, where divergent consumption
 	// would decorrelate budgets, and by differential baselines.
 	FlatConsumption bool
 
@@ -253,12 +242,6 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	if sc.Solver == "" {
 		sc.Solver = reap.SolverSimplex
-	}
-	if sc.CacheSize == 0 {
-		sc.CacheSize = reap.DefaultCacheSize
-	}
-	if fpx.Zero(sc.CacheResolutionJ) {
-		sc.CacheResolutionJ = reap.DefaultCacheResolution
 	}
 	if fpx.Zero(sc.ForecastLambda) {
 		sc.ForecastLambda = 0.5
@@ -402,15 +385,13 @@ func (sc Scenario) perDeviceOverride() func(int) []reap.Option {
 }
 
 // Result bundles one run's outputs: the fully-defaulted scenario, the
-// per-step trace, summary metrics, each device's resolved configuration
-// (needed to evaluate allocations from the trace), and the solve-cache
-// statistics when the scenario caches.
+// per-step trace, summary metrics, and each device's resolved
+// configuration (needed to evaluate allocations from the trace).
 type Result struct {
-	Scenario   Scenario
-	Trace      *Trace
-	Summary    Summary
-	Configs    []reap.Config
-	CacheStats *reap.CacheStats
+	Scenario Scenario
+	Trace    *Trace
+	Summary  Summary
+	Configs  []reap.Config
 }
 
 // Sub-stream salts: each randomized concern draws from its own
@@ -804,18 +785,6 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		reap.WithSolver(sc.Solver),
 		reap.WithWorkers(sc.Workers),
 	}
-	if sc.Cache {
-		res := sc.CacheResolutionJ
-		if res < 0 {
-			res = 0 // exact mode
-		}
-		opts = append(opts, reap.WithSolveCache(sc.CacheSize, res))
-	} else {
-		// Uncached solving is NewFleet's default since the plan-first
-		// re-tier; saying so explicitly keeps scenario semantics pinned
-		// to the scenario definition rather than the library default.
-		opts = append(opts, reap.WithoutSolveCache())
-	}
 	if override := sc.perDeviceOverride(); override != nil {
 		opts = append(opts, reap.WithDeviceOverride(override))
 	}
@@ -908,13 +877,9 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 			Devices:  sc.Devices,
 			Steps:    steps,
 			Solver:   sc.Solver,
-			Cached:   sc.Cache,
 			Records:  s.records,
 		},
 		Configs: s.cfgs,
-	}
-	if stats, ok := fleet.CacheStats(); ok {
-		res.CacheStats = &stats
 	}
 	if res.Summary, err = summarize(res, batteryStarts, batteryEnd, elapsed); err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", sc.Name, err)

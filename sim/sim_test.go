@@ -124,27 +124,6 @@ func capacityOf(res *Result, dev int) float64 {
 	return capacity
 }
 
-// The cache-hot scenario exists to prove budget correlation: all
-// sixteen devices must collapse onto one solve per hour.
-func TestCacheHotHitRate(t *testing.T) {
-	res, err := Run(context.Background(), CacheHot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheStats == nil {
-		t.Fatal("cache-hot ran without a cache")
-	}
-	if rate := res.Summary.CacheHitRate; rate < 0.90 {
-		t.Fatalf("cache hit rate %.3f below 0.90: budgets decorrelated (stats %+v)",
-			rate, *res.CacheStats)
-	}
-	// Distinct solves should be about one per hour, not per device-hour.
-	if res.CacheStats.Misses > uint64(res.Trace.Steps)+4 {
-		t.Fatalf("%d cache misses for %d hours: correlated devices are not sharing entries",
-			res.CacheStats.Misses, res.Trace.Steps)
-	}
-}
-
 // Forecast-driven budgets must decouple the budget from the actual
 // harvest after the warm-up day, and stay within the predictor's range.
 func TestForecastBudgetsDecouple(t *testing.T) {

@@ -19,8 +19,7 @@ type StepRecord struct {
 	// HarvestJ is the energy actually harvested; BudgetJ what the
 	// controller was told (they differ under forecast-driven budgets);
 	// SolveBudgetJ the budget the LP actually saw (BudgetJ plus the
-	// controller's battery contribution and accounting carry) — the
-	// reference point for the cache's quantization bound.
+	// controller's battery contribution and accounting carry).
 	HarvestJ, BudgetJ, SolveBudgetJ float64
 	// Active, OffS, DeadS are the planned allocation: seconds per design
 	// point, off time, and unpowered time.
@@ -46,7 +45,6 @@ type Trace struct {
 	Devices  int
 	Steps    int
 	Solver   string
-	Cached   bool
 	Records  []StepRecord
 }
 
@@ -62,16 +60,15 @@ func f4(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 
 // WriteText encodes the trace in its canonical text form: a header, one
 // line per (step, device), and an end marker. The encoding is the
-// golden-trace unit — byte-identical for identical runs.
+// golden-trace unit — byte-identical for identical runs. The header's
+// cached=0 token is a fixed literal: it once recorded whether a solve
+// cache ran, and stays so that pinned traces and their digests keep
+// their bytes.
 func (t *Trace) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# reapsim trace v1\n")
-	cached := 0
-	if t.Cached {
-		cached = 1
-	}
-	fmt.Fprintf(bw, "# scenario=%s seed=%d devices=%d steps=%d solver=%s cached=%d\n",
-		t.Scenario, t.Seed, t.Devices, t.Steps, t.Solver, cached)
+	fmt.Fprintf(bw, "# scenario=%s seed=%d devices=%d steps=%d solver=%s cached=0\n",
+		t.Scenario, t.Seed, t.Devices, t.Steps, t.Solver)
 	var act strings.Builder
 	for i := range t.Records {
 		r := &t.Records[i]

@@ -14,8 +14,8 @@ import (
 // budget for one activity period onto a time allocation. Implementations
 // must be safe for concurrent use — the Fleet and SolveBatch layers call
 // a single Solver from many goroutines. Decorators compose at this seam:
-// SolveCache.Wrap returns a caching Solver that can itself be registered
-// under a new name.
+// a Solver that wraps a registered backend (to count or time its solves,
+// say) can itself be registered under a new name.
 type Solver interface {
 	Solve(ctx context.Context, cfg Config, budget float64) (Allocation, error)
 }
@@ -66,11 +66,11 @@ func init() {
 // planBackend adapts core.Plan to the Solver interface: it memoizes one
 // compiled plan per configuration fingerprint, so fleets, batches and
 // repeated solves against the same Config pay compilation (validation,
-// the aᵢ^α powers, the envelope sort and hull) exactly once. Like the
-// solve cache, entries are keyed by Config.Fingerprint(); a cross-
-// configuration hash collision (~2⁻⁶⁴ per pair) would serve the wrong
-// plan — callers needing hard isolation can compile core plans
-// themselves. The memo is capped: beyond planBackendMaxPlans distinct
+// the aᵢ^α powers, the envelope sort and hull) exactly once. Entries
+// are keyed by Config.Fingerprint(); a cross-configuration hash
+// collision (~2⁻⁶⁴ per pair) would serve the wrong plan — callers
+// needing hard isolation can compile core plans themselves. The memo
+// is capped: beyond planBackendMaxPlans distinct
 // configurations, additional configs compile per solve instead of
 // growing the map (adversarial workloads stay bounded; real fleets use
 // a handful of configurations).

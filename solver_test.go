@@ -118,50 +118,11 @@ func TestBackendsAgreeAcrossRegions(t *testing.T) {
 	}
 }
 
-// TestDefaultBackendIsPlanAndCacheExact pins the default flip: New runs
-// on the compiled plan backend, and wrapping the plan in an exact-mode
-// solve cache (zero resolution) stays bit-identical to the uncached
-// plan — the cache must remain invisible when it does not quantize,
-// whatever backend it wraps.
-func TestDefaultBackendIsPlanAndCacheExact(t *testing.T) {
+// TestDefaultBackendIsPlan pins the default flip: New, NewFleet and
+// SolveBatch run on the compiled plan backend unless told otherwise.
+func TestDefaultBackendIsPlan(t *testing.T) {
 	if DefaultSolver != SolverPlan {
 		t.Fatalf("DefaultSolver = %q, want %q", DefaultSolver, SolverPlan)
-	}
-	uncached, err := New(WithBattery(20, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := New(WithBattery(20, 100), WithSolveCache(1024, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	harvests := []float64{0, 0.3, 2.2, 5, 9.936, 30, 0.1, 4.5, 5, 5}
-	for step, h := range harvests {
-		a, err := uncached.Step(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := cached.Step(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Active {
-			if a.Active[i] != b.Active[i] {
-				t.Fatalf("step %d: exact-mode cached plan diverges: %v vs %v", step, a, b)
-			}
-		}
-		if a.Off != b.Off || a.Dead != b.Dead {
-			t.Fatalf("step %d: off/dead diverge: %v vs %v", step, a, b)
-		}
-		if uncached.Battery() != cached.Battery() {
-			t.Fatalf("step %d: batteries diverge: %v vs %v", step, uncached.Battery(), cached.Battery())
-		}
-		if err := uncached.Report(a.Energy(uncached.Config())); err != nil {
-			t.Fatal(err)
-		}
-		if err := cached.Report(b.Energy(cached.Config())); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -122,7 +122,7 @@ func TestSolveBatchErrorTaxonomy(t *testing.T) {
 func TestFleetReportAllEdgeCases(t *testing.T) {
 	newStepped := func(t *testing.T, n int) *Fleet {
 		t.Helper()
-		fleet, err := NewFleet(n, WithoutSolveCache())
+		fleet, err := NewFleet(n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,15 +119,3 @@ func NewSolveResponse(cfg reap.Config, a reap.Allocation) *SolveResponse {
 		ExpectedAccuracy: a.ExpectedAccuracy(cfg),
 	}
 }
-
-// FromCacheStats mirrors solve-cache counters on the wire.
-func FromCacheStats(s reap.CacheStats) *CacheStats {
-	return &CacheStats{
-		Hits:      s.Hits,
-		Misses:    s.Misses,
-		Coalesced: s.Coalesced,
-		Evictions: s.Evictions,
-		Entries:   s.Entries,
-		Capacity:  s.Capacity,
-	}
-}

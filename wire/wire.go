@@ -210,11 +210,8 @@ type AlphaResponse struct {
 	Alpha  float64 `json:"alpha"`
 }
 
-// StatsResponse is GET /v1/stats: service-level counters and, when the
-// fleet runs with an opted-in solve cache, its statistics. Cache is nil
-// when no cache is configured — distinct from a configured-but-cold
-// cache, whose counters are present and zero. Journal is nil when the
-// daemon runs without crash-safe state.
+// StatsResponse is GET /v1/stats: service-level counters. Journal is nil
+// when the daemon runs without crash-safe state.
 type StatsResponse struct {
 	V           int    `json:"v"`
 	Devices     int    `json:"devices"`
@@ -237,7 +234,6 @@ type StatsResponse struct {
 	// fleet aggregate that must reconcile across a crash and replay.
 	TotalBatteryJ float64           `json:"total_battery_j"`
 	Draining      bool              `json:"draining"`
-	Cache         *CacheStats       `json:"cache,omitempty"`
 	Journal       *JournalStats     `json:"journal,omitempty"`
 	Replication   *ReplicationStats `json:"replication,omitempty"`
 }
@@ -367,16 +363,6 @@ const (
 	RoleDegraded = "degraded"
 	RoleFenced   = "fenced"
 )
-
-// CacheStats mirrors the solve cache's counters on the wire.
-type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Coalesced uint64 `json:"coalesced"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-}
 
 // Stable error codes. Codes are part of the wire contract: clients
 // branch on them, so existing codes never change meaning; new failure

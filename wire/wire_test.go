@@ -76,7 +76,6 @@ func TestRoundTrip(t *testing.T) {
 			V: wire.Version, Devices: 1024, Shards: 8, Solves: 10, Steps: 3,
 			Reports: 2, AlphaSets: 1, RateLimited: 1, Shed: 4, Panics: 2,
 			ShardsQuarantined: 1, TotalBatteryJ: 512.5, Draining: true,
-			Cache:   &wire.CacheStats{Hits: 5, Misses: 1, Entries: 1, Capacity: 64},
 			Journal: &wire.JournalStats{Seq: 42, SnapshotSeq: 30, Replayed: 12, Appended: 5, TornTail: true, Compactions: 2, FsyncPolicy: "interval"},
 		}, &wire.StatsResponse{}},
 		{"alpha_request", &wire.AlphaRequest{V: wire.Version, Device: 9, Alpha: 0.5}, &wire.AlphaRequest{}},
