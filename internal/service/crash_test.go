@@ -411,7 +411,11 @@ func TestFsyncPolicies(t *testing.T) {
 // stateful endpoint: a 16-report batch (sorted by device, as a gateway
 // would send it) against journal-off, the default interval policy, and
 // the paranoid always policy. BENCH_serve.json records the off/interval
-// ratio; the acceptance bar is ≤15% overhead at the default policy.
+// ratio; the acceptance bar is ≤15% overhead at the default policy. That
+// bar was set when encoding/json decoded and encoded every report
+// batch: the single-pass codec roughly halved journal=off while the
+// journal's own cost stayed put, so the ratio now reads higher for the
+// same absolute tax, which BENCH_serve.json records beside it in µs.
 func BenchmarkReportPath(b *testing.B) {
 	const devices = 64
 	const batch = 16

@@ -906,10 +906,33 @@ func statusFor(e *wire.Error) int {
 	}
 }
 
+// maxPooledResponse caps the capacity of a response buffer returned to
+// respBufs: one outsized answer must not pin its memory in the pool.
+const maxPooledResponse = 1 << 20
+
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeJSON encodes v whole before the header goes out, so every
+// response carries Content-Length instead of a chunked body, and a
+// value that cannot be encoded (a NaN or infinite float) answers
+// 500/internal rather than an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	bp := respBufs.Get().(*[]byte)
+	body, err := wire.AppendJSON((*bp)[:0], v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = wire.AppendJSON(body[:0], &wire.ErrorResponse{V: wire.Version,
+			Error: wire.Error{Code: wire.CodeInternal, Message: fmt.Sprintf("encoding response: %v", err)}})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a failed write means the client went away
+	if cap(body) <= maxPooledResponse {
+		*bp = body
+		respBufs.Put(bp)
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, e *wire.Error) {

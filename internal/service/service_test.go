@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -548,5 +549,51 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Devices: 4, Solver: "no-such-backend"}); err == nil {
 		t.Error("unknown solver: want error")
+	}
+}
+
+// TestBatchSolveSetsContentLength: over a real listener, a 64-item
+// batch answer goes out with its length up front, not chunked.
+func TestBatchSolveSetsContentLength(t *testing.T) {
+	svc := newTestService(t, Config{})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	items := make([]wire.SolveItem, 64)
+	for i := range items {
+		items[i].BudgetJ = float64(i) / 6
+	}
+	body := mustMarshal(t, &wire.BatchSolveRequest{V: wire.Version, Items: items})
+	resp, err := http.Post(srv.URL+"/v1/batch-solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(raw)) {
+		t.Fatalf("Transfer-Encoding %v, Content-Length %d, body %d bytes; want no transfer coding and the body's length",
+			resp.TransferEncoding, resp.ContentLength, len(raw))
+	}
+}
+
+// TestWriteJSONUnencodable: a response holding NaN answers 500/internal,
+// not an empty 200.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, &wire.SolveResponse{V: wire.Version, EnergyJ: math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if got := decodeErrCode(t, rec); got != wire.CodeInternal {
+		t.Fatalf("code %q, want %q", got, wire.CodeInternal)
+	}
+	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+		t.Fatalf("Content-Length %q for a %d-byte body", got, rec.Body.Len())
 	}
 }

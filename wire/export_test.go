@@ -1,0 +1,8 @@
+package wire
+
+// Scans reports whether DecodeStrict's scanner itself, rather than
+// encoding/json, accepts body into dst.
+func Scans(body []byte, dst any) bool {
+	d := &decoder{data: body}
+	return d.scan(dst)
+}

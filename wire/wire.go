@@ -26,6 +26,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,7 +55,29 @@ func CheckVersion(v int) error {
 // payload either matches the schema exactly or fails with an error
 // suitable for CodeMalformed. Decode failures return a *Error so
 // handlers map them to a response without re-classifying.
+//
+// It reads the whole body into a pooled buffer first. For
+// *SolveRequest, *BatchSolveRequest and *ReportRequest (the daemon's
+// per-call bodies), a single-pass scanner decodes the canonical subset
+// of JSON that encoding/json emits, overwriting *dst; any other input,
+// and every other type, goes through encoding/json from the same bytes
+// (see codec.go). Both paths accept, reject and decode alike.
 func DecodeStrict(r io.Reader, dst any) error {
+	d := decoders.Get().(*decoder)
+	defer d.release()
+	d.buf.Reset()
+	if _, err := d.buf.ReadFrom(r); err != nil {
+		return decodeStd(io.MultiReader(bytes.NewReader(d.buf.Bytes()), errReader{err}), dst)
+	}
+	d.data, d.pos = d.buf.Bytes(), 0
+	if d.scan(dst) {
+		return nil
+	}
+	return decodeStd(bytes.NewReader(d.data), dst)
+}
+
+// decodeStd is DecodeStrict on encoding/json's stream decoder.
+func decodeStd(r io.Reader, dst any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
