@@ -183,12 +183,18 @@ func (ct *Controller) StepInto(ctx context.Context, harvested float64, dst *Allo
 // Step most recently planned, correcting the provisional accounting. The
 // difference between planned and measured consumption becomes a carry for
 // the next period — the feedback loop that keeps long-horizon operation
-// energy-neutral even when the device deviates from the plan.
+// energy-neutral even when the device deviates from the plan. A
+// consumption so large that the carry would overflow to -Inf is refused
+// like a negative one, and leaves the state untouched.
 func (ct *Controller) Report(consumed float64) error {
 	if consumed < 0 || math.IsNaN(consumed) {
 		return fmt.Errorf("%w: consumed energy %v", ErrBudgetNegative, consumed)
 	}
-	ct.carry += ct.lastPlanned - consumed
+	carry := ct.carry + (ct.lastPlanned - consumed)
+	if math.IsInf(carry, 0) {
+		return fmt.Errorf("%w: consumed energy %v overflows the carry %v", ErrBudgetNegative, consumed, ct.carry)
+	}
+	ct.carry = carry
 	return nil
 }
 

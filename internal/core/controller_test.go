@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -127,6 +129,39 @@ func TestControllerReportFeedback(t *testing.T) {
 	}
 	if want := 5 + planned/2; math.Abs(b2-want) > 0.5 {
 		t.Fatalf("second budget %v, want about %v (harvest + carried surplus)", b2, want)
+	}
+}
+
+// TestControllerReportRefusesCarryOverflow: two finite reports near
+// MaxFloat64 would drive the carry to -Inf, a state no snapshot can
+// hold meaningfully. The second is refused and changes nothing.
+func TestControllerReportRefusesCarryOverflow(t *testing.T) {
+	ct, err := NewController(DefaultConfig(), 10, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ct.Step(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := ct.Report(1e308); err != nil {
+		t.Fatalf("first report: %v", err)
+	}
+	before := ct.State()
+	err = ct.Report(1e308)
+	if !errors.Is(err, ErrBudgetNegative) {
+		t.Fatalf("second report: err %v, want ErrBudgetNegative", err)
+	}
+	if !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("error %q does not name the overflow", err)
+	}
+	if ct.State() != before {
+		t.Errorf("refused report changed the state: %+v, want %+v", ct.State(), before)
+	}
+	if err := ct.Report(math.Inf(1)); !errors.Is(err, ErrBudgetNegative) {
+		t.Errorf("Report(+Inf): err %v, want ErrBudgetNegative", err)
+	}
+	if math.IsInf(ct.State().CarryJ, 0) {
+		t.Errorf("carry %v after refused reports", ct.State().CarryJ)
 	}
 }
 

@@ -24,7 +24,9 @@ var (
 	// malformed design points.
 	ErrInvalidConfig = errors.New("core: invalid configuration")
 	// ErrBudgetNegative is returned when a solve or step receives a
-	// negative or NaN energy budget.
+	// negative or NaN energy budget, or a report a negative or NaN
+	// consumption, or one so large the controller's carry would
+	// overflow to -Inf.
 	ErrBudgetNegative = errors.New("core: energy budget must be non-negative")
 	// ErrInfeasible is returned when the allocation LP has no feasible
 	// solution. With a validated Config this cannot happen for budgets at

@@ -73,12 +73,11 @@ var ErrClosed = errors.New("journal: store not open for appends")
 // corruption before the end means later events cannot be trusted.
 var ErrCorrupt = errors.New("journal: corrupt directory")
 
-// frameInto writes payload's frame header and body into buf, which
-// must be frameSize+len(payload) bytes.
-func frameInto(buf, payload []byte) {
+// frameHeaderInto writes payload's frame header (length and CRC-32C)
+// into buf[:frameSize].
+func frameHeaderInto(buf, payload []byte) {
 	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	copy(buf[frameSize:], payload)
 }
 
 // readRecord reads one framed record from r. It returns io.EOF on a

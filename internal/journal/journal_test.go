@@ -133,6 +133,29 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 }
 
+// TestSnapshotFileIsOneFrame: a snapshot file, written as a frame
+// header and then the payload, holds byte for byte the one framed
+// record a segment append of the same payload would write.
+func TestSnapshotFileIsOneFrame(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := openStarted(t, dir, Options{})
+	defer st.Close()
+	if _, err := st.Append([]byte("e1")); err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("state|"), 5000)
+	if err := st.Compact(payload); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, snapName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, EncodeFrame(payload)) {
+		t.Fatalf("snapshot file is %d bytes, not the %d-byte framed record", len(raw), frameSize+len(payload))
+	}
+}
+
 func TestRepeatedCompactionAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openStarted(t, dir, Options{})

@@ -425,12 +425,23 @@ func (s *Store) Compact(snapshot []byte) error {
 	return nil
 }
 
+// writeSnapshotFile writes payload to path as one framed record: the
+// frame header, then the payload itself, so a fleet-sized snapshot is
+// never copied into a framed buffer. Two writes are safe here, unlike
+// for a segment append: the caller's tmp + fsync + rename sequence, not
+// a single write(2), is what makes the file appear whole.
 func writeSnapshotFile(path string, payload []byte) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
 	}
-	if _, err := f.Write(newFrameBuffer(payload)); err != nil {
+	var frame [frameSize]byte
+	frameHeaderInto(frame[:], payload)
+	if _, err := f.Write(frame[:]); err != nil {
+		f.Close()
+		return fmt.Errorf("journal: compact: writing snapshot: %w", err)
+	}
+	if _, err := f.Write(payload); err != nil {
 		f.Close()
 		return fmt.Errorf("journal: compact: writing snapshot: %w", err)
 	}
@@ -611,6 +622,7 @@ func (s *Store) segmentAt(seq uint64) (string, bool) {
 // buffer, so the write to the file is a single contiguous syscall.
 func newFrameBuffer(payload []byte) []byte {
 	buf := make([]byte, frameSize+len(payload))
-	frameInto(buf, payload)
+	frameHeaderInto(buf, payload)
+	copy(buf[frameSize:], payload)
 	return buf
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -102,18 +103,27 @@ func deviceStates(t *testing.T, svc *Service) []reap.ControllerState {
 	return states
 }
 
-// expectStatesEqual compares two fleets device by device. Controller
-// state is plain comparable data, and replay is deterministic, so the
-// comparison is exact — no tolerances.
+// expectStatesEqual compares two fleets device by device. Replay and
+// the snapshot codec are exact, so the comparison is bit for bit: every
+// float as its IEEE-754 bits, so -0 differs from 0 — no tolerances.
 func expectStatesEqual(t *testing.T, got, want []reap.ControllerState) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("fleet sizes differ: %d vs %d", len(got), len(want))
 	}
 	for d := range got {
-		if got[d] != want[d] {
+		if stateBits(got[d]) != stateBits(want[d]) {
 			t.Errorf("device %d: restored %+v, want %+v", d, got[d], want[d])
 		}
+	}
+}
+
+// stateBits is a controller state's exact identity.
+func stateBits(st reap.ControllerState) [6]uint64 {
+	return [6]uint64{
+		math.Float64bits(st.BatteryJ), math.Float64bits(st.CarryJ),
+		math.Float64bits(st.LastPlannedJ), math.Float64bits(st.LastBudgetJ),
+		uint64(st.Steps), math.Float64bits(st.Alpha),
 	}
 }
 

@@ -199,6 +199,16 @@ func TestSnapshotBootstrapBehindRetention(t *testing.T) {
 	}, func() string {
 		return fmt.Sprintf("oldest retained still %d after compaction window", primary.store.OldestRetained())
 	})
+	// Edge values set outside the journal reach the follower only
+	// through the snapshot, so a bit-for-bit match below proves the
+	// bootstrap installed the binary snapshot exactly. The later
+	// traffic never touches devices 8-10.
+	for i, st := range edgeStates() {
+		restoreDevice(t, primary, 8+i, st)
+	}
+	if err := primary.compact(); err != nil {
+		t.Fatal(err)
+	}
 
 	fcfg := cfg
 	fcfg.RetainSegments = 0
@@ -206,6 +216,9 @@ func TestSnapshotBootstrapBehindRetention(t *testing.T) {
 	defer follower.Close()
 	waitCaughtUp(t, primary, follower)
 	expectStatesEqual(t, deviceStates(t, follower), deviceStates(t, primary))
+	if payload, _ := follower.store.SnapshotNow(); len(payload) == 0 || payload[0] != snapBinary {
+		t.Errorf("follower's snapshot is not in the binary format")
+	}
 
 	fleetMutations(t, primary.Handler(), 4, 12)
 	waitCaughtUp(t, primary, follower)

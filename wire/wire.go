@@ -394,7 +394,8 @@ const (
 	// CodeInvalidConfig: the request's configuration failed validation.
 	CodeInvalidConfig = "invalid_config"
 	// CodeBudgetNegative: a budget, harvest or consumption value was
-	// negative or NaN.
+	// negative or NaN, or a consumption so large that the device's
+	// carry would overflow.
 	CodeBudgetNegative = "budget_negative"
 	// CodeInfeasible: the allocation LP has no feasible solution.
 	CodeInfeasible = "infeasible"
