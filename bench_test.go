@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/ble"
 	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/eval"
@@ -455,11 +454,17 @@ func BenchmarkFFT16(b *testing.B) {
 	}
 }
 
-// BenchmarkShadowPrice measures the dual-value extraction extension.
+// BenchmarkShadowPrice measures the marginal value of a joule read off
+// the compiled plan: a binary search and one slope, 0 allocs/op.
 func BenchmarkShadowPrice(b *testing.B) {
-	cfg := DefaultConfig()
+	p, err := core.NewPlan(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ShadowPrice(cfg, 5.0); err != nil {
+		if _, err := p.ShadowPrice(5.0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -513,19 +518,6 @@ func BenchmarkGoertzel6(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := dsp.GoertzelMagnitudes(w.Stretch, 16, bins); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBLETransferRaw prices the packet-level offloading transfer
-// under 10% loss.
-func BenchmarkBLETransferRaw(b *testing.B) {
-	cfg := ble.Config{LossRate: 0.1, MaxRetries: 5}
-	for i := 0; i < b.N; i++ {
-		c := cfg
-		c.Seed = int64(i)
-		if _, err := ble.Transfer(c, 1280); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,8 @@
 // Command reapmon simulates a live REAP device and streams its hourly
 // decisions: harvest, budget, chosen design-point mix, battery level,
-// expected accuracy and the marginal value of energy (the LP's shadow
-// price). It is the observability surface a developer would attach to a
-// real deployment.
+// expected accuracy and the marginal value of energy (dJ/dE, the slope
+// of the compiled plan's objective at the budget). It is the
+// observability surface a developer would attach to a real deployment.
 //
 // Usage:
 //
@@ -55,6 +55,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	plan, err := core.NewPlan(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-5s %-9s %-9s %-22s %-9s %-7s %-10s\n",
 		"hour", "harvest", "budget", "schedule", "E{a}%", "batt", "dJ/dE(1/J)")
@@ -73,7 +77,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for i, h := range res.Hours {
-			printHour(cfg, i, harvest[i], h.Budget, h.Alloc, -1)
+			printHour(cfg, plan, i, harvest[i], h.Budget, h.Alloc, -1)
 		}
 		fmt.Printf("\nmean E{a} %.3f over %d hours (receding-horizon planner)\n",
 			res.MeanExpectedAccuracy(), len(res.Hours))
@@ -92,15 +96,15 @@ func main() {
 	}
 	var sum float64
 	for i, o := range outs {
-		printHour(cfg, i, harvest[i], o.Budget, o.Alloc, o.Battery)
+		printHour(cfg, plan, i, harvest[i], o.Budget, o.Alloc, o.Battery)
 		sum += o.ExpectedAccuracy
 	}
 	fmt.Printf("\nmean E{a} %.3f over %d hours, final battery %.1f J\n",
 		sum/float64(len(outs)), len(outs), ctl.Battery())
 }
 
-func printHour(cfg core.Config, i int, harvest, budget float64, alloc core.Allocation, battery float64) {
-	price, err := core.ShadowPrice(cfg, budget)
+func printHour(cfg core.Config, plan *core.Plan, i int, harvest, budget float64, alloc core.Allocation, battery float64) {
+	price, err := plan.ShadowPrice(budget)
 	priceStr := "-"
 	if err == nil {
 		priceStr = fmt.Sprintf("%.5f", price)

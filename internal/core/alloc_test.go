@@ -31,17 +31,22 @@ func TestPlanSolveIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestPlanValueZeroAllocs(t *testing.T) {
+func TestPlanShadowPriceZeroAllocs(t *testing.T) {
 	p, err := NewPlan(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One budget per regime: dead, a breakpoint, a segment, saturated.
+	budgets := []float64{0.05, p.vertBudget[1], 0.7, 5, 100}
 	allocs := testing.AllocsPerRun(200, func() {
-		_ = p.Value(0.7)
-		_ = p.Value(100)
+		for _, b := range budgets {
+			if _, err := p.ShadowPrice(b); err != nil {
+				t.Fatal(err)
+			}
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Plan.Value allocated %v times per run, want 0", allocs)
+		t.Fatalf("Plan.ShadowPrice allocated %v times per run, want 0", allocs)
 	}
 }
 

@@ -121,40 +121,37 @@ func NewPlan(c Config) (*Plan, error) {
 // Config returns the configuration the plan was compiled from.
 func (p *Plan) Config() Config { return p.cfg }
 
-// Breakpoints returns the budgets at which the optimal mix changes: the
-// envelope vertices in increasing order, starting at the idle floor
-// MinBudget and ending at the saturation energy of the best design
-// point. Every breakpoint is one of RegionBoundaries' budgets; the
-// boundaries of LP-dominated design points (never part of any optimal
-// mix) do not appear.
-func (p *Plan) Breakpoints() []float64 {
-	return append([]float64(nil), p.vertBudget...)
-}
-
-// Value returns the optimal objective J*(budget) without materializing
-// an allocation: zero below the idle floor, the envelope's linear
-// interpolation between breakpoints, and the saturated maximum beyond
-// the last one. Value allocates nothing. NaN budgets return NaN.
+// ShadowPrice returns ∂J*/∂Eb, the objective gained per additional joule
+// of budget: the marginal value of harvested energy, which is what the
+// dual of the LP's energy constraint reports. J* is linear between the
+// envelope's breakpoints, so the price is the slope of the segment that
+// contains the budget and needs no second solve. In Region 1 it equals
+// aᵢ^α/(TP·(Pᵢ−P_off)) for the marginal design point; it steps down at
+// each breakpoint and is zero from the last one on, where the best state
+// already runs the whole period.
+//
+// Below the idle floor the price is zero: an extra joule only extends
+// idle time. At a breakpoint the price is the slope of the segment to
+// its right. NaN and negative budgets return ErrBudgetNegative.
+// ShadowPrice allocates nothing.
 //
 //reap:hotpath
-func (p *Plan) Value(budget float64) float64 {
-	if math.IsNaN(budget) {
-		return math.NaN()
+func (p *Plan) ShadowPrice(budget float64) (float64, error) {
+	if math.IsNaN(budget) || budget < 0 {
+		return 0, fmt.Errorf("%w: got %v", ErrBudgetNegative, budget) //lint:reapvet hotalloc -- cold error path
 	}
 	if budget < p.minBudget {
-		return 0
-	}
-	k := len(p.vertBudget)
-	if budget >= p.vertBudget[k-1] {
-		return p.vertValue[k-1]
+		return 0, nil
 	}
 	hi := sort.SearchFloat64s(p.vertBudget, budget)
-	if fpx.Eq(p.vertBudget[hi], budget) {
-		return p.vertValue[hi]
+	if hi < len(p.vertBudget) && fpx.Eq(p.vertBudget[hi], budget) {
+		hi++ // at a breakpoint: price the segment to its right
+	}
+	if hi == len(p.vertBudget) {
+		return 0, nil // saturated: the budget constraint is slack
 	}
 	lo := hi - 1
-	lam := (budget - p.vertBudget[lo]) / (p.vertBudget[hi] - p.vertBudget[lo])
-	return (1-lam)*p.vertValue[lo] + lam*p.vertValue[hi]
+	return (p.vertValue[hi] - p.vertValue[lo]) / (p.vertBudget[hi] - p.vertBudget[lo]), nil
 }
 
 // Solve computes the optimal allocation for the budget (J). It is exact:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -28,6 +29,16 @@ func randomPlanConfig(rng *rand.Rand) Config {
 		})
 	}
 	return c
+}
+
+// planValue returns J*(budget) as the objective of the plan's allocation.
+func planValue(t *testing.T, p *Plan, budget float64) float64 {
+	t.Helper()
+	a, err := p.Solve(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.Objective(p.Config())
 }
 
 // budgetSweep returns a budget grid spanning all four regions of the
@@ -71,9 +82,6 @@ func TestPlanMatchesSolversOnDenseSweep(t *testing.T) {
 				t.Fatalf("config %d at %v J: plan spends %v J", ci, budget, e)
 			}
 			jPlan := got.Objective(c)
-			if d := math.Abs(jPlan - p.Value(budget)); d > 1e-9 {
-				t.Fatalf("config %d at %v J: Solve objective %v but Value %v", ci, budget, jPlan, p.Value(budget))
-			}
 			sx, err := Solve(c, budget)
 			if err != nil {
 				t.Fatalf("config %d simplex at %v J: %v", ci, budget, err)
@@ -117,7 +125,7 @@ func TestPlanValueConcaveNonDecreasing(t *testing.T) {
 		vals := make([]float64, steps+1)
 		for i := range grid {
 			grid[i] = max * float64(i) / steps
-			vals[i] = p.Value(grid[i])
+			vals[i] = planValue(t, p, grid[i])
 		}
 		for i := 1; i < len(vals); i++ {
 			if vals[i] < vals[i-1]-1e-12 {
@@ -135,7 +143,7 @@ func TestPlanValueConcaveNonDecreasing(t *testing.T) {
 			for j := i + 2; j < len(grid); j += 37 {
 				mid := (grid[i] + grid[j]) / 2
 				chord := (vals[i] + vals[j]) / 2
-				if v := p.Value(mid); v < chord-1e-9 {
+				if v := planValue(t, p, mid); v < chord-1e-9 {
 					t.Fatalf("config %d: J*(%v)=%v below chord %v of [%v, %v]",
 						ci, mid, v, chord, grid[i], grid[j])
 				}
@@ -163,7 +171,7 @@ func TestPlanBreakpointsAgreeWithRegionBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("config %d: %v", ci, err)
 		}
-		bps := p.Breakpoints()
+		bps := p.vertBudget
 		if len(bps) == 0 {
 			t.Fatalf("config %d: no breakpoints", ci)
 		}
@@ -193,7 +201,7 @@ func TestPlanBreakpointsAgreeWithRegionBoundaries(t *testing.T) {
 		}
 		// The last breakpoint saturates the most valuable state; past it
 		// the value is flat at the maximum weight.
-		if d := math.Abs(p.Value(bps[len(bps)-1]) - p.Value(2*bps[len(bps)-1]+1)); d > 0 {
+		if d := math.Abs(planValue(t, p, bps[len(bps)-1]) - planValue(t, p, 2*bps[len(bps)-1]+1)); d > 0 {
 			t.Fatalf("config %d: value not flat past the last breakpoint (Δ %g)", ci, d)
 		}
 	}
@@ -204,7 +212,7 @@ func TestPlanBreakpointsAgreeWithRegionBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, bounds := len(p.Breakpoints()), len(RegionBoundaries(DefaultConfig())); got != bounds-1 {
+	if got, bounds := len(p.vertBudget), len(RegionBoundaries(DefaultConfig())); got != bounds-1 {
 		t.Fatalf("paper config: %d breakpoints for %d boundaries, want DP2 excluded (one fewer)", got, bounds)
 	}
 }
@@ -261,9 +269,6 @@ func TestPlanErrorsAndDegenerates(t *testing.T) {
 			t.Errorf("Solve(%v) accepted", bad)
 		}
 	}
-	if !math.IsNaN(p.Value(math.NaN())) {
-		t.Error("Value(NaN) not NaN")
-	}
 
 	degen := DefaultConfig()
 	for i := range degen.DPs {
@@ -273,7 +278,7 @@ func TestPlanErrorsAndDegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(dp.Breakpoints()); got != 1 {
+	if got := len(dp.vertBudget); got != 1 {
 		t.Fatalf("all-zero-weight plan has %d breakpoints, want 1 (the off vertex)", got)
 	}
 	a, err := dp.Solve(5)
@@ -365,6 +370,194 @@ func TestControllerPlanFastPath(t *testing.T) {
 	}
 	if err := planned.SetPlan(op); err == nil {
 		t.Fatal("SetPlan accepted a plan for a different configuration")
+	}
+}
+
+// enumerateValue is J*(budget) from the enumerate solver, the reference
+// the price is checked against.
+func enumerateValue(t *testing.T, c Config, budget float64) float64 {
+	t.Helper()
+	a, err := SolveEnumerate(c, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.Objective(c)
+}
+
+// TestShadowPriceRegions pins the price's shape on the paper's
+// configuration: zero in the dead region and once DP1 saturates, DP5's
+// marginal accuracy per joule in Region 1, and a lower positive price
+// in Region 2.
+func TestShadowPriceRegions(t *testing.T) {
+	c := DefaultConfig()
+	p, err := NewPlan(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []float64{0, 0.1, 9.94, 12} {
+		price, err := p.ShadowPrice(budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if price != 0 {
+			t.Errorf("budget %v: price %v, want 0", budget, price)
+		}
+	}
+	p1, err := p.ShadowPrice(2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := c.DPs[4].Accuracy / c.Period / (c.DPs[4].Power - c.POff)
+	if math.Abs(p1-want) > 1e-12*want {
+		t.Errorf("region-1 price %v, want %v", p1, want)
+	}
+	p2, err := p.ShadowPrice(6.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2 <= 0 || p2 >= p1 {
+		t.Errorf("region-2 price %v not in (0, %v)", p2, p1)
+	}
+}
+
+// TestShadowPriceAtBreakpoints: at an exact envelope breakpoint the
+// price is the slope of the segment to its right, and zero at the last
+// one. The table is the paper's configuration under α = 1 (DP2 lies
+// under the envelope, so it has no breakpoint); the LP dual returned
+// the left-hand slope at DP5's saturation, 0.18357 instead of 0.08838.
+// Random configurations then check every breakpoint against a forward
+// difference of SolveEnumerate's objective.
+func TestShadowPriceAtBreakpoints(t *testing.T) {
+	c := DefaultConfig()
+	paper, err := NewPlan(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saturates := func(i int) float64 { return c.DPs[i].EnergyPerPeriod(c.Period) }
+	for _, tc := range []struct {
+		name          string
+		budget, price float64
+	}{
+		{"idle floor", c.MinBudget(), 0.18357488},
+		{"DP5 saturates", saturates(4), 0.088383838},
+		{"DP4 saturates", saturates(3), 0.030864198},
+		{"DP3 saturates", saturates(2), 0.0059101655},
+		{"DP1 saturates", saturates(0), 0},
+	} {
+		price, err := paper.ShadowPrice(tc.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(price-tc.price) > 1e-8 {
+			t.Errorf("%s (%v J): price %v, want %v", tc.name, tc.budget, price, tc.price)
+		}
+	}
+	if got := len(paper.vertBudget); got != 5 {
+		t.Fatalf("paper plan has %d breakpoints, the table covers 5", got)
+	}
+
+	rng := rand.New(rand.NewSource(47))
+	for ci := 0; ci < 100; ci++ {
+		c := randomPlanConfig(rng)
+		p, err := NewPlan(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := len(p.vertBudget) - 1
+		for k, b := range p.vertBudget {
+			price, err := p.ShadowPrice(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0.0
+			if k < last {
+				h := (p.vertBudget[k+1] - b) / 2
+				want = (enumerateValue(t, c, b+h) - enumerateValue(t, c, b)) / h
+			}
+			if math.Abs(price-want) > 1e-6*want {
+				t.Errorf("config %d breakpoint %d (%v J): price %v, right-side slope %v", ci, k, b, price, want)
+			}
+		}
+	}
+}
+
+// TestShadowPriceMatchesFiniteDifference: inside every envelope segment
+// of random configurations the price equals the central finite
+// difference of SolveEnumerate's objective to 1e-6 relative. Every other
+// configuration keeps the paper's design points and only draws α. α <
+// 0.01 is sampled on purpose: the weights aᵢ^α crowd together near 1
+// there, and the LP dual drifted by up to 1.6%.
+func TestShadowPriceMatchesFiniteDifference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, alphas := range [][2]float64{{0, 0.01}, {0.01, 4}, {4, 10}} {
+		for ci := 0; ci < 200; ci++ {
+			c := DefaultConfig()
+			if ci%2 == 1 {
+				c = randomPlanConfig(rng)
+			}
+			c.Alpha = alphas[0] + rng.Float64()*(alphas[1]-alphas[0])
+			p, err := NewPlan(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k+1 < len(p.vertBudget); k++ {
+				lo, width := p.vertBudget[k], p.vertBudget[k+1]-p.vertBudget[k]
+				budget := lo + (0.25+0.5*rng.Float64())*width
+				h := width / 5
+				price, err := p.ShadowPrice(budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				numeric := (enumerateValue(t, c, budget+h) - enumerateValue(t, c, budget-h)) / (2 * h)
+				if math.Abs(price-numeric) > 1e-6*numeric {
+					t.Errorf("α %v segment %d at %v J: price %v, finite difference %v (rel %g)",
+						c.Alpha, k, budget, price, numeric, math.Abs(price-numeric)/numeric)
+				}
+			}
+		}
+	}
+}
+
+// TestShadowPriceNotNegative: no budget gets a negative price, not even
+// −0, which the LP dual returned between the best state's saturation
+// and MaxUsefulBudget (reapmon printed it as -0.00000 under α = 0).
+func TestShadowPriceNotNegative(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var configs []Config
+	for _, alpha := range []float64{0, 1, 2} {
+		c := DefaultConfig()
+		c.Alpha = alpha
+		configs = append(configs, c)
+	}
+	for i := 0; i < 30; i++ {
+		configs = append(configs, randomPlanConfig(rng))
+	}
+	for ci, c := range configs {
+		p, err := NewPlan(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range budgetSweep(c) {
+			price, err := p.ShadowPrice(budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Signbit(price) {
+				t.Fatalf("config %d at %v J: price %v has its sign bit set", ci, budget, price)
+			}
+		}
+	}
+}
+
+func TestShadowPriceValidation(t *testing.T) {
+	p, err := NewPlan(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{-1, math.NaN()} {
+		if _, err := p.ShadowPrice(bad); !errors.Is(err, ErrBudgetNegative) {
+			t.Errorf("ShadowPrice(%v) = %v, want ErrBudgetNegative", bad, err)
+		}
 	}
 }
 

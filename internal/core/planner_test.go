@@ -5,70 +5,6 @@ import (
 	"testing"
 )
 
-func TestShadowPriceRegions(t *testing.T) {
-	c := DefaultConfig()
-	// Dead region and saturated region: zero price.
-	for _, budget := range []float64{0, 0.1, 9.94, 12} {
-		p, err := ShadowPrice(c, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p != 0 {
-			t.Errorf("budget %v: price %v, want 0", budget, p)
-		}
-	}
-	// Region 1: price equals DP5's marginal accuracy per joule.
-	p1, err := ShadowPrice(c, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := c.DPs[4].Accuracy / c.Period / (c.DPs[4].Power - c.POff)
-	if math.Abs(p1-want) > 1e-6*want {
-		t.Errorf("region-1 price %v, want %v", p1, want)
-	}
-	// Region 2: price is positive but lower (mixing DP4 for DP5 buys less
-	// accuracy per joule).
-	p2, err := ShadowPrice(c, 6.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2 <= 0 || p2 >= p1 {
-		t.Errorf("region-2 price %v not in (0, %v)", p2, p1)
-	}
-}
-
-func TestShadowPriceMatchesFiniteDifference(t *testing.T) {
-	c := DefaultConfig()
-	for _, budget := range []float64{1.5, 3.0, 5.0, 7.5, 9.0} {
-		price, err := ShadowPrice(c, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const h = 1e-3
-		up, err := Solve(c, budget+h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dn, err := Solve(c, budget-h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		numeric := (up.Objective(c) - dn.Objective(c)) / (2 * h)
-		if math.Abs(price-numeric) > 1e-3*(1+numeric) {
-			t.Errorf("budget %v: dual %v vs numeric %v", budget, price, numeric)
-		}
-	}
-}
-
-func TestShadowPriceValidation(t *testing.T) {
-	if _, err := ShadowPrice(Config{}, 1); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-	if _, err := ShadowPrice(DefaultConfig(), -1); err == nil {
-		t.Fatal("negative budget accepted")
-	}
-}
-
 func TestLookaheadValidation(t *testing.T) {
 	c := DefaultConfig()
 	if _, err := Lookahead(Config{}, 0, 10, []float64{1}); err == nil {

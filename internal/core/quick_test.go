@@ -111,22 +111,31 @@ func TestQuickREAPWeaklyDominatesEveryStatic(t *testing.T) {
 
 func TestQuickShadowPriceIsLocalSlope(t *testing.T) {
 	// Wherever the price is defined and the budget is interior to its
-	// regime, a small budget increase raises J by ~price x delta.
+	// regime, a small budget increase raises J by ~price x delta. J* is
+	// linear between adjacent region boundaries, so steps that stay
+	// between the two around the budget stay on one envelope segment.
 	f := func(seed int64) bool {
 		c, budget := randomConfig(seed)
 		if budget <= c.MinBudget()*1.1 || budget >= c.MaxUsefulBudget()*0.95 {
 			return true // skip boundary regimes
 		}
-		lo, hi, err := BudgetRange(c, budget)
-		if err != nil {
-			return false
+		lo, hi := c.MinBudget(), c.MaxUsefulBudget()
+		for _, b := range RegionBoundaries(c) {
+			if b <= budget {
+				lo = math.Max(lo, b)
+			} else {
+				hi = math.Min(hi, b)
+			}
 		}
-		// Stay strictly inside the stable interval.
 		h := math.Min(budget-lo, hi-budget) / 4
 		if h <= 1e-9 {
 			return true // degenerate at a boundary
 		}
-		price, err := ShadowPrice(c, budget)
+		p, err := NewPlan(c)
+		if err != nil {
+			return false
+		}
+		price, err := p.ShadowPrice(budget)
 		if err != nil {
 			return false
 		}

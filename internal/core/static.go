@@ -39,8 +39,3 @@ func StaticAllocation(c Config, i int, budget float64) Allocation {
 func StaticObjective(c Config, i int, budget float64) float64 {
 	return StaticAllocation(c, i, budget).Objective(c)
 }
-
-// StaticExpectedAccuracy evaluates E{a} for the static baseline.
-func StaticExpectedAccuracy(c Config, i int, budget float64) float64 {
-	return StaticAllocation(c, i, budget).ExpectedAccuracy(c)
-}

@@ -54,18 +54,6 @@ func (p StaticPolicy) Plan(cfg core.Config, budget float64) (core.Allocation, er
 	return core.StaticAllocation(cfg, p.Index, budget), nil
 }
 
-// OraclePolicy solves with the enumeration solver; used in tests to
-// validate that the simulator is solver-agnostic.
-type OraclePolicy struct{}
-
-// Name implements Policy.
-func (OraclePolicy) Name() string { return "oracle" }
-
-// Plan implements Policy.
-func (OraclePolicy) Plan(cfg core.Config, budget float64) (core.Allocation, error) {
-	return core.SolveEnumerate(cfg, budget)
-}
-
 // HourRecord is the outcome of one simulated activity period.
 type HourRecord struct {
 	// Budget is the energy made available to the period.

@@ -19,9 +19,6 @@ func TestPolicyNames(t *testing.T) {
 	if (StaticPolicy{Index: 2}).Name() != "DP3" {
 		t.Fatal("static name")
 	}
-	if (OraclePolicy{}).Name() != "oracle" {
-		t.Fatal("oracle name")
-	}
 }
 
 func TestSimulatorValidation(t *testing.T) {
@@ -106,6 +103,18 @@ func TestSimulatorHourRecordsConsistent(t *testing.T) {
 	if empty.MeanObjective() != 0 || empty.MeanExpectedAccuracy() != 0 {
 		t.Fatal("empty aggregates not zero")
 	}
+}
+
+// OraclePolicy solves with the enumeration solver, so comparing it with
+// REAPPolicy shows the simulator is solver-agnostic.
+type OraclePolicy struct{}
+
+// Name implements Policy.
+func (OraclePolicy) Name() string { return "oracle" }
+
+// Plan implements Policy.
+func (OraclePolicy) Plan(cfg core.Config, budget float64) (core.Allocation, error) {
+	return core.SolveEnumerate(cfg, budget)
 }
 
 func TestOracleMatchesREAP(t *testing.T) {

@@ -20,7 +20,8 @@ type ClosedLoop struct {
 	// design point (index-aligned with the configuration's DPs) so hours
 	// can be validated sample-by-sample.
 	Models []*har.Model
-	// Users supplies subjects for realized-accuracy validation.
+	// Users supplies subjects for realized-accuracy validation; Run
+	// requires at least one when Models is set.
 	Users []synth.UserProfile
 	// WindowsPerHour is how many windows are classified per active DP
 	// per hour during validation (sampling keeps month-scale runs fast;
@@ -52,6 +53,9 @@ func (cl *ClosedLoop) Run(harvest []float64) ([]HourOutcome, error) {
 	if cl.Models != nil && len(cl.Models) != len(cfg.DPs) {
 		return nil, fmt.Errorf("device: %d models for %d design points",
 			len(cl.Models), len(cfg.DPs))
+	}
+	if cl.Models != nil && len(cl.Users) == 0 {
+		return nil, fmt.Errorf("device: validating with models needs at least one user")
 	}
 	if cl.WindowsPerHour <= 0 {
 		cl.WindowsPerHour = 24

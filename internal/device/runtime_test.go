@@ -47,6 +47,12 @@ func TestClosedLoopValidation(t *testing.T) {
 	if _, err := cl.Run([]float64{1}); err == nil {
 		t.Fatal("model/DP count mismatch accepted")
 	}
+	// Validation samples a user per window, so models without users
+	// must be refused before the first hour, even if no model is set.
+	cl = &ClosedLoop{Controller: ctrl, Models: make([]*har.Model, len(ctrl.Config().DPs))}
+	if _, err := cl.Run([]float64{1}); err == nil {
+		t.Fatal("models without users accepted")
+	}
 }
 
 func TestClosedLoopPlanOnly(t *testing.T) {

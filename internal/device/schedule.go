@@ -102,30 +102,6 @@ func BuildSchedule(cfg core.Config, a core.Allocation) (*Schedule, error) {
 	return s, nil
 }
 
-// Energy prices the schedule including switching overhead.
-func (s *Schedule) Energy(cfg core.Config) float64 {
-	total := s.OverheadEnergy
-	for _, seg := range s.Segments {
-		if seg.DP >= 0 {
-			total += cfg.DPs[seg.DP].Power * seg.Duration
-		} else {
-			total += cfg.POff * seg.Duration
-		}
-	}
-	return total
-}
-
-// ActiveTime is the observing time (switch dead time excluded).
-func (s *Schedule) ActiveTime() float64 {
-	var t float64
-	for _, seg := range s.Segments {
-		if seg.DP >= 0 {
-			t += seg.Duration
-		}
-	}
-	return t
-}
-
 // OverheadFraction compares the schedule's switching cost to a fine-
 // grained interleaving that switches every interleaveSeconds (e.g. a
 // naive per-activity-window round robin at 1.6 s): it returns the energy

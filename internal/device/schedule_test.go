@@ -43,7 +43,14 @@ func TestBuildScheduleTwoPointMix(t *testing.T) {
 	}
 	// Energy with overhead slightly exceeds the LP's but stays close.
 	lpE := alloc.Energy(cfg)
-	schedE := s.Energy(cfg)
+	schedE := s.OverheadEnergy
+	for _, seg := range s.Segments {
+		if seg.DP >= 0 {
+			schedE += cfg.DPs[seg.DP].Power * seg.Duration
+		} else {
+			schedE += cfg.POff * seg.Duration
+		}
+	}
 	if schedE <= lpE-1e-9 {
 		t.Fatalf("schedule energy %v below LP %v", schedE, lpE)
 	}
@@ -67,7 +74,7 @@ func TestBuildScheduleWithOff(t *testing.T) {
 	}
 	// The switch dead time is charged to the longest block — here the off
 	// block — so observing time is preserved (and never grows).
-	if s.ActiveTime() > alloc.ActiveTime()+1e-9 {
+	if s.Segments[0].Duration > alloc.ActiveTime()+1e-9 {
 		t.Fatal("schedule observes longer than the allocation allows")
 	}
 	offSeg := s.Segments[1]

@@ -24,23 +24,6 @@ func HaarDWT(x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// HaarIDWT inverts one level of HaarDWT.
-func HaarIDWT(x []float64) ([]float64, error) {
-	n := len(x)
-	if n%2 != 0 {
-		return nil, fmt.Errorf("dsp: Haar IDWT input length %d is odd", n)
-	}
-	out := make([]float64, n)
-	half := n / 2
-	inv := 1 / math.Sqrt2
-	for i := 0; i < half; i++ {
-		a, d := x[i], x[half+i]
-		out[2*i] = (a + d) * inv
-		out[2*i+1] = (a - d) * inv
-	}
-	return out, nil
-}
-
 // HaarMultiLevel applies `levels` cascaded Haar decompositions to the
 // approximation band. The returned slice is laid out as
 // [A_L | D_L | D_{L-1} | ... | D_1] where A_L occupies n/2^L entries.

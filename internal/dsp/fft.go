@@ -49,38 +49,6 @@ func FFT(x []complex128) error {
 	return nil
 }
 
-// IFFT computes the inverse FFT of x in place (unitary up to the 1/n
-// normalization applied here).
-func IFFT(x []complex128) error {
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	if err := FFT(x); err != nil {
-		return err
-	}
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) / n
-	}
-	return nil
-}
-
-// DFT computes the discrete Fourier transform by direct summation. It is
-// O(n²) and exists as an independent oracle for FFT in tests.
-func DFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var s complex128
-		for t := 0; t < n; t++ {
-			ang := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			s += x[t] * cmplx.Exp(complex(0, ang))
-		}
-		out[k] = s
-	}
-	return out
-}
-
 // RealFFTMagnitudes resamples x to n points (n a power of two), applies the
 // FFT and returns the magnitudes of the first n/2+1 bins (DC through
 // Nyquist). This is exactly the paper's "16-FFT of stretch" feature: the
@@ -103,30 +71,4 @@ func RealFFTMagnitudes(x []float64, n int) ([]float64, error) {
 		mags[i] = cmplx.Abs(buf[i]) / float64(n)
 	}
 	return mags, nil
-}
-
-// Hamming returns an n-point Hamming window.
-func Hamming(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-	}
-	return w
-}
-
-// ApplyWindow multiplies x by window w element-wise into a new slice.
-func ApplyWindow(x, w []float64) []float64 {
-	n := len(x)
-	if len(w) < n {
-		n = len(w)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = x[i] * w[i]
-	}
-	return out
 }

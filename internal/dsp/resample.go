@@ -33,19 +33,6 @@ func ResampleLinear(x []float64, n int) []float64 {
 	return out
 }
 
-// Decimate keeps every k-th sample of x starting from the first. A factor
-// of 1 (or less) returns a copy.
-func Decimate(x []float64, k int) []float64 {
-	if k <= 1 {
-		return append([]float64(nil), x...)
-	}
-	out := make([]float64, 0, (len(x)+k-1)/k)
-	for i := 0; i < len(x); i += k {
-		out = append(out, x[i])
-	}
-	return out
-}
-
 // Truncate keeps the leading fraction of the window, modelling the
 // "sensing period" knob of Figure 2: a sensor switched off after 50% of
 // the activity window only contributes the first half of its samples.
@@ -62,52 +49,4 @@ func Truncate(x []float64, fraction float64) []float64 {
 		n = len(x)
 	}
 	return append([]float64(nil), x[:n]...)
-}
-
-// MovingAverage smooths x with a centered window of the given odd width;
-// an even width is rounded up. Width ≤ 1 returns a copy.
-func MovingAverage(x []float64, width int) []float64 {
-	if width <= 1 || len(x) == 0 {
-		return append([]float64(nil), x...)
-	}
-	if width%2 == 0 {
-		width++
-	}
-	half := width / 2
-	out := make([]float64, len(x))
-	for i := range x {
-		lo, hi := i-half, i+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= len(x) {
-			hi = len(x) - 1
-		}
-		var s float64
-		for j := lo; j <= hi; j++ {
-			s += x[j]
-		}
-		out[i] = s / float64(hi-lo+1)
-	}
-	return out
-}
-
-// Magnitude returns the per-sample Euclidean norm across axes, the
-// orientation-independent accelerometer magnitude signal.
-func Magnitude(axes ...[]float64) []float64 {
-	if len(axes) == 0 {
-		return nil
-	}
-	n := len(axes[0])
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var s float64
-		for _, axis := range axes {
-			if i < len(axis) {
-				s += axis[i] * axis[i]
-			}
-		}
-		out[i] = math.Sqrt(s)
-	}
-	return out
 }

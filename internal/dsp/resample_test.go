@@ -50,25 +50,6 @@ func TestResamplePreservesLinearRamps(t *testing.T) {
 	}
 }
 
-func TestDecimate(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6}
-	got := Decimate(x, 3)
-	want := []float64{0, 3, 6}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	cp := Decimate(x, 1)
-	cp[0] = 99
-	if x[0] == 99 {
-		t.Fatal("Decimate(k=1) must copy, not alias")
-	}
-}
-
 func TestTruncate(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if got := Truncate(x, 0.5); len(got) != 5 || got[4] != 5 {
@@ -87,49 +68,5 @@ func TestTruncate(t *testing.T) {
 	cp[0] = 42
 	if x[0] == 42 {
 		t.Fatal("Truncate must copy, not alias")
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	x := []float64{0, 10, 0, 10, 0}
-	sm := MovingAverage(x, 3)
-	if !approx(sm[2], 20.0/3, 1e-12) {
-		t.Fatalf("center sample %v, want 6.67", sm[2])
-	}
-	if !approx(sm[0], 5, 1e-12) { // clipped window of 2
-		t.Fatalf("edge sample %v, want 5", sm[0])
-	}
-	id := MovingAverage(x, 1)
-	for i := range x {
-		if id[i] != x[i] {
-			t.Fatal("width 1 must be identity")
-		}
-	}
-	even := MovingAverage(x, 2) // rounded up to 3
-	if !approx(even[2], sm[2], 1e-12) {
-		t.Fatal("even width should round up")
-	}
-}
-
-func TestMagnitude(t *testing.T) {
-	x := []float64{3, 0}
-	y := []float64{4, 0}
-	z := []float64{0, 2}
-	m := Magnitude(x, y, z)
-	if !approx(m[0], 5, 1e-12) || !approx(m[1], 2, 1e-12) {
-		t.Fatalf("magnitude %v, want [5 2]", m)
-	}
-	if Magnitude() != nil {
-		t.Fatal("no axes should give nil")
-	}
-	// Ragged axes: shorter axes contribute zero beyond their length.
-	m = Magnitude([]float64{3, 3}, []float64{4})
-	if !approx(m[1], 3, 1e-12) {
-		t.Fatalf("ragged magnitude %v", m)
-	}
-	// Invariant: magnitude of a single axis is |x|.
-	m = Magnitude([]float64{-7})
-	if !approx(m[0], 7, 1e-12) {
-		t.Fatalf("single axis magnitude %v, want 7", m[0])
 	}
 }

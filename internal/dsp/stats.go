@@ -72,18 +72,6 @@ func Max(x []float64) float64 {
 // Range returns max - min.
 func Range(x []float64) float64 { return Max(x) - Min(x) }
 
-// RMS returns the root mean square of x.
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
 // Energy returns the signal energy Σx².
 func Energy(x []float64) float64 {
 	var s float64
@@ -91,55 +79,6 @@ func Energy(x []float64) float64 {
 		s += v * v
 	}
 	return s
-}
-
-// MAD returns the mean absolute deviation around the mean.
-func MAD(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v - m)
-	}
-	return s / float64(len(x))
-}
-
-// Skewness returns the standardized third moment, or 0 when the variance
-// is (numerically) zero.
-func Skewness(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m, sd := Mean(x), Std(x)
-	if sd < 1e-12 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		d := (v - m) / sd
-		s += d * d * d
-	}
-	return s / float64(len(x))
-}
-
-// Kurtosis returns the standardized fourth moment minus 3 (excess
-// kurtosis), or 0 when the variance is (numerically) zero.
-func Kurtosis(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m, sd := Mean(x), Std(x)
-	if sd < 1e-12 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		d := (v - m) / sd
-		s += d * d * d * d
-	}
-	return s/float64(len(x)) - 3
 }
 
 // ZeroCrossings counts sign changes in x (zeros are skipped).
@@ -197,39 +136,3 @@ func Percentile(x []float64, p float64) float64 {
 
 // IQR returns the interquartile range (75th minus 25th percentile).
 func IQR(x []float64) float64 { return Percentile(x, 0.75) - Percentile(x, 0.25) }
-
-// Correlation returns the Pearson correlation of a and b, or 0 when either
-// signal has (numerically) zero variance or the lengths differ.
-func Correlation(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	ma, mb := Mean(a), Mean(b)
-	var sab, saa, sbb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		sab += da * db
-		saa += da * da
-		sbb += db * db
-	}
-	if saa < 1e-24 || sbb < 1e-24 {
-		return 0
-	}
-	return sab / math.Sqrt(saa*sbb)
-}
-
-// SMA returns the signal magnitude area of a set of axes: the mean of the
-// summed absolute values across axes, a standard HAR intensity feature.
-func SMA(axes ...[]float64) float64 {
-	if len(axes) == 0 || len(axes[0]) == 0 {
-		return 0
-	}
-	n := len(axes[0])
-	var s float64
-	for _, axis := range axes {
-		for _, v := range axis {
-			s += math.Abs(v)
-		}
-	}
-	return s / float64(n)
-}

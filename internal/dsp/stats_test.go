@@ -30,12 +30,8 @@ func TestEmptyInputs(t *testing.T) {
 		"Std":      Std(empty),
 		"Min":      Min(empty),
 		"Max":      Max(empty),
-		"RMS":      RMS(empty),
-		"MAD":      MAD(empty),
-		"Skewness": Skewness(empty),
-		"Kurtosis": Kurtosis(empty),
+		"Energy":   Energy(empty),
 		"Pctl":     Percentile(empty, 0.5),
-		"SMA":      SMA(),
 	}
 	for name, v := range checks {
 		if v != 0 {
@@ -44,9 +40,6 @@ func TestEmptyInputs(t *testing.T) {
 	}
 	if ZeroCrossings(empty) != 0 || MeanCrossings(empty) != 0 {
 		t.Error("crossings of empty input should be 0")
-	}
-	if Correlation(empty, empty) != 0 {
-		t.Error("Correlation(empty) should be 0")
 	}
 }
 
@@ -60,46 +53,10 @@ func TestMinMaxRange(t *testing.T) {
 	}
 }
 
-func TestRMSAndEnergy(t *testing.T) {
+func TestEnergy(t *testing.T) {
 	x := []float64{3, 4}
-	if !approx(RMS(x), math.Sqrt(12.5), 1e-12) {
-		t.Errorf("RMS = %v", RMS(x))
-	}
 	if !approx(Energy(x), 25, 1e-12) {
 		t.Errorf("Energy = %v", Energy(x))
-	}
-}
-
-func TestSkewnessSymmetric(t *testing.T) {
-	x := []float64{-2, -1, 0, 1, 2}
-	if s := Skewness(x); !approx(s, 0, 1e-12) {
-		t.Errorf("Skewness of symmetric data = %v, want 0", s)
-	}
-	right := []float64{0, 0, 0, 0, 10}
-	if s := Skewness(right); s <= 0 {
-		t.Errorf("Skewness of right-tailed data = %v, want > 0", s)
-	}
-	if Skewness([]float64{5, 5, 5}) != 0 {
-		t.Error("Skewness of constant data should be 0")
-	}
-}
-
-func TestKurtosis(t *testing.T) {
-	// Uniform-ish data has negative excess kurtosis; a big outlier makes
-	// it positive.
-	uniform := make([]float64, 100)
-	for i := range uniform {
-		uniform[i] = float64(i)
-	}
-	if k := Kurtosis(uniform); k >= 0 {
-		t.Errorf("Kurtosis(uniform) = %v, want < 0", k)
-	}
-	spiky := append(make([]float64, 99), 100)
-	if k := Kurtosis(spiky); k <= 0 {
-		t.Errorf("Kurtosis(spiky) = %v, want > 0", k)
-	}
-	if Kurtosis([]float64{1, 1}) != 0 {
-		t.Error("Kurtosis of constant data should be 0")
 	}
 }
 
@@ -148,32 +105,6 @@ func TestPercentileAndIQR(t *testing.T) {
 	}
 }
 
-func TestCorrelation(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 4, 6, 8}
-	if c := Correlation(a, b); !approx(c, 1, 1e-12) {
-		t.Errorf("corr = %v, want 1", c)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if c := Correlation(a, neg); !approx(c, -1, 1e-12) {
-		t.Errorf("corr = %v, want -1", c)
-	}
-	if c := Correlation(a, []float64{5, 5, 5, 5}); c != 0 {
-		t.Errorf("corr with constant = %v, want 0", c)
-	}
-	if c := Correlation(a, []float64{1, 2}); c != 0 {
-		t.Errorf("corr with length mismatch = %v, want 0", c)
-	}
-}
-
-func TestSMA(t *testing.T) {
-	x := []float64{1, -1, 1, -1}
-	y := []float64{2, 2, -2, -2}
-	if v := SMA(x, y); !approx(v, 3, 1e-12) {
-		t.Errorf("SMA = %v, want 3", v)
-	}
-}
-
 func TestStatProperties(t *testing.T) {
 	// Shift invariance of variance; scale behaviour of std.
 	f := func(seed int64) bool {
@@ -197,8 +128,8 @@ func TestStatProperties(t *testing.T) {
 		if Min(x) > Mean(x)+1e-12 || Max(x) < Mean(x)-1e-12 {
 			return false
 		}
-		// RMS² = mean² + variance.
-		lhs := RMS(x) * RMS(x)
+		// Mean square = mean² + variance.
+		lhs := Energy(x) / float64(n)
 		rhs := Mean(x)*Mean(x) + Variance(x)
 		return approx(lhs, rhs, 1e-8*(1+rhs))
 	}

@@ -63,18 +63,6 @@ func (r *ConfusionResult) ClassRecall(a synth.Activity) float64 {
 	return float64(row[int(a)]) / float64(total)
 }
 
-// MostConfused returns the off-diagonal cell with the largest count.
-func (r *ConfusionResult) MostConfused() (actual, predicted synth.Activity, count int) {
-	for i := range r.Matrix {
-		for j, v := range r.Matrix[i] {
-			if i != j && v > count {
-				actual, predicted, count = synth.Activity(i), synth.Activity(j), v
-			}
-		}
-	}
-	return actual, predicted, count
-}
-
 // Render prints the matrix with class names.
 func (r *ConfusionResult) Render() string {
 	t := &table{header: []string{"actual\\pred"}}

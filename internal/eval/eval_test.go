@@ -74,15 +74,17 @@ func TestFigure3Experiment(t *testing.T) {
 	if len(res.Points) != 24 {
 		t.Fatalf("%d points, want 24", len(res.Points))
 	}
-	front := res.Front()
-	if len(front) < 4 {
-		t.Fatalf("front of %d", len(front))
-	}
-	published := 0
+	front, published := 0, 0
 	for _, p := range res.Points {
+		if p.OnFront {
+			front++
+		}
 		if p.Published {
 			published++
 		}
+	}
+	if front < 4 {
+		t.Fatalf("front of %d", front)
 	}
 	if published != 5 {
 		t.Fatalf("%d published points", published)
@@ -116,6 +118,28 @@ func TestFigure4Experiment(t *testing.T) {
 	}
 }
 
+// sweepAt returns the Figure 5 sweep point nearest the budget.
+func sweepAt(res *Figure5Result, budget float64) SweepPoint {
+	best := res.Points[0]
+	for _, p := range res.Points[1:] {
+		if math.Abs(p.BudgetJ-budget) < math.Abs(best.BudgetJ-budget) {
+			best = p
+		}
+	}
+	return best
+}
+
+// figure6At returns the Figure 6 point nearest the budget.
+func figure6At(res *Figure6Result, budget float64) Figure6Point {
+	best := res.Points[0]
+	for _, p := range res.Points[1:] {
+		if math.Abs(p.BudgetJ-budget) < math.Abs(best.BudgetJ-budget) {
+			best = p
+		}
+	}
+	return best
+}
+
 func TestFigure5Experiment(t *testing.T) {
 	res, err := Figure5(paperCfg(), 0.1)
 	if err != nil {
@@ -125,7 +149,7 @@ func TestFigure5Experiment(t *testing.T) {
 		t.Fatalf("sweep has only %d points", len(res.Points))
 	}
 	// Paper claim: at 5 J REAP mixes DP4 ~42% and DP5 ~58%.
-	p5 := res.At(5.0)
+	p5 := sweepAt(res, 5.0)
 	if math.Abs(p5.Mix[3]-0.42) > 0.03 || math.Abs(p5.Mix[4]-0.58) > 0.03 {
 		t.Errorf("5 J mix DP4=%.2f DP5=%.2f, paper 0.42/0.58", p5.Mix[3], p5.Mix[4])
 	}
@@ -139,12 +163,12 @@ func TestFigure5Experiment(t *testing.T) {
 		}
 	}
 	// Region 1: REAP matches DP5's accuracy (the best available).
-	p2 := res.At(2.0)
+	p2 := sweepAt(res, 2.0)
 	if math.Abs(p2.REAPAccuracyPct-p2.DPAccuracyPct[4]) > 0.5 {
 		t.Errorf("region 1: REAP %.2f%% vs DP5 %.2f%%", p2.REAPAccuracyPct, p2.DPAccuracyPct[4])
 	}
 	// Region 3: REAP reduces to DP1 (94%).
-	p10 := res.At(10.5)
+	p10 := sweepAt(res, 10.5)
 	if math.Abs(p10.REAPAccuracyPct-94) > 0.5 {
 		t.Errorf("region 3 accuracy %.2f%%, want 94%%", p10.REAPAccuracyPct)
 	}
@@ -179,7 +203,7 @@ func TestFigure6Experiment(t *testing.T) {
 		}
 	}
 	// Paper: below 6 J, DP4 is the best static point and REAP matches it.
-	p4 := res.At(5.0)
+	p4 := figure6At(res, 5.0)
 	if p4.DPNormalized[3] < 0.999 {
 		t.Errorf("at 5 J DP4/REAP = %v, paper says REAP matches DP4", p4.DPNormalized[3])
 	}
@@ -193,12 +217,12 @@ func TestFigure6Experiment(t *testing.T) {
 		t.Errorf("best static at 5 J is DP%d, paper says DP4", best+1)
 	}
 	// Paper: DP3 reaches REAP parity around 6.5 J.
-	p65 := res.At(6.5)
+	p65 := figure6At(res, 6.5)
 	if p65.DPNormalized[2] < 0.99 {
 		t.Errorf("at 6.5 J DP3/REAP = %v, paper says ~parity", p65.DPNormalized[2])
 	}
 	// Paper: beyond 9.9 J REAP reduces to DP1.
-	p10 := res.At(10.5)
+	p10 := figure6At(res, 10.5)
 	if p10.DPNormalized[0] < 0.999 {
 		t.Errorf("at 10.5 J DP1/REAP = %v, want 1", p10.DPNormalized[0])
 	}
@@ -220,7 +244,7 @@ func TestFigureAlphaTrend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := res.At(8.0)
+		p := figure6At(res, 8.0)
 		return 1 - p.DPNormalized[4]
 	}
 	g2, g4, g8 := gap(2), gap(4), gap(8)

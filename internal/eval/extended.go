@@ -59,16 +59,6 @@ func ExtendedOn(ds *synth.Dataset) (*ExtendedResult, error) {
 	return res, nil
 }
 
-// Row returns the named row.
-func (r *ExtendedResult) Row(name string) (ExtendedRow, bool) {
-	for _, row := range r.Rows {
-		if row.Name == name {
-			return row, true
-		}
-	}
-	return ExtendedRow{}, false
-}
-
 // Render prints the extended scatter.
 func (r *ExtendedResult) Render() string {
 	t := &table{header: []string{"name", "acc%", "E/act(mJ)", "power(mW)", "pareto", "kind"}}

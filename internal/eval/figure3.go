@@ -54,17 +54,6 @@ func Figure3On(ds *synth.Dataset) (*Figure3Result, error) {
 	return res, nil
 }
 
-// Front returns the points on the Pareto front, in input order.
-func (r *Figure3Result) Front() []Figure3Point {
-	var out []Figure3Point
-	for _, p := range r.Points {
-		if p.OnFront {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Render prints the scatter as (energy, accuracy) rows with front markers.
 func (r *Figure3Result) Render() string {
 	t := &table{header: []string{"name", "energy/act(mJ)", "accuracy(%)", "pareto", "published"}}

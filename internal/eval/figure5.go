@@ -65,24 +65,6 @@ func Figure5(cfg core.Config, step float64) (*Figure5Result, error) {
 	return res, nil
 }
 
-// At returns the sweep point nearest the given budget.
-func (r *Figure5Result) At(budget float64) SweepPoint {
-	best := r.Points[0]
-	for _, p := range r.Points[1:] {
-		if abs(p.BudgetJ-budget) < abs(best.BudgetJ-budget) {
-			best = p
-		}
-	}
-	return best
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // Render prints the two series of Figure 5: expected accuracy and active
 // time (the latter normalized to REAP, as the paper plots it).
 func (r *Figure5Result) Render() string {

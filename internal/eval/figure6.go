@@ -60,17 +60,6 @@ func FigureAlpha(cfg core.Config, alpha, step float64) (*Figure6Result, error) {
 	return res, nil
 }
 
-// At returns the point nearest the budget.
-func (r *Figure6Result) At(budget float64) Figure6Point {
-	best := r.Points[0]
-	for _, p := range r.Points[1:] {
-		if abs(p.BudgetJ-budget) < abs(best.BudgetJ-budget) {
-			best = p
-		}
-	}
-	return best
-}
-
 // Render prints the normalized-performance series.
 func (r *Figure6Result) Render() string {
 	t := &table{header: []string{"budget(J)", "REAP J"}}

@@ -63,29 +63,3 @@ func (e *EWMA) Predict(k int) []float64 {
 	}
 	return out
 }
-
-// Hour returns the hour-of-day the next observation belongs to.
-func (e *EWMA) Hour() int { return e.next % SlotsPerDay }
-
-// MAE evaluates the predictor against a trace: it replays the trace,
-// comparing each one-step-ahead prediction with the observation before
-// folding it in, and returns the mean absolute error in joules. The first
-// day is a warm-up and is excluded.
-func (e *EWMA) MAE(trace []float64) (float64, error) {
-	var sum float64
-	n := 0
-	for i, h := range trace {
-		if i >= SlotsPerDay {
-			pred := e.Predict(1)[0]
-			sum += math.Abs(pred - h)
-			n++
-		}
-		if err := e.Observe(h); err != nil {
-			return 0, err
-		}
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	return sum / float64(n), nil
-}

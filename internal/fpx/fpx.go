@@ -41,14 +41,3 @@ func Near(a, b, tol float64) bool {
 
 // InDelta is Near under the name test suites conventionally use.
 func InDelta(a, b, delta float64) bool { return Near(a, b, delta) }
-
-// RelNear reports whether a and b agree to within rel relative
-// tolerance, scaled by the larger magnitude; exact equality (including
-// both zero) always passes.
-func RelNear(a, b, rel float64) bool {
-	if a == b {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= rel*scale
-}

@@ -43,15 +43,3 @@ func TestNear(t *testing.T) {
 		t.Error("InDelta boundary case failed")
 	}
 }
-
-func TestRelNear(t *testing.T) {
-	if !RelNear(0, 0, 0) {
-		t.Error("RelNear(0, 0) = false")
-	}
-	if !RelNear(1e9, 1e9*(1+1e-12), 1e-9) {
-		t.Error("RelNear rejected relative agreement")
-	}
-	if RelNear(1e9, 1.1e9, 1e-9) {
-		t.Error("RelNear accepted 10% disagreement")
-	}
-}

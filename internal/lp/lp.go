@@ -14,9 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
-
-	"repro/internal/fpx"
 )
 
 // Op is the relational operator of a constraint row.
@@ -30,20 +27,6 @@ const (
 	// EQ is an equality (=) constraint.
 	EQ
 )
-
-// String returns the mathematical symbol for the operator.
-func (o Op) String() string {
-	switch o {
-	case LE:
-		return "<="
-	case GE:
-		return ">="
-	case EQ:
-		return "="
-	default:
-		return fmt.Sprintf("Op(%d)", int(o))
-	}
-}
 
 // Status reports the outcome of a Solve call.
 type Status int
@@ -59,22 +42,6 @@ const (
 	// optimality; the returned solution is the best basis visited.
 	IterationLimit
 )
-
-// String returns a human-readable status name.
-func (s Status) String() string {
-	switch s {
-	case Optimal:
-		return "optimal"
-	case Infeasible:
-		return "infeasible"
-	case Unbounded:
-		return "unbounded"
-	case IterationLimit:
-		return "iteration-limit"
-	default:
-		return fmt.Sprintf("Status(%d)", int(s))
-	}
-}
 
 // Constraint is one row of the constraint system: Coeffs·x Op RHS.
 type Constraint struct {
@@ -183,74 +150,6 @@ func (p *Problem) Validate() error {
 		}
 	}
 	return nil
-}
-
-// String renders the problem in a compact algebraic form, useful in test
-// failure messages.
-func (p *Problem) String() string {
-	var b strings.Builder
-	b.WriteString("max ")
-	writeLinear(&b, p.Objective)
-	for _, c := range p.Constraints {
-		b.WriteString("\n  ")
-		writeLinear(&b, c.Coeffs)
-		fmt.Fprintf(&b, " %s %g", c.Op, c.RHS)
-	}
-	return b.String()
-}
-
-func writeLinear(b *strings.Builder, coeffs []float64) {
-	first := true
-	for j, v := range coeffs {
-		if fpx.Zero(v) {
-			continue
-		}
-		if !first {
-			if v >= 0 {
-				b.WriteString(" + ")
-			} else {
-				b.WriteString(" - ")
-				v = -v
-			}
-		}
-		fmt.Fprintf(b, "%g*x%d", v, j)
-		first = false
-	}
-	if first {
-		b.WriteString("0")
-	}
-}
-
-// Feasible reports whether x satisfies every constraint of p (and x ≥ 0)
-// within tolerance tol. It is primarily used by tests and by callers that
-// want to sanity-check a solution before acting on it.
-func (p *Problem) Feasible(x []float64, tol float64) bool {
-	if len(x) != len(p.Objective) {
-		return false
-	}
-	for _, v := range x {
-		if v < -tol {
-			return false
-		}
-	}
-	for _, c := range p.Constraints {
-		lhs := dot(c.Coeffs, x)
-		switch c.Op {
-		case LE:
-			if lhs > c.RHS+tol {
-				return false
-			}
-		case GE:
-			if lhs < c.RHS-tol {
-				return false
-			}
-		case EQ:
-			if math.Abs(lhs-c.RHS) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Value evaluates the objective at x.

@@ -46,7 +46,7 @@ func bruteForce(p *Problem) (best []float64, bestVal float64, found bool) {
 			if !ok {
 				return
 			}
-			if !p.Feasible(x, 1e-6) {
+			if !feasible(p, x, 1e-6) {
 				return
 			}
 			v := p.Value(x)
@@ -136,20 +136,20 @@ func TestPropertySimplexMatchesBruteForce(t *testing.T) {
 		p := randomBoundedProblem(rng, n)
 		sol, err := Solve(p)
 		if err != nil {
-			t.Fatalf("trial %d: error %v\n%s", trial, err, p)
+			t.Fatalf("trial %d: error %v\n%+v", trial, err, p)
 		}
 		if sol.Status != Optimal {
-			t.Fatalf("trial %d: status %v, want optimal\n%s", trial, sol.Status, p)
+			t.Fatalf("trial %d: status %v, want optimal\n%+v", trial, sol.Status, p)
 		}
-		if !p.Feasible(sol.X, 1e-6) {
-			t.Fatalf("trial %d: infeasible solution %v\n%s", trial, sol.X, p)
+		if !feasible(p, sol.X, 1e-6) {
+			t.Fatalf("trial %d: infeasible solution %v\n%+v", trial, sol.X, p)
 		}
 		_, bestVal, found := bruteForce(p)
 		if !found {
-			t.Fatalf("trial %d: brute force found nothing\n%s", trial, p)
+			t.Fatalf("trial %d: brute force found nothing\n%+v", trial, p)
 		}
 		if math.Abs(sol.Objective-bestVal) > 1e-5*(1+math.Abs(bestVal)) {
-			t.Fatalf("trial %d: simplex %v != brute force %v\n%s",
+			t.Fatalf("trial %d: simplex %v != brute force %v\n%+v",
 				trial, sol.Objective, bestVal, p)
 		}
 	}
@@ -184,19 +184,19 @@ func TestPropertyEqualityProblems(t *testing.T) {
 		bx, bv, found := bruteForce(p)
 		if sol.Status == Infeasible {
 			if found {
-				t.Fatalf("trial %d: simplex infeasible but brute force found %v (val %v)\n%s",
+				t.Fatalf("trial %d: simplex infeasible but brute force found %v (val %v)\n%+v",
 					trial, bx, bv, p)
 			}
 			continue
 		}
 		if sol.Status != Optimal {
-			t.Fatalf("trial %d: status %v\n%s", trial, sol.Status, p)
+			t.Fatalf("trial %d: status %v\n%+v", trial, sol.Status, p)
 		}
 		if !found {
-			t.Fatalf("trial %d: simplex optimal %v but brute force infeasible\n%s", trial, sol.X, p)
+			t.Fatalf("trial %d: simplex optimal %v but brute force infeasible\n%+v", trial, sol.X, p)
 		}
 		if math.Abs(sol.Objective-bv) > 1e-5*(1+math.Abs(bv)) {
-			t.Fatalf("trial %d: simplex %v != brute force %v\n%s", trial, sol.Objective, bv, p)
+			t.Fatalf("trial %d: simplex %v != brute force %v\n%+v", trial, sol.Objective, bv, p)
 		}
 	}
 }

@@ -68,10 +68,89 @@ func Solve(p *Problem) (Solution, error) {
 
 // build constructs the initial tableau, adding slack, surplus and artificial
 // columns as required, and returns it along with the artificial count.
-// The construction lives in buildWithMeta (duals.go), which additionally
-// records per-row slack metadata; build discards it.
+// Rows with a negative right-hand side are negated first (LE and GE swap)
+// so the starting basis is non-negative.
 func build(p *Problem) (*tableau, int) {
-	t, _, nArt := buildWithMeta(p)
+	n := p.NumVars()
+	m := p.NumConstraints()
+
+	ops := make([]Op, m)
+	nSlack, nArt := 0, 0
+	for i, c := range p.Constraints {
+		op := c.Op
+		if c.RHS < 0 {
+			switch op {
+			case LE:
+				op = GE
+			case GE:
+				op = LE
+			}
+		}
+		ops[i] = op
+		switch op {
+		case LE:
+			nSlack++
+		case GE:
+			nSlack++
+			nArt++
+		case EQ:
+			nArt++
+		}
+	}
+
+	total := n + nSlack + nArt
+	t := &tableau{
+		rows:  make([][]float64, m+1),
+		basis: make([]int, m),
+		m:     m,
+		total: total,
+	}
+	for i := range t.rows {
+		t.rows[i] = make([]float64, total+1)
+	}
+
+	slackAt, artAt := n, n+nSlack
+	for i, c := range p.Constraints {
+		row := t.rows[i]
+		copy(row, c.Coeffs)
+		row[total] = c.RHS
+		if c.RHS < 0 {
+			for j := range c.Coeffs {
+				row[j] = -row[j]
+			}
+			row[total] = -c.RHS
+		}
+		switch ops[i] {
+		case LE:
+			row[slackAt] = 1
+			t.basis[i] = slackAt
+			slackAt++
+		case GE:
+			row[slackAt] = -1
+			slackAt++
+			row[artAt] = 1
+			t.basis[i] = artAt
+			artAt++
+		case EQ:
+			row[artAt] = 1
+			t.basis[i] = artAt
+			artAt++
+		}
+	}
+
+	if nArt > 0 {
+		obj := t.rows[m]
+		for j := n + nSlack; j < total; j++ {
+			obj[j] = -1
+		}
+		for i := 0; i < m; i++ {
+			if t.basis[i] >= n+nSlack {
+				addRow(obj, t.rows[i], 1)
+			}
+		}
+	} else {
+		t.setObjective(p.Objective)
+	}
 	return t, nArt
 }
 

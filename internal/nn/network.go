@@ -107,15 +107,6 @@ func (n *Network) InputSize() int { return n.Layers[0].In }
 // OutputSize returns the number of classes.
 func (n *Network) OutputSize() int { return n.Layers[len(n.Layers)-1].Out }
 
-// Sizes returns the layer-size spec the network was built from.
-func (n *Network) Sizes() []int {
-	sizes := []int{n.InputSize()}
-	for _, l := range n.Layers {
-		sizes = append(sizes, l.Out)
-	}
-	return sizes
-}
-
 // Forward runs inference and returns the output activations. The input is
 // not modified.
 func (n *Network) Forward(x []float64) ([]float64, error) {
@@ -219,26 +210,6 @@ func activationDerivFromOutput(act Activation, a float64) float64 {
 	default:
 		return 1
 	}
-}
-
-// MACs returns the number of multiply-accumulate operations one inference
-// performs; the energy model converts this to execution time on the
-// simulated MCU.
-func (n *Network) MACs() int {
-	total := 0
-	for _, l := range n.Layers {
-		total += l.In * l.Out
-	}
-	return total
-}
-
-// NumParams returns the total number of trainable parameters.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, l := range n.Layers {
-		total += len(l.W) + len(l.B)
-	}
-	return total
 }
 
 // Clone returns a deep copy of the network.

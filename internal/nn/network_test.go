@@ -24,9 +24,8 @@ func TestNewValidation(t *testing.T) {
 	if net.InputSize() != 4 || net.OutputSize() != 7 {
 		t.Fatalf("sizes %d/%d", net.InputSize(), net.OutputSize())
 	}
-	sizes := net.Sizes()
-	if len(sizes) != 3 || sizes[0] != 4 || sizes[1] != 12 || sizes[2] != 7 {
-		t.Fatalf("Sizes() = %v", sizes)
+	if len(net.Layers) != 2 || net.Layers[0].Out != 12 || net.Layers[1].In != 12 {
+		t.Fatalf("hidden layer not 12 wide: %+v", net.Layers)
 	}
 }
 
@@ -34,22 +33,19 @@ func TestPaperStructures(t *testing.T) {
 	// The paper's classifier structures: 4×12×7, 4×8×7 and 4×7.
 	rng := rand.New(rand.NewSource(2))
 	specs := [][]int{{4, 12, 7}, {4, 8, 7}, {4, 7}}
-	wantMACs := []int{4*12 + 12*7, 4*8 + 8*7, 4 * 7}
-	for i, spec := range specs {
+	for _, spec := range specs {
 		net, err := New(spec, ReLU, Softmax, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := net.MACs(); got != wantMACs[i] {
-			t.Errorf("spec %v: MACs = %d, want %d", spec, got, wantMACs[i])
+		if len(net.Layers) != len(spec)-1 {
+			t.Fatalf("spec %v: %d layers", spec, len(net.Layers))
 		}
-		wantParams := wantMACs[i]
-		for _, l := range net.Layers {
-			wantParams += l.Out
-		}
-		_ = wantParams
-		if net.NumParams() <= net.MACs() {
-			t.Errorf("spec %v: params %d should exceed MACs %d (biases)", spec, net.NumParams(), net.MACs())
+		for i, l := range net.Layers {
+			if l.In != spec[i] || l.Out != spec[i+1] || len(l.W) != l.In*l.Out || len(l.B) != l.Out {
+				t.Errorf("spec %v layer %d: %d→%d with %d weights and %d biases",
+					spec, i, l.In, l.Out, len(l.W), len(l.B))
+			}
 		}
 	}
 }

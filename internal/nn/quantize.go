@@ -87,18 +87,6 @@ func clampInt8(v float64) int8 {
 // InputSize returns the expected feature width.
 func (q *QuantizedNetwork) InputSize() int { return q.Layers[0].In }
 
-// OutputSize returns the class count.
-func (q *QuantizedNetwork) OutputSize() int { return q.Layers[len(q.Layers)-1].Out }
-
-// MACs matches Network.MACs for the same topology.
-func (q *QuantizedNetwork) MACs() int {
-	total := 0
-	for _, l := range q.Layers {
-		total += l.In * l.Out
-	}
-	return total
-}
-
 // Forward runs quantized inference: per layer, the input is dynamically
 // quantized to int8 against its own max, the dot products accumulate in
 // int32, and the result is rescaled to float for the activation.

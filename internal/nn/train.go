@@ -241,39 +241,3 @@ func Accuracy(net *Network, samples []Sample) float64 {
 	}
 	return float64(correct) / float64(len(samples))
 }
-
-// ConfusionMatrix returns counts[actual][predicted] over samples for a
-// network with k output classes.
-func ConfusionMatrix(net *Network, samples []Sample) [][]int {
-	k := net.OutputSize()
-	m := make([][]int, k)
-	for i := range m {
-		m[i] = make([]int, k)
-	}
-	for _, s := range samples {
-		if pred, err := net.Predict(s.X); err == nil {
-			m[s.Label][pred]++
-		}
-	}
-	return m
-}
-
-// CrossEntropy returns the mean cross-entropy loss over samples.
-func CrossEntropy(net *Network, samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var total float64
-	for _, s := range samples {
-		out, err := net.Forward(s.X)
-		if err != nil {
-			continue
-		}
-		p := out[s.Label]
-		if p < 1e-15 {
-			p = 1e-15
-		}
-		total += -math.Log(p)
-	}
-	return total / float64(len(samples))
-}

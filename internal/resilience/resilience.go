@@ -31,16 +31,6 @@ func Go(name string, onPanic func(name string, recovered any), fn func()) {
 	}()
 }
 
-// Safe runs fn synchronously behind a recover boundary and returns the
-// recovered value, nil when fn completed — the inline form of Go for
-// shard-scoped operations that must convert a panic into an error
-// while still holding their locks in a releasable state.
-func Safe(fn func()) (recovered any) {
-	defer func() { recovered = recover() }()
-	fn()
-	return nil
-}
-
 // Breaker counts panics against a threshold and trips into quarantine
 // when they reach it. reapd gives every shard its own breaker: a shard
 // whose handlers keep panicking has state that can no longer be
@@ -72,9 +62,6 @@ func (b *Breaker) RecordPanic() bool {
 func (b *Breaker) Quarantined() bool {
 	return b.threshold > 0 && b.panics.Load() >= b.threshold
 }
-
-// Panics returns the number of panics recorded.
-func (b *Breaker) Panics() uint64 { return b.panics.Load() }
 
 // Gate is the queue-depth admission control for overload shedding: at
 // most Max requests proceed concurrently, the rest are shed before any
@@ -115,9 +102,6 @@ func (g *Gate) Leave() {
 		g.inflight.Add(-1)
 	}
 }
-
-// Inflight returns the number of currently admitted requests.
-func (g *Gate) Inflight() int64 { return g.inflight.Load() }
 
 // Shed returns how many requests the gate refused.
 func (g *Gate) Shed() uint64 { return g.shed.Load() }

@@ -117,7 +117,9 @@ func encodeEvent(buf []byte, ev *journalEvent) ([]byte, error) {
 }
 
 // decodeEvent parses one binary event payload, strictly: every byte
-// must be consumed, exactly as the service's wire layer treats JSON.
+// must be consumed, exactly as the service's wire layer treats JSON, and
+// every varint must be one encodeEvent could have written — minimal and
+// at most math.MaxInt — so an accepted payload re-encodes to itself.
 func decodeEvent(payload []byte) (*journalEvent, error) {
 	if len(payload) < 2 {
 		return nil, fmt.Errorf("journal event: %d-byte payload", len(payload))
@@ -126,13 +128,19 @@ func decodeEvent(payload []byte) (*journalEvent, error) {
 		return nil, fmt.Errorf("journal event: unknown format %d", payload[0])
 	}
 	tag, rest := payload[1], payload[2:]
-	readUvarint := func() (uint64, error) {
+	readUvarint := func() (int, error) {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
 			return 0, fmt.Errorf("journal event: truncated varint")
 		}
+		if n > 1 && rest[n-1] == 0 {
+			return 0, fmt.Errorf("journal event: non-minimal varint % x", rest[:n])
+		}
+		if v > math.MaxInt {
+			return 0, fmt.Errorf("journal event: varint %d overflows int", v)
+		}
 		rest = rest[n:]
-		return v, nil
+		return int(v), nil
 	}
 	readFloat := func() (float64, error) {
 		if len(rest) < 8 {
@@ -150,7 +158,7 @@ func decodeEvent(payload []byte) (*journalEvent, error) {
 		if err != nil {
 			return nil, err
 		}
-		if count > uint64(len(rest)) { // each report needs ≥9 bytes
+		if count > len(rest) { // each report needs ≥9 bytes
 			return nil, fmt.Errorf("journal event: implausible report count %d", count)
 		}
 		ev.Reports = make([]wire.DeviceReport, count)
@@ -163,7 +171,7 @@ func decodeEvent(payload []byte) (*journalEvent, error) {
 			if err != nil {
 				return nil, err
 			}
-			ev.Reports[i] = wire.DeviceReport{Device: int(device), ConsumedJ: consumed}
+			ev.Reports[i] = wire.DeviceReport{Device: device, ConsumedJ: consumed}
 		}
 	case evStep, evAlpha:
 		device, err := readUvarint()
@@ -174,7 +182,7 @@ func decodeEvent(payload []byte) (*journalEvent, error) {
 		if err != nil {
 			return nil, err
 		}
-		ev.Device = int(device)
+		ev.Device = device
 		if tag == evStep {
 			ev.Op = opStep
 			ev.HarvestJ = &f

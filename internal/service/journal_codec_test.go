@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -59,6 +60,11 @@ func TestEventCodecRejectsInvalid(t *testing.T) {
 		"trailing":       append(append([]byte{}, valid...), 0),
 		// Report count larger than the bytes that follow could carry.
 		"implausible_count": {evFormat, evReport, 0xff, 0xff, 0xff, 0x7f},
+		// Varints encodeEvent never writes: zero padded to two bytes, and
+		// a device of 2⁶³, which would decode to a negative int.
+		"padded_count":    {evFormat, evReport, 0x80, 0x00},
+		"padded_device":   append([]byte{evFormat, evStep, 0x80, 0x00}, valid[3:]...),
+		"device_overflow": append([]byte{evFormat, evStep, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, valid[3:]...),
 	}
 	for name, payload := range bad {
 		if ev, err := decodeEvent(payload); err == nil {
@@ -78,4 +84,38 @@ func TestEventCodecRejectsInvalid(t *testing.T) {
 			t.Errorf("encode %s: want error", name)
 		}
 	}
+}
+
+// FuzzDecodeEvent feeds arbitrary bytes to the event decoder: it must
+// never panic, and every payload it accepts must re-encode byte for
+// byte, so no journal or replication frame can mean two things.
+func FuzzDecodeEvent(f *testing.F) {
+	harvest, alpha := 1.5, 0.25
+	for _, ev := range []*journalEvent{
+		{Op: opReport, Reports: []wire.DeviceReport{{Device: 0, ConsumedJ: 0.001}, {Device: 300, ConsumedJ: 2}}},
+		{Op: opStep, Device: 3, HarvestJ: &harvest},
+		{Op: opAlpha, Device: 1 << 20, Alpha: &alpha},
+	} {
+		payload, err := encodeEvent(nil, ev)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	float := make([]byte, 8)
+	f.Add(append([]byte{evFormat, evStep, 0x80, 0x00}, float...))
+	f.Add(append([]byte{evFormat, evStep, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, float...))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		ev, err := decodeEvent(payload)
+		if err != nil {
+			return
+		}
+		again, err := encodeEvent(nil, ev)
+		if err != nil {
+			t.Fatalf("accepted payload does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", again, payload)
+		}
+	})
 }

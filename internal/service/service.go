@@ -303,9 +303,6 @@ func (s *Service) Devices() int { return s.cfg.Devices }
 // Shards returns the shard count.
 func (s *Service) Shards() int { return len(s.shards) }
 
-// Draining reports whether Drain has been called.
-func (s *Service) Draining() bool { return s.draining.Load() }
-
 // Drain flips the service into drain mode: new work is refused with
 // 503/CodeDraining while requests already admitted run to completion.
 // Open telemetry streams finish their current event and close. Drain

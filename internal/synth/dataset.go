@@ -141,21 +141,3 @@ func (ds *Dataset) split(rng *rand.Rand) {
 		ds.Test = append(ds.Test, idx[nTrain+nVal:]...)
 	}
 }
-
-// CountByActivity tallies windows per class over the whole corpus.
-func (ds *Dataset) CountByActivity() map[Activity]int {
-	out := make(map[Activity]int)
-	for _, w := range ds.Windows {
-		out[w.Activity]++
-	}
-	return out
-}
-
-// CountByUser tallies windows per subject.
-func (ds *Dataset) CountByUser() map[int]int {
-	out := make(map[int]int)
-	for _, w := range ds.Windows {
-		out[w.User]++
-	}
-	return out
-}

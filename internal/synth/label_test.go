@@ -76,7 +76,7 @@ func TestNextLabelAdvancesHour(t *testing.T) {
 	for i := 0; i < WindowsPerHour; i++ {
 		tl.NextLabel()
 	}
-	if got := tl.Hour(); got != 0 {
+	if got := tl.hour; got != 0 {
 		t.Fatalf("hour after one hour of windows = %d, want wrap to 0", got)
 	}
 }

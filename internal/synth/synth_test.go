@@ -72,7 +72,10 @@ func TestSignalPhysicalPlausibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, act := range Activities() {
 		w := Generate(u, act, rng)
-		mag := dsp.Magnitude(w.AccelX, w.AccelY, w.AccelZ)
+		mag := make([]float64, len(w.AccelX))
+		for i := range mag {
+			mag[i] = math.Sqrt(w.AccelX[i]*w.AccelX[i] + w.AccelY[i]*w.AccelY[i] + w.AccelZ[i]*w.AccelZ[i])
+		}
 		m := dsp.Mean(mag)
 		// Quasi-static activities hover near 1 g; dynamic ones exceed it.
 		if m < 0.6 || m > 3.0 {
@@ -166,7 +169,11 @@ func TestDatasetScale(t *testing.T) {
 		t.Fatalf("user count %d, want 14", len(ds.Users))
 	}
 	// Every user contributes ~254 windows.
-	for u, n := range ds.CountByUser() {
+	perUser := make(map[int]int)
+	for _, w := range ds.Windows {
+		perUser[w.User]++
+	}
+	for u, n := range perUser {
 		if n < 250 || n > 258 {
 			t.Errorf("user %d has %d windows, want ~254", u, n)
 		}
@@ -218,7 +225,10 @@ func TestDatasetActivityShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := ds.CountByActivity()
+	counts := make(map[Activity]int)
+	for _, w := range ds.Windows {
+		counts[w.Activity]++
+	}
 	for act, share := range activityShare {
 		got := float64(counts[act]) / float64(len(ds.Windows))
 		if math.Abs(got-share) > 0.02 {

@@ -176,24 +176,3 @@ func (tl *Timeline) tick(k int) {
 	tl.hour = (tl.hour + tl.windows/WindowsPerHour) % 24
 	tl.windows %= WindowsPerHour
 }
-
-// Hour returns the current hour of day.
-func (tl *Timeline) Hour() int { return tl.hour }
-
-// Current returns the ongoing persistent activity.
-func (tl *Timeline) Current() Activity { return tl.current }
-
-// Day generates a full day (24 x WindowsPerHour windows) for the user,
-// returning the labeled stream. It is a convenience for experiments that
-// need the whole sequence at once; streaming callers should use Next.
-func Day(u UserProfile, seed int64) ([]Window, error) {
-	tl, err := NewTimeline(u, 0, seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Window, 0, 24*WindowsPerHour)
-	for i := 0; i < 24*WindowsPerHour; i++ {
-		out = append(out, tl.Next())
-	}
-	return out, nil
-}

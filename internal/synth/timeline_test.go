@@ -18,8 +18,8 @@ func TestNewTimelineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tl.Hour() != 3 {
-		t.Fatalf("hour %d, want 3", tl.Hour())
+	if tl.hour != 3 {
+		t.Fatalf("hour %d, want 3", tl.hour)
 	}
 }
 
@@ -58,7 +58,7 @@ func TestTimelineTransitionsBridgeBouts(t *testing.T) {
 	// Whenever the persistent activity changes, a Transition window must
 	// appear between the bouts: two consecutive windows may only differ
 	// if one of them is a Transition.
-	prev := tl.Current()
+	prev := tl.current
 	sawTransition := false
 	for i := 0; i < 5000; i++ {
 		w := tl.Next()
@@ -116,8 +116,8 @@ func TestTimelineClockAdvances(t *testing.T) {
 	for i := 0; i < WindowsPerHour; i++ {
 		tl.Next()
 	}
-	if tl.Hour() != 0 {
-		t.Fatalf("hour %d after one hour of windows from 23, want 0 (wrap)", tl.Hour())
+	if tl.hour != 0 {
+		t.Fatalf("hour %d after one hour of windows from 23, want 0 (wrap)", tl.hour)
 	}
 }
 
@@ -136,27 +136,6 @@ func TestHourlyMixDistributions(t *testing.T) {
 		}
 		if sum < 0.999 || sum > 1.001 {
 			t.Fatalf("hour %d: mix sums to %v", hour, sum)
-		}
-	}
-}
-
-func TestDayGeneratesFullStream(t *testing.T) {
-	u := NewUserProfile(5, 10)
-	day, err := Day(u, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(day) != 24*WindowsPerHour {
-		t.Fatalf("day has %d windows, want %d", len(day), 24*WindowsPerHour)
-	}
-	// Determinism.
-	day2, err := Day(u, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range day {
-		if day[i].Activity != day2[i].Activity {
-			t.Fatal("same seed produced different days")
 		}
 	}
 }
