@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -24,15 +25,26 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	outDir := flag.String("out", "", "directory to write per-experiment reports into")
-	asCSV := flag.Bool("csv", false, "also write .csv files next to the .txt reports")
-	skipTraining := flag.Bool("skip-training", false,
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses the command-line arguments args and prints every report to
+// w; skipped experiments are noted on the log.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	outDir := fs.String("out", "", "directory to write per-experiment reports into")
+	asCSV := fs.Bool("csv", false, "also write .csv files next to the .txt reports")
+	skipTraining := fs.Bool("skip-training", false,
 		"skip Table 2 / Figure 3 (the experiments that train classifiers)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg, err := reap.NewConfig()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	type experiment struct {
 		name string
@@ -121,29 +133,31 @@ func main() {
 		}
 		res, err := ex.run()
 		if err != nil {
-			log.Fatalf("%s: %v", ex.name, err)
+			return fmt.Errorf("%s: %w", ex.name, err)
 		}
 		report := res.Render()
-		fmt.Println("==", ex.name)
-		fmt.Println(report)
+		if _, err := fmt.Fprintf(w, "== %s\n%s\n", ex.name, report); err != nil {
+			return err
+		}
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			path := filepath.Join(*outDir, ex.name+".txt")
 			if err := os.WriteFile(path, []byte(strings.TrimRight(report, "\n")+"\n"), 0o644); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if *asCSV {
 				csvOut, err := eval.RenderCSV(report)
 				if err != nil {
-					log.Fatalf("%s: csv: %v", ex.name, err)
+					return fmt.Errorf("%s: csv: %w", ex.name, err)
 				}
 				csvPath := filepath.Join(*outDir, ex.name+".csv")
 				if err := os.WriteFile(csvPath, []byte(csvOut), 0o644); err != nil {
-					log.Fatal(err)
+					return err
 				}
 			}
 		}
 	}
+	return nil
 }

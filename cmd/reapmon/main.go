@@ -17,7 +17,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"repro"
@@ -29,21 +31,32 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	days := flag.Int("days", 3, "days to simulate")
-	month := flag.Int("month", 9, "month of the solar trace")
-	year := flag.Int("year", 2015, "year (weather seed)")
-	alpha := flag.Float64("alpha", 1, "accuracy emphasis")
-	battery := flag.Float64("battery", 20, "initial battery charge, J")
-	capacity := flag.Float64("capacity", 100, "battery capacity, J")
-	noise := flag.Float64("noise", 0.03, "execution noise (relative std)")
-	solverName := flag.String("solver", reap.DefaultSolver,
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses the command-line arguments args and streams the simulated
+// hours to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	days := fs.Int("days", 3, "days to simulate")
+	month := fs.Int("month", 9, "month of the solar trace")
+	year := fs.Int("year", 2015, "year (weather seed)")
+	alpha := fs.Float64("alpha", 1, "accuracy emphasis")
+	battery := fs.Float64("battery", 20, "initial battery charge, J")
+	capacity := fs.Float64("capacity", 100, "battery capacity, J")
+	noise := fs.Float64("noise", 0.03, "execution noise (relative std)")
+	solverName := fs.String("solver", reap.DefaultSolver,
 		"optimizer backend: "+strings.Join(reap.Solvers(), ", "))
-	lookahead := flag.Bool("lookahead", false, "use the 24h receding-horizon planner instead of myopic REAP")
-	flag.Parse()
+	lookahead := fs.Bool("lookahead", false, "use the 24h receding-horizon planner instead of myopic REAP")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	tr, err := solar.MonthlyTrace(*month, *year, solar.DefaultCell())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	hours := *days * 24
 	if hours > len(tr.Hours) {
@@ -53,20 +66,20 @@ func main() {
 
 	cfg, err := reap.NewConfig(reap.WithAlpha(*alpha))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	plan, err := core.NewPlan(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("%-5s %-9s %-9s %-22s %-9s %-7s %-10s\n",
+	fmt.Fprintf(w, "%-5s %-9s %-9s %-22s %-9s %-7s %-10s\n",
 		"hour", "harvest", "budget", "schedule", "E{a}%", "batt", "dJ/dE(1/J)")
 
 	if *lookahead {
 		ew, err := forecast.NewEWMA(0.5)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rh := &device.RecedingHorizon{
 			Cfg: cfg, CapacityJ: *capacity, BatteryJ: *battery,
@@ -74,36 +87,37 @@ func main() {
 		}
 		res, err := rh.Run(harvest)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for i, h := range res.Hours {
-			printHour(cfg, plan, i, harvest[i], h.Budget, h.Alloc, -1)
+			printHour(w, cfg, plan, i, harvest[i], h.Budget, h.Alloc, -1)
 		}
-		fmt.Printf("\nmean E{a} %.3f over %d hours (receding-horizon planner)\n",
+		_, err = fmt.Fprintf(w, "\nmean E{a} %.3f over %d hours (receding-horizon planner)\n",
 			res.MeanExpectedAccuracy(), len(res.Hours))
-		return
+		return err
 	}
 
 	ctl, err := reap.New(reap.WithConfig(cfg), reap.WithBattery(*battery, *capacity),
 		reap.WithSolver(*solverName))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cl := &device.ClosedLoop{Controller: ctl, ExecutionNoise: *noise, Seed: 1}
 	outs, err := cl.Run(harvest)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var sum float64
 	for i, o := range outs {
-		printHour(cfg, plan, i, harvest[i], o.Budget, o.Alloc, o.Battery)
+		printHour(w, cfg, plan, i, harvest[i], o.Budget, o.Alloc, o.Battery)
 		sum += o.ExpectedAccuracy
 	}
-	fmt.Printf("\nmean E{a} %.3f over %d hours, final battery %.1f J\n",
+	_, err = fmt.Fprintf(w, "\nmean E{a} %.3f over %d hours, final battery %.1f J\n",
 		sum/float64(len(outs)), len(outs), ctl.Battery())
+	return err
 }
 
-func printHour(cfg core.Config, plan *core.Plan, i int, harvest, budget float64, alloc core.Allocation, battery float64) {
+func printHour(w io.Writer, cfg core.Config, plan *core.Plan, i int, harvest, budget float64, alloc core.Allocation, battery float64) {
 	price, err := plan.ShadowPrice(budget)
 	priceStr := "-"
 	if err == nil {
@@ -113,7 +127,7 @@ func printHour(cfg core.Config, plan *core.Plan, i int, harvest, budget float64,
 	if battery >= 0 {
 		battStr = fmt.Sprintf("%.1f", battery)
 	}
-	fmt.Printf("%02d:00 %-9.2f %-9.2f %-22s %-9.1f %-7s %-10s\n",
+	fmt.Fprintf(w, "%02d:00 %-9.2f %-9.2f %-22s %-9.1f %-7s %-10s\n",
 		i%24, harvest, budget, alloc.String(),
 		100*alloc.ExpectedAccuracy(cfg), battStr, priceStr)
 }

@@ -1,8 +1,8 @@
-// The scenario example demonstrates the sim package: it runs a
-// starved-winter scenario twice to show determinism (same seed, byte-
-// identical trace), then contrasts it with the correlated lockstep
-// regime where sixteen identical devices solve the same budget every
-// hour.
+// The scenario example demonstrates the sim package: it loads two
+// worlds from the embedded scenario corpus, runs the starved-winter
+// brownout twice to show determinism (same seed, byte-identical trace),
+// then contrasts it with the correlated lockstep regime where sixteen
+// identical devices solve the same budget every hour.
 package main
 
 import (
@@ -18,8 +18,15 @@ import (
 func main() {
 	log.SetFlags(0)
 	ctx := context.Background()
+	corpus, err := sim.Corpus()
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	sc := sim.Brownout()
+	sc, err := corpus.Lookup("brownout")
+	if err != nil {
+		log.Fatal(err)
+	}
 	first, err := sim.Run(ctx, sc)
 	if err != nil {
 		log.Fatal(err)
@@ -32,7 +39,10 @@ func main() {
 	fmt.Printf("determinism: run twice with seed %d -> traces identical: %v (%d bytes)\n\n",
 		sc.Seed, bytes.Equal(first.Trace.Bytes(), second.Trace.Bytes()), len(first.Trace.Bytes()))
 
-	ls := sim.Lockstep()
+	ls, err := corpus.Lookup("lockstep")
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := sim.Run(ctx, ls)
 	if err != nil {
 		log.Fatal(err)

@@ -151,20 +151,6 @@ func (f *Fleet) Active(i int) bool {
 	return f.active == nil || f.active[i]
 }
 
-// ActiveCount returns the number of participating devices.
-func (f *Fleet) ActiveCount() int {
-	if f.active == nil {
-		return len(f.ctls)
-	}
-	n := 0
-	for _, a := range f.active {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
 // StepAll plans the next activity period for every device: budgets[i] is
 // the energy (J) device i's harvesting subsystem expects to collect. The
 // solves run on a bounded worker pool (WithWorkers, default GOMAXPROCS).

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-
-	"repro/internal/fpx"
 )
 
 // DesignPoint is one operating configuration of the application with a
@@ -41,52 +38,8 @@ func (d DesignPoint) Validate() error {
 // runs for the whole period tp (seconds).
 func (d DesignPoint) EnergyPerPeriod(tp float64) float64 { return d.Power * tp }
 
-// Dominates reports whether d is at least as good as o in both dimensions
-// and strictly better in at least one (higher accuracy, lower power).
-func (d DesignPoint) Dominates(o DesignPoint) bool {
-	if d.Accuracy < o.Accuracy || d.Power > o.Power {
-		return false
-	}
-	return d.Accuracy > o.Accuracy || d.Power < o.Power
-}
-
 // ErrNoDesignPoints is returned when a configuration has an empty DP list.
 var ErrNoDesignPoints = errors.New("core: configuration has no design points")
-
-// ParetoFront returns the subset of dps not dominated by any other entry,
-// sorted by decreasing power (the paper's DP1..DP5 ordering: highest
-// accuracy/power first). Ties in both coordinates keep the first
-// occurrence.
-func ParetoFront(dps []DesignPoint) []DesignPoint {
-	var front []DesignPoint
-	for i, d := range dps {
-		dominated := false
-		for j, o := range dps {
-			if i == j {
-				continue
-			}
-			if o.Dominates(d) {
-				dominated = true
-				break
-			}
-			// Exact duplicate: keep only the earliest.
-			if j < i && fpx.Eq(o.Accuracy, d.Accuracy) && fpx.Eq(o.Power, d.Power) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, d)
-		}
-	}
-	sort.SliceStable(front, func(i, j int) bool {
-		if !fpx.Eq(front[i].Power, front[j].Power) {
-			return front[i].Power > front[j].Power
-		}
-		return front[i].Accuracy > front[j].Accuracy
-	})
-	return front
-}
 
 // PaperDesignPoints returns the five Pareto-optimal design points of
 // Table 2 in the paper, with power expressed in watts. These are the

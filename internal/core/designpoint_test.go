@@ -2,9 +2,7 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestDesignPointValidate(t *testing.T) {
@@ -24,99 +22,6 @@ func TestDesignPointValidate(t *testing.T) {
 		if err := d.Validate(); err == nil {
 			t.Errorf("case %d: invalid DP %+v accepted", i, d)
 		}
-	}
-}
-
-func TestDominates(t *testing.T) {
-	a := DesignPoint{Accuracy: 0.9, Power: 2}
-	b := DesignPoint{Accuracy: 0.8, Power: 3}
-	c := DesignPoint{Accuracy: 0.9, Power: 2}
-	d := DesignPoint{Accuracy: 0.95, Power: 3}
-	if !a.Dominates(b) {
-		t.Error("a should dominate b (better accuracy, lower power)")
-	}
-	if b.Dominates(a) {
-		t.Error("b should not dominate a")
-	}
-	if a.Dominates(c) || c.Dominates(a) {
-		t.Error("equal points must not dominate each other")
-	}
-	if a.Dominates(d) || d.Dominates(a) {
-		t.Error("incomparable points must not dominate each other")
-	}
-}
-
-func TestParetoFrontPaperShape(t *testing.T) {
-	// The paper's Figure 3: 24 points, 5 survive. Reconstruct a similar
-	// cloud: the Table 2 five plus dominated points.
-	dps := PaperDesignPoints()
-	dominated := []DesignPoint{
-		{Name: "redbox", Accuracy: 0.85, Power: 2.1e-3}, // the red-rectangle point
-		{Name: "d2", Accuracy: 0.70, Power: 1.9e-3},
-		{Name: "d3", Accuracy: 0.90, Power: 2.9e-3},
-	}
-	front := ParetoFront(append(append([]DesignPoint{}, dps...), dominated...))
-	if len(front) != 5 {
-		t.Fatalf("front size = %d, want 5: %v", len(front), front)
-	}
-	// Sorted by decreasing power = DP1..DP5 order.
-	for i, want := range []string{"DP1", "DP2", "DP3", "DP4", "DP5"} {
-		if front[i].Name != want {
-			t.Fatalf("front[%d] = %q, want %q", i, front[i].Name, want)
-		}
-	}
-}
-
-func TestParetoFrontDeduplicates(t *testing.T) {
-	dps := []DesignPoint{
-		{Name: "a", Accuracy: 0.9, Power: 2},
-		{Name: "b", Accuracy: 0.9, Power: 2},
-	}
-	front := ParetoFront(dps)
-	if len(front) != 1 || front[0].Name != "a" {
-		t.Fatalf("front = %v, want just the first duplicate", front)
-	}
-}
-
-func TestParetoFrontProperty(t *testing.T) {
-	// Property: no element of the front is dominated by any input point,
-	// and every input point is dominated by (or equal to) some front
-	// element or is itself on the front.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(30)
-		dps := make([]DesignPoint, n)
-		for i := range dps {
-			dps[i] = DesignPoint{
-				Accuracy: math.Round(rng.Float64()*100) / 100,
-				Power:    math.Round((0.5+rng.Float64()*4)*100) / 100,
-			}
-		}
-		front := ParetoFront(dps)
-		if len(front) == 0 {
-			return false
-		}
-		for _, fdp := range front {
-			for _, d := range dps {
-				if d.Dominates(fdp) {
-					return false
-				}
-			}
-		}
-		// Front sorted by decreasing power and increasing accuracy going
-		// right means accuracy must be non-increasing too (Pareto chain).
-		for i := 1; i < len(front); i++ {
-			if front[i].Power > front[i-1].Power+1e-12 {
-				return false
-			}
-			if front[i].Accuracy > front[i-1].Accuracy+1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -155,34 +155,6 @@ func TestQuickShadowPriceIsLocalSlope(t *testing.T) {
 	}
 }
 
-func TestQuickParetoFrontIdempotent(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(20)
-		var dps []DesignPoint
-		for i := 0; i < n; i++ {
-			dps = append(dps, DesignPoint{
-				Accuracy: rng.Float64(),
-				Power:    0.1 + rng.Float64(),
-			})
-		}
-		once := ParetoFront(dps)
-		twice := ParetoFront(once)
-		if len(once) != len(twice) {
-			return false
-		}
-		for i := range once {
-			if once[i] != twice[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickLookaheadNeverWorseThanMyopic(t *testing.T) {
 	// With a generous battery, joint planning can only improve on the
 	// greedy hour-by-hour path (it can always reproduce it).

@@ -8,8 +8,6 @@ package device
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
 	"repro/internal/core"
 )
@@ -123,12 +121,6 @@ func (r *RunResult) TotalConsumed() float64 {
 type Simulator struct {
 	// Cfg is the REAP configuration (period, off power, alpha, DPs).
 	Cfg core.Config
-	// ExecutionNoise is the relative standard deviation of actual-vs-
-	// planned consumption (strap slip, BLE retries, clock drift). Zero
-	// disables it.
-	ExecutionNoise float64
-	// Seed drives the execution noise.
-	Seed int64
 }
 
 // Run simulates the policy over the budget sequence. Budgets are taken as
@@ -137,28 +129,16 @@ func (s *Simulator) Run(p Policy, budgets []float64) (*RunResult, error) {
 	if err := s.Cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if s.ExecutionNoise < 0 || s.ExecutionNoise > 0.5 || math.IsNaN(s.ExecutionNoise) {
-		return nil, fmt.Errorf("device: execution noise %v outside [0, 0.5]", s.ExecutionNoise)
-	}
-	rng := rand.New(rand.NewSource(s.Seed))
 	res := &RunResult{Policy: p.Name()}
 	for _, budget := range budgets {
 		alloc, err := p.Plan(s.Cfg, budget)
 		if err != nil {
 			return nil, err
 		}
-		planned := alloc.Energy(s.Cfg)
-		consumed := planned
-		if s.ExecutionNoise > 0 {
-			consumed = planned * (1 + rng.NormFloat64()*s.ExecutionNoise)
-			if consumed < 0 {
-				consumed = 0
-			}
-		}
 		res.Hours = append(res.Hours, HourRecord{
 			Budget:           budget,
 			Alloc:            alloc,
-			Consumed:         consumed,
+			Consumed:         alloc.Energy(s.Cfg),
 			ExpectedAccuracy: alloc.ExpectedAccuracy(s.Cfg),
 			ActiveTime:       alloc.ActiveTime(),
 			Objective:        alloc.Objective(s.Cfg),

@@ -27,11 +27,6 @@ func TestSimulatorValidation(t *testing.T) {
 		t.Fatal("invalid config accepted")
 	}
 	s = defaultSim()
-	s.ExecutionNoise = 0.9
-	if _, err := s.Run(REAPPolicy{}, []float64{1}); err == nil {
-		t.Fatal("excessive noise accepted")
-	}
-	s = defaultSim()
 	if _, err := s.Run(StaticPolicy{Index: 9}, []float64{1}); err == nil {
 		t.Fatal("out-of-range static index accepted")
 	}
@@ -133,40 +128,6 @@ func TestOracleMatchesREAP(t *testing.T) {
 			t.Fatalf("hour %d: simplex J %v != enumeration J %v",
 				i, a.Hours[i].Objective, b.Hours[i].Objective)
 		}
-	}
-}
-
-func TestExecutionNoiseDeterministic(t *testing.T) {
-	mk := func() *RunResult {
-		sim := defaultSim()
-		sim.ExecutionNoise = 0.05
-		sim.Seed = 11
-		res, err := sim.Run(StaticPolicy{Index: 0}, []float64{5, 5, 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := mk(), mk()
-	for i := range a.Hours {
-		if a.Hours[i].Consumed != b.Hours[i].Consumed {
-			t.Fatal("same seed produced different noise")
-		}
-	}
-	// Noise actually perturbs.
-	noiseless := defaultSim()
-	c, err := noiseless.Run(StaticPolicy{Index: 0}, []float64{5, 5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range a.Hours {
-		if math.Abs(a.Hours[i].Consumed-c.Hours[i].Consumed) > 1e-12 {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("execution noise had no effect")
 	}
 }
 

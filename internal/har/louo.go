@@ -73,8 +73,11 @@ func LeaveOneUserOut(ds *synth.Dataset, spec DesignPointSpec) (*LOUOResult, erro
 		var trainSamples, testSamples []nn.Sample
 		var trainRows [][]float64
 		var trainLabels []int
-		for u, idx := range byUser {
-			for _, i := range idx {
+		// Users in sorted order: the training set's order steers the
+		// seeded SGD, so ranging over the map would change the result
+		// from run to run.
+		for _, u := range users {
+			for _, i := range byUser[u] {
 				x, err := spec.Features.Extract(ds.Windows[i])
 				if err != nil {
 					return nil, err

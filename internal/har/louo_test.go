@@ -1,6 +1,7 @@
 package har
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/synth"
@@ -69,6 +70,28 @@ func TestLeaveOneUserOut(t *testing.T) {
 	}
 	if res.Mean > within.TestAcc+0.05 {
 		t.Errorf("LOUO mean %v implausibly above within-corpus %v", res.Mean, within.TestAcc)
+	}
+}
+
+// The folds must not depend on map iteration order: three runs on one
+// corpus give identical per-user accuracies.
+func TestLeaveOneUserOutDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training in -short mode")
+	}
+	ds := louoCorpus(t)
+	first, err := LeaveOneUserOut(ds, PaperFive()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 2; run <= 3; run++ {
+		res, err := LeaveOneUserOut(ds, PaperFive()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.PerUser, first.PerUser) {
+			t.Fatalf("run %d per-user accuracies %v, run 1 %v", run, res.PerUser, first.PerUser)
+		}
 	}
 }
 

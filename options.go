@@ -67,7 +67,7 @@ func WithConfig(cfg Config) Option {
 }
 
 // WithDesignPoints replaces the design-point set. The points are used as
-// given — call ParetoFront first to drop dominated points.
+// given; dominated points are not filtered out.
 func WithDesignPoints(dps ...DesignPoint) Option {
 	return func(s *settings) error {
 		if len(dps) == 0 {

@@ -122,24 +122,11 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // Table 2 as measured on the paper's prototype.
 func PaperDesignPoints() []DesignPoint { return core.PaperDesignPoints() }
 
-// StaticAllocation is the single-design-point baseline: run design point i
-// for as long as the budget allows, then switch off.
-func StaticAllocation(cfg Config, i int, budget float64) Allocation {
-	return core.StaticAllocation(cfg, i, budget)
-}
-
-// StaticObjective evaluates J(t) for the static baseline.
+// StaticObjective evaluates J(t) for the single-design-point baseline:
+// run design point i for as long as the budget allows, then switch off.
 func StaticObjective(cfg Config, i int, budget float64) float64 {
 	return core.StaticObjective(cfg, i, budget)
 }
 
-// ParetoFront filters design points to the non-dominated set, ordered by
-// decreasing power (DP1-first, like the paper).
-func ParetoFront(dps []DesignPoint) []DesignPoint { return core.ParetoFront(dps) }
-
 // Classify places an energy budget into its operating region.
 func Classify(cfg Config, budget float64) Region { return core.Classify(cfg, budget) }
-
-// RegionBoundaries returns the budgets at which optimizer behaviour
-// changes: the idle floor and each design point's saturation energy.
-func RegionBoundaries(cfg Config) []float64 { return core.RegionBoundaries(cfg) }

@@ -2,49 +2,25 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
-
-	"repro"
 )
 
-// TestLegacyConfigsPinned pins the five legacy library scenarios'
-// config files byte-for-byte against their Go constructors: migrating a
-// scenario to data must not change what it means. Regenerate with
-// -update (and justify the diff in the commit — a config diff here is a
-// semantics diff).
-func TestLegacyConfigsPinned(t *testing.T) {
-	for _, sc := range Library() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			cfg, err := ConfigFromScenario(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := cfg.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(scenarioDir, sc.Name+".json")
-			if *update {
-				if err := os.WriteFile(path, want, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("rewrote %s (%d bytes)", path, len(want))
-				return
-			}
-			got, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing legacy config (run with -update to create): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s diverged from its constructor:\n got: %s\nwant: %s", path, got, want)
-			}
-		})
+// encodeScenario renders a scenario in the corpus's canonical byte
+// form: the version and the scenario's keys as two-space indented
+// JSON with a trailing newline. The package has no encoder of its own;
+// this one defines the form every committed corpus file must be in.
+func encodeScenario(t testing.TB, sc Scenario) []byte {
+	t.Helper()
+	data, err := json.MarshalIndent(versioned{V: ConfigVersion, Scenario: sc}, "", "  ")
+	if err != nil {
+		t.Fatalf("encoding %s: %v", sc.Name, err)
 	}
+	return append(data, '\n')
 }
 
 // TestCorpusConfigsCanonical requires every committed corpus file to be
@@ -66,14 +42,11 @@ func TestCorpusConfigsCanonical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg, err := DecodeScenarioConfig(bytes.NewReader(data))
+			sc, err := decodeScenario(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			canonical, err := cfg.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
+			canonical := encodeScenario(t, sc)
 			if bytes.Equal(data, canonical) {
 				return
 			}
@@ -102,23 +75,19 @@ func TestConfigRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c1, err := DecodeScenarioConfig(bytes.NewReader(data))
+		s1, err := decodeScenario(data)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		b1, err := c1.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := DecodeScenarioConfig(bytes.NewReader(b1))
+		b1 := encodeScenario(t, s1)
+		s2, err := decodeScenario(b1)
 		if err != nil {
 			t.Fatalf("%s: canonical bytes failed to decode: %v", path, err)
 		}
-		b2, err := c2.Encode()
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(s1, s2) {
+			t.Fatalf("%s: decode→encode→decode changed the scenario:\n s1: %+v\n s2: %+v", path, s1, s2)
 		}
-		if !bytes.Equal(b1, b2) {
+		if b2 := encodeScenario(t, s2); !bytes.Equal(b1, b2) {
 			t.Fatalf("%s: decode→encode→decode is not byte-stable:\n b1: %s\n b2: %s", path, b1, b2)
 		}
 	}
@@ -129,7 +98,7 @@ func TestConfigRoundTrip(t *testing.T) {
 // the ErrConfigMalformed sentinel.
 func TestConfigStrictDecode(t *testing.T) {
 	valid := `{"v": 2, "name": "x", "devices": 1, "days": 1, "seed": 1, "month": 6, "year": 2016}`
-	if _, err := DecodeScenarioConfig(strings.NewReader(valid)); err != nil {
+	if _, err := decodeScenario([]byte(valid)); err != nil {
 		t.Fatalf("minimal valid config rejected: %v", err)
 	}
 	cases := map[string]string{
@@ -152,7 +121,7 @@ func TestConfigStrictDecode(t *testing.T) {
 		"removed cache_resolution_j": `{"v": 2, "name": "x", "devices": 1, "days": 1, "seed": 1, "month": 6, "year": 2016, "cache_resolution_j": 0.001}`,
 	}
 	for name, input := range cases {
-		_, err := DecodeScenarioConfig(strings.NewReader(input))
+		_, err := decodeScenario([]byte(input))
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 			continue
@@ -167,14 +136,6 @@ func TestConfigStrictDecode(t *testing.T) {
 	}
 }
 
-func TestConfigFromScenarioRejectsPerDevice(t *testing.T) {
-	sc := ClearMonth()
-	sc.PerDevice = func(int) []reap.Option { return nil }
-	if _, err := ConfigFromScenario(sc); !errors.Is(err, ErrInvalidScenario) {
-		t.Fatalf("PerDevice scenario converted to config: %v", err)
-	}
-}
-
 // LoadScenario and LoadCorpus are the filesystem counterparts of the
 // embedded corpus: same strict decode, same validation.
 func TestLoadScenarioAndCorpus(t *testing.T) {
@@ -182,8 +143,8 @@ func TestLoadScenarioAndCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ClearMonth(); sc.Name != want.Name || sc.Seed != want.Seed {
-		t.Fatalf("loaded %q seed %d", sc.Name, sc.Seed)
+	if want := mustScenario(t, "clear-month"); !reflect.DeepEqual(sc, want) {
+		t.Fatalf("loaded %+v, embedded corpus has %+v", sc, want)
 	}
 	if _, err := LoadScenario(filepath.Join(t.TempDir(), "missing.json")); !errors.Is(err, ErrConfigMalformed) {
 		t.Fatalf("missing file: got %v, want ErrConfigMalformed", err)
@@ -252,26 +213,19 @@ func FuzzScenarioDecode(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c1, err := DecodeScenarioConfig(bytes.NewReader(data))
+		s1, err := decodeScenario(data)
 		if err != nil {
 			if !errors.Is(err, ErrConfigMalformed) {
 				t.Fatalf("decode error outside the taxonomy: %v", err)
 			}
 			return
 		}
-		b1, err := c1.Encode()
-		if err != nil {
-			t.Fatalf("accepted config failed to encode: %v", err)
-		}
-		c2, err := DecodeScenarioConfig(bytes.NewReader(b1))
+		b1 := encodeScenario(t, s1)
+		s2, err := decodeScenario(b1)
 		if err != nil {
 			t.Fatalf("canonical encoding rejected: %v\n%s", err, b1)
 		}
-		b2, err := c2.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b1, b2) {
+		if b2 := encodeScenario(t, s2); !bytes.Equal(b1, b2) {
 			t.Fatalf("canonicalization is not a fixpoint:\nb1: %s\nb2: %s", b1, b2)
 		}
 		// ParseScenario on the same input must classify cleanly too.

@@ -11,11 +11,9 @@ import (
 )
 
 // The committed scenario corpus: every *.json under scenarios/ is a
-// canonical-form ScenarioConfig, compiled into the binary so reapsim
-// and the test harness agree on the corpus without touching the
-// filesystem. The five legacy library scenarios live here as configs
-// pinned byte-for-byte against their Go constructors; the rest are
-// config-only.
+// canonical-form scenario config, compiled into the binary so reapsim,
+// perfbench and the test harness agree on the corpus without touching
+// the filesystem. These files are the only definition of each world.
 //
 //go:embed scenarios/*.json
 var scenarioFS embed.FS
@@ -38,10 +36,9 @@ var (
 	corpusErr  error
 )
 
-// Corpus returns the embedded scenario corpus — the five legacy library
-// scenarios plus every config-only scenario committed under
-// sim/scenarios/. The corpus is parsed once and cached; the returned
-// value is shared and must be treated as read-only.
+// Corpus returns the embedded scenario corpus: every scenario config
+// committed under sim/scenarios/. The corpus is parsed once and cached;
+// the returned value is shared and must be treated as read-only.
 func Corpus() (*ScenarioCorpus, error) {
 	corpusOnce.Do(func() {
 		corpusVal, corpusErr = corpusFromFS(scenarioFS, scenarioDir)
@@ -99,9 +96,6 @@ func (c *ScenarioCorpus) Names() []string {
 	}
 	return names
 }
-
-// Len returns the number of scenarios in the corpus.
-func (c *ScenarioCorpus) Len() int { return len(c.scenarios) }
 
 // Lookup returns the named scenario, or an error wrapping
 // ErrUnknownScenario naming the corpus contents.

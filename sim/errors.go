@@ -8,7 +8,7 @@ import "errors"
 // returns wraps one of these, so callers branch with errors.Is instead
 // of string matching.
 var (
-	// ErrUnknownScenario is returned by Lookup and Corpus.Lookup when no
+	// ErrUnknownScenario is returned by ScenarioCorpus.Lookup when no
 	// scenario carries the requested name.
 	ErrUnknownScenario = errors.New("sim: unknown scenario")
 	// ErrInvalidScenario wraps every scenario-validation failure: bad

@@ -20,12 +20,10 @@
 //     StepAll/ReportAll via the Fleet.Run closed-loop seam, including
 //     mid-run membership churn (Fleet.SetActive).
 //
-// Scenarios are data: the canonical definition of a scenario is a
-// versioned, strictly-decoded JSON config (see config.go and the
-// committed corpus under scenarios/), loaded with LoadScenario or
-// through the Corpus API. The Go constructors in scenario.go remain for
-// the five legacy library scenarios and are pinned byte-for-byte
-// against their config-file forms.
+// Scenarios are data: a scenario is defined only by a versioned,
+// strictly-decoded JSON config (see config.go and the committed corpus
+// under scenarios/), and Scenario is that config decoded. Load one with
+// LoadScenario or through the Corpus API.
 //
 // Determinism: every random draw derives from Scenario.Seed through
 // per-device, per-purpose sub-streams consumed in a fixed order, and the
@@ -52,20 +50,24 @@ import (
 
 // Scenario describes one deterministic simulation: the fleet, the
 // harvest climate, the controller configuration, and the execution
-// realism knobs. The zero value is not runnable; start from a corpus
-// scenario (Corpus, Lookup), a config file (LoadScenario) or fill the
-// fields and let Run apply the documented defaults.
+// realism knobs. It is also the scenario's config-file form: the JSON
+// tags name each field's key, zero-valued fields inherit the documented
+// defaults, and config.go adds the schema version on decode. The zero
+// value is not runnable; start from a corpus scenario (Corpus), a
+// config file (LoadScenario) or fill the fields and let Run apply the
+// documented defaults.
 type Scenario struct {
 	// Name identifies the scenario in traces and reports.
-	Name string
+	Name string `json:"name"`
 	// Description is a one-line summary for listings.
-	Description string
+	Description string `json:"description,omitempty"`
 
 	// Devices is the fleet size; Days the simulated horizon. Each day is
 	// 24 hourly activity periods.
-	Devices, Days int
+	Devices int `json:"devices"`
+	Days    int `json:"days"`
 	// Seed derives every random stream in the run.
-	Seed int64
+	Seed int64 `json:"seed"`
 
 	// Month and Year select the solar trace (internal/solar's Golden, CO
 	// climate; the year seeds the Markov weather). Months extends the
@@ -73,30 +75,36 @@ type Scenario struct {
 	// wrapping past December into the next year — the seasonal-drift
 	// seam: Days counts from the start of the span and may cross month
 	// boundaries.
-	Month, Year, Months int
+	Month  int `json:"month"`
+	Year   int `json:"year"`
+	Months int `json:"months,omitempty"`
 	// HarvestScale scales every hourly harvest (default 1). DeviceJitter
 	// spreads a per-device multiplicative factor uniformly in
 	// [1-j, 1+j]; zero gives every device an identical harvest, the
 	// correlated-budget regime of the lockstep scenario.
-	HarvestScale, DeviceJitter float64
+	HarvestScale float64 `json:"harvest_scale,omitempty"`
+	DeviceJitter float64 `json:"device_jitter,omitempty"`
 
 	// Alpha, BatteryJ, CapacityJ configure every controller (refine per
-	// device with Populations or PerDevice). Solver names the registry
-	// backend; an empty Solver resolves to simplex — deliberately
-	// pinned, rather than following reap.DefaultSolver, so golden traces
-	// cannot move when the registry default changes (the golden harness
-	// separately asserts the plan backend reproduces them byte-for-byte).
-	// Workers bounds StepAll's pool (0 = GOMAXPROCS).
-	Alpha               float64
-	BatteryJ, CapacityJ float64
-	Solver              string
-	Workers             int
+	// device with Populations). Solver names the registry backend; an
+	// empty Solver resolves to simplex — deliberately pinned, rather
+	// than following reap.DefaultSolver, so golden traces cannot move
+	// when the registry default changes (the golden harness separately
+	// asserts the plan backend reproduces them byte-for-byte). Workers
+	// bounds StepAll's pool (0 = GOMAXPROCS).
+	Alpha     float64 `json:"alpha,omitempty"`
+	BatteryJ  float64 `json:"battery_j,omitempty"`
+	CapacityJ float64 `json:"capacity_j,omitempty"`
+	Solver    string  `json:"solver,omitempty"`
+	Workers   int     `json:"workers,omitempty"`
 
 	// Forecast plans each budget from an EWMA prediction of the hour's
 	// harvest (internal/forecast, per device) instead of the actual
 	// value; the first day warms the predictor up on actuals.
-	Forecast       bool
-	ForecastLambda float64
+	// ForecastLambda is the predictor's smoothing weight in (0, 1]
+	// (default 0.5).
+	Forecast       bool    `json:"forecast,omitempty"`
+	ForecastLambda float64 `json:"forecast_lambda,omitempty"`
 
 	// Noise is the relative standard deviation of execution noise on
 	// consumed energy. FaultRate is the per-device-hour probability of a
@@ -104,8 +112,9 @@ type Scenario struct {
 	// energy/utility effects documented at faultEffect. TelemetryBytes
 	// is the hourly fleet-telemetry BLE payload every powered device
 	// uploads (internal/energy's radio model; default 24 bytes).
-	Noise, FaultRate float64
-	TelemetryBytes   int
+	Noise          float64 `json:"noise,omitempty"`
+	FaultRate      float64 `json:"fault_rate,omitempty"`
+	TelemetryBytes int     `json:"telemetry_bytes,omitempty"`
 
 	// AgingPerDay models battery aging over long horizons: each elapsed
 	// day inflates realized consumption by a factor (1+AgingPerDay) —
@@ -113,33 +122,33 @@ type Scenario struct {
 	// out of energy neutrality unless the controller's accounting
 	// absorbs it. Zero (the default) disables aging; FlatConsumption
 	// runs are exempt (they are the exactness baseline).
-	AgingPerDay float64
+	AgingPerDay float64 `json:"aging_per_day,omitempty"`
 
 	// FlatConsumption makes execution exact: consumed = planned energy
 	// (+ telemetry), no activity modulation, noise, faults or aging.
 	// Used by correlated-budget scenarios, where divergent consumption
 	// would decorrelate budgets, and by differential baselines.
-	FlatConsumption bool
+	FlatConsumption bool `json:"flat_consumption,omitempty"`
 
-	// Populations declaratively refines subsets of the fleet — the
-	// config-file counterpart of PerDevice: device i takes the overrides
-	// of every population it matches, in order. Mixed-α, mixed-battery
-	// and mixed-backend fleets are expressed this way.
-	Populations []Population
+	// Populations declaratively refines subsets of the fleet (the data
+	// form of reap.WithDeviceOverride): device i takes the overrides of
+	// every population it matches, in order. Mixed-α, mixed-battery and
+	// mixed-backend fleets are expressed this way.
+	Populations []Population `json:"populations,omitempty"`
 
 	// Regions partitions the fleet geographically: device i belongs to
 	// Regions[i % len(Regions)]. Each region runs its own deterministic
 	// Markov sky (seeded from the region name) over the same clear-sky
 	// geometry, with a per-region harvest scale. Empty means one
 	// implicit region on the canonical weather stream.
-	Regions []Region
+	Regions []Region `json:"regions,omitempty"`
 
 	// Churn schedules mid-run fleet membership changes: at each event's
 	// step, listed devices leave (battery and accounting freeze) or join
 	// (resume from frozen state). A device whose first mention in the
 	// schedule is a join starts the run offline — a provisioned device
 	// that has not yet come online.
-	Churn []ChurnEvent
+	Churn []ChurnEvent `json:"churn,omitempty"`
 
 	// Storm, when non-nil, injects correlated fault storms: fleet-wide
 	// weather windows during which every device's fault probability
@@ -147,13 +156,7 @@ type Scenario struct {
 	// Storm.HarvestScale — the brownout-cascade regime, where faults and
 	// energy starvation arrive together across the fleet instead of as
 	// independent per-device coin flips.
-	Storm *Storm
-
-	// PerDevice refines device i's options after the fleet-wide ones
-	// (reap.WithDeviceOverride). Populations is the declarative form;
-	// PerDevice remains for programmatic callers and must not be
-	// combined with Populations.
-	PerDevice func(device int) []reap.Option
+	Storm *Storm `json:"storm,omitempty"`
 }
 
 // Population selects a subset of the fleet by index arithmetic and
@@ -161,15 +164,17 @@ type Scenario struct {
 // the scenario-wide setting.
 type Population struct {
 	// Modulus/Residue select devices i with i % Modulus == Residue;
-	// Modulus 0 selects every device.
-	Modulus, Residue int
+	// Modulus 0 selects every device and needs Residue 0.
+	Modulus int `json:"modulus,omitempty"`
+	Residue int `json:"residue,omitempty"`
 	// Alpha overrides the accuracy/active-time emphasis (0 inherits).
-	Alpha float64
+	Alpha float64 `json:"alpha,omitempty"`
 	// BatteryJ/CapacityJ override the battery (both zero inherits; when
 	// set, CapacityJ must be positive and BatteryJ within it).
-	BatteryJ, CapacityJ float64
+	BatteryJ  float64 `json:"battery_j,omitempty"`
+	CapacityJ float64 `json:"capacity_j,omitempty"`
 	// Solver overrides the backend ("" inherits).
-	Solver string
+	Solver string `json:"solver,omitempty"`
 }
 
 // Region is one geographic segment of a fleet: its own deterministic
@@ -178,18 +183,19 @@ type Population struct {
 type Region struct {
 	// Name seeds the region's weather stream and labels it; regions of
 	// one scenario must have distinct names.
-	Name string
+	Name string `json:"name,omitempty"`
 	// HarvestScale multiplies the region's hourly harvest (0 means 1).
-	HarvestScale float64
+	HarvestScale float64 `json:"harvest_scale,omitempty"`
 }
 
 // ChurnEvent is one scheduled fleet-membership change.
 type ChurnEvent struct {
 	// Step is the hour index (from scenario start) the event applies at,
 	// before budgets are drawn for that hour.
-	Step int
+	Step int `json:"step"`
 	// Join and Leave list device indices coming online / going offline.
-	Join, Leave []int
+	Join  []int `json:"join,omitempty"`
+	Leave []int `json:"leave,omitempty"`
 }
 
 // Storm configures correlated fault storms and brownout cascades. Storm
@@ -198,15 +204,15 @@ type ChurnEvent struct {
 // StartRate, lasting DurationHours.
 type Storm struct {
 	// StartRate is the per-hour probability a storm begins.
-	StartRate float64
+	StartRate float64 `json:"start_rate"`
 	// DurationHours is how long each storm lasts.
-	DurationHours int
+	DurationHours int `json:"duration_hours"`
 	// FaultRate replaces the scenario fault rate during a storm when it
 	// is larger — correlated episodes across the whole fleet.
-	FaultRate float64
+	FaultRate float64 `json:"fault_rate,omitempty"`
 	// HarvestScale multiplies harvest during a storm (0 means 1); values
 	// below 1 model the cloud bank that arrives with the storm.
-	HarvestScale float64
+	HarvestScale float64 `json:"harvest_scale,omitempty"`
 }
 
 // months returns the calendar span of the horizon (default 1).
@@ -288,10 +294,25 @@ func (sc Scenario) Validate() error {
 	if sc.AgingPerDay < 0 || sc.AgingPerDay > 0.1 || math.IsNaN(sc.AgingPerDay) {
 		return fmt.Errorf("%w: %s: aging %v per day outside [0, 0.1]", ErrInvalidScenario, sc.Name, sc.AgingPerDay)
 	}
-	if len(sc.Populations) > 0 && sc.PerDevice != nil {
-		return fmt.Errorf("%w: %s: Populations and PerDevice are mutually exclusive", ErrInvalidScenario, sc.Name)
+	if sc.Alpha < 0 || math.IsNaN(sc.Alpha) || math.IsInf(sc.Alpha, 0) {
+		return fmt.Errorf("%w: %s: alpha %v must be non-negative and finite", ErrInvalidScenario, sc.Name, sc.Alpha)
+	}
+	// The same rule (and tolerance) as reap.WithBattery.
+	if sc.CapacityJ < 0 || sc.BatteryJ < 0 || sc.BatteryJ > sc.CapacityJ+1e-9 ||
+		math.IsNaN(sc.BatteryJ) || math.IsNaN(sc.CapacityJ) {
+		return fmt.Errorf("%w: %s: battery %v/%v J inconsistent", ErrInvalidScenario, sc.Name, sc.BatteryJ, sc.CapacityJ)
+	}
+	if sc.Workers < 0 {
+		return fmt.Errorf("%w: %s: %d workers must be non-negative", ErrInvalidScenario, sc.Name, sc.Workers)
+	}
+	if sc.Forecast && !(sc.ForecastLambda > 0 && sc.ForecastLambda <= 1) {
+		return fmt.Errorf("%w: %s: forecast lambda %v outside (0, 1]", ErrInvalidScenario, sc.Name, sc.ForecastLambda)
 	}
 	for pi, p := range sc.Populations {
+		if p.Modulus == 0 && p.Residue != 0 {
+			return fmt.Errorf("%w: %s: population %d: residue %d without a modulus",
+				ErrInvalidScenario, sc.Name, pi, p.Residue)
+		}
 		if p.Modulus < 0 || (p.Modulus > 0 && (p.Residue < 0 || p.Residue >= p.Modulus)) {
 			return fmt.Errorf("%w: %s: population %d: residue %d outside [0,%d)",
 				ErrInvalidScenario, sc.Name, pi, p.Residue, p.Modulus)
@@ -352,14 +373,11 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
-// perDeviceOverride resolves the per-device option source: the explicit
-// PerDevice hook, or one synthesized from the declarative Populations
-// (overrides applied in population order: alpha, then battery, then
-// solver — each touches a distinct setting, so the order is cosmetic).
+// perDeviceOverride synthesizes the per-device options from the
+// declarative Populations (overrides applied in population order:
+// alpha, then battery, then solver — each touches a distinct setting,
+// so the order is cosmetic).
 func (sc Scenario) perDeviceOverride() func(int) []reap.Option {
-	if sc.PerDevice != nil {
-		return sc.PerDevice
-	}
 	if len(sc.Populations) == 0 {
 		return nil
 	}

@@ -5,10 +5,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
-	"repro"
 	"repro/internal/synth"
 )
 
@@ -46,7 +46,7 @@ func TestSameSeedByteIdenticalTrace(t *testing.T) {
 }
 
 func TestDifferentSeedDifferentTrace(t *testing.T) {
-	sc := Brownout()
+	sc := mustScenario(t, "brownout")
 	a, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func capacityOf(res *Result, dev int) float64 {
 // Forecast-driven budgets must decouple the budget from the actual
 // harvest after the warm-up day, and stay within the predictor's range.
 func TestForecastBudgetsDecouple(t *testing.T) {
-	res, err := Run(context.Background(), CloudyBursts())
+	res, err := Run(context.Background(), mustScenario(t, "cloudy-bursts"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestForecastBudgetsDecouple(t *testing.T) {
 // Fault injection must actually fire at the configured rate and degrade
 // utility relative to accuracy.
 func TestFaultInjection(t *testing.T) {
-	res, err := Run(context.Background(), Brownout())
+	res, err := Run(context.Background(), mustScenario(t, "brownout"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,23 +186,24 @@ func TestFaultInjection(t *testing.T) {
 
 func TestScenarioValidation(t *testing.T) {
 	cases := map[string]func(*Scenario){
-		"no devices":      func(s *Scenario) { s.Devices = 0 },
-		"bad month":       func(s *Scenario) { s.Month = 13 },
-		"too many days":   func(s *Scenario) { s.Days = 40 },
-		"neg noise":       func(s *Scenario) { s.Noise = -1 },
-		"bad fault":       func(s *Scenario) { s.FaultRate = 2 },
-		"bad jitter":      func(s *Scenario) { s.DeviceJitter = 1 },
-		"neg scale":       func(s *Scenario) { s.HarvestScale = -2 },
-		"neg months":      func(s *Scenario) { s.Months = -1 },
-		"huge months":     func(s *Scenario) { s.Months = 37 },
-		"neg aging":       func(s *Scenario) { s.AgingPerDay = -0.01 },
-		"huge aging":      func(s *Scenario) { s.AgingPerDay = 0.2 },
-		"bad residue":     func(s *Scenario) { s.Populations = []Population{{Modulus: 3, Residue: 3}} },
-		"bad pop battery": func(s *Scenario) { s.Populations = []Population{{BatteryJ: 10}} },
-		"pops+perdevice": func(s *Scenario) {
-			s.Populations = []Population{{Modulus: 2}}
-			s.PerDevice = func(int) []reap.Option { return nil }
-		},
+		"no devices":        func(s *Scenario) { s.Devices = 0 },
+		"bad month":         func(s *Scenario) { s.Month = 13 },
+		"too many days":     func(s *Scenario) { s.Days = 40 },
+		"neg noise":         func(s *Scenario) { s.Noise = -1 },
+		"bad fault":         func(s *Scenario) { s.FaultRate = 2 },
+		"bad jitter":        func(s *Scenario) { s.DeviceJitter = 1 },
+		"neg scale":         func(s *Scenario) { s.HarvestScale = -2 },
+		"neg months":        func(s *Scenario) { s.Months = -1 },
+		"huge months":       func(s *Scenario) { s.Months = 37 },
+		"neg aging":         func(s *Scenario) { s.AgingPerDay = -0.01 },
+		"huge aging":        func(s *Scenario) { s.AgingPerDay = 0.2 },
+		"bad residue":       func(s *Scenario) { s.Populations = []Population{{Modulus: 3, Residue: 3}} },
+		"bad pop battery":   func(s *Scenario) { s.Populations = []Population{{BatteryJ: 10}} },
+		"neg alpha":         func(s *Scenario) { s.Alpha = -1 },
+		"neg workers":       func(s *Scenario) { s.Workers = -2 },
+		"bad lambda":        func(s *Scenario) { s.Forecast, s.ForecastLambda = true, 5 },
+		"residue no mod":    func(s *Scenario) { s.Populations = []Population{{Residue: 3}} },
+		"battery over":      func(s *Scenario) { s.BatteryJ, s.CapacityJ = 50, 10 },
 		"dup region":        func(s *Scenario) { s.Regions = []Region{{Name: "a"}, {Name: "a"}} },
 		"neg region scale":  func(s *Scenario) { s.Regions = []Region{{Name: "a", HarvestScale: -1}} },
 		"churn early":       func(s *Scenario) { s.Churn = []ChurnEvent{{Step: -1}} },
@@ -214,9 +215,13 @@ func TestScenarioValidation(t *testing.T) {
 		"storm bad faults":  func(s *Scenario) { s.Storm = &Storm{StartRate: 0.1, DurationHours: 3, FaultRate: -1} },
 		"storm bad scale":   func(s *Scenario) { s.Storm = &Storm{StartRate: 0.1, DurationHours: 3, HarvestScale: -1} },
 	}
+	base := mustScenario(t, "clear-month")
 	for name, mutate := range cases {
-		sc := ClearMonth()
+		sc := base
 		mutate(&sc)
+		if err := sc.withDefaults().Validate(); !errors.Is(err, ErrInvalidScenario) {
+			t.Errorf("%s: Validate returned %v, want ErrInvalidScenario", name, err)
+		}
 		_, err := Run(context.Background(), sc)
 		if err == nil {
 			t.Errorf("%s: Run accepted an invalid scenario", name)
@@ -229,23 +234,27 @@ func TestScenarioValidation(t *testing.T) {
 	if _, err := Run(context.Background(), Scenario{}); !errors.Is(err, ErrInvalidScenario) {
 		t.Errorf("zero scenario must fail with ErrInvalidScenario, got %v", err)
 	}
-	sc := ClearMonth()
+	sc := base
 	sc.Solver = "no-such-backend"
 	if _, err := Run(context.Background(), sc); err == nil {
 		t.Error("unknown solver must fail the run")
 	}
 }
 
-// Lookup resolves corpus scenarios by name and classifies unknown names
-// with the ErrUnknownScenario sentinel.
+// ScenarioCorpus.Lookup resolves corpus scenarios by name and
+// classifies unknown names with the ErrUnknownScenario sentinel.
 func TestLookup(t *testing.T) {
-	for _, want := range Library() {
-		got, err := Lookup(want.Name)
+	c, err := Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range c.Scenarios() {
+		got, err := c.Lookup(want.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Name != want.Name || got.Seed != want.Seed {
-			t.Fatalf("Lookup(%q) returned %q seed %d", want.Name, got.Name, got.Seed)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Lookup(%q) returned %+v, want %+v", want.Name, got, want)
 		}
 	}
 	cases := []struct {
@@ -257,55 +266,15 @@ func TestLookup(t *testing.T) {
 		{"clear-month ", ErrUnknownScenario}, // names are exact, no trimming
 	}
 	for _, tc := range cases {
-		_, err := Lookup(tc.name)
+		_, err := c.Lookup(tc.name)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("Lookup(%q): got %v, want errors.Is(%v)", tc.name, err, tc.want)
 		}
 	}
 	// The message must name what was asked for, so operators can see the
 	// typo, and list what exists.
-	if _, err := Lookup("nope"); err == nil || !strings.Contains(err.Error(), "nope") {
+	if _, err := c.Lookup("nope"); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("Lookup of unknown scenario: %v", err)
-	}
-}
-
-// The embedded corpus must contain every legacy library scenario with
-// semantics identical to its Go constructor (the byte-level pinning of
-// the config files is config_test.go's job).
-func TestCorpusSupersetOfLibrary(t *testing.T) {
-	c, err := Corpus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range Library() {
-		got, err := c.Lookup(want.Name)
-		if err != nil {
-			t.Fatalf("library scenario %s missing from corpus: %v", want.Name, err)
-		}
-		wc, err := ConfigFromScenario(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gc, err := ConfigFromScenario(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb, err := wc.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, err := gc.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wb, gb) {
-			t.Errorf("%s: corpus scenario differs from constructor:\ncorpus:      %s\nconstructor: %s",
-				want.Name, gb, wb)
-		}
-	}
-	if c.Len() < len(Library())+4 {
-		t.Fatalf("corpus has %d scenarios; want the %d legacy ones plus at least 4 config-only",
-			c.Len(), len(Library()))
 	}
 }
 
@@ -314,7 +283,7 @@ func TestCorpusSupersetOfLibrary(t *testing.T) {
 func TestRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, ClearMonth()); err == nil {
+	if _, err := Run(ctx, mustScenario(t, "clear-month")); err == nil {
 		t.Fatal("cancelled run reported success")
 	}
 }
@@ -322,7 +291,7 @@ func TestRunCancelled(t *testing.T) {
 // The mixed fleet must actually be heterogeneous: the α = 2 population
 // plans differently from the α = 0.5 population under the same sky.
 func TestMixedFleetHeterogeneous(t *testing.T) {
-	res, err := Run(context.Background(), MixedFleet())
+	res, err := Run(context.Background(), mustScenario(t, "mixed-fleet"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +303,11 @@ func TestMixedFleetHeterogeneous(t *testing.T) {
 // mustScenario fetches a corpus scenario the test depends on.
 func mustScenario(t *testing.T, name string) Scenario {
 	t.Helper()
-	sc, err := Lookup(name)
+	c, err := Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := c.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +469,7 @@ func TestSeasonalAgingInflatesConsumption(t *testing.T) {
 // band; a single noisy seed does not.
 func TestMultiSeedStatisticalGolden(t *testing.T) {
 	const seeds = 8
-	sc := ClearMonth()
+	sc := mustScenario(t, "clear-month")
 	var utilities, neutralities []float64
 	for s := int64(0); s < seeds; s++ {
 		run := sc
@@ -508,7 +481,7 @@ func TestMultiSeedStatisticalGolden(t *testing.T) {
 		utilities = append(utilities, res.Summary.MeanUtility)
 		neutralities = append(neutralities, res.Summary.NeutralityError)
 	}
-	uLo, uHi, err := MeanCI(utilities, 0.95)
+	uLo, uHi, err := meanCI(utilities, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +494,7 @@ func TestMultiSeedStatisticalGolden(t *testing.T) {
 	if uHi-uLo > 0.15 {
 		t.Fatalf("utility CI [%v, %v] too wide: seeds disagree wildly (samples %v)", uLo, uHi, utilities)
 	}
-	nLo, nHi, err := MeanCI(neutralities, 0.95)
+	nLo, nHi, err := meanCI(neutralities, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,12 +6,10 @@ import (
 	"sort"
 )
 
-// Statistics helpers for distribution metrics and the statistical
-// golden harness: nearest-rank percentiles (the same convention
-// cmd/reapload uses for latency quantiles, so sim metrics and serving
-// metrics read alike), fixed-bucket histograms, and a seeded
-// confidence-interval helper so multi-seed scenario tests bound
-// stochastic metrics instead of pinning them to brittle point values.
+// Statistics helpers for distribution metrics: nearest-rank
+// percentiles (the same convention cmd/reapload uses for latency
+// quantiles, so sim metrics and serving metrics read alike) and
+// fixed-bucket histograms.
 
 // Percentile returns the q-quantile (0 < q ≤ 1) of a sorted sample by
 // the nearest-rank rule: the element at rank round(q·n), 1-based,
@@ -105,41 +103,4 @@ func NewHistogram(samples []float64, lo, hi float64, n int) Histogram {
 		h.Counts[i]++
 	}
 	return h
-}
-
-// MeanCI returns the two-sided confidence interval for the mean of
-// samples at the given confidence level (e.g. 0.95), using the normal
-// approximation with the sample standard deviation. It needs at least
-// two samples and a confidence in (0, 1); NaN samples are rejected.
-//
-// This is the statistical golden harness seam: a multi-seed scenario
-// test runs the same world under k seeds, feeds the per-seed metric
-// here, and asserts the pinned expectation lies inside the interval —
-// bounding a stochastic outcome instead of byte-pinning it, in the
-// spirit of seeded CI estimation for stochastic models.
-func MeanCI(samples []float64, confidence float64) (lo, hi float64, err error) {
-	if len(samples) < 2 {
-		return 0, 0, fmt.Errorf("%w: confidence interval needs >= 2 samples, got %d", ErrInvalidScenario, len(samples))
-	}
-	if !(confidence > 0 && confidence < 1) {
-		return 0, 0, fmt.Errorf("%w: confidence %v outside (0, 1)", ErrInvalidScenario, confidence)
-	}
-	var sum float64
-	for _, v := range samples {
-		if math.IsNaN(v) {
-			return 0, 0, fmt.Errorf("%w: NaN sample in confidence interval", ErrInvalidScenario)
-		}
-		sum += v
-	}
-	n := float64(len(samples))
-	mean := sum / n
-	var ss float64
-	for _, v := range samples {
-		d := v - mean
-		ss += d * d
-	}
-	sd := math.Sqrt(ss / (n - 1))
-	z := math.Sqrt2 * math.Erfinv(confidence)
-	half := z * sd / math.Sqrt(n)
-	return mean - half, mean + half, nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -116,14 +117,50 @@ func TestHistogram(t *testing.T) {
 	NewHistogram(nil, 0, 1, 0)
 }
 
+// meanCI returns the two-sided confidence interval for the mean of
+// samples at the given confidence level (e.g. 0.95), using the normal
+// approximation with the sample standard deviation. It needs at least
+// two samples and a confidence in (0, 1); NaN samples are rejected.
+//
+// It is the statistical golden harness: a multi-seed scenario test runs
+// the same world under k seeds, feeds the per-seed metric here, and
+// asserts the interval lies inside a pinned band — bounding a
+// stochastic outcome instead of byte-pinning it.
+func meanCI(samples []float64, confidence float64) (lo, hi float64, err error) {
+	if len(samples) < 2 {
+		return 0, 0, fmt.Errorf("%w: confidence interval needs >= 2 samples, got %d", ErrInvalidScenario, len(samples))
+	}
+	if !(confidence > 0 && confidence < 1) {
+		return 0, 0, fmt.Errorf("%w: confidence %v outside (0, 1)", ErrInvalidScenario, confidence)
+	}
+	var sum float64
+	for _, v := range samples {
+		if math.IsNaN(v) {
+			return 0, 0, fmt.Errorf("%w: NaN sample in confidence interval", ErrInvalidScenario)
+		}
+		sum += v
+	}
+	n := float64(len(samples))
+	mean := sum / n
+	var ss float64
+	for _, v := range samples {
+		d := v - mean
+		ss += d * d
+	}
+	sd := math.Sqrt(ss / (n - 1))
+	z := math.Sqrt2 * math.Erfinv(confidence)
+	half := z * sd / math.Sqrt(n)
+	return mean - half, mean + half, nil
+}
+
 func TestMeanCI(t *testing.T) {
 	// Constant samples: zero-width interval at the mean.
-	lo, hi, err := MeanCI([]float64{4, 4, 4, 4}, 0.95)
+	lo, hi, err := meanCI([]float64{4, 4, 4, 4}, 0.95)
 	if err != nil || lo != 4 || hi != 4 {
 		t.Fatalf("constant samples: [%v, %v], %v", lo, hi, err)
 	}
 	samples := []float64{1, 2, 3, 4, 5}
-	lo, hi, err = MeanCI(samples, 0.95)
+	lo, hi, err = meanCI(samples, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +168,7 @@ func TestMeanCI(t *testing.T) {
 		t.Fatalf("interval [%v, %v] not centered on the mean %v", lo, hi, mean)
 	}
 	// Higher confidence must widen the interval.
-	lo99, hi99, err := MeanCI(samples, 0.99)
+	lo99, hi99, err := meanCI(samples, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +176,13 @@ func TestMeanCI(t *testing.T) {
 		t.Fatalf("99%% interval [%v, %v] no wider than 95%% [%v, %v]", lo99, hi99, lo, hi)
 	}
 	for name, call := range map[string]func() error{
-		"one sample":     func() error { _, _, err := MeanCI([]float64{1}, 0.95); return err },
-		"zero conf":      func() error { _, _, err := MeanCI(samples, 0); return err },
-		"full conf":      func() error { _, _, err := MeanCI(samples, 1); return err },
-		"NaN sample":     func() error { _, _, err := MeanCI([]float64{1, math.NaN()}, 0.95); return err },
-		"empty":          func() error { _, _, err := MeanCI(nil, 0.95); return err },
-		"negative conf":  func() error { _, _, err := MeanCI(samples, -0.5); return err },
-		"overunity conf": func() error { _, _, err := MeanCI(samples, 1.5); return err },
+		"one sample":     func() error { _, _, err := meanCI([]float64{1}, 0.95); return err },
+		"zero conf":      func() error { _, _, err := meanCI(samples, 0); return err },
+		"full conf":      func() error { _, _, err := meanCI(samples, 1); return err },
+		"NaN sample":     func() error { _, _, err := meanCI([]float64{1, math.NaN()}, 0.95); return err },
+		"empty":          func() error { _, _, err := meanCI(nil, 0.95); return err },
+		"negative conf":  func() error { _, _, err := meanCI(samples, -0.5); return err },
+		"overunity conf": func() error { _, _, err := meanCI(samples, 1.5); return err },
 	} {
 		if err := call(); !errors.Is(err, ErrInvalidScenario) {
 			t.Errorf("%s: got %v, want ErrInvalidScenario", name, err)

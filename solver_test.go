@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestSolverRegistryBuiltins(t *testing.T) {
@@ -78,7 +80,7 @@ func TestBackendsAgreeAcrossRegions(t *testing.T) {
 	for b := 0.2; b <= 11.0; b += 0.05 {     // regions 1-3 and beyond saturation
 		budgets = append(budgets, b)
 	}
-	budgets = append(budgets, RegionBoundaries(cfg)...)
+	budgets = append(budgets, core.RegionBoundaries(cfg)...)
 
 	regions := map[Region]int{}
 	for _, budget := range budgets {

@@ -71,17 +71,6 @@ func (c *Config) ToReap() reap.Config {
 	return cfg
 }
 
-// FromReapConfig renders a solver config on the wire, for clients that
-// assemble requests from an existing reap.Config.
-func FromReapConfig(cfg reap.Config) *Config {
-	out := &Config{PeriodS: cfg.Period, POffW: &cfg.POff, Alpha: &cfg.Alpha}
-	out.DesignPoints = make([]DesignPoint, len(cfg.DPs))
-	for i, dp := range cfg.DPs {
-		out.DesignPoints[i] = DesignPoint{Name: dp.Name, Accuracy: dp.Accuracy, PowerW: dp.Power}
-	}
-	return out
-}
-
 // ToRequest converts one batch item into the reap.SolveBatch request
 // shape.
 func (it SolveItem) ToRequest() reap.Request {
@@ -95,16 +84,6 @@ func FromAllocation(a reap.Allocation) Allocation {
 		ActiveS: append([]float64(nil), a.Active...),
 		OffS:    a.Off,
 		DeadS:   a.Dead,
-	}
-}
-
-// ToReap converts a wire allocation back into the solver's type —
-// clients replaying schedules into local accounting use this.
-func (a Allocation) ToReap() reap.Allocation {
-	return reap.Allocation{
-		Active: append([]float64(nil), a.ActiveS...),
-		Off:    a.OffS,
-		Dead:   a.DeadS,
 	}
 }
 

@@ -199,7 +199,7 @@ func TestSolveRoundTripThroughWire(t *testing.T) {
 	if math.Abs(resp.EnergyJ-res[0].Allocation.Energy(cfg)) > 1e-12 {
 		t.Fatalf("energy %v != %v", resp.EnergyJ, res[0].Allocation.Energy(cfg))
 	}
-	back := resp.Allocation.ToReap()
+	back := reap.Allocation{Active: resp.Allocation.ActiveS, Off: resp.Allocation.OffS, Dead: resp.Allocation.DeadS}
 	if math.Abs(back.Objective(cfg)-res[0].Allocation.Objective(cfg)) > 1e-12 {
 		t.Fatalf("allocation drifted through the wire")
 	}
