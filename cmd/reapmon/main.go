@@ -102,18 +102,15 @@ func run(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	cl := &device.ClosedLoop{Controller: ctl, ExecutionNoise: *noise, Seed: 1}
-	outs, err := cl.Run(harvest)
+	res, err := device.Run(ctl, harvest, *noise, 1)
 	if err != nil {
 		return err
 	}
-	var sum float64
-	for i, o := range outs {
-		printHour(w, cfg, plan, i, harvest[i], o.Budget, o.Alloc, o.Battery)
-		sum += o.ExpectedAccuracy
+	for i, h := range res.Hours {
+		printHour(w, cfg, plan, i, harvest[i], h.Budget, h.Alloc, h.Battery)
 	}
 	_, err = fmt.Fprintf(w, "\nmean E{a} %.3f over %d hours, final battery %.1f J\n",
-		sum/float64(len(outs)), len(outs), ctl.Battery())
+		res.MeanExpectedAccuracy(), len(res.Hours), ctl.Battery())
 	return err
 }
 

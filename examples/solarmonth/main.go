@@ -6,6 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 
 	"repro"
 	"repro/internal/device"
@@ -13,12 +16,20 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates the month and writes the comparison to w.
+func run(w io.Writer) error {
 	tr, err := solar.September2015()
 	if err != nil {
-		panic(err)
+		return err
 	}
 	mean, std := tr.Stats()
-	fmt.Printf("synthetic September 2015 at Golden, CO: %.0f J harvested, peak %.1f J/h, daylight mean %.1f±%.1f J/h\n",
+	fmt.Fprintf(w, "synthetic September 2015 at Golden, CO: %.0f J harvested, peak %.1f J/h, daylight mean %.1f±%.1f J/h\n",
 		tr.Total(), tr.Peak(), mean, std)
 
 	// Smooth the harvest through a small battery, as the paper's energy
@@ -27,42 +38,40 @@ func main() {
 
 	cfg, err := reap.NewConfig()
 	if err != nil {
-		panic(err)
+		return err
 	}
-	sim := &device.Simulator{Cfg: cfg}
-
-	reapRun, err := sim.Run(device.REAPPolicy{}, budgets)
+	reapRun, err := device.Replay(cfg, budgets, nil)
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Printf("\n%-6s mean E{a} %.3f   active %5.1f h   consumed %6.0f J\n",
+	fmt.Fprintf(w, "\n%-6s mean E{a} %.3f   active %5.1f h   consumed %6.0f J\n",
 		"REAP", reapRun.MeanExpectedAccuracy(), reapRun.TotalActiveTime()/3600, reapRun.TotalConsumed())
 	for i := range cfg.DPs {
-		run, err := sim.Run(device.StaticPolicy{Index: i}, budgets)
+		run, err := device.Replay(cfg, budgets, device.Static(i))
 		if err != nil {
-			panic(err)
+			return err
 		}
-		fmt.Printf("%-6s mean E{a} %.3f   active %5.1f h   consumed %6.0f J\n",
-			run.Policy, run.MeanExpectedAccuracy(), run.TotalActiveTime()/3600, run.TotalConsumed())
+		fmt.Fprintf(w, "%-6s mean E{a} %.3f   active %5.1f h   consumed %6.0f J\n",
+			cfg.DPs[i].Name, run.MeanExpectedAccuracy(), run.TotalActiveTime()/3600, run.TotalConsumed())
 	}
 
 	// Closed loop with the runtime controller: battery state + feedback.
 	ctl, err := reap.New(reap.WithConfig(cfg), reap.WithBattery(20, 100))
 	if err != nil {
-		panic(err)
+		return err
 	}
-	cl := &device.ClosedLoop{Controller: ctl, ExecutionNoise: 0.03, Seed: 1}
-	outcomes, err := cl.Run(tr.Hours)
+	month, err := device.Run(ctl, tr.Hours, 0.03, 1)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	regionHours := map[reap.Region]int{}
-	for _, o := range outcomes {
-		regionHours[o.Region]++
+	for _, h := range month.Hours {
+		regionHours[h.Region]++
 	}
-	fmt.Printf("\nclosed-loop month with controller (3%% execution noise):\n")
+	fmt.Fprintf(w, "\nclosed-loop month with controller (3%% execution noise):\n")
 	for _, r := range []reap.Region{reap.RegionDead, reap.Region1, reap.Region2, reap.Region3} {
-		fmt.Printf("  %-8s %3d hours\n", r, regionHours[r])
+		fmt.Fprintf(w, "  %-8s %3d hours\n", r, regionHours[r])
 	}
-	fmt.Printf("  final battery %.1f J of 100 J\n", ctl.Battery())
+	_, err = fmt.Fprintf(w, "  final battery %.1f J of 100 J\n", ctl.Battery())
+	return err
 }

@@ -4,7 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
+
+	"repro/internal/device"
+	"repro/internal/solar"
 )
 
 func TestWithDeviceOverride(t *testing.T) {
@@ -141,5 +145,79 @@ func TestFleetRunErrors(t *testing.T) {
 	loop2 := &recordedLoop{budget: 5, cfg: DefaultConfig(), failAt: -1}
 	if err := fleet.Run(ctx, 3, loop2, loop2, nil); err == nil {
 		t.Fatal("cancelled Run reported success")
+	}
+}
+
+// traceLoop replays one harvest trace to a one-device fleet and reports
+// consumption equal to plan.
+type traceLoop struct {
+	harvest []float64
+	cfg     Config
+}
+
+func (l *traceLoop) Budgets(step int, dst []float64) error {
+	dst[0] = l.harvest[step]
+	return nil
+}
+
+func (l *traceLoop) Consumed(_ int, allocs []Allocation, dst []float64) error {
+	dst[0] = allocs[0].Energy(l.cfg)
+	return nil
+}
+
+// TestDeviceRunMatchesFleetRun pins the simulated device's closed loop
+// to the fleet's: one September through device.Run and through Fleet.Run
+// at N=1, consumption equal to plan, must agree bit for bit every hour
+// in budget, allocation, consumption and battery, on the plan and
+// simplex backends at several α. Both loops step a Controller, so this
+// is one battery-accounting implementation checked from both sides.
+func TestDeviceRunMatchesFleetRun(t *testing.T) {
+	tr, err := solar.September2015()
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, backend := range []string{SolverPlan, SolverSimplex} {
+		for _, alpha := range []float64{0, 0.5, 1, 2, 8} {
+			opts := []Option{WithAlpha(alpha), WithBattery(20, 100), WithSolver(backend)}
+			ctl, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := device.Run(ctl, tr.Hours, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet, err := NewFleet(1, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev, err := fleet.Device(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loop := &traceLoop{harvest: tr.Hours, cfg: dev.Config()}
+			err = fleet.Run(context.Background(), len(tr.Hours), loop, loop,
+				func(step int, _ []float64, allocs []Allocation, consumed []float64) error {
+					h, a := want.Hours[step], allocs[0]
+					if !same(h.Budget, dev.LastBudget()) || !same(h.Consumed, consumed[0]) ||
+						!same(h.Battery, dev.Battery()) {
+						return fmt.Errorf("budget/consumed/battery %v/%v/%v, fleet %v/%v/%v",
+							h.Budget, h.Consumed, h.Battery, dev.LastBudget(), consumed[0], dev.Battery())
+					}
+					ok := same(h.Alloc.Off, a.Off) && same(h.Alloc.Dead, a.Dead) &&
+						len(h.Alloc.Active) == len(a.Active)
+					for i := 0; ok && i < len(a.Active); i++ {
+						ok = same(h.Alloc.Active[i], a.Active[i])
+					}
+					if !ok {
+						return fmt.Errorf("allocation %v, fleet %v", h.Alloc, a)
+					}
+					return nil
+				})
+			if err != nil {
+				t.Errorf("%s, alpha %v: %v", backend, alpha, err)
+			}
+		}
 	}
 }

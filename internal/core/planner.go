@@ -109,8 +109,8 @@ func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Sched
 		return nil, err
 	}
 	if sol.Status != lp.Optimal {
-		// Some prefix cannot even idle: fall back to myopic planning,
-		// which handles dead time explicitly.
+		// The dead variables keep the LP feasible, so only a numerical
+		// failure lands here: fall back to myopic planning.
 		return lookaheadMyopic(c, battery0, capacity, forecast)
 	}
 
@@ -133,23 +133,24 @@ func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Sched
 	return plan, nil
 }
 
-// lookaheadMyopic degrades gracefully when the joint LP is infeasible:
-// each hour is planned with Solve against harvest plus whatever the
-// battery holds, exactly like the runtime Controller would.
+// lookaheadMyopic degrades gracefully should the joint LP fail
+// numerically: each hour steps a Controller that holds the battery, so
+// every hour is planned with Solve against harvest plus whatever the
+// battery holds, exactly as at runtime.
 func lookaheadMyopic(c Config, battery0, capacity float64, forecast []float64) (*Schedule, error) {
+	ctl, err := NewController(c, battery0, capacity)
+	if err != nil {
+		return nil, err
+	}
 	plan := &Schedule{Battery: []float64{battery0}}
-	battery := battery0
 	var sumJ float64
 	for _, h := range forecast {
-		budget := battery + h
-		alloc, err := Solve(c, budget)
+		alloc, err := ctl.Step(h)
 		if err != nil {
 			return nil, err
 		}
-		spent := alloc.Energy(c)
-		battery = math.Min(capacity, math.Max(0, battery+h-spent))
 		plan.Allocations = append(plan.Allocations, alloc)
-		plan.Battery = append(plan.Battery, battery)
+		plan.Battery = append(plan.Battery, ctl.Battery())
 		sumJ += alloc.Objective(c)
 	}
 	plan.Objective = sumJ / float64(len(forecast))

@@ -101,9 +101,10 @@ func TestLookaheadRespectsCapacity(t *testing.T) {
 }
 
 func TestLookaheadDarkStretchFallsBack(t *testing.T) {
-	// Nothing harvested and nothing stored: the joint LP is infeasible
-	// (the idle floor cannot be paid); the planner must degrade to the
-	// myopic path with dead time rather than fail.
+	// Nothing harvested and nothing stored: the idle floor cannot be
+	// paid, but the explicit dead variables keep the joint LP feasible,
+	// so the LP itself must plan dead time rather than fail.
+	// TestLookaheadMyopic covers the myopic fallback path.
 	c := DefaultConfig()
 	plan, err := Lookahead(c, 0, 10, []float64{0, 0, 0})
 	if err != nil {
@@ -122,6 +123,54 @@ func TestLookaheadDarkStretchFallsBack(t *testing.T) {
 	}
 	if plan.Objective != 0 {
 		t.Fatalf("objective %v in a blackout", plan.Objective)
+	}
+}
+
+// TestLookaheadMyopic drives the fallback planner directly: one
+// allocation per hour, a battery inside [0, capacity] that follows the
+// settle recursion, and dead time once a blackout has drained it.
+func TestLookaheadMyopic(t *testing.T) {
+	c := DefaultConfig()
+	const capacity = 10.0
+	harvest := []float64{20, 8, 0, 0, 0, 3, 0}
+	plan, err := lookaheadMyopic(c, 2, capacity, harvest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Allocations) != len(harvest) || len(plan.Battery) != len(harvest)+1 {
+		t.Fatalf("%d allocations and %d battery levels for %d hours",
+			len(plan.Allocations), len(plan.Battery), len(harvest))
+	}
+	if plan.Battery[0] != 2 {
+		t.Fatalf("initial battery %v, want 2", plan.Battery[0])
+	}
+	var sumJ float64
+	dark := 0
+	for k, a := range plan.Allocations {
+		b := plan.Battery[k+1]
+		if b < 0 || b > capacity {
+			t.Fatalf("hour %d: battery %v outside [0, %v]", k, b, capacity)
+		}
+		want := math.Min(capacity, math.Max(0, plan.Battery[k]+harvest[k]-a.Energy(c)))
+		if math.Abs(b-want) > 1e-9 {
+			t.Fatalf("hour %d: battery %v, recursion gives %v", k, b, want)
+		}
+		if harvest[k] == 0 && plan.Battery[k] == 0 {
+			dark++
+			if a.ActiveTime() != 0 || a.Dead <= 0 {
+				t.Fatalf("hour %d: active %v, dead %v in a drained blackout", k, a.ActiveTime(), a.Dead)
+			}
+		}
+		sumJ += a.Objective(c)
+	}
+	if dark == 0 {
+		t.Fatal("no blackout hour started with a drained battery")
+	}
+	if b := plan.Battery[1]; b != capacity {
+		t.Fatalf("surplus hour left battery %v, want it full at %v", b, capacity)
+	}
+	if math.Abs(plan.Objective-sumJ/float64(len(harvest))) > 1e-12 {
+		t.Fatalf("objective %v, hourly mean %v", plan.Objective, sumJ/float64(len(harvest)))
 	}
 }
 

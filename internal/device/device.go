@@ -1,56 +1,23 @@
-// Package device simulates the wearable prototype end to end: hour by
-// hour it receives a harvesting budget, asks a policy (REAP or a static
-// design point) for a schedule, executes the schedule — optionally pushing
-// real synthetic sensor windows through the trained classifiers — and
-// accounts for the energy actually consumed. It is the closed loop that
-// the paper evaluates in Section 5.4.
+// Package device simulates the wearable prototype hour by hour: the
+// closed loop the paper evaluates in Section 5.4. Each hour a budget
+// arrives, the device plans a schedule, executes it, and the energy it
+// actually drew feeds back. The battery and the energy-accounting carry
+// live in a core.Controller: Run closes the loop on one with execution
+// noise, Replay hands allocator budgets to a battery-less one (Static
+// installs a design-point baseline as its solve hook), and
+// RecedingHorizon settles on one whose solve hook plans a day ahead.
+// IntermittentDevice models the capacitor-only device class of Section
+// 2, and BuildSchedule turns an allocation into the hour's switching
+// sequence.
 package device
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 
 	"repro/internal/core"
 )
-
-// Policy plans one activity period given the configuration and budget.
-type Policy interface {
-	// Name identifies the policy in reports.
-	Name() string
-	// Plan returns the allocation for a period with the given budget (J).
-	Plan(cfg core.Config, budget float64) (core.Allocation, error)
-}
-
-// REAPPolicy runs the paper's optimizer every period.
-type REAPPolicy struct{}
-
-// Name implements Policy.
-func (REAPPolicy) Name() string { return "REAP" }
-
-// Plan implements Policy.
-func (REAPPolicy) Plan(cfg core.Config, budget float64) (core.Allocation, error) {
-	return core.Solve(cfg, budget)
-}
-
-// StaticPolicy always runs one design point, duty-cycled against the off
-// state — the baselines DP1..DP5 of Figures 5–7. It also embodies the
-// on/off-only power management of the prior work the paper argues against
-// (Section 2): two power states, no accuracy-aware mixing.
-type StaticPolicy struct {
-	// Index selects the design point in cfg.DPs.
-	Index int
-}
-
-// Name implements Policy.
-func (p StaticPolicy) Name() string { return fmt.Sprintf("DP%d", p.Index+1) }
-
-// Plan implements Policy.
-func (p StaticPolicy) Plan(cfg core.Config, budget float64) (core.Allocation, error) {
-	if p.Index < 0 || p.Index >= len(cfg.DPs) {
-		return core.Allocation{}, fmt.Errorf("device: static index %d outside 0..%d",
-			p.Index, len(cfg.DPs)-1)
-	}
-	return core.StaticAllocation(cfg, p.Index, budget), nil
-}
 
 // HourRecord is the outcome of one simulated activity period.
 type HourRecord struct {
@@ -67,12 +34,28 @@ type HourRecord struct {
 	Objective        float64
 	// Region classifies the budget.
 	Region core.Region
+	// Battery is the stored energy after the period.
+	Battery float64
 }
 
 // RunResult aggregates a simulated horizon.
 type RunResult struct {
-	Policy string
-	Hours  []HourRecord
+	Hours []HourRecord
+}
+
+// add records one period that planned alloc on cfg against budget, drew
+// consumed joules and left battery joules stored.
+func (r *RunResult) add(cfg core.Config, budget float64, alloc core.Allocation, consumed, battery float64) {
+	r.Hours = append(r.Hours, HourRecord{
+		Budget:           budget,
+		Alloc:            alloc,
+		Consumed:         consumed,
+		ExpectedAccuracy: alloc.ExpectedAccuracy(cfg),
+		ActiveTime:       alloc.ActiveTime(),
+		Objective:        alloc.Objective(cfg),
+		Region:           core.Classify(cfg, budget),
+		Battery:          battery,
+	})
 }
 
 // MeanObjective averages J(t) over all hours.
@@ -117,33 +100,62 @@ func (r *RunResult) TotalConsumed() float64 {
 	return s
 }
 
-// Simulator executes policies against an hourly budget sequence.
-type Simulator struct {
-	// Cfg is the REAP configuration (period, off power, alpha, DPs).
-	Cfg core.Config
-}
-
-// Run simulates the policy over the budget sequence. Budgets are taken as
-// produced by an allocator (harvest + battery smoothing happen upstream).
-func (s *Simulator) Run(p Policy, budgets []float64) (*RunResult, error) {
-	if err := s.Cfg.Validate(); err != nil {
-		return nil, err
+// Run closes the loop on ctl over an hourly harvest sequence (J). Each
+// hour it steps the controller, draws the planned energy times
+// 1+noise·N(0,1) from a stream seeded with seed (clamped at zero; no
+// draw when noise is 0), reports that consumption back, and records the
+// controller's budget and battery.
+func Run(ctl *core.Controller, harvest []float64, noise float64, seed int64) (*RunResult, error) {
+	if ctl == nil {
+		return nil, fmt.Errorf("device: closed loop needs a controller")
 	}
-	res := &RunResult{Policy: p.Name()}
-	for _, budget := range budgets {
-		alloc, err := p.Plan(s.Cfg, budget)
+	rng := rand.New(rand.NewSource(seed))
+	res := &RunResult{}
+	for _, h := range harvest {
+		alloc, err := ctl.Step(h)
 		if err != nil {
 			return nil, err
 		}
-		res.Hours = append(res.Hours, HourRecord{
-			Budget:           budget,
-			Alloc:            alloc,
-			Consumed:         alloc.Energy(s.Cfg),
-			ExpectedAccuracy: alloc.ExpectedAccuracy(s.Cfg),
-			ActiveTime:       alloc.ActiveTime(),
-			Objective:        alloc.Objective(s.Cfg),
-			Region:           core.Classify(s.Cfg, budget),
-		})
+		cfg := ctl.Config()
+		consumed := alloc.Energy(cfg)
+		if noise > 0 {
+			consumed *= 1 + rng.NormFloat64()*noise
+			if consumed < 0 {
+				consumed = 0
+			}
+		}
+		if err := ctl.Report(consumed); err != nil {
+			return nil, err
+		}
+		res.add(cfg, ctl.LastBudget(), alloc, consumed, ctl.Battery())
 	}
 	return res, nil
+}
+
+// Replay plans each budget, as an allocator hands it out (harvest and
+// battery smoothing already applied upstream), on a battery-less
+// controller for cfg, so every hour stands alone. A nil solve runs
+// REAP's optimizer; Static(i) runs design point i's baseline instead.
+func Replay(cfg core.Config, budgets []float64, solve core.SolveFunc) (*RunResult, error) {
+	ctl, err := core.NewController(cfg, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	ctl.SetSolveFunc(solve)
+	return Run(ctl, budgets, 0, 0)
+}
+
+// Static is the solve hook of the static baseline that always runs
+// design point i, duty-cycled against the off state — DP1..DP5 of
+// Figures 5–7. It is also the on/off-only power management of the prior
+// work the paper argues against (Section 2): two power states, no
+// accuracy-aware mixing.
+func Static(i int) core.SolveFunc {
+	return func(_ context.Context, cfg core.Config, budget float64) (core.Allocation, error) {
+		if i < 0 || i >= len(cfg.DPs) {
+			return core.Allocation{}, fmt.Errorf("device: static index %d outside 0..%d",
+				i, len(cfg.DPs)-1)
+		}
+		return core.StaticAllocation(cfg, i, budget), nil
+	}
 }

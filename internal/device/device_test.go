@@ -8,26 +8,11 @@ import (
 	"repro/internal/solar"
 )
 
-func defaultSim() *Simulator {
-	return &Simulator{Cfg: core.DefaultConfig()}
-}
-
-func TestPolicyNames(t *testing.T) {
-	if (REAPPolicy{}).Name() != "REAP" {
-		t.Fatal("REAP name")
-	}
-	if (StaticPolicy{Index: 2}).Name() != "DP3" {
-		t.Fatal("static name")
-	}
-}
-
 func TestSimulatorValidation(t *testing.T) {
-	s := &Simulator{Cfg: core.Config{}}
-	if _, err := s.Run(REAPPolicy{}, []float64{1}); err == nil {
+	if _, err := Replay(core.Config{}, []float64{1}, nil); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	s = defaultSim()
-	if _, err := s.Run(StaticPolicy{Index: 9}, []float64{1}); err == nil {
+	if _, err := Replay(core.DefaultConfig(), []float64{1}, Static(9)); err == nil {
 		t.Fatal("out-of-range static index accepted")
 	}
 }
@@ -43,13 +28,12 @@ func TestREAPBeatsStaticsOverMonth(t *testing.T) {
 	for _, alpha := range []float64{0.5, 1, 2, 4, 8} {
 		cfg := core.DefaultConfig()
 		cfg.Alpha = alpha
-		sim := &Simulator{Cfg: cfg}
-		reap, err := sim.Run(REAPPolicy{}, budgets)
+		reap, err := Replay(cfg, budgets, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range cfg.DPs {
-			static, err := sim.Run(StaticPolicy{Index: i}, budgets)
+			static, err := Replay(cfg, budgets, Static(i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,9 +46,9 @@ func TestREAPBeatsStaticsOverMonth(t *testing.T) {
 }
 
 func TestSimulatorHourRecordsConsistent(t *testing.T) {
-	sim := defaultSim()
+	cfg := core.DefaultConfig()
 	budgets := []float64{0, 0.1, 1, 3, 5, 8, 12}
-	res, err := sim.Run(REAPPolicy{}, budgets)
+	res, err := Replay(cfg, budgets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +56,13 @@ func TestSimulatorHourRecordsConsistent(t *testing.T) {
 		t.Fatal("hour count mismatch")
 	}
 	for i, h := range res.Hours {
+		if h.Budget != budgets[i] || h.Battery != 0 {
+			t.Errorf("hour %d: budget %v battery %v, want %v and no battery", i, h.Budget, h.Battery, budgets[i])
+		}
 		if h.Consumed > budgets[i]+1e-9 {
 			t.Errorf("hour %d: consumed %v exceeds budget %v", i, h.Consumed, budgets[i])
 		}
-		if h.ActiveTime < 0 || h.ActiveTime > sim.Cfg.Period+1e-9 {
+		if h.ActiveTime < 0 || h.ActiveTime > cfg.Period+1e-9 {
 			t.Errorf("hour %d: active time %v out of range", i, h.ActiveTime)
 		}
 		if !math.IsNaN(h.ExpectedAccuracy) && h.ExpectedAccuracy < 0 || h.ExpectedAccuracy > 1 {
@@ -100,26 +87,16 @@ func TestSimulatorHourRecordsConsistent(t *testing.T) {
 	}
 }
 
-// OraclePolicy solves with the enumeration solver, so comparing it with
-// REAPPolicy shows the simulator is solver-agnostic.
-type OraclePolicy struct{}
-
-// Name implements Policy.
-func (OraclePolicy) Name() string { return "oracle" }
-
-// Plan implements Policy.
-func (OraclePolicy) Plan(cfg core.Config, budget float64) (core.Allocation, error) {
-	return core.SolveEnumerate(cfg, budget)
-}
-
+// TestOracleMatchesREAP replays the same budgets on the enumeration
+// solver, showing the replay is solver-agnostic.
 func TestOracleMatchesREAP(t *testing.T) {
-	sim := defaultSim()
+	cfg := core.DefaultConfig()
 	budgets := []float64{0.5, 2, 4.5, 7, 9.9, 11}
-	a, err := sim.Run(REAPPolicy{}, budgets)
+	a, err := Replay(cfg, budgets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.Run(OraclePolicy{}, budgets)
+	b, err := Replay(cfg, budgets, core.SolveEnumerateContext)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +109,7 @@ func TestOracleMatchesREAP(t *testing.T) {
 }
 
 func TestRegionAnnotation(t *testing.T) {
-	sim := defaultSim()
-	res, err := sim.Run(REAPPolicy{}, []float64{0.05, 2, 6, 11})
+	res, err := Replay(core.DefaultConfig(), []float64{0.05, 2, 6, 11}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,5 +118,75 @@ func TestRegionAnnotation(t *testing.T) {
 		if h.Region != want[i] {
 			t.Errorf("hour %d: region %v, want %v", i, h.Region, want[i])
 		}
+	}
+}
+
+func TestClosedLoopValidation(t *testing.T) {
+	if _, err := Run(nil, []float64{1}, 0, 0); err == nil {
+		t.Fatal("nil controller accepted")
+	}
+	ctrl, err := core.NewController(core.DefaultConfig(), 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(ctrl, []float64{1, -1}, 0, 0); err == nil {
+		t.Fatal("negative harvest accepted")
+	}
+}
+
+func TestClosedLoopPlanOnly(t *testing.T) {
+	ctrl, err := core.NewController(core.DefaultConfig(), 5, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := solar.September2015()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(ctrl, tr.Hours[:72], 0.03, 9) // three days
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Hours) != 72 {
+		t.Fatalf("%d hours", len(res.Hours))
+	}
+	for i, h := range res.Hours {
+		if h.Battery < 0 || h.Battery > 50 {
+			t.Fatalf("hour %d: battery %v out of bounds", i, h.Battery)
+		}
+	}
+	if last := res.Hours[len(res.Hours)-1].Battery; last != ctrl.Battery() {
+		t.Fatalf("last recorded battery %v, controller holds %v", last, ctrl.Battery())
+	}
+	if res.TotalActiveTime() <= 0 {
+		t.Fatal("device never active across three September days")
+	}
+}
+
+func TestClosedLoopSurvivesMonth(t *testing.T) {
+	ctrl, err := core.NewController(core.DefaultConfig(), 20, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := solar.September2015()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(ctrl, tr.Hours, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Hours) != len(tr.Hours) {
+		t.Fatal("length mismatch")
+	}
+	// Over a sunny month the device must be active most daylight hours.
+	activeHours := 0
+	for _, h := range res.Hours {
+		if h.ActiveTime > 0 {
+			activeHours++
+		}
+	}
+	if activeHours < 200 {
+		t.Fatalf("only %d active hours in September", activeHours)
 	}
 }

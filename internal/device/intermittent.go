@@ -59,12 +59,13 @@ func (c *Capacitor) Charge() float64 { return c.charge }
 // On reports whether the device is powered.
 func (c *Capacitor) On() bool { return c.on }
 
-// step advances one hour: harvest flows in (minus what the hour's plan
-// consumed), leakage flows out, hysteresis updates the power state.
-func (c *Capacitor) step(harvested, consumed float64) {
+// step advances one period of the given length (s): harvest flows in
+// (minus what the period's plan consumed), leakage flows out, hysteresis
+// updates the power state.
+func (c *Capacitor) step(harvested, consumed, period float64) {
 	c.charge += harvested - consumed
-	// Hour-scale leakage, proportional to the (mean) state of charge.
-	c.charge -= c.LeakWattsPerJoule * c.charge * 3600
+	// Leakage over the period, proportional to the (mean) state of charge.
+	c.charge -= c.LeakWattsPerJoule * c.charge * period
 	c.charge = math.Max(0, math.Min(c.CapacityJ, c.charge))
 	if c.on && c.charge <= c.TurnOffJ {
 		c.on = false
@@ -94,7 +95,7 @@ func (d *IntermittentDevice) Run(harvest []float64) (*RunResult, error) {
 	if err := d.Cap.Validate(); err != nil {
 		return nil, err
 	}
-	res := &RunResult{Policy: "REAP-intermittent"}
+	res := &RunResult{}
 	for _, h := range harvest {
 		var alloc core.Allocation
 		var consumed float64
@@ -114,16 +115,8 @@ func (d *IntermittentDevice) Run(harvest []float64) (*RunResult, error) {
 				Dead:   d.Cfg.Period,
 			}
 		}
-		d.Cap.step(h, consumed)
-		res.Hours = append(res.Hours, HourRecord{
-			Budget:           h,
-			Alloc:            alloc,
-			Consumed:         consumed,
-			ExpectedAccuracy: alloc.ExpectedAccuracy(d.Cfg),
-			ActiveTime:       alloc.ActiveTime(),
-			Objective:        alloc.Objective(d.Cfg),
-			Region:           core.Classify(d.Cfg, h),
-		})
+		d.Cap.step(h, consumed, d.Cfg.Period)
+		res.add(d.Cfg, h, alloc, consumed, d.Cap.Charge())
 	}
 	return res, nil
 }

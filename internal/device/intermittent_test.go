@@ -1,6 +1,7 @@
 package device
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -31,22 +32,22 @@ func TestCapacitorHysteresis(t *testing.T) {
 		t.Fatal("capacitor starts on with no charge")
 	}
 	// Charge past turn-on.
-	c.step(1.5, 0)
+	c.step(1.5, 0, 3600)
 	if !c.On() {
 		t.Fatalf("not on at %v J (turn-on %v)", c.Charge(), c.TurnOnJ)
 	}
 	// Drain to between the thresholds: must stay on (hysteresis).
-	c.step(0, c.Charge()-0.5)
+	c.step(0, c.Charge()-0.5, 3600)
 	if !c.On() {
 		t.Fatal("turned off inside the hysteresis band")
 	}
 	// Drain below turn-off: off.
-	c.step(0, c.Charge()-0.1)
+	c.step(0, c.Charge()-0.1, 3600)
 	if c.On() {
 		t.Fatalf("still on at %v J (turn-off %v)", c.Charge(), c.TurnOffJ)
 	}
 	// Small recharge below turn-on: stays off.
-	c.step(0.5, 0)
+	c.step(0.5, 0, 3600)
 	if c.On() {
 		t.Fatal("turned on below the turn-on threshold")
 	}
@@ -54,18 +55,42 @@ func TestCapacitorHysteresis(t *testing.T) {
 
 func TestCapacitorLeakageAndClamps(t *testing.T) {
 	c := DefaultCapacitor()
-	c.step(100, 0) // overcharge clamps at capacity
+	c.step(100, 0, 3600) // overcharge clamps at capacity
 	if c.Charge() > c.CapacityJ {
 		t.Fatalf("charge %v above capacity", c.Charge())
 	}
 	before := c.Charge()
-	c.step(0, 0)
+	c.step(0, 0, 3600)
 	if c.Charge() >= before {
 		t.Fatal("no leakage over an idle hour")
 	}
-	c.step(0, 100) // over-drain clamps at zero
+	c.step(0, 100, 3600) // over-drain clamps at zero
 	if c.Charge() < 0 {
 		t.Fatal("negative charge")
+	}
+}
+
+// TestCapacitorLeaksOverPeriod checks that leakage scales with the
+// configured period: an idle half-hour leaks half what an idle hour
+// leaks from the same charge.
+func TestCapacitorLeaksOverPeriod(t *testing.T) {
+	leak := func(period float64) float64 {
+		cfg := core.DefaultConfig()
+		cfg.Period = period
+		c := DefaultCapacitor()
+		c.charge = 0.9 // below turn-on: the device stays off and only leaks
+		d := &IntermittentDevice{Cfg: cfg, Cap: c}
+		if _, err := d.Run([]float64{0}); err != nil {
+			t.Fatal(err)
+		}
+		return 0.9 - c.Charge()
+	}
+	hour, half := leak(3600), leak(1800)
+	if hour <= 0 {
+		t.Fatalf("no leakage over an idle hour: %v", hour)
+	}
+	if math.Abs(half-hour/2) > 1e-12 {
+		t.Fatalf("idle 1800 s step leaked %v J, want half of the hour's %v J", half, hour)
 	}
 }
 
@@ -97,14 +122,13 @@ func TestIntermittentDeviceOverSolarMonth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := &ClosedLoop{Controller: ctl}
-	outs, err := cl.Run(tr.Hours)
+	batteryRun, err := Run(ctl, tr.Hours, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batteryActive := 0
-	for _, o := range outs {
-		if o.ActiveTime > 0 {
+	for _, h := range batteryRun.Hours {
+		if h.ActiveTime > 0 {
 			batteryActive++
 		}
 	}

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -54,53 +55,43 @@ type RecedingHorizon struct {
 	Forecast  Forecaster
 }
 
-// Run executes the policy over the true hourly harvest sequence and
-// returns per-hour records (budgets are the planner's energy spend).
+// Run executes the planner over the true hourly harvest sequence and
+// returns per-hour records whose budget is the true harvest. The battery
+// lives in a core.Controller whose solve hook plans the horizon from the
+// controller's charge and returns the first hour.
 func (rh *RecedingHorizon) Run(harvest []float64) (*RunResult, error) {
-	if err := rh.Cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if rh.Forecast == nil {
 		return nil, fmt.Errorf("device: receding horizon needs a forecaster")
 	}
 	if rh.Horizon <= 0 {
 		rh.Horizon = 24
 	}
-	if rh.CapacityJ < 0 || rh.BatteryJ < 0 || rh.BatteryJ > rh.CapacityJ+1e-9 {
-		return nil, fmt.Errorf("device: battery state %v/%v invalid", rh.BatteryJ, rh.CapacityJ)
+	ctl, err := core.NewController(rh.Cfg, rh.BatteryJ, rh.CapacityJ)
+	if err != nil {
+		return nil, err
 	}
-	battery := rh.BatteryJ
-	res := &RunResult{Policy: "lookahead"}
+	var forecast []float64
+	ctl.SetSolveFunc(func(_ context.Context, cfg core.Config, _ float64) (core.Allocation, error) {
+		plan, err := core.Lookahead(cfg, ctl.Battery(), rh.CapacityJ, forecast)
+		if err != nil {
+			return core.Allocation{}, err
+		}
+		return plan.Allocations[0], nil
+	})
+	res := &RunResult{}
 	for _, actual := range harvest {
-		forecast := rh.Forecast.Predict(rh.Horizon)
+		forecast = rh.Forecast.Predict(rh.Horizon)
 		// The first planned hour uses the actual harvest (now known to
 		// the harvesting circuitry as it arrives); later hours use the
 		// forecast. This mirrors how the controller would experience it.
 		if len(forecast) > 0 {
 			forecast[0] = actual
 		}
-		plan, err := core.Lookahead(rh.Cfg, battery, rh.CapacityJ, forecast)
+		alloc, err := ctl.Step(actual)
 		if err != nil {
 			return nil, err
 		}
-		alloc := plan.Allocations[0]
-		spent := alloc.Energy(rh.Cfg)
-		battery = battery + actual - spent
-		if battery > rh.CapacityJ {
-			battery = rh.CapacityJ
-		}
-		if battery < 0 {
-			battery = 0
-		}
-		res.Hours = append(res.Hours, HourRecord{
-			Budget:           actual,
-			Alloc:            alloc,
-			Consumed:         spent,
-			ExpectedAccuracy: alloc.ExpectedAccuracy(rh.Cfg),
-			ActiveTime:       alloc.ActiveTime(),
-			Objective:        alloc.Objective(rh.Cfg),
-			Region:           core.Classify(rh.Cfg, actual),
-		})
+		res.add(rh.Cfg, actual, alloc, alloc.Energy(rh.Cfg), ctl.Battery())
 		if err := rh.Forecast.Observe(actual); err != nil {
 			return nil, err
 		}

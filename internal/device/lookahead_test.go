@@ -66,8 +66,7 @@ func TestRecedingHorizonBanksForTheNight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := &Simulator{Cfg: cfg}
-	greedy, err := sim.Run(REAPPolicy{}, harvest)
+	greedy, err := Replay(cfg, harvest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +110,15 @@ func TestRecedingHorizonWithEWMAOnSolar(t *testing.T) {
 	}
 	if consumed > harvested+1e-6 {
 		t.Fatalf("consumed %v exceeds harvested %v", consumed, harvested)
+	}
+	// The battery follows the settle recursion inside its capacity.
+	prev := 0.0
+	for i, h := range res.Hours {
+		want := math.Min(200, math.Max(0, prev+tr.Hours[i]-h.Consumed))
+		if h.Battery < 0 || h.Battery > 200 || math.Abs(h.Battery-want) > 1e-9 {
+			t.Fatalf("hour %d: battery %v, recursion gives %v", i, h.Battery, want)
+		}
+		prev = h.Battery
 	}
 	if res.TotalActiveTime() <= 0 {
 		t.Fatal("never active in a September week")

@@ -60,8 +60,7 @@ func AblationOn(cfg core.Config, budgets []float64) (*AblationResult, error) {
 			}
 			sub.DPs = append(sub.DPs, cfg.DPs[i])
 		}
-		sim := &device.Simulator{Cfg: sub}
-		run, err := sim.Run(device.REAPPolicy{}, budgets)
+		run, err := device.Replay(sub, budgets, nil)
 		if err != nil {
 			return nil, err
 		}

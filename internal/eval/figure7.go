@@ -54,14 +54,13 @@ func Figure7On(cfg core.Config, tr *solar.Trace, alphas []float64) (*Figure7Resu
 	for _, alpha := range alphas {
 		c := cfg
 		c.Alpha = alpha
-		sim := &device.Simulator{Cfg: c}
-		reap, err := sim.Run(device.REAPPolicy{}, budgets)
+		reap, err := device.Replay(c, budgets, nil)
 		if err != nil {
 			return nil, err
 		}
 		for _, name := range []string{"DP1", "DP3", "DP5"} {
 			idx := Figure7Baselines[name]
-			static, err := sim.Run(device.StaticPolicy{Index: idx}, budgets)
+			static, err := device.Replay(c, budgets, device.Static(idx))
 			if err != nil {
 				return nil, err
 			}

@@ -52,16 +52,15 @@ func Placement(cfg core.Config) (*PlacementResult, error) {
 			return nil, err
 		}
 		budgets := solar.GreedyAllocator{}.Budgets(tr.Hours)
-		sim := &device.Simulator{Cfg: cfg}
-		reap, err := sim.Run(device.REAPPolicy{}, budgets)
+		reap, err := device.Replay(cfg, budgets, nil)
 		if err != nil {
 			return nil, err
 		}
-		dp1, err := sim.Run(device.StaticPolicy{Index: 0}, budgets)
+		dp1, err := device.Replay(cfg, budgets, device.Static(0))
 		if err != nil {
 			return nil, err
 		}
-		dp5, err := sim.Run(device.StaticPolicy{Index: len(cfg.DPs) - 1}, budgets)
+		dp5, err := device.Replay(cfg, budgets, device.Static(len(cfg.DPs)-1))
 		if err != nil {
 			return nil, err
 		}

@@ -55,14 +55,9 @@ func Storage(cfg core.Config) (*StorageResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		cl := &device.ClosedLoop{Controller: ctl}
-		outs, err := cl.Run(tr.Hours)
+		run, err := device.Run(ctl, tr.Hours, 0, 0)
 		if err != nil {
 			return nil, err
-		}
-		run := &device.RunResult{Policy: batt.name}
-		for _, o := range outs {
-			run.Hours = append(run.Hours, o.HourRecord)
 		}
 		res.addRun(batt.name, run)
 	}

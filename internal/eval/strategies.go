@@ -52,15 +52,14 @@ func StrategiesOn(cfg core.Config, harvest []float64) (*StrategiesResult, error)
 	const capacity = 200.0
 	res := &StrategiesResult{}
 
-	sim := &device.Simulator{Cfg: cfg}
-	greedy, err := sim.Run(device.REAPPolicy{}, solar.GreedyAllocator{}.Budgets(harvest))
+	greedy, err := device.Replay(cfg, solar.GreedyAllocator{}.Budgets(harvest), nil)
 	if err != nil {
 		return nil, err
 	}
 	res.add("greedy (no battery)", greedy)
 
 	batAlloc := solar.BatteryAllocator{CapacityJ: capacity, InitialJ: 0, HorizonHours: 24, Efficiency: 0.9}
-	battery, err := sim.Run(device.REAPPolicy{}, batAlloc.Budgets(harvest))
+	battery, err := device.Replay(cfg, batAlloc.Budgets(harvest), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -44,12 +44,11 @@ func Tilt(cfg core.Config) (*TiltResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim := &device.Simulator{Cfg: cfg}
-		flatRun, err := sim.Run(device.REAPPolicy{}, flatTr.Hours)
+		flatRun, err := device.Replay(cfg, flatTr.Hours, nil)
 		if err != nil {
 			return nil, err
 		}
-		tiltRun, err := sim.Run(device.REAPPolicy{}, tiltTr.Hours)
+		tiltRun, err := device.Replay(cfg, tiltTr.Hours, nil)
 		if err != nil {
 			return nil, err
 		}
