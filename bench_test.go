@@ -240,12 +240,9 @@ func BenchmarkSolvePlan100DPs(b *testing.B) {
 }
 
 // BenchmarkControllerStep measures one closed-loop hour: budget folding,
-// LP solve and accounting.
+// plan solve and accounting.
 func BenchmarkControllerStep(b *testing.B) {
-	ctl, err := core.NewController(DefaultConfig(), 20, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ctl := newTestController(b, DefaultConfig(), 20, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		alloc, err := ctl.Step(4.5)
@@ -532,10 +529,7 @@ func BenchmarkMonthClosedLoop(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctl, err := core.NewController(DefaultConfig(), 20, 100)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ctl := newTestController(b, DefaultConfig(), 20, 100)
 		for _, h := range tr.Hours {
 			alloc, err := ctl.Step(h)
 			if err != nil {

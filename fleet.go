@@ -57,10 +57,6 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	if err := s.apply(opts); err != nil {
 		return nil, err
 	}
-	solver, err := s.resolveSolver()
-	if err != nil {
-		return nil, err
-	}
 	f := &Fleet{
 		ctls:    make([]*Controller, n),
 		workers: s.workers,
@@ -68,7 +64,7 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 		started: make([]bool, n),
 	}
 	for i := range f.ctls {
-		ds, dSolver := s, solver
+		ds := s
 		if s.deviceOverride != nil {
 			// Copy the fleet-wide settings and refine them with the
 			// device's own options. The copy shares the design-point slice
@@ -78,19 +74,12 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 			if err := dv.apply(s.deviceOverride(i)); err != nil {
 				return nil, fmt.Errorf("device %d: %w", i, err)
 			}
-			if dSolver, err = dv.resolveSolver(); err != nil {
-				return nil, fmt.Errorf("device %d: %w", i, err)
-			}
 			ds = &dv
 		}
-		ctl, err := core.NewController(ds.cfg, ds.batteryJ, ds.capacityJ)
-		if err == nil {
-			// Devices sharing a configuration share one compiled plan
-			// (the plan backend memoizes per fingerprint); a compiled
-			// core.Plan is immutable and safe for the whole fleet to
-			// solve on concurrently.
-			err = wireSolver(ctl, dSolver)
-		}
+		// Devices sharing a configuration share one compiled plan (the
+		// plan backend memoizes per fingerprint); a compiled core.Plan is
+		// immutable and safe for the whole fleet to solve on concurrently.
+		ctl, err := ds.newController()
 		if err != nil {
 			if s.deviceOverride != nil {
 				err = fmt.Errorf("device %d: %w", i, err)

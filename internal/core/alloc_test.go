@@ -52,17 +52,7 @@ func TestPlanShadowPriceZeroAllocs(t *testing.T) {
 
 func TestStepIntoOnPlanZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig()
-	ct, err := NewController(cfg, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPlan(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ct.SetPlan(p); err != nil {
-		t.Fatal(err)
-	}
+	ct := newTestController(t, cfg, 0, 0)
 	ctx := context.Background()
 	var dst Allocation
 	if err := ct.StepInto(ctx, 1.0, &dst); err != nil { // warm dst.Active

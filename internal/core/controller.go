@@ -36,27 +36,30 @@ type Controller struct {
 	lastBudget  float64
 	steps       int
 
-	// solve is the optimizer backend; when nil, plan answers solves if
-	// set, and SolveContext (simplex) otherwise.
-	solve SolveFunc
-	// plan is the compiled parametric solver for cfg; the zero-allocation
-	// fast path of StepInto. Kept in sync with cfg by SetAlpha.
+	// plan is the compiled parametric solver for cfg, which answers
+	// every solve unless a solve hook is set; StepInto's zero-allocation
+	// path. Kept in sync with cfg by SetAlpha.
 	plan *Plan
+	// solve, when set, replaces the plan as the optimizer backend.
+	solve SolveFunc
 }
 
-// NewController creates a runtime controller. batteryJ is the initial
-// battery charge and capacityJ its capacity, both in joules; a zero
-// capacity models the battery-less class of harvesting devices (any
+// NewController creates a runtime controller that solves on p, the plan
+// compiled from cfg. cfg is kept as given, so a plan shared between
+// configurations that differ only in design-point names (see
+// Config.Fingerprint) still reports the caller's names. batteryJ is the
+// initial battery charge and capacityJ its capacity, both in joules; a
+// zero capacity models the battery-less class of harvesting devices (any
 // surplus is lost).
-func NewController(cfg Config, batteryJ, capacityJ float64) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+func NewController(cfg Config, p *Plan, batteryJ, capacityJ float64) (*Controller, error) {
+	if p == nil || p.Config().Fingerprint() != cfg.Fingerprint() {
+		return nil, fmt.Errorf("%w: controller needs the plan compiled from its configuration", ErrInvalidConfig)
 	}
 	if capacityJ < 0 || batteryJ < 0 || batteryJ > capacityJ+1e-9 ||
 		math.IsNaN(batteryJ) || math.IsNaN(capacityJ) {
 		return nil, fmt.Errorf("%w: battery state %v/%v", ErrInvalidConfig, batteryJ, capacityJ)
 	}
-	return &Controller{cfg: cfg, battery: batteryJ, capacityJ: capacityJ}, nil
+	return &Controller{cfg: cfg, plan: p, battery: batteryJ, capacityJ: capacityJ}, nil
 }
 
 // Config returns the controller's current configuration.
@@ -72,42 +75,26 @@ func (ct *Controller) Steps() int { return ct.steps }
 func (ct *Controller) LastBudget() float64 { return ct.lastBudget }
 
 // SetAlpha changes the accuracy/active-time emphasis for subsequent
-// periods, modelling a user-preference update at runtime. A controller
-// running on a compiled plan recompiles it, since the plan's envelope
-// depends on α.
+// periods, modelling a user-preference update at runtime. The plan is
+// recompiled, since its envelope depends on α.
 func (ct *Controller) SetAlpha(alpha float64) error {
 	if alpha < 0 || math.IsNaN(alpha) {
 		return fmt.Errorf("%w: alpha %v must be non-negative", ErrInvalidConfig, alpha)
 	}
 	ct.cfg.Alpha = alpha
-	if ct.plan != nil {
-		p, err := NewPlan(ct.cfg)
-		if err != nil {
-			return err
-		}
-		ct.plan = p
-	}
-	return nil
-}
-
-// SetSolveFunc selects the optimizer backend used by subsequent Steps; a
-// nil fn restores the default path (the compiled plan when one is set,
-// simplex otherwise). Not safe for concurrent use with Step — configure
-// the controller before starting its period loop.
-func (ct *Controller) SetSolveFunc(fn SolveFunc) { ct.solve = fn }
-
-// SetPlan installs a compiled parametric plan as the controller's
-// allocation-free solve path, used whenever no SolveFunc is set. The
-// plan must be compiled from the controller's exact configuration; a
-// nil plan clears the fast path. Like SetSolveFunc, not safe for
-// concurrent use with Step.
-func (ct *Controller) SetPlan(p *Plan) error {
-	if p != nil && p.Config().Fingerprint() != ct.cfg.Fingerprint() {
-		return fmt.Errorf("%w: plan compiled for a different configuration", ErrInvalidConfig)
+	p, err := NewPlan(ct.cfg)
+	if err != nil {
+		return err
 	}
 	ct.plan = p
 	return nil
 }
+
+// SetSolveFunc installs fn as the optimizer backend of subsequent Steps
+// in place of the controller's plan; a nil fn removes the hook, so the
+// plan answers again. Not safe for concurrent use with Step — configure
+// the controller before starting its period loop.
+func (ct *Controller) SetSolveFunc(fn SolveFunc) { ct.solve = fn }
 
 // Step plans the next activity period. harvested is the energy (J) the
 // harvesting subsystem expects to collect during the period. The budget
@@ -127,11 +114,11 @@ func (ct *Controller) StepContext(ctx context.Context, harvested float64) (Alloc
 }
 
 // StepInto is StepContext writing the schedule into dst, the buffer-
-// reusing form for closed loops: on a controller with a compiled plan
-// (and no SolveFunc) a steady-state step allocates nothing, because the
-// plan solves straight into dst's existing Active slice. dst's previous
-// contents are fully overwritten; on error the controller commits no
-// state and dst is reset to the zero Allocation.
+// reusing form for closed loops: without a solve hook a steady-state
+// step allocates nothing, because the plan solves straight into dst's
+// existing Active slice. dst's previous contents are fully overwritten;
+// on error the controller commits no state and dst is reset to the zero
+// Allocation.
 //
 //reap:hotpath
 func (ct *Controller) StepInto(ctx context.Context, harvested float64, dst *Allocation) error {
@@ -143,30 +130,22 @@ func (ct *Controller) StepInto(ctx context.Context, harvested float64, dst *Allo
 	if budget < 0 {
 		budget = 0
 	}
-	switch {
-	case ct.solve != nil:
+	if ct.solve != nil {
 		alloc, err := ct.solve(ctx, ct.cfg, budget)
 		if err != nil {
 			*dst = Allocation{}
 			return err
 		}
 		*dst = alloc
-	case ct.plan != nil:
-		if err := ctx.Err(); err != nil {
-			*dst = Allocation{}
-			return err
+	} else {
+		err := ctx.Err()
+		if err == nil {
+			err = ct.plan.SolveInto(budget, dst)
 		}
-		if err := ct.plan.SolveInto(budget, dst); err != nil {
-			*dst = Allocation{}
-			return err
-		}
-	default:
-		alloc, err := SolveContext(ctx, ct.cfg, budget)
 		if err != nil {
 			*dst = Allocation{}
 			return err
 		}
-		*dst = alloc
 	}
 	ct.lastBudget = budget
 	ct.carry = 0
@@ -227,7 +206,7 @@ func (ct *Controller) State() ControllerState {
 // Restore overwrites the controller's mutable state with a snapshot
 // taken by State on a controller with the same configuration and
 // battery capacity. An alpha differing from the current configuration
-// re-runs SetAlpha (recompiling a configured plan); invalid values are
+// re-runs SetAlpha (recompiling the plan); invalid values are
 // rejected without committing anything.
 func (ct *Controller) Restore(st ControllerState) error {
 	if st.BatteryJ < 0 || st.BatteryJ > ct.capacityJ+1e-9 ||

@@ -13,10 +13,7 @@ import (
 // same future harvests.
 func TestStateRestoreRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
-	live, err := NewController(cfg, 30, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := newTestController(t, cfg, 30, 100)
 	// Drive some history: steps, a consumption report, an alpha change.
 	for _, h := range []float64{2, 5, 0.5} {
 		if _, err := live.Step(h); err != nil {
@@ -33,10 +30,7 @@ func TestStateRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := NewController(cfg, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := newTestController(t, cfg, 0, 100)
 	if err := restored.Restore(live.State()); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -69,10 +63,7 @@ func TestStateRestoreRoundTrip(t *testing.T) {
 }
 
 func TestRestoreRejectsInvalidState(t *testing.T) {
-	ctl, err := NewController(DefaultConfig(), 10, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctl := newTestController(t, DefaultConfig(), 10, 100)
 	bad := []ControllerState{
 		{BatteryJ: -1, Alpha: 1},
 		{BatteryJ: 101, Alpha: 1},        // over capacity
@@ -93,26 +84,15 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 	}
 }
 
-// TestRestoreRecompilesPlan checks the alpha path: a controller running
-// on a compiled plan restored to a different alpha must solve under the
-// new alpha, matching a controller configured that way from scratch.
+// TestRestoreRecompilesPlan checks the alpha path: a controller restored
+// to a different alpha must solve under the new alpha, matching a
+// controller configured that way from scratch.
 func TestRestoreRecompilesPlan(t *testing.T) {
 	cfg := DefaultConfig()
 	withPlan := func(alpha float64) *Controller {
 		c := cfg
 		c.Alpha = alpha
-		ctl, err := NewController(c, 20, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := NewPlan(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ctl.SetPlan(p); err != nil {
-			t.Fatal(err)
-		}
-		return ctl
+		return newTestController(t, c, 20, 100)
 	}
 	restored := withPlan(1)
 	st := ControllerState{BatteryJ: 20, Alpha: 0.25}

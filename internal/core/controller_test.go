@@ -7,21 +7,39 @@ import (
 	"testing"
 )
 
-func TestControllerValidation(t *testing.T) {
-	if _, err := NewController(Config{}, 0, 0); err == nil {
-		t.Fatal("empty config accepted")
-	}
-	c := DefaultConfig()
-	if _, err := NewController(c, 5, 1); err == nil {
-		t.Fatal("charge above capacity accepted")
-	}
-	if _, err := NewController(c, -1, 1); err == nil {
-		t.Fatal("negative charge accepted")
-	}
-	ct, err := NewController(c, 1, 10)
+// newTestController builds a controller on the plan compiled from cfg.
+func newTestController(t *testing.T, cfg Config, batteryJ, capacityJ float64) *Controller {
+	t.Helper()
+	p, err := NewPlan(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ct, err := NewController(cfg, p, batteryJ, capacityJ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ct
+}
+
+func TestControllerValidation(t *testing.T) {
+	c := DefaultConfig()
+	p, err := NewPlan(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewController(Config{}, p, 0, 0); err == nil {
+		t.Fatal("empty config accepted")
+	}
+	if _, err := NewController(c, nil, 0, 0); err == nil {
+		t.Fatal("nil plan accepted")
+	}
+	if _, err := NewController(c, p, 5, 1); err == nil {
+		t.Fatal("charge above capacity accepted")
+	}
+	if _, err := NewController(c, p, -1, 1); err == nil {
+		t.Fatal("negative charge accepted")
+	}
+	ct := newTestController(t, c, 1, 10)
 	if err := ct.SetAlpha(-1); err == nil {
 		t.Fatal("negative alpha accepted")
 	}
@@ -40,10 +58,7 @@ func TestControllerBatteryNeutralOperation(t *testing.T) {
 	// Harvest exactly what DP5 needs every hour; the controller must keep
 	// the device fully active and the battery level must not drift.
 	c := DefaultConfig()
-	ct, err := NewController(c, 5, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := newTestController(t, c, 5, 20)
 	harvest := c.DPs[4].EnergyPerPeriod(c.Period) // 4.32 J
 	for hour := 0; hour < 48; hour++ {
 		alloc, err := ct.Step(harvest)
@@ -69,10 +84,7 @@ func TestControllerBatteryNeutralOperation(t *testing.T) {
 
 func TestControllerNightDrainsBattery(t *testing.T) {
 	c := DefaultConfig()
-	ct, err := NewController(c, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := newTestController(t, c, 10, 10)
 	// No harvest: the controller spends battery, which monotonically
 	// drains to zero across successive nights.
 	prev := ct.Battery()
@@ -106,10 +118,7 @@ func TestControllerReportFeedback(t *testing.T) {
 	// If the device under-consumes (e.g. user docked it), the surplus must
 	// carry into the next period's budget.
 	c := DefaultConfig()
-	ct, err := NewController(c, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := newTestController(t, c, 0, 100)
 	a1, err := ct.Step(5)
 	if err != nil {
 		t.Fatal(err)
@@ -136,10 +145,7 @@ func TestControllerReportFeedback(t *testing.T) {
 // MaxFloat64 would drive the carry to -Inf, a state no snapshot can
 // hold meaningfully. The second is refused and changes nothing.
 func TestControllerReportRefusesCarryOverflow(t *testing.T) {
-	ct, err := NewController(DefaultConfig(), 10, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := newTestController(t, DefaultConfig(), 10, 100)
 	if _, err := ct.Step(5); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +153,7 @@ func TestControllerReportRefusesCarryOverflow(t *testing.T) {
 		t.Fatalf("first report: %v", err)
 	}
 	before := ct.State()
-	err = ct.Report(1e308)
+	err := ct.Report(1e308)
 	if !errors.Is(err, ErrBudgetNegative) {
 		t.Fatalf("second report: err %v, want ErrBudgetNegative", err)
 	}
@@ -167,10 +173,7 @@ func TestControllerReportRefusesCarryOverflow(t *testing.T) {
 
 func TestControllerSetAlphaChangesPlan(t *testing.T) {
 	c := DefaultConfig()
-	ct, err := NewController(c, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := newTestController(t, c, 0, 0)
 	a1, err := ct.Step(5)
 	if err != nil {
 		t.Fatal(err)

@@ -15,9 +15,12 @@
 // (Equations 1–4 of the paper). The exponent α trades active time (α < 1)
 // against accuracy (α > 1); α = 1 maximizes the expected accuracy.
 //
-// Two independent solvers are provided: the simplex-based Solve, which is
-// the paper's Algorithm 1, and SolveEnumerate, a closed-form vertex
-// enumeration that is valid because the LP has only two structural
-// constraints (so an optimal basic solution mixes at most two states).
-// They are cross-checked against each other in the test suite.
+// Three solvers compute the optimum. A Plan (NewPlan) compiles a
+// configuration into its piecewise-linear budget→value envelope once,
+// and every Controller solves on one. The simplex-based SolveContext is
+// the paper's Algorithm 1, and SolveEnumerateContext a closed-form
+// vertex enumeration that is valid because the LP has only two
+// structural constraints (so an optimal basic solution mixes at most two
+// states); they are the independent oracles the plan is cross-checked
+// against.
 package core

@@ -12,7 +12,7 @@ import (
 // pairs with ErrInvalidConfig), so callers classify failures with
 // errors.Is instead of string matching:
 //
-//	_, err := core.Solve(cfg, budget)
+//	_, err := core.SolveContext(ctx, cfg, budget)
 //	switch {
 //	case errors.Is(err, core.ErrBudgetNegative): // caller bug
 //	case errors.Is(err, core.ErrInvalidConfig):  // bad design points etc.

@@ -33,8 +33,8 @@ func (h *fnv64) f64(v float64) { h.u64(math.Float64bits(v)) }
 // hash distinctly.
 //
 // The root package's plan backend memoizes compiled plans by this
-// fingerprint, and Controller.SetPlan uses it to refuse a plan compiled
-// for another configuration. A 64-bit hash makes a cross-configuration
+// fingerprint, and NewController uses it to refuse a plan compiled for
+// another configuration. A 64-bit hash makes a cross-configuration
 // collision astronomically unlikely (~2⁻⁶⁴ per pair), not impossible;
 // callers needing hard isolation between configurations should compile
 // their own plans.

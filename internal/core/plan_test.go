@@ -302,25 +302,14 @@ func TestPlanErrorsAndDegenerates(t *testing.T) {
 }
 
 // TestControllerPlanFastPath pins the controller's zero-allocation solve
-// path: a controller with a compiled plan steps identically to the
-// simplex default, recompiles on SetAlpha, and rejects mismatched plans.
+// path: a controller on its compiled plan steps identically to one whose
+// SolveContext hook runs the simplex, recompiles on SetAlpha, keeps the
+// caller's design-point names, and NewController rejects mismatched plans.
 func TestControllerPlanFastPath(t *testing.T) {
 	cfg := DefaultConfig()
-	planned, err := NewController(cfg, 20, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPlan(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := planned.SetPlan(p); err != nil {
-		t.Fatal(err)
-	}
-	reference, err := NewController(cfg, 20, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	planned := newTestController(t, cfg, 20, 100)
+	reference := newTestController(t, cfg, 20, 100)
+	reference.SetSolveFunc(SolveContext)
 	for step, h := range []float64{0, 0.5, 3, 9, 30, 1, 0} {
 		a, err := planned.Step(h)
 		if err != nil {
@@ -361,15 +350,27 @@ func TestControllerPlanFastPath(t *testing.T) {
 		t.Fatalf("after SetAlpha(2): plan objective diverges from simplex by %g", d)
 	}
 
-	// A plan compiled from a different configuration is rejected.
-	other := DefaultConfig()
-	other.Alpha = 3
-	op, err := NewPlan(other)
+	// A plan serves every configuration that differs only in names, and
+	// the controller reports the caller's names.
+	p, err := NewPlan(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := planned.SetPlan(op); err == nil {
-		t.Fatal("SetPlan accepted a plan for a different configuration")
+	renamed := DefaultConfig()
+	renamed.DPs[0].Name = "renamed"
+	ct, err := NewController(renamed, p, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ct.Config().DPs[0].Name; got != "renamed" {
+		t.Fatalf("controller reports design point %q, want the caller's name", got)
+	}
+
+	// A plan compiled from a different configuration is rejected.
+	other := DefaultConfig()
+	other.Alpha = 3
+	if _, err := NewController(other, p, 0, 0); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("NewController with a plan for a different configuration: err %v, want ErrInvalidConfig", err)
 	}
 }
 

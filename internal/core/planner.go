@@ -27,25 +27,27 @@ type Schedule struct {
 // an LP:
 //
 //	maximize   (1/(K·TP)) Σ_k Σ_i aᵢ^α t[k,i]
-//	subject to Σ_i t[k,i] + t_off[k] = TP                         ∀k
-//	           b[k+1] = b[k] + h[k] − Σ_i Pᵢ t[k,i] − P_off t_off[k] ∀k
-//	           0 ≤ b[k] ≤ capacity,  b[0] = battery0,  t ≥ 0
+//	subject to Σ_i t[k,i] + t_off[k] + t_dead[k] = TP                       ∀k
+//	           b[k+1] = b[k] + h[k] − Σ_i Pᵢ t[k,i] − P_off t_off[k] − s[k] ∀k
+//	           0 ≤ b[k] ≤ capacity,  b[0] = battery0,  t, s ≥ 0
 //
 // Storage round-trip losses are not modelled (they would make the dynamics
 // non-linear); DESIGN.md documents the simplification.
 //
-// Unlike the single-period LP, each hour also carries an explicit dead
-// variable (zero power, zero objective): a schedule may let the device
-// die partway through a lean hour instead of banking energy just to pay
-// that hour's idle floor. This keeps the joint problem feasible for any
-// harvest sequence — including total blackouts — and makes its optimum
-// genuinely dominate every myopic schedule. A myopic fallback remains as
-// a defensive path should the solver ever fail numerically.
+// Unlike the single-period LP, each hour carries two extra columns. The
+// dead variable t_dead (zero power, zero objective) lets a schedule die
+// partway through a lean hour instead of banking energy just to pay that
+// hour's idle floor. The spill s[k] is harvest the full battery cannot
+// absorb, which an hour may otherwise be unable to draw. Together they
+// keep the joint problem feasible for any finite, non-negative harvest
+// sequence, and its optimum dominates every myopic schedule. A solver
+// status other than optimal is returned as an error.
 func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Schedule, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if battery0 < 0 || capacity < 0 || battery0 > capacity+1e-9 {
+	if battery0 < 0 || capacity < 0 || battery0 > capacity+1e-9 ||
+		math.IsNaN(battery0) || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
 		return nil, fmt.Errorf("%w: battery state %v/%v invalid", ErrInvalidConfig, battery0, capacity)
 	}
 	k := len(forecast)
@@ -53,7 +55,7 @@ func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Sched
 		return &Schedule{Battery: []float64{battery0}}, nil
 	}
 	for _, h := range forecast {
-		if h < 0 || math.IsNaN(h) {
+		if h < 0 || math.IsNaN(h) || math.IsInf(h, 0) {
 			return nil, fmt.Errorf("%w: forecast value %v", ErrBudgetNegative, h)
 		}
 	}
@@ -61,15 +63,17 @@ func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Sched
 	n := len(c.DPs)
 	perHour := n + 2 // t[k,0..n-1], t_off[k], t_dead[k]
 	// Variable layout: k*perHour + i for times, then battery levels
-	// b[1..k] at offset k*perHour (b[0] is the constant battery0).
+	// b[1..k] at offset nt (b[0] is the constant battery0), then the
+	// spills s[0..k-1] at offset nt+k.
 	nt := k * perHour
-	nv := nt + k
+	nv := nt + 2*k
 
+	// Scaled like SolveContext's objective row; the optimum does not
+	// depend on the scale.
+	weights := c.scaledWeights(make([]float64, n))
 	obj := make([]float64, nv)
 	for kk := 0; kk < k; kk++ {
-		for i := 0; i < n; i++ {
-			obj[kk*perHour+i] = c.weight(i) / (float64(k) * c.Period)
-		}
+		copy(obj[kk*perHour:], weights)
 	}
 
 	var cons []lp.Constraint
@@ -81,7 +85,7 @@ func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Sched
 		}
 		cons = append(cons, lp.Constraint{Coeffs: row, Op: lp.EQ, RHS: c.Period})
 	}
-	// Battery dynamics: b[kk+1] + spend[kk] - b[kk] = h[kk].
+	// Battery dynamics: b[kk+1] + spend[kk] + s[kk] - b[kk] = h[kk].
 	for kk := 0; kk < k; kk++ {
 		row := make([]float64, nv)
 		for i := 0; i < n; i++ {
@@ -89,6 +93,7 @@ func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Sched
 		}
 		row[kk*perHour+n] = c.POff // t_dead draws nothing
 		row[nt+kk] = 1             // b[kk+1]
+		row[nt+k+kk] = 1           // s[kk]
 		rhs := forecast[kk]
 		if kk == 0 {
 			rhs += battery0
@@ -109,9 +114,7 @@ func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Sched
 		return nil, err
 	}
 	if sol.Status != lp.Optimal {
-		// The dead variables keep the LP feasible, so only a numerical
-		// failure lands here: fall back to myopic planning.
-		return lookaheadMyopic(c, battery0, capacity, forecast)
+		return nil, fmt.Errorf("core: lookahead solver terminated early: %w", solveStatusError(sol.Status))
 	}
 
 	plan := &Schedule{Battery: []float64{battery0}}
@@ -130,29 +133,5 @@ func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Sched
 		sumJ += a.Objective(c)
 	}
 	plan.Objective = sumJ / float64(k)
-	return plan, nil
-}
-
-// lookaheadMyopic degrades gracefully should the joint LP fail
-// numerically: each hour steps a Controller that holds the battery, so
-// every hour is planned with Solve against harvest plus whatever the
-// battery holds, exactly as at runtime.
-func lookaheadMyopic(c Config, battery0, capacity float64, forecast []float64) (*Schedule, error) {
-	ctl, err := NewController(c, battery0, capacity)
-	if err != nil {
-		return nil, err
-	}
-	plan := &Schedule{Battery: []float64{battery0}}
-	var sumJ float64
-	for _, h := range forecast {
-		alloc, err := ctl.Step(h)
-		if err != nil {
-			return nil, err
-		}
-		plan.Allocations = append(plan.Allocations, alloc)
-		plan.Battery = append(plan.Battery, ctl.Battery())
-		sumJ += alloc.Objective(c)
-	}
-	plan.Objective = sumJ / float64(len(forecast))
 	return plan, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -19,6 +20,89 @@ func TestLookaheadValidation(t *testing.T) {
 	plan, err := Lookahead(c, 3, 10, nil)
 	if err != nil || len(plan.Allocations) != 0 || plan.Battery[0] != 3 {
 		t.Fatalf("empty horizon: %+v err %v", plan, err)
+	}
+}
+
+// TestLookaheadRejectsNonFinite: a NaN battery or capacity, an infinite
+// capacity and an infinite forecast are refused with the package's
+// sentinels before they reach the LP.
+func TestLookaheadRejectsNonFinite(t *testing.T) {
+	c := DefaultConfig()
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bc := range [][2]float64{{nan, 10}, {0, nan}, {0, inf}, {inf, inf}} {
+		if _, err := Lookahead(c, bc[0], bc[1], []float64{1}); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("battery %v/%v: err %v, want ErrInvalidConfig", bc[0], bc[1], err)
+		}
+	}
+	for _, h := range []float64{inf, nan, -1} {
+		if _, err := Lookahead(c, 0, 10, []float64{1, h}); !errors.Is(err, ErrBudgetNegative) {
+			t.Errorf("forecast %v: err %v, want ErrBudgetNegative", h, err)
+		}
+	}
+}
+
+// TestLookaheadSpillsSurplus: an hour that harvests more than it can
+// draw plus the battery's headroom spills the rest, which without a
+// spill column would make the joint LP infeasible. From an empty 20 J
+// battery, a 40 J hour runs DP1 for the whole hour and banks 20 J, and
+// the three dark hours share it.
+func TestLookaheadSpillsSurplus(t *testing.T) {
+	c := DefaultConfig()
+	plan, err := Lookahead(c, 0, 20, []float64{40, 0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlan(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := p.Solve(c.MaxUsefulBudget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dark, err := p.Solve(20.0 / 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := (full.Objective(c) + 3*dark.Objective(c)) / 4
+	if !approx(plan.Objective, want, 1e-9*want) {
+		t.Fatalf("horizon objective %.9f, want %.9f", plan.Objective, want)
+	}
+	if b := plan.Battery[1]; !approx(b, 20, 1e-6) {
+		t.Fatalf("battery after the surplus hour %v, want it full at 20", b)
+	}
+}
+
+// TestLookaheadScaledObjective: with a zero-capacity battery every hour
+// stands alone, and its optimum is the plan of the same configuration
+// with a zero off power (the lookahead may let the device die instead
+// of idling). At α = 0.025 the unscaled weights aᵢ^α/(K·TP) differ by
+// less than the simplex's absolute tolerance, so only a scaled
+// objective reaches this optimum.
+func TestLookaheadScaledObjective(t *testing.T) {
+	c := DefaultConfig()
+	c.Alpha = 0.025
+	harvest := []float64{6.5, 8, 3.5}
+	plan, err := Lookahead(c, 0, 0, harvest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := c
+	free.POff = 0
+	p, err := NewPlan(free)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	for _, h := range harvest {
+		a, err := p.Solve(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += a.Objective(free) / float64(len(harvest))
+	}
+	if !approx(plan.Objective, want, 1e-9*want) {
+		t.Fatalf("horizon objective %.9f, want %.9f", plan.Objective, want)
 	}
 }
 
@@ -104,7 +188,6 @@ func TestLookaheadDarkStretchFallsBack(t *testing.T) {
 	// Nothing harvested and nothing stored: the idle floor cannot be
 	// paid, but the explicit dead variables keep the joint LP feasible,
 	// so the LP itself must plan dead time rather than fail.
-	// TestLookaheadMyopic covers the myopic fallback path.
 	c := DefaultConfig()
 	plan, err := Lookahead(c, 0, 10, []float64{0, 0, 0})
 	if err != nil {
@@ -123,54 +206,6 @@ func TestLookaheadDarkStretchFallsBack(t *testing.T) {
 	}
 	if plan.Objective != 0 {
 		t.Fatalf("objective %v in a blackout", plan.Objective)
-	}
-}
-
-// TestLookaheadMyopic drives the fallback planner directly: one
-// allocation per hour, a battery inside [0, capacity] that follows the
-// settle recursion, and dead time once a blackout has drained it.
-func TestLookaheadMyopic(t *testing.T) {
-	c := DefaultConfig()
-	const capacity = 10.0
-	harvest := []float64{20, 8, 0, 0, 0, 3, 0}
-	plan, err := lookaheadMyopic(c, 2, capacity, harvest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Allocations) != len(harvest) || len(plan.Battery) != len(harvest)+1 {
-		t.Fatalf("%d allocations and %d battery levels for %d hours",
-			len(plan.Allocations), len(plan.Battery), len(harvest))
-	}
-	if plan.Battery[0] != 2 {
-		t.Fatalf("initial battery %v, want 2", plan.Battery[0])
-	}
-	var sumJ float64
-	dark := 0
-	for k, a := range plan.Allocations {
-		b := plan.Battery[k+1]
-		if b < 0 || b > capacity {
-			t.Fatalf("hour %d: battery %v outside [0, %v]", k, b, capacity)
-		}
-		want := math.Min(capacity, math.Max(0, plan.Battery[k]+harvest[k]-a.Energy(c)))
-		if math.Abs(b-want) > 1e-9 {
-			t.Fatalf("hour %d: battery %v, recursion gives %v", k, b, want)
-		}
-		if harvest[k] == 0 && plan.Battery[k] == 0 {
-			dark++
-			if a.ActiveTime() != 0 || a.Dead <= 0 {
-				t.Fatalf("hour %d: active %v, dead %v in a drained blackout", k, a.ActiveTime(), a.Dead)
-			}
-		}
-		sumJ += a.Objective(c)
-	}
-	if dark == 0 {
-		t.Fatal("no blackout hour started with a drained battery")
-	}
-	if b := plan.Battery[1]; b != capacity {
-		t.Fatalf("surplus hour left battery %v, want it full at %v", b, capacity)
-	}
-	if math.Abs(plan.Objective-sumJ/float64(len(harvest))) > 1e-12 {
-		t.Fatalf("objective %v, hourly mean %v", plan.Objective, sumJ/float64(len(harvest)))
 	}
 }
 

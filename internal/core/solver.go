@@ -46,23 +46,12 @@ func SolveContext(ctx context.Context, c Config, budget float64) (Allocation, er
 
 	n := len(c.DPs)
 	// Variables: t_1..t_N, t_off. The weight vector is computed once up
-	// front so math.Pow stays out of the row-building loop. It is scaled
-	// so the largest weight is 1: the optimal vertex does not depend on
-	// the scale, but the simplex compares reduced costs with an absolute
-	// tolerance, and raw weights aᵢ^α/TP fall near it at large α (0.2⁸/TP
-	// is ~10⁻⁹), where the pivots stopped short of the optimum.
+	// front so math.Pow stays out of the row-building loop.
 	obj := make([]float64, n+1)
-	c.weightVector(obj[:n])
-	wmax := 0.0
-	for _, w := range obj[:n] {
-		wmax = math.Max(wmax, w)
-	}
+	c.scaledWeights(obj[:n])
 	timeRow := make([]float64, n+1)
 	energyRow := make([]float64, n+1)
 	for i := 0; i < n; i++ {
-		if wmax > 0 {
-			obj[i] /= wmax
-		}
 		timeRow[i] = 1
 		energyRow[i] = c.DPs[i].Power
 	}
@@ -86,6 +75,26 @@ func SolveContext(ctx context.Context, c Config, budget float64) (Allocation, er
 	alloc := Allocation{Active: sol.X[:n:n], Off: sol.X[n]}
 	clampAllocation(&alloc, c)
 	return alloc, nil
+}
+
+// scaledWeights fills dst (len(c.DPs) long) with the objective weights
+// aᵢ^α scaled so the largest is 1, the objective row of every simplex
+// solve. The optimal vertex does not depend on the scale, but the
+// simplex compares reduced costs with an absolute tolerance, and raw
+// weights aᵢ^α/TP fall near it at large α (0.2⁸/TP is ~10⁻⁹), where the
+// pivots stopped short of the optimum.
+func (c Config) scaledWeights(dst []float64) []float64 {
+	c.weightVector(dst)
+	wmax := 0.0
+	for _, w := range dst {
+		wmax = math.Max(wmax, w)
+	}
+	if wmax > 0 {
+		for i := range dst {
+			dst[i] /= wmax
+		}
+	}
+	return dst
 }
 
 // SolveEnumerate computes the same optimum by direct vertex enumeration.

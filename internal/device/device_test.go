@@ -8,6 +8,20 @@ import (
 	"repro/internal/solar"
 )
 
+// newTestController builds a controller on the plan compiled from cfg.
+func newTestController(t *testing.T, cfg core.Config, batteryJ, capacityJ float64) *core.Controller {
+	t.Helper()
+	p, err := core.NewPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := core.NewController(cfg, p, batteryJ, capacityJ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctl
+}
+
 func TestSimulatorValidation(t *testing.T) {
 	if _, err := Replay(core.Config{}, []float64{1}, nil); err == nil {
 		t.Fatal("invalid config accepted")
@@ -87,23 +101,32 @@ func TestSimulatorHourRecordsConsistent(t *testing.T) {
 	}
 }
 
-// TestOracleMatchesREAP replays the same budgets on the enumeration
-// solver, showing the replay is solver-agnostic.
+// TestOracleMatchesREAP replays the same budgets on the plan (a nil
+// hook) and on the simplex and enumeration oracles: the replay is
+// solver-agnostic, and the plan agrees with both at every α tried.
 func TestOracleMatchesREAP(t *testing.T) {
-	cfg := core.DefaultConfig()
 	budgets := []float64{0.5, 2, 4.5, 7, 9.9, 11}
-	a, err := Replay(cfg, budgets, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Replay(cfg, budgets, core.SolveEnumerateContext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Hours {
-		if math.Abs(a.Hours[i].Objective-b.Hours[i].Objective) > 1e-9 {
-			t.Fatalf("hour %d: simplex J %v != enumeration J %v",
-				i, a.Hours[i].Objective, b.Hours[i].Objective)
+	for _, alpha := range []float64{0, 1, 8} {
+		cfg := core.DefaultConfig()
+		cfg.Alpha = alpha
+		plan, err := Replay(cfg, budgets, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, hook := range map[string]core.SolveFunc{
+			"simplex":     core.SolveContext,
+			"enumeration": core.SolveEnumerateContext,
+		} {
+			oracle, err := Replay(cfg, budgets, hook)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range plan.Hours {
+				if math.Abs(plan.Hours[i].Objective-oracle.Hours[i].Objective) > 1e-9 {
+					t.Fatalf("α=%v hour %d: plan J %v != %s J %v",
+						alpha, i, plan.Hours[i].Objective, name, oracle.Hours[i].Objective)
+				}
+			}
 		}
 	}
 }
@@ -125,20 +148,14 @@ func TestClosedLoopValidation(t *testing.T) {
 	if _, err := Run(nil, []float64{1}, 0, 0); err == nil {
 		t.Fatal("nil controller accepted")
 	}
-	ctrl, err := core.NewController(core.DefaultConfig(), 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctrl := newTestController(t, core.DefaultConfig(), 0, 10)
 	if _, err := Run(ctrl, []float64{1, -1}, 0, 0); err == nil {
 		t.Fatal("negative harvest accepted")
 	}
 }
 
 func TestClosedLoopPlanOnly(t *testing.T) {
-	ctrl, err := core.NewController(core.DefaultConfig(), 5, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctrl := newTestController(t, core.DefaultConfig(), 5, 50)
 	tr, err := solar.September2015()
 	if err != nil {
 		t.Fatal(err)
@@ -164,10 +181,7 @@ func TestClosedLoopPlanOnly(t *testing.T) {
 }
 
 func TestClosedLoopSurvivesMonth(t *testing.T) {
-	ctrl, err := core.NewController(core.DefaultConfig(), 20, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctrl := newTestController(t, core.DefaultConfig(), 20, 100)
 	tr, err := solar.September2015()
 	if err != nil {
 		t.Fatal(err)

@@ -86,7 +86,8 @@ type IntermittentDevice struct {
 
 // Run simulates the hourly harvest sequence and returns per-hour records.
 func (d *IntermittentDevice) Run(harvest []float64) (*RunResult, error) {
-	if err := d.Cfg.Validate(); err != nil {
+	p, err := core.NewPlan(d.Cfg)
+	if err != nil {
 		return nil, err
 	}
 	if d.Cap == nil {
@@ -101,7 +102,7 @@ func (d *IntermittentDevice) Run(harvest []float64) (*RunResult, error) {
 		var consumed float64
 		if d.Cap.On() {
 			budget := math.Max(0, d.Cap.Charge()-d.Cap.TurnOffJ) + h
-			a, err := core.Solve(d.Cfg, budget)
+			a, err := p.Solve(budget)
 			if err != nil {
 				return nil, err
 			}

@@ -118,10 +118,7 @@ func TestIntermittentDeviceOverSolarMonth(t *testing.T) {
 	}
 	// Compare with a battery-backed controller on the same trace: the
 	// battery device must observe strictly more hours.
-	ctl, err := core.NewController(core.DefaultConfig(), 20, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctl := newTestController(t, core.DefaultConfig(), 20, 100)
 	batteryRun, err := Run(ctl, tr.Hours, 0, 0)
 	if err != nil {
 		t.Fatal(err)

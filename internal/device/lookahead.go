@@ -66,7 +66,11 @@ func (rh *RecedingHorizon) Run(harvest []float64) (*RunResult, error) {
 	if rh.Horizon <= 0 {
 		rh.Horizon = 24
 	}
-	ctl, err := core.NewController(rh.Cfg, rh.BatteryJ, rh.CapacityJ)
+	p, err := core.NewPlan(rh.Cfg)
+	if err != nil {
+		return nil, err
+	}
+	ctl, err := core.NewController(rh.Cfg, p, rh.BatteryJ, rh.CapacityJ)
 	if err != nil {
 		return nil, err
 	}
@@ -81,12 +85,13 @@ func (rh *RecedingHorizon) Run(harvest []float64) (*RunResult, error) {
 	res := &RunResult{}
 	for _, actual := range harvest {
 		forecast = rh.Forecast.Predict(rh.Horizon)
+		if len(forecast) == 0 {
+			return nil, fmt.Errorf("device: forecaster predicted no hours for a %d-hour horizon", rh.Horizon)
+		}
 		// The first planned hour uses the actual harvest (now known to
 		// the harvesting circuitry as it arrives); later hours use the
 		// forecast. This mirrors how the controller would experience it.
-		if len(forecast) > 0 {
-			forecast[0] = actual
-		}
+		forecast[0] = actual
 		alloc, err := ctl.Step(actual)
 		if err != nil {
 			return nil, err

@@ -43,6 +43,21 @@ func TestRecedingHorizonValidation(t *testing.T) {
 	}
 }
 
+// silentForecaster predicts no hours at all.
+type silentForecaster struct{}
+
+func (silentForecaster) Observe(float64) error { return nil }
+func (silentForecaster) Predict(int) []float64 { return nil }
+
+// TestRecedingHorizonEmptyForecast: a forecaster that predicts nothing
+// is an error, not an index out of range.
+func TestRecedingHorizonEmptyForecast(t *testing.T) {
+	rh := &RecedingHorizon{Cfg: core.DefaultConfig(), CapacityJ: 10, Forecast: silentForecaster{}}
+	if _, err := rh.Run([]float64{1, 2}); err == nil {
+		t.Fatal("an empty forecast was accepted")
+	}
+}
+
 func TestRecedingHorizonBanksForTheNight(t *testing.T) {
 	// Two days of square-wave sun. The oracle lookahead must achieve
 	// strictly more total objective than greedy myopic REAP, because it

@@ -34,11 +34,12 @@ func AlphaGrid(cfg core.Config) (*AlphaGridResult, error) {
 	for _, alpha := range res.Alphas {
 		c := cfg
 		c.Alpha = alpha
-		if err := c.Validate(); err != nil {
+		plan, err := core.NewPlan(c)
+		if err != nil {
 			return nil, err
 		}
 		for _, budget := range res.Budgets {
-			alloc, err := core.Solve(c, budget)
+			alloc, err := plan.Solve(budget)
 			if err != nil {
 				return nil, err
 			}

@@ -40,7 +40,8 @@ type DayInLifeResult struct {
 // cfg.DPs (as produced by har.Characterize + har.CoreConfig).
 func DayInLife(cfg core.Config, models []*har.Model, user synth.UserProfile,
 	dayBudget []float64, seed int64) (*DayInLifeResult, error) {
-	if err := cfg.Validate(); err != nil {
+	plan, err := core.NewPlan(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if len(models) != len(cfg.DPs) {
@@ -63,7 +64,7 @@ func DayInLife(cfg core.Config, models []*har.Model, user synth.UserProfile,
 	var activeHours int
 	totalSeen, totalWindows, totalCorrect := 0, 0, 0
 	for hour := 0; hour < 24; hour++ {
-		alloc, err := core.Solve(cfg, dayBudget[hour])
+		alloc, err := plan.Solve(dayBudget[hour])
 		if err != nil {
 			return nil, err
 		}

@@ -37,13 +37,14 @@ func Figure5(cfg core.Config, step float64) (*Figure5Result, error) {
 		step = 0.1
 	}
 	cfg.Alpha = 1
-	if err := cfg.Validate(); err != nil {
+	plan, err := core.NewPlan(cfg)
+	if err != nil {
 		return nil, err
 	}
 	res := &Figure5Result{Cfg: cfg}
 	max := cfg.MaxUsefulBudget() * 1.08
 	for budget := cfg.MinBudget(); budget <= max; budget += step {
-		alloc, err := core.Solve(cfg, budget)
+		alloc, err := plan.Solve(budget)
 		if err != nil {
 			return nil, err
 		}

@@ -36,13 +36,14 @@ func FigureAlpha(cfg core.Config, alpha, step float64) (*Figure6Result, error) {
 		step = 0.1
 	}
 	cfg.Alpha = alpha
-	if err := cfg.Validate(); err != nil {
+	plan, err := core.NewPlan(cfg)
+	if err != nil {
 		return nil, err
 	}
 	res := &Figure6Result{Cfg: cfg, Alpha: alpha}
 	max := cfg.MaxUsefulBudget() * 1.08
 	for budget := cfg.MinBudget() + 1e-9; budget <= max; budget += step {
-		alloc, err := core.Solve(cfg, budget)
+		alloc, err := plan.Solve(budget)
 		if err != nil {
 			return nil, err
 		}

@@ -36,7 +36,8 @@ type HeadlineResult struct {
 // saturation).
 func Headline(cfg core.Config) (*HeadlineResult, error) {
 	cfg.Alpha = 1
-	if err := cfg.Validate(); err != nil {
+	plan, err := core.NewPlan(cfg)
+	if err != nil {
 		return nil, err
 	}
 	res := &HeadlineResult{}
@@ -49,7 +50,7 @@ func Headline(cfg core.Config) (*HeadlineResult, error) {
 
 	max := cfg.MaxUsefulBudget()
 	for budget := 0.3; budget < max; budget += 0.05 {
-		alloc, err := core.Solve(cfg, budget)
+		alloc, err := plan.Solve(budget)
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,8 @@ type StorageResult struct {
 // Storage runs the comparison.
 func Storage(cfg core.Config) (*StorageResult, error) {
 	cfg.Alpha = 1
-	if err := cfg.Validate(); err != nil {
+	plan, err := core.NewPlan(cfg)
+	if err != nil {
 		return nil, err
 	}
 	tr, err := solar.September2015()
@@ -51,7 +52,7 @@ func Storage(cfg core.Config) (*StorageResult, error) {
 		{"20 J battery + controller", 20},
 		{"100 J battery + controller", 100},
 	} {
-		ctl, err := core.NewController(cfg, batt.capacity/2, batt.capacity)
+		ctl, err := core.NewController(cfg, plan, batt.capacity/2, batt.capacity)
 		if err != nil {
 			return nil, err
 		}

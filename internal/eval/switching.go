@@ -27,12 +27,13 @@ type SwitchingResult struct {
 // Switching sweeps representative budgets across the three regions.
 func Switching(cfg core.Config) (*SwitchingResult, error) {
 	cfg.Alpha = 1
-	if err := cfg.Validate(); err != nil {
+	plan, err := core.NewPlan(cfg)
+	if err != nil {
 		return nil, err
 	}
 	res := &SwitchingResult{}
 	for _, budget := range []float64{1, 2, 3, 4.5, 5, 6, 7, 8, 9, 9.9} {
-		alloc, err := core.Solve(cfg, budget)
+		alloc, err := plan.Solve(budget)
 		if err != nil {
 			return nil, err
 		}

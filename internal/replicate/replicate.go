@@ -99,9 +99,11 @@ func (m Message) Encode() []byte {
 	return buf
 }
 
-// Decode parses a stream-frame payload. Unknown formats, unknown
-// kinds, truncated varints and trailing bytes on payload-less kinds
-// all fail with ErrBadFrame.
+// Decode parses a stream-frame payload. It accepts only the bytes
+// Encode writes, so every accepted payload re-encodes to itself:
+// unknown formats, unknown kinds, truncated or non-minimal varints,
+// flag bits beyond bit 0 and trailing bytes on payload-less kinds all
+// fail with ErrBadFrame.
 func Decode(p []byte) (Message, error) {
 	if len(p) < 2 {
 		return Message{}, fmt.Errorf("%w: %d bytes", ErrBadFrame, len(p))
@@ -111,20 +113,20 @@ func Decode(p []byte) (Message, error) {
 	}
 	m := Message{Kind: p[1]}
 	rest := p[2:]
-	epoch, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return Message{}, fmt.Errorf("%w: truncated epoch", ErrBadFrame)
+	var err error
+	if m.Epoch, rest, err = readUvarint(rest, "epoch"); err != nil {
+		return Message{}, err
 	}
-	rest = rest[n:]
-	seq, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return Message{}, fmt.Errorf("%w: truncated seq", ErrBadFrame)
+	if m.Seq, rest, err = readUvarint(rest, "seq"); err != nil {
+		return Message{}, err
 	}
-	rest = rest[n:]
 	if len(rest) < 1 {
 		return Message{}, fmt.Errorf("%w: missing flags", ErrBadFrame)
 	}
-	m.Epoch, m.Seq, m.Bootstrap = epoch, seq, rest[0]&1 != 0
+	if rest[0] > 1 {
+		return Message{}, fmt.Errorf("%w: unknown flag bits %#x", ErrBadFrame, rest[0])
+	}
+	m.Bootstrap = rest[0] == 1
 	rest = rest[1:]
 	switch m.Kind {
 	case KindHello, KindHeartbeat:
@@ -137,6 +139,20 @@ func Decode(p []byte) (Message, error) {
 		return Message{}, fmt.Errorf("%w: unknown kind %d", ErrBadFrame, m.Kind)
 	}
 	return m, nil
+}
+
+// readUvarint reads one uvarint field of a frame in its minimal form,
+// the only one Encode writes: a padded varint (a final 0x00 group)
+// decodes to the same value from other bytes.
+func readUvarint(p []byte, field string) (uint64, []byte, error) {
+	v, n := binary.Uvarint(p)
+	if n <= 0 {
+		return 0, nil, fmt.Errorf("%w: truncated %s", ErrBadFrame, field)
+	}
+	if n > 1 && p[n-1] == 0 {
+		return 0, nil, fmt.Errorf("%w: non-minimal %s varint % x", ErrBadFrame, field, p[:n])
+	}
+	return v, p[n:], nil
 }
 
 // epochFile is the fencing token's home, beside the journal segments

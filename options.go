@@ -18,7 +18,6 @@ type Option func(*settings) error
 type settings struct {
 	cfg        Config
 	solverName string
-	solver     Solver
 	batteryJ   float64
 	capacityJ  float64
 	workers    int
@@ -42,15 +41,6 @@ func (s *settings) apply(opts []Option) error {
 		}
 	}
 	return nil
-}
-
-// resolveSolver returns the configured backend: an explicit
-// WithSolverBackend wins, otherwise the named registry entry.
-func (s *settings) resolveSolver() (Solver, error) {
-	if s.solver != nil {
-		return s.solver, nil
-	}
-	return LookupSolver(s.solverName)
 }
 
 // WithConfig replaces the whole configuration, for callers that already
@@ -115,21 +105,6 @@ func WithSolver(name string) Option {
 			return err
 		}
 		s.solverName = name
-		s.solver = nil
-		return nil
-	}
-}
-
-// WithSolverBackend installs an unregistered Solver directly, bypassing
-// the registry — useful for tests and for decorators (metrics, fault
-// injection) that wrap a registered backend. NewConfig ignores this
-// option.
-func WithSolverBackend(s Solver) Option {
-	return func(st *settings) error {
-		if s == nil {
-			return fmt.Errorf("%w: nil solver backend", ErrInvalidConfig)
-		}
-		st.solver = s
 		return nil
 	}
 }
@@ -227,34 +202,29 @@ func New(opts ...Option) (*Controller, error) {
 	if err := s.apply(opts); err != nil {
 		return nil, err
 	}
-	ctl, err := core.NewController(s.cfg, s.batteryJ, s.capacityJ)
-	if err != nil {
-		return nil, err
-	}
-	solver, err := s.resolveSolver()
-	if err != nil {
-		return nil, err
-	}
-	if err := wireSolver(ctl, solver); err != nil {
-		return nil, err
-	}
-	return ctl, nil
+	return s.newController()
 }
 
-// wireSolver installs a resolved backend on the controller — NewFleet
-// resolves once per fleet (or per overridden device). The plan backend
-// hands the controller the compiled core.Plan directly (SetPlan), so its
-// steady-state step solves with zero allocations instead of
-// round-tripping each solve through the Solver interface; any other
-// backend installs as the controller's SolveFunc.
-func wireSolver(ctl *Controller, solver Solver) error {
-	if pb, ok := solver.(*planBackend); ok {
-		p, err := pb.planFor(ctl.Config())
-		if err != nil {
-			return err
-		}
-		return ctl.SetPlan(p)
+// newController builds one session from resolved settings. Every
+// controller holds the memoized plan compiled from its configuration,
+// so on the plan backend its steady-state step solves with zero
+// allocations; any other backend installs as the controller's
+// SolveFunc.
+func (s *settings) newController() (*Controller, error) {
+	p, err := plans.planFor(s.cfg)
+	if err != nil {
+		return nil, err
 	}
-	ctl.SetSolveFunc(solver.Solve)
-	return nil
+	ctl, err := core.NewController(s.cfg, p, s.batteryJ, s.capacityJ)
+	if err != nil {
+		return nil, err
+	}
+	if s.solverName != SolverPlan {
+		solver, err := LookupSolver(s.solverName)
+		if err != nil {
+			return nil, err
+		}
+		ctl.SetSolveFunc(solver.Solve)
+	}
+	return ctl, nil
 }

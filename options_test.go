@@ -87,7 +87,6 @@ func TestOptionValidation(t *testing.T) {
 		"negative period":  WithPeriod(-3600),
 		"negative poff":    WithOffPower(-1),
 		"no design points": WithDesignPoints(),
-		"nil backend":      WithSolverBackend(nil),
 		"bad battery":      WithBattery(10, 5),
 		"negative battery": WithBattery(-1, 5),
 		"bad workers":      WithWorkers(-1),
@@ -108,10 +107,8 @@ func TestNewDefaultSessionMatchesLegacyController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := core.NewController(DefaultConfig(), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy := newTestController(t, DefaultConfig(), 0, 0)
+	legacy.SetSolveFunc(core.SolveContext)
 	for _, h := range []float64{0.1, 2, 5, 8, 12} {
 		a, err := ctl.Step(h)
 		if err != nil {
@@ -123,6 +120,23 @@ func TestNewDefaultSessionMatchesLegacyController(t *testing.T) {
 		}
 		if math.Abs(a.Objective(ctl.Config())-b.Objective(legacy.Config())) > 1e-12 {
 			t.Fatalf("New() and NewController diverge at %v J", h)
+		}
+	}
+}
+
+// TestNewKeepsDesignPointNames: configurations that differ only in
+// design-point names share one memoized plan, and each session still
+// reports its caller's names.
+func TestNewKeepsDesignPointNames(t *testing.T) {
+	renamed := DefaultConfig()
+	renamed.DPs[0].Name = "renamed"
+	for _, cfg := range []Config{DefaultConfig(), renamed} {
+		ctl, err := New(WithConfig(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ctl.Config().DPs[0].Name, cfg.DPs[0].Name; got != want {
+			t.Fatalf("session reports design point %q, want %q", got, want)
 		}
 	}
 }
@@ -145,12 +159,14 @@ func TestNewWithEnumerateBackend(t *testing.T) {
 }
 
 func TestNewWithCustomBackend(t *testing.T) {
+	registerHookedSolver(t)
 	calls := 0
 	spy := SolverFunc(func(ctx context.Context, cfg Config, budget float64) (Allocation, error) {
 		calls++
 		return LookupSolverMust(t, SolverSimplex).Solve(ctx, cfg, budget)
 	})
-	ctl, err := New(WithSolverBackend(spy))
+	hookedSolve.Store(&spy)
+	ctl, err := New(WithSolver(hookedSolverName))
 	if err != nil {
 		t.Fatal(err)
 	}

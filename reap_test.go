@@ -55,12 +55,23 @@ func TestPublicAPIRegions(t *testing.T) {
 	}
 }
 
+// newTestController builds a controller on the plan compiled from cfg.
+func newTestController(tb testing.TB, cfg Config, batteryJ, capacityJ float64) *Controller {
+	tb.Helper()
+	p, err := core.NewPlan(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctl, err := core.NewController(cfg, p, batteryJ, capacityJ)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ctl
+}
+
 func TestPublicAPIController(t *testing.T) {
 	cfg := DefaultConfig()
-	ctl, err := core.NewController(cfg, 10, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctl := newTestController(t, cfg, 10, 50)
 	alloc, err := ctl.Step(4)
 	if err != nil {
 		t.Fatal(err)

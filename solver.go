@@ -57,10 +57,14 @@ var solverRegistry = struct {
 	m map[string]Solver
 }{m: map[string]Solver{}}
 
+// plans is the registered plan backend, whose memo also supplies the
+// plan every controller New and NewFleet build holds.
+var plans = &planBackend{}
+
 func init() {
 	mustRegisterSolver(SolverSimplex, SolverFunc(core.SolveContext))
 	mustRegisterSolver(SolverEnumerate, SolverFunc(core.SolveEnumerateContext))
-	mustRegisterSolver(SolverPlan, &planBackend{})
+	mustRegisterSolver(SolverPlan, plans)
 }
 
 // planBackend adapts core.Plan to the Solver interface: it memoizes one
