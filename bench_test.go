@@ -195,7 +195,7 @@ func BenchmarkSolveEnumerate5DPs(b *testing.B) {
 
 // BenchmarkSolvePlan5DPs measures the compiled parametric backend at
 // the paper's operating point, through the public registry (compile
-// amortized across calls by the backend's fingerprint memo).
+// amortized across calls by the core.PlanFor fingerprint memo).
 func BenchmarkSolvePlan5DPs(b *testing.B) {
 	ctx := context.Background()
 	cfg := DefaultConfig()

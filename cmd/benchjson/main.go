@@ -20,11 +20,22 @@
 // machine and core count produced it — allocation counts of pooled
 // benchmarks depend on the latter. Input mixing several -cpu values is
 // rejected, since their entries would collide.
+//
+// With -baseline FILE, benchjson also gates the run against a committed
+// document such as BENCH_solve.json, after printing its own. A row
+// present in both that allocates more per op fails the run (exit
+// status 1): at a fixed -cpu, allocs/op is a property of the code. A
+// row that got slower or allocates more bytes per op only warns, since
+// ns/op follows the host and B/op the GC. Both documents must come
+// from the same core count.
+//
+//	go test -run '^$' -cpu 1 -benchmem -bench . . | benchjson -baseline BENCH_solve.json
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"log"
 	"os"
@@ -57,6 +68,8 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
+	baseline := flag.String("baseline", "", "committed document to gate against (more allocs/op fails; slower ns/op or more B/op warns)")
+	flag.Parse()
 	doc := document{Benchmarks: map[string]result{}}
 	cpus := ""
 	sc := bufio.NewScanner(os.Stdin)
@@ -116,4 +129,64 @@ func main() {
 	}
 	sort.Strings(names)
 	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks (%s ... %s)\n", len(names), names[0], names[len(names)-1])
+
+	if *baseline != "" {
+		failed, err := compare(doc, names, *baseline)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if failed > 0 {
+			log.Fatalf("%d benchmark(s) allocate more per op than %s", failed, *baseline)
+		}
+	}
+}
+
+// compare checks the rows of doc, in names order, against the document
+// at path. It warns on stderr about each row that got slower or
+// allocates more bytes, reports each that allocates more often, and
+// returns the number of the latter.
+func compare(doc document, names []string, path string) (int, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	var base document
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return 0, fmt.Errorf("%s: %w", path, err)
+	}
+	if got, want := cpus(doc), cpus(base); got != want {
+		return 0, fmt.Errorf("this run has %q and %s has %q: allocation counts compare only at one core count", got, path, want)
+	}
+	compared, failed := 0, 0
+	for _, name := range names {
+		cur := doc.Benchmarks[name]
+		old, ok := base.Benchmarks[name]
+		if !ok {
+			continue
+		}
+		compared++
+		if cur.AllocsPerOp != nil && old.AllocsPerOp != nil && *cur.AllocsPerOp > *old.AllocsPerOp {
+			fmt.Fprintf(os.Stderr, "benchjson: FAIL %s: %.0f allocs/op, baseline %.0f\n", name, *cur.AllocsPerOp, *old.AllocsPerOp)
+			failed++
+		}
+		if cur.NsPerOp > old.NsPerOp {
+			fmt.Fprintf(os.Stderr, "benchjson: warn %s: %.0f ns/op, baseline %.0f (+%.0f%%)\n",
+				name, cur.NsPerOp, old.NsPerOp, 100*(cur.NsPerOp/old.NsPerOp-1))
+		}
+		if cur.BytesPerOp != nil && old.BytesPerOp != nil && *cur.BytesPerOp > *old.BytesPerOp {
+			fmt.Fprintf(os.Stderr, "benchjson: warn %s: %.0f B/op, baseline %.0f\n", name, *cur.BytesPerOp, *old.BytesPerOp)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: %d rows compared with %s, %d allocate more\n", compared, path, failed)
+	return failed, nil
+}
+
+// cpus returns the "cpus: N" line of a document's context.
+func cpus(doc document) string {
+	for _, line := range doc.Context {
+		if strings.HasPrefix(line, "cpus: ") {
+			return line
+		}
+	}
+	return ""
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	reapd [-addr :8080] [-devices 1024] [-shards 8]
-//	      [-battery 0] [-capacity 0] [-solver plan]
+//	      [-battery 0] [-capacity 0]
 //	      [-rate 0] [-burst 0] [-drain-timeout 30s]
 //	      [-journal DIR] [-fsync interval] [-fsync-interval 100ms]
 //	      [-snapshot-every 4096] [-retain-segments 4]
@@ -79,7 +79,6 @@ func main() {
 	shards := flag.Int("shards", 0, "fleet shards (0 = min(devices, 8))")
 	battery := flag.Float64("battery", 0, "per-device initial battery charge in J")
 	capacity := flag.Float64("capacity", 0, "per-device battery capacity in J")
-	solver := flag.String("solver", "", "solver backend (default: compiled plan)")
 	rate := flag.Float64("rate", 0, "per-tenant admitted solves/second (0 = unlimited)")
 	burst := flag.Int("burst", 0, "admission burst (0 = max(rate, 1))")
 	drainTimeout := flag.Duration("drain-timeout", 30e9, "grace period for in-flight work on SIGTERM")
@@ -102,7 +101,6 @@ func main() {
 		Shards:          *shards,
 		BatteryJ:        *battery,
 		CapacityJ:       *capacity,
-		Solver:          *solver,
 		RatePerSec:      *rate,
 		Burst:           *burst,
 		JournalDir:      *journalDir,

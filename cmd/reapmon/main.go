@@ -90,7 +90,7 @@ func run(w io.Writer, args []string) error {
 			return err
 		}
 		for i, h := range res.Hours {
-			printHour(w, cfg, plan, i, harvest[i], h.Budget, h.Alloc, -1)
+			printHour(w, cfg, plan, i, harvest[i], h.Budget, h.Alloc, h.Battery)
 		}
 		_, err = fmt.Fprintf(w, "\nmean E{a} %.3f over %d hours (receding-horizon planner)\n",
 			res.MeanExpectedAccuracy(), len(res.Hours))
@@ -120,11 +120,7 @@ func printHour(w io.Writer, cfg core.Config, plan *core.Plan, i int, harvest, bu
 	if err == nil {
 		priceStr = fmt.Sprintf("%.5f", price)
 	}
-	battStr := "-"
-	if battery >= 0 {
-		battStr = fmt.Sprintf("%.1f", battery)
-	}
-	fmt.Fprintf(w, "%02d:00 %-9.2f %-9.2f %-22s %-9.1f %-7s %-10s\n",
+	fmt.Fprintf(w, "%02d:00 %-9.2f %-9.2f %-22s %-9.1f %-7.1f %-10s\n",
 		i%24, harvest, budget, alloc.String(),
-		100*alloc.ExpectedAccuracy(cfg), battStr, priceStr)
+		100*alloc.ExpectedAccuracy(cfg), battery, priceStr)
 }

@@ -62,11 +62,7 @@ func TestErrorsIsRoundTrips(t *testing.T) {
 		if _, err := New(WithBattery(math.NaN(), 100)); !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("New with NaN battery: err %v, want ErrInvalidConfig", err)
 		}
-		p, err := core.NewPlan(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := core.NewController(DefaultConfig(), p, math.NaN(), 100); !errors.Is(err, ErrInvalidConfig) {
+		if _, err := core.NewController(DefaultConfig(), math.NaN(), 100); !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("NewController with NaN battery: err %v, want ErrInvalidConfig", err)
 		}
 	})

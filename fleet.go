@@ -23,7 +23,8 @@ import (
 //
 // By default every device solves directly on the compiled parametric
 // plan: devices sharing a configuration share one memoized core.Plan,
-// so a solve is a lock-free binary search with no allocation.
+// and keep sharing it after a SetAlpha to a common α, so a solve is a
+// lock-free binary search with no allocation.
 type Fleet struct {
 	ctls    []*Controller
 	workers int
@@ -48,7 +49,8 @@ type Fleet struct {
 // NewFleet creates n controller sessions from the same options New
 // accepts, plus WithWorkers to bound StepAll's concurrency and
 // WithDeviceOverride to vary settings per device. The default solve
-// path is the fingerprint-memoized compiled plan.
+// path is the compiled plan core.PlanFor memoizes per configuration
+// fingerprint, one per distinct configuration in the fleet.
 func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: fleet size %d must be positive", ErrInvalidConfig, n)
@@ -76,9 +78,10 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 			}
 			ds = &dv
 		}
-		// Devices sharing a configuration share one compiled plan (the
-		// plan backend memoizes per fingerprint); a compiled core.Plan is
-		// immutable and safe for the whole fleet to solve on concurrently.
+		// Devices sharing a configuration share one compiled plan
+		// (core.PlanFor memoizes per fingerprint); a compiled core.Plan
+		// is immutable and safe for the whole fleet to solve on
+		// concurrently.
 		ctl, err := ds.newController()
 		if err != nil {
 			if s.deviceOverride != nil {
@@ -390,7 +393,7 @@ type Result struct {
 //
 // Each request names its own backend (Request.Solver). Requests on the
 // default plan backend compile each distinct configuration fingerprint
-// once (the backend memoizes compiled plans), so a sweep of N budgets
+// once (core.PlanFor memoizes compiled plans), so a sweep of N budgets
 // over one Config pays one compilation and N binary-search solves.
 func SolveBatch(ctx context.Context, reqs []Request) []Result {
 	results := make([]Result, len(reqs))

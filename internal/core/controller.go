@@ -36,27 +36,30 @@ type Controller struct {
 	lastBudget  float64
 	steps       int
 
-	// plan is the compiled parametric solver for cfg, which answers
-	// every solve unless a solve hook is set; StepInto's zero-allocation
-	// path. Kept in sync with cfg by SetAlpha.
+	// plan is the memoized compiled solver for cfg (PlanFor), which
+	// answers every solve unless a solve hook is set; StepInto's
+	// zero-allocation path. Kept in sync with cfg by SetAlpha.
 	plan *Plan
 	// solve, when set, replaces the plan as the optimizer backend.
 	solve SolveFunc
 }
 
-// NewController creates a runtime controller that solves on p, the plan
-// compiled from cfg. cfg is kept as given, so a plan shared between
-// configurations that differ only in design-point names (see
-// Config.Fingerprint) still reports the caller's names. batteryJ is the
-// initial battery charge and capacityJ its capacity, both in joules; a
-// zero capacity models the battery-less class of harvesting devices (any
-// surplus is lost).
-func NewController(cfg Config, p *Plan, batteryJ, capacityJ float64) (*Controller, error) {
-	if p == nil || p.Config().Fingerprint() != cfg.Fingerprint() {
-		return nil, fmt.Errorf("%w: controller needs the plan compiled from its configuration", ErrInvalidConfig)
+// NewController creates a runtime controller for cfg that solves on the
+// memoized plan PlanFor returns. cfg is kept as given, so a controller
+// sharing a plan with configurations that differ only in design-point
+// names (see Config.Fingerprint) still reports the caller's names.
+// batteryJ is the initial battery charge and capacityJ its capacity,
+// both in joules; a zero capacity models the battery-less class of
+// harvesting devices (any surplus is lost). The capacity may be
+// infinite, the charge may not: an infinite charge would make every
+// budget, and so the controller's State, infinite.
+func NewController(cfg Config, batteryJ, capacityJ float64) (*Controller, error) {
+	p, err := PlanFor(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if capacityJ < 0 || batteryJ < 0 || batteryJ > capacityJ+1e-9 ||
-		math.IsNaN(batteryJ) || math.IsNaN(capacityJ) {
+		!finite(batteryJ) || math.IsNaN(capacityJ) {
 		return nil, fmt.Errorf("%w: battery state %v/%v", ErrInvalidConfig, batteryJ, capacityJ)
 	}
 	return &Controller{cfg: cfg, plan: p, battery: batteryJ, capacityJ: capacityJ}, nil
@@ -75,18 +78,19 @@ func (ct *Controller) Steps() int { return ct.steps }
 func (ct *Controller) LastBudget() float64 { return ct.lastBudget }
 
 // SetAlpha changes the accuracy/active-time emphasis for subsequent
-// periods, modelling a user-preference update at runtime. The plan is
-// recompiled, since its envelope depends on α.
+// periods, modelling a user-preference update at runtime. The
+// controller moves to the memoized plan for the new α (PlanFor), so
+// controllers that share a configuration keep sharing one plan. An α
+// that Config.Validate refuses (negative, NaN or +Inf) fails with
+// ErrInvalidConfig and changes nothing.
 func (ct *Controller) SetAlpha(alpha float64) error {
-	if alpha < 0 || math.IsNaN(alpha) {
-		return fmt.Errorf("%w: alpha %v must be non-negative", ErrInvalidConfig, alpha)
-	}
-	ct.cfg.Alpha = alpha
-	p, err := NewPlan(ct.cfg)
+	cfg := ct.cfg
+	cfg.Alpha = alpha
+	p, err := PlanFor(cfg)
 	if err != nil {
 		return err
 	}
-	ct.plan = p
+	ct.cfg, ct.plan = cfg, p
 	return nil
 }
 
@@ -100,6 +104,7 @@ func (ct *Controller) SetSolveFunc(fn SolveFunc) { ct.solve = fn }
 // harvesting subsystem expects to collect during the period. The budget
 // handed to the optimizer is the harvested energy plus whatever the battery
 // can contribute, corrected by the previous period's accounting balance.
+// A negative, NaN or infinite harvest fails with ErrBudgetNegative.
 func (ct *Controller) Step(harvested float64) (Allocation, error) {
 	return ct.StepContext(context.Background(), harvested) //lint:reapvet ctxflow -- context-free compatibility shim; the root context is deliberate
 }
@@ -122,7 +127,7 @@ func (ct *Controller) StepContext(ctx context.Context, harvested float64) (Alloc
 //
 //reap:hotpath
 func (ct *Controller) StepInto(ctx context.Context, harvested float64, dst *Allocation) error {
-	if harvested < 0 || math.IsNaN(harvested) {
+	if harvested < 0 || math.IsNaN(harvested) || math.IsInf(harvested, 1) {
 		*dst = Allocation{}
 		return fmt.Errorf("%w: harvested energy %v", ErrBudgetNegative, harvested) //lint:reapvet hotalloc -- cold error path
 	}
@@ -206,12 +211,13 @@ func (ct *Controller) State() ControllerState {
 // Restore overwrites the controller's mutable state with a snapshot
 // taken by State on a controller with the same configuration and
 // battery capacity. An alpha differing from the current configuration
-// re-runs SetAlpha (recompiling the plan); invalid values are
-// rejected without committing anything.
+// re-runs SetAlpha, which takes the memoized plan for it. State no
+// controller can produce (a NaN or infinite energy, a charge outside
+// the battery, a negative step count, an alpha SetAlpha refuses) fails
+// with ErrInvalidConfig without committing anything.
 func (ct *Controller) Restore(st ControllerState) error {
-	if st.BatteryJ < 0 || st.BatteryJ > ct.capacityJ+1e-9 ||
-		math.IsNaN(st.BatteryJ) || math.IsNaN(st.CarryJ) ||
-		math.IsNaN(st.LastPlannedJ) || math.IsNaN(st.LastBudgetJ) || st.Steps < 0 {
+	if !finite(st.BatteryJ, st.CarryJ, st.LastPlannedJ, st.LastBudgetJ) ||
+		st.BatteryJ < 0 || st.BatteryJ > ct.capacityJ+1e-9 || st.Steps < 0 {
 		return fmt.Errorf("%w: controller state %+v", ErrInvalidConfig, st)
 	}
 	if !(st.Alpha == ct.cfg.Alpha) { //lint:reapvet floatcmp -- exact: only an explicit SetAlpha changes it
@@ -225,6 +231,16 @@ func (ct *Controller) Restore(st ControllerState) error {
 	ct.lastBudget = st.LastBudgetJ
 	ct.steps = st.Steps
 	return nil
+}
+
+// finite reports whether every value is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // settle updates the battery after a period that harvested `in` joules and

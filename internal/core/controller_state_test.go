@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -113,5 +114,55 @@ func TestRestoreRecompilesPlan(t *testing.T) {
 		if !fpx.Eq(a1.Active[i], a2.Active[i]) {
 			t.Fatalf("active[%d]: restored-plan %v != reference %v", i, a1.Active[i], a2.Active[i])
 		}
+	}
+}
+
+// TestRefusesInfiniteState: a snapshot, an α update, a harvest or an
+// initial charge that carries ±Inf is refused like NaN, and the
+// controller keeps its state and plan. Restored from a snapshot, a +Inf
+// carry would plan DP1 for the whole hour on a 2 J budget.
+func TestRefusesInfiniteState(t *testing.T) {
+	inf := math.Inf(1)
+	restore := func(st ControllerState) func(*Controller) error {
+		return func(ct *Controller) error { return ct.Restore(st) }
+	}
+	cases := []struct {
+		name  string
+		apply func(*Controller) error
+		want  error
+	}{
+		{"restore carry +Inf", restore(ControllerState{BatteryJ: 1, CarryJ: inf, Alpha: 1}), ErrInvalidConfig},
+		{"restore carry -Inf", restore(ControllerState{BatteryJ: 1, CarryJ: -inf, Alpha: 1}), ErrInvalidConfig},
+		{"restore planned +Inf", restore(ControllerState{BatteryJ: 1, LastPlannedJ: inf, Alpha: 1}), ErrInvalidConfig},
+		{"restore planned -Inf", restore(ControllerState{BatteryJ: 1, LastPlannedJ: -inf, Alpha: 1}), ErrInvalidConfig},
+		{"restore budget +Inf", restore(ControllerState{BatteryJ: 1, LastBudgetJ: inf, Alpha: 1}), ErrInvalidConfig},
+		{"restore budget -Inf", restore(ControllerState{BatteryJ: 1, LastBudgetJ: -inf, Alpha: 1}), ErrInvalidConfig},
+		{"restore alpha +Inf", restore(ControllerState{BatteryJ: 1, Alpha: inf}), ErrInvalidConfig},
+		{"set alpha +Inf", func(ct *Controller) error { return ct.SetAlpha(inf) }, ErrInvalidConfig},
+		{"validate alpha +Inf", func(ct *Controller) error {
+			c := ct.Config()
+			c.Alpha = inf
+			return c.Validate()
+		}, ErrInvalidConfig},
+		{"step harvest +Inf", func(ct *Controller) error {
+			_, err := ct.Step(inf)
+			return err
+		}, ErrBudgetNegative},
+		{"new controller charge +Inf", func(ct *Controller) error {
+			_, err := NewController(ct.Config(), inf, inf)
+			return err
+		}, ErrInvalidConfig},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ct := newTestController(t, DefaultConfig(), 1, 100)
+			before, plan := ct.State(), ct.plan
+			if err := tc.apply(ct); !errors.Is(err, tc.want) {
+				t.Fatalf("err %v, want %v", err, tc.want)
+			}
+			if ct.State() != before || ct.plan != plan {
+				t.Errorf("refused update changed the controller: %+v, want %+v", ct.State(), before)
+			}
+		})
 	}
 }

@@ -7,14 +7,10 @@ import (
 	"testing"
 )
 
-// newTestController builds a controller on the plan compiled from cfg.
+// newTestController builds a controller for cfg, failing t on error.
 func newTestController(t *testing.T, cfg Config, batteryJ, capacityJ float64) *Controller {
 	t.Helper()
-	p, err := NewPlan(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := NewController(cfg, p, batteryJ, capacityJ)
+	ct, err := NewController(cfg, batteryJ, capacityJ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,20 +19,13 @@ func newTestController(t *testing.T, cfg Config, batteryJ, capacityJ float64) *C
 
 func TestControllerValidation(t *testing.T) {
 	c := DefaultConfig()
-	p, err := NewPlan(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewController(Config{}, p, 0, 0); err == nil {
+	if _, err := NewController(Config{}, 0, 0); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	if _, err := NewController(c, nil, 0, 0); err == nil {
-		t.Fatal("nil plan accepted")
-	}
-	if _, err := NewController(c, p, 5, 1); err == nil {
+	if _, err := NewController(c, 5, 1); err == nil {
 		t.Fatal("charge above capacity accepted")
 	}
-	if _, err := NewController(c, p, -1, 1); err == nil {
+	if _, err := NewController(c, -1, 1); err == nil {
 		t.Fatal("negative charge accepted")
 	}
 	ct := newTestController(t, c, 1, 10)

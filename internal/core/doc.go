@@ -17,10 +17,10 @@
 //
 // Three solvers compute the optimum. A Plan (NewPlan) compiles a
 // configuration into its piecewise-linear budget→value envelope once,
-// and every Controller solves on one. The simplex-based SolveContext is
-// the paper's Algorithm 1, and SolveEnumerateContext a closed-form
-// vertex enumeration that is valid because the LP has only two
-// structural constraints (so an optimal basic solution mixes at most two
-// states); they are the independent oracles the plan is cross-checked
-// against.
+// and every Controller solves on the one PlanFor memoizes for its
+// configuration. The simplex-based SolveContext is the paper's
+// Algorithm 1, and SolveEnumerateContext a closed-form vertex
+// enumeration that is valid because the LP has only two structural
+// constraints (so an optimal basic solution mixes at most two states);
+// they are the independent oracles the plan is cross-checked against.
 package core

@@ -32,12 +32,9 @@ func (h *fnv64) f64(v float64) { h.u64(math.Float64bits(v)) }
 // by concatenation; distinct float bit patterns (including -0 versus +0)
 // hash distinctly.
 //
-// The root package's plan backend memoizes compiled plans by this
-// fingerprint, and NewController uses it to refuse a plan compiled for
-// another configuration. A 64-bit hash makes a cross-configuration
-// collision astronomically unlikely (~2⁻⁶⁴ per pair), not impossible;
-// callers needing hard isolation between configurations should compile
-// their own plans.
+// PlanFor memoizes compiled plans by this fingerprint. A 64-bit hash
+// makes a cross-configuration collision astronomically unlikely (~2⁻⁶⁴
+// per pair), not impossible.
 func (c Config) Fingerprint() uint64 {
 	h := fnv64(fnvOffset64)
 	h.f64(c.Period)

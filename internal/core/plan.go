@@ -118,9 +118,6 @@ func NewPlan(c Config) (*Plan, error) {
 	return p, nil
 }
 
-// Config returns the configuration the plan was compiled from.
-func (p *Plan) Config() Config { return p.cfg }
-
 // ShadowPrice returns ∂J*/∂Eb, the objective gained per additional joule
 // of budget: the marginal value of harvested energy, which is what the
 // dual of the LP's energy constraint reports. J* is linear between the

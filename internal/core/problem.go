@@ -54,8 +54,8 @@ func (c Config) Validate() error {
 	if c.POff < 0 || math.IsNaN(c.POff) {
 		return fmt.Errorf("%w: off power %v must be non-negative", ErrInvalidConfig, c.POff)
 	}
-	if c.Alpha < 0 || math.IsNaN(c.Alpha) {
-		return fmt.Errorf("%w: alpha %v must be non-negative", ErrInvalidConfig, c.Alpha)
+	if c.Alpha < 0 || math.IsNaN(c.Alpha) || math.IsInf(c.Alpha, 1) {
+		return fmt.Errorf("%w: alpha %v must be finite and non-negative", ErrInvalidConfig, c.Alpha)
 	}
 	if len(c.DPs) == 0 {
 		return fmt.Errorf("%w: %w", ErrInvalidConfig, ErrNoDesignPoints)

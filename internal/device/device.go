@@ -137,11 +137,7 @@ func Run(ctl *core.Controller, harvest []float64, noise float64, seed int64) (*R
 // controller for cfg, so every hour stands alone. A nil solve runs
 // REAP's optimizer; Static(i) runs design point i's baseline instead.
 func Replay(cfg core.Config, budgets []float64, solve core.SolveFunc) (*RunResult, error) {
-	p, err := core.NewPlan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := core.NewController(cfg, p, 0, 0)
+	ctl, err := core.NewController(cfg, 0, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -8,14 +8,10 @@ import (
 	"repro/internal/solar"
 )
 
-// newTestController builds a controller on the plan compiled from cfg.
+// newTestController builds a controller for cfg, failing t on error.
 func newTestController(t *testing.T, cfg core.Config, batteryJ, capacityJ float64) *core.Controller {
 	t.Helper()
-	p, err := core.NewPlan(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl, err := core.NewController(cfg, p, batteryJ, capacityJ)
+	ctl, err := core.NewController(cfg, batteryJ, capacityJ)
 	if err != nil {
 		t.Fatal(err)
 	}

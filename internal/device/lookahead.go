@@ -66,11 +66,7 @@ func (rh *RecedingHorizon) Run(harvest []float64) (*RunResult, error) {
 	if rh.Horizon <= 0 {
 		rh.Horizon = 24
 	}
-	p, err := core.NewPlan(rh.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := core.NewController(rh.Cfg, p, rh.BatteryJ, rh.CapacityJ)
+	ctl, err := core.NewController(rh.Cfg, rh.BatteryJ, rh.CapacityJ)
 	if err != nil {
 		return nil, err
 	}

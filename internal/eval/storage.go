@@ -26,10 +26,6 @@ type StorageResult struct {
 // Storage runs the comparison.
 func Storage(cfg core.Config) (*StorageResult, error) {
 	cfg.Alpha = 1
-	plan, err := core.NewPlan(cfg)
-	if err != nil {
-		return nil, err
-	}
 	tr, err := solar.September2015()
 	if err != nil {
 		return nil, err
@@ -52,7 +48,7 @@ func Storage(cfg core.Config) (*StorageResult, error) {
 		{"20 J battery + controller", 20},
 		{"100 J battery + controller", 100},
 	} {
-		ctl, err := core.NewController(cfg, plan, batt.capacity/2, batt.capacity)
+		ctl, err := core.NewController(cfg, batt.capacity/2, batt.capacity)
 		if err != nil {
 			return nil, err
 		}

@@ -370,7 +370,6 @@ func TestJournalRefusesForeignFleet(t *testing.T) {
 	for _, other := range []Config{
 		{Devices: 5, BatteryJ: 20, CapacityJ: 60, JournalDir: dir},
 		{Devices: 4, BatteryJ: 21, CapacityJ: 60, JournalDir: dir},
-		{Devices: 4, BatteryJ: 20, CapacityJ: 60, JournalDir: dir, Solver: "simplex"},
 	} {
 		if _, err := New(other); err == nil {
 			t.Errorf("config %+v adopted a foreign journal, want fingerprint refusal", other)

@@ -340,10 +340,13 @@ func decodeSnapshot(payload []byte) (*fleetSnapshot, error) {
 // fingerprint identifies the configuration a journal belongs to. A
 // journal written under one fleet shape must not silently replay into
 // another: device indices and initial conditions would no longer mean
-// the same thing, so boot refuses with an explicit error instead.
+// the same thing, so boot refuses with an explicit error instead. The
+// empty solver token stays so that journals written while the daemon
+// could pick a solver still boot; one written under a named solver is
+// refused.
 func (s *Service) fingerprint() string {
-	return fmt.Sprintf("v1 devices=%d solver=%q battery=%g/%g",
-		s.cfg.Devices, s.cfg.Solver, s.cfg.BatteryJ, s.cfg.CapacityJ)
+	return fmt.Sprintf(`v1 devices=%d solver="" battery=%g/%g`,
+		s.cfg.Devices, s.cfg.BatteryJ, s.cfg.CapacityJ)
 }
 
 // openJournal runs the two-phase boot: Open loads the newest snapshot,

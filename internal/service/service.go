@@ -63,8 +63,6 @@ type Config struct {
 	Shards int
 	// BatteryJ/CapacityJ is every device's initial battery state.
 	BatteryJ, CapacityJ float64
-	// Solver names the backend for every solve; empty = default (plan).
-	Solver string
 	// RatePerSec is the per-tenant admission rate in solves per second;
 	// 0 disables rate limiting. Burst is the token-bucket depth, at
 	// least 1 (default max(RatePerSec, 1)).
@@ -242,9 +240,6 @@ func New(cfg Config) (*Service, error) {
 	s.chaos = resilience.NewChaos(cfg.Chaos)
 
 	opts := []reap.Option{reap.WithBattery(cfg.BatteryJ, cfg.CapacityJ)}
-	if cfg.Solver != "" {
-		opts = append(opts, reap.WithSolver(cfg.Solver))
-	}
 
 	s.bounds = make([]int, cfg.Shards+1)
 	s.shards = make([]*shard, cfg.Shards)

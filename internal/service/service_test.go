@@ -547,9 +547,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Devices: -3}); err == nil {
 		t.Error("negative devices: want error")
 	}
-	if _, err := New(Config{Devices: 4, Solver: "no-such-backend"}); err == nil {
-		t.Error("unknown solver: want error")
-	}
 }
 
 // TestBatchSolveSetsContentLength: over a real listener, a 64-item

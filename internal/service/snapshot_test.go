@@ -188,6 +188,49 @@ func TestRestoreSnapshotChecksFleetShape(t *testing.T) {
 	}
 }
 
+// TestRestoreSnapshotRefusesInfiniteCarry: the binary records carry raw
+// float bits, and decodeSnapshot leaves value checks to Restore, so a
+// +Inf carry reaches Restore and must fail boot there.
+func TestRestoreSnapshotRefusesInfiniteCarry(t *testing.T) {
+	svc := newTestService(t, Config{Devices: 3, BatteryJ: 30, CapacityJ: 100})
+	hdr := snapshotHeader{V: wire.Version, Fingerprint: svc.fingerprint()}
+	states := []reap.ControllerState{
+		{BatteryJ: 30, Alpha: 1},
+		{BatteryJ: 1, CarryJ: math.Inf(1), Alpha: 1},
+		{BatteryJ: 30, Alpha: 1},
+	}
+	payload, err := encodeSnapshot(&hdr, states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.restoreSnapshot(payload); !errors.Is(err, reap.ErrInvalidConfig) {
+		t.Errorf("snapshot with a +Inf carry: err %v, want ErrInvalidConfig", err)
+	}
+}
+
+// TestJournalFingerprintFormat pins the identity string journals are
+// checked against: a journal written before the daemon's solver option
+// was removed carries solver="" and must still boot, and one written
+// under a named solver is refused.
+func TestJournalFingerprintFormat(t *testing.T) {
+	svc := newTestService(t, Config{Devices: 3, BatteryJ: 30, CapacityJ: 100})
+	if got, want := svc.fingerprint(), `v1 devices=3 solver="" battery=30/100`; got != want {
+		t.Fatalf("fingerprint %q, want %q", got, want)
+	}
+	for fp, ok := range map[string]bool{
+		`v1 devices=3 solver="" battery=30/100`:        true,
+		`v1 devices=3 solver="simplex" battery=30/100`: false,
+	} {
+		payload, err := encodeSnapshot(&snapshotHeader{V: wire.Version, Fingerprint: fp}, make([]reap.ControllerState, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.restoreSnapshot(payload); (err == nil) != ok {
+			t.Errorf("snapshot from %q: err %v, want accepted=%v", fp, err, ok)
+		}
+	}
+}
+
 // restoreDevice overwrites one device's state under its shard lock.
 func restoreDevice(t *testing.T, svc *Service, device int, st reap.ControllerState) {
 	t.Helper()

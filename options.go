@@ -148,8 +148,8 @@ func WithoutSolveCache() Option {
 //	    }))
 //
 // Devices whose overrides yield the same Config share one compiled
-// plan (the plan backend memoizes by configuration fingerprint). New
-// and NewConfig ignore this option.
+// plan (core.PlanFor memoizes by configuration fingerprint). New and
+// NewConfig ignore this option.
 func WithDeviceOverride(override func(device int) []Option) Option {
 	return func(s *settings) error {
 		if override == nil {
@@ -206,16 +206,12 @@ func New(opts ...Option) (*Controller, error) {
 }
 
 // newController builds one session from resolved settings. Every
-// controller holds the memoized plan compiled from its configuration,
-// so on the plan backend its steady-state step solves with zero
-// allocations; any other backend installs as the controller's
+// controller solves on the memoized plan for its configuration
+// (core.PlanFor), so on the plan backend its steady-state step
+// allocates nothing; any other backend installs as the controller's
 // SolveFunc.
 func (s *settings) newController() (*Controller, error) {
-	p, err := plans.planFor(s.cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := core.NewController(s.cfg, p, s.batteryJ, s.capacityJ)
+	ctl, err := core.NewController(s.cfg, s.batteryJ, s.capacityJ)
 	if err != nil {
 		return nil, err
 	}

@@ -25,8 +25,9 @@
 //   - Fleet layer: Fleet steps many per-device sessions on a bounded
 //     worker pool; SolveBatch is its stateless counterpart. Devices
 //     solve directly on their configured backend — by default a
-//     compiled plan shared by every device with the same
-//     configuration.
+//     compiled plan, memoized once per configuration fingerprint and
+//     shared by every controller, batch item and SetAlpha that lands
+//     on that configuration.
 //   - Wire layer: package wire defines the versioned request/response
 //     structs of the reapd network service (cmd/reapd), shared verbatim
 //     by clients; internal/service hosts the sharded daemon behind

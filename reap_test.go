@@ -55,14 +55,10 @@ func TestPublicAPIRegions(t *testing.T) {
 	}
 }
 
-// newTestController builds a controller on the plan compiled from cfg.
+// newTestController builds a controller for cfg, failing tb on error.
 func newTestController(tb testing.TB, cfg Config, batteryJ, capacityJ float64) *Controller {
 	tb.Helper()
-	p, err := core.NewPlan(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ctl, err := core.NewController(cfg, p, batteryJ, capacityJ)
+	ctl, err := core.NewController(cfg, batteryJ, capacityJ)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -57,87 +56,22 @@ var solverRegistry = struct {
 	m map[string]Solver
 }{m: map[string]Solver{}}
 
-// plans is the registered plan backend, whose memo also supplies the
-// plan every controller New and NewFleet build holds.
-var plans = &planBackend{}
-
 func init() {
 	mustRegisterSolver(SolverSimplex, SolverFunc(core.SolveContext))
 	mustRegisterSolver(SolverEnumerate, SolverFunc(core.SolveEnumerateContext))
-	mustRegisterSolver(SolverPlan, plans)
+	mustRegisterSolver(SolverPlan, SolverFunc(solvePlan))
 }
 
-// planBackend adapts core.Plan to the Solver interface: it memoizes one
-// compiled plan per configuration fingerprint, so fleets, batches and
-// repeated solves against the same Config pay compilation (validation,
-// the aᵢ^α powers, the envelope sort and hull) exactly once. Entries
-// are keyed by Config.Fingerprint(); a cross-configuration hash
-// collision (~2⁻⁶⁴ per pair) would serve the wrong plan — callers
-// needing hard isolation can compile core plans themselves. The memo
-// is capped: beyond planBackendMaxPlans distinct
-// configurations, additional configs compile per solve instead of
-// growing the map (adversarial workloads stay bounded; real fleets use
-// a handful of configurations).
-//
-// The memo is a copy-on-write map behind an atomic.Pointer: this is the
-// default solve path of every fleet since the plan-first re-tier, so
-// the hit path must be a lock-free load — misses (compilation, a
-// once-per-configuration event) take a mutex, copy the map and publish
-// the extended copy.
-type planBackend struct {
-	plans atomic.Pointer[map[uint64]*core.Plan]
-	mu    sync.Mutex // serializes copy-on-write publication on miss
-}
-
-const planBackendMaxPlans = 4096
-
-// planFor returns the compiled plan for cfg, compiling and memoizing on
-// first sight.
-func (pb *planBackend) planFor(cfg Config) (*core.Plan, error) {
-	fp := cfg.Fingerprint()
-	if m := pb.plans.Load(); m != nil {
-		if p, ok := (*m)[fp]; ok {
-			return p, nil
-		}
-	}
-	p, err := core.NewPlan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	old := pb.plans.Load()
-	if old != nil {
-		// Re-check under the lock: a concurrent miss may have published
-		// this fingerprint while we compiled. Returning the published
-		// plan keeps every caller of one configuration on one *Plan.
-		if prev, ok := (*old)[fp]; ok {
-			return prev, nil
-		}
-		if len(*old) >= planBackendMaxPlans {
-			return p, nil
-		}
-	}
-	next := make(map[uint64]*core.Plan, 1)
-	if old != nil {
-		next = make(map[uint64]*core.Plan, len(*old)+1)
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[fp] = p
-	pb.plans.Store(&next)
-	return p, nil
-}
-
-// Solve implements Solver. Argument checks mirror the iterative
-// backends: context first, then configuration (on compilation — an
-// invalid config never memoizes, so it fails every call), then budget.
-func (pb *planBackend) Solve(ctx context.Context, cfg Config, budget float64) (Allocation, error) {
+// solvePlan is the plan backend: it solves on the memoized plan for cfg
+// (core.PlanFor), so fleets, batches and repeated solves against one
+// configuration pay compilation once. Argument checks mirror the
+// iterative backends: context first, then configuration (an invalid
+// config never memoizes, so it fails every call), then budget.
+func solvePlan(ctx context.Context, cfg Config, budget float64) (Allocation, error) {
 	if err := ctx.Err(); err != nil {
 		return Allocation{}, err
 	}
-	p, err := pb.planFor(cfg)
+	p, err := core.PlanFor(cfg)
 	if err != nil {
 		return Allocation{}, err
 	}
