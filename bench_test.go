@@ -265,18 +265,19 @@ func batchRequests(n int) []Request {
 	return reqs
 }
 
-// BenchmarkSolveBatch compares the sequential baseline against the
-// worker-pool batch layer at fleet scales (1k and 10k devices). The
-// parallel path should scale with GOMAXPROCS; the recorded speedup is the
-// headline number for the batch API.
+// BenchmarkSolveBatch compares a sequential loop against the
+// worker-pool batch layer, both on the default backend, at the
+// daemon's 64-item batch (one pool chunk, so SolveBatch runs it inline)
+// and at fleet scales (1k and 10k devices). The ratio of the two is the
+// batch API's speedup (DESIGN.md, "Fleet/batch layer").
 func BenchmarkSolveBatch(b *testing.B) {
 	ctx := context.Background()
-	solver, err := LookupSolver(SolverSimplex)
+	solver, err := LookupSolver(DefaultSolver)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	for _, n := range []int{1000, 10000} {
+	for _, n := range []int{64, 1000, 10000} {
 		reqs := batchRequests(n)
 		b.Run(fmt.Sprintf("sequential/%d", n), func(b *testing.B) {
 			results := make([]Result, len(reqs))

@@ -309,16 +309,14 @@ func (f *Fleet) Run(ctx context.Context, steps int, src HarvestSource, model Con
 }
 
 // workerCount resolves the pool width for n work items: the WithWorkers
-// setting, defaulting to GOMAXPROCS, never wider than the work.
+// setting, defaulting to GOMAXPROCS, never more than one worker per
+// chunk of the work.
 func (f *Fleet) workerCount(n int) int {
 	workers := f.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	return workers
+	return poolWidth(workers, n)
 }
 
 // run executes work(0..n-1) on the fleet's worker pool, stopping early
@@ -333,11 +331,23 @@ func (f *Fleet) run(ctx context.Context, n int, work func(i int)) {
 // amortize the coordination to noise while keeping the pool balanced.
 const poolChunk = 64
 
-// poolRun fans indices 0..n-1 out to the given number of workers,
-// stopping early (at chunk granularity) when ctx is cancelled.
+// poolWidth caps a pool of workers at one per chunk of n indices: a
+// worker past the last chunk would start, find nothing to claim and
+// exit.
+func poolWidth(workers, n int) int {
+	return min(workers, (n+poolChunk-1)/poolChunk)
+}
+
+// poolRun fans indices 0..n-1 out to the given number of workers, but
+// never to more than one per chunk, stopping early (at chunk
+// granularity) when ctx is cancelled. A pool of one, which is all that
+// work of one chunk gets, runs inline on the calling goroutine.
 func poolRun(ctx context.Context, workers, n int, work func(i int)) {
-	if workers == 1 {
-		for i := 0; i < n && ctx.Err() == nil; i++ {
+	if workers = poolWidth(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			if i%poolChunk == 0 && ctx.Err() != nil {
+				return
+			}
 			work(i)
 		}
 		return
@@ -386,10 +396,12 @@ type Result struct {
 }
 
 // SolveBatch solves many independent allocation problems on a worker pool
-// of GOMAXPROCS goroutines — the stateless counterpart of Fleet.StepAll
-// for embarrassingly parallel workloads (budget sweeps, what-if grids,
-// serving stateless solve RPCs). results[i] answers reqs[i]; cancelling
-// the context marks every unstarted request with ctx.Err().
+// of up to GOMAXPROCS goroutines, one per chunk of 64 requests (a batch
+// of one chunk runs on the calling goroutine) — the stateless
+// counterpart of Fleet.StepAll for embarrassingly parallel workloads
+// (budget sweeps, what-if grids, serving stateless solve RPCs).
+// results[i] answers reqs[i]; cancelling the context marks every
+// unstarted request with ctx.Err().
 //
 // Each request names its own backend (Request.Solver). Requests on the
 // default plan backend compile each distinct configuration fingerprint
@@ -403,7 +415,7 @@ func SolveBatch(ctx context.Context, reqs []Request) []Result {
 	// name: the per-request work is a microsecond-scale solve, so
 	// registry locking and map lookups must stay out of the hot loop.
 	// resolved/resolveErr are read-only once the pool starts.
-	defaultCfg := core.DefaultConfig()
+	var defaultCfg Config // resolved at the first zero Config
 	byName := map[string]Solver{}
 	errByName := map[string]error{}
 	resolved := make([]Solver, len(reqs))
@@ -421,13 +433,12 @@ func SolveBatch(ctx context.Context, reqs []Request) []Result {
 			}
 		}
 		resolved[i], resolveErr[i] = byName[name], errByName[name]
+		if defaultCfg.DPs == nil && isZeroConfig(req.Config) {
+			defaultCfg = core.DefaultConfig()
+		}
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	poolRun(ctx, workers, len(reqs), func(i int) {
+	poolRun(ctx, runtime.GOMAXPROCS(0), len(reqs), func(i int) {
 		started[i] = true
 		if err := resolveErr[i]; err != nil {
 			results[i] = Result{Err: err}

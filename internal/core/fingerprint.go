@@ -2,41 +2,45 @@ package core
 
 import "math"
 
-// FNV-1a 64-bit, written out locally so the fingerprint does not depend
-// on hash/fnv allocating a hasher per call on the fleet hot path.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// fpSeed starts every fingerprint; any constant would do.
+const fpSeed = 14695981039346656037
 
-type fnv64 uint64
+// fpHash absorbs one 64-bit word per round: xor the word in, then mix
+// the state with xorshift, multiply, xorshift (one round of degski's
+// 64-bit integer hash). The xor is a bijection on the word for a fixed
+// state, and each mix step is a bijection on the state, so inputs that
+// differ in exactly one word always hash differently. The first
+// xorshift carries the sign bit down before the multiply, so negating
+// two adjacent fields does not cancel out, as it does in a plain
+// xor-then-multiply round such as word-wise FNV-1a.
+type fpHash uint64
 
-func (h *fnv64) u8(v byte) {
-	*h = (*h ^ fnv64(v)) * fnvPrime64
+func (h *fpHash) u64(v uint64) {
+	x := uint64(*h) ^ v
+	x ^= x >> 32
+	x *= 0xd6e8feb86659fd93 // odd, so the multiply is a bijection
+	x ^= x >> 32
+	*h = fpHash(x)
 }
 
-func (h *fnv64) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.u8(byte(v >> (8 * i)))
-	}
-}
-
-func (h *fnv64) f64(v float64) { h.u64(math.Float64bits(v)) }
+func (h *fpHash) f64(v float64) { h.u64(math.Float64bits(v)) }
 
 // Fingerprint returns a canonical 64-bit hash of every field the solvers
 // read: Period, POff, Alpha and each design point's (Accuracy, Power), in
-// order. Design-point names are deliberately excluded — they never reach
-// the LP, so two configurations differing only in labels produce
-// bit-identical allocations and may share one compiled plan. The
-// encoding is length-prefixed, so no two distinct configurations collide
-// by concatenation; distinct float bit patterns (including -0 versus +0)
-// hash distinctly.
+// order, one word per field. Design-point names are deliberately
+// excluded — they never reach the LP, so two configurations differing
+// only in labels produce bit-identical allocations and may share one
+// compiled plan. The encoding is length-prefixed, so no two distinct
+// configurations collide by concatenation; distinct float bit patterns
+// (including -0 versus +0) hash distinctly, and a change to any single
+// field always changes the hash.
 //
 // PlanFor memoizes compiled plans by this fingerprint. A 64-bit hash
 // makes a cross-configuration collision astronomically unlikely (~2⁻⁶⁴
-// per pair), not impossible.
+// per pair), not impossible. It is an in-process key only: nothing
+// persists it, so its value may change between builds.
 func (c Config) Fingerprint() uint64 {
-	h := fnv64(fnvOffset64)
+	h := fpHash(fpSeed)
 	h.f64(c.Period)
 	h.f64(c.POff)
 	h.f64(c.Alpha)

@@ -28,6 +28,14 @@ func TestFingerprintSensitivity(t *testing.T) {
 			c.DPs = append([]DesignPoint(nil), c.DPs...)
 			c.DPs[0], c.DPs[1] = c.DPs[1], c.DPs[0]
 		},
+		// Negating two adjacent fields flips the sign bit of two
+		// consecutive words, which a plain xor-then-multiply round
+		// (word-wise FNV-1a) cancels out.
+		"period and poff negated": func(c *Config) { c.Period, c.POff = -c.Period, -c.POff },
+		"dp accuracy and power negated": func(c *Config) {
+			c.DPs = append([]DesignPoint(nil), c.DPs...)
+			c.DPs[3].Accuracy, c.DPs[3].Power = -c.DPs[3].Accuracy, -c.DPs[3].Power
+		},
 	}
 	for name, f := range mutate {
 		c := base
@@ -47,5 +55,18 @@ func TestFingerprintIgnoresNames(t *testing.T) {
 	}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("design-point names must not affect the fingerprint (they never reach the LP)")
+	}
+}
+
+var fingerprintSink uint64
+
+// BenchmarkFingerprint times the plan memo's key for the paper's five
+// design points: every PlanFor call, so every SolveBatch item and every
+// NewController, pays it.
+func BenchmarkFingerprint(b *testing.B) {
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fingerprintSink ^= cfg.Fingerprint()
 	}
 }

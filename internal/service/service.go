@@ -442,21 +442,10 @@ func (s *Service) handleBatchSolve(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r, float64(len(req.Items))) {
 		return
 	}
-	reqs := make([]reap.Request, len(req.Items))
-	for i, item := range req.Items {
-		reqs[i] = item.ToRequest()
-	}
-	results := reap.SolveBatch(r.Context(), reqs)
-	resp := wire.BatchSolveResponse{V: wire.Version, Results: make([]wire.SolveResult, len(results))}
-	for i, res := range results {
-		if res.Err != nil {
-			resp.Results[i].Error = wire.AsError(res.Err)
-			continue
-		}
-		resp.Results[i].Solve = wire.NewSolveResponse(reqs[i].Config, res.Allocation)
-	}
+	reqs := wire.ToRequests(req.Items)
+	resp := wire.NewBatchSolveResponse(reqs, reap.SolveBatch(r.Context(), reqs))
 	s.batchItems.Add(uint64(len(req.Items)))
-	writeJSON(w, http.StatusOK, &resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {

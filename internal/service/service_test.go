@@ -127,6 +127,7 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 		{"missing_version", []byte(`{"budget_j":1}`), wire.CodeUnknownVersion},
 		{"negative_budget", &wire.SolveRequest{V: wire.Version, BudgetJ: -1}, wire.CodeBudgetNegative},
 		{"unknown_solver", &wire.SolveRequest{V: wire.Version, BudgetJ: 1, Solver: "nope"}, wire.CodeUnknownSolver},
+		{"negative_period", []byte(`{"v":1,"budget_j":5,"config":{"period_s":-60}}`), wire.CodeInvalidConfig},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,6 +162,7 @@ func TestBatchSolvePerItemResults(t *testing.T) {
 			{BudgetJ: 3},
 			{BudgetJ: -1},
 			{BudgetJ: 8},
+			{BudgetJ: 5, Config: &wire.Config{PeriodS: -3600}},
 		},
 	})
 	if rec.Code != http.StatusOK {
@@ -170,19 +172,21 @@ func TestBatchSolvePerItemResults(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("decoding response: %v", err)
 	}
-	if len(resp.Results) != 3 {
-		t.Fatalf("got %d results, want 3", len(resp.Results))
+	if len(resp.Results) != 4 {
+		t.Fatalf("got %d results, want 4", len(resp.Results))
 	}
 	for _, i := range []int{0, 2} {
 		if resp.Results[i].Solve == nil || resp.Results[i].Error != nil {
 			t.Errorf("item %d: want a solve, got error %+v", i, resp.Results[i].Error)
 		}
 	}
-	if resp.Results[1].Error == nil || resp.Results[1].Error.Code != wire.CodeBudgetNegative {
-		t.Errorf("item 1: want %s error, got %+v", wire.CodeBudgetNegative, resp.Results[1])
+	for i, code := range map[int]string{1: wire.CodeBudgetNegative, 3: wire.CodeInvalidConfig} {
+		if resp.Results[i].Error == nil || resp.Results[i].Error.Code != code {
+			t.Errorf("item %d: want %s error, got %+v", i, code, resp.Results[i])
+		}
 	}
-	if got := svc.Stats().BatchItems; got != 3 {
-		t.Errorf("stats batch items = %d, want 3", got)
+	if got := svc.Stats().BatchItems; got != 4 {
+		t.Errorf("stats batch items = %d, want 4", got)
 	}
 }
 

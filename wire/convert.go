@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	reap "repro"
+	"repro/internal/fpx"
 )
 
 // This file is the bridge between the wire schema and the solver API:
@@ -39,21 +40,24 @@ func CodeForError(err error) string {
 }
 
 // ToReap resolves the wire config against the paper defaults: a nil
-// receiver or zero field selects the default, an explicit value wins.
-// Validation stays where it lives — reap.Config.Validate, run by every
-// construction and solve path — so the wire layer cannot drift from the
-// solver's rules.
+// receiver, an absent field or a zero period selects the default, and
+// an explicit value wins — a negative period included, which
+// Config.Validate then refuses. The five Table 2 design points are
+// built only when no design point is given, into a slice of the
+// caller's own. Validation stays where it lives — reap.Config.Validate,
+// run by every construction and solve path — so the wire layer cannot
+// drift from the solver's rules.
 func (c *Config) ToReap() reap.Config {
 	cfg := reap.Config{
 		Period: reap.DefaultPeriod,
 		POff:   reap.DefaultPOff,
 		Alpha:  1,
-		DPs:    reap.PaperDesignPoints(),
 	}
 	if c == nil {
+		cfg.DPs = reap.PaperDesignPoints()
 		return cfg
 	}
-	if c.PeriodS > 0 {
+	if !fpx.Zero(c.PeriodS) {
 		cfg.Period = c.PeriodS
 	}
 	if c.POffW != nil {
@@ -67,6 +71,8 @@ func (c *Config) ToReap() reap.Config {
 		for i, dp := range c.DesignPoints {
 			cfg.DPs[i] = reap.DesignPoint{Name: dp.Name, Accuracy: dp.Accuracy, Power: dp.PowerW}
 		}
+	} else {
+		cfg.DPs = reap.PaperDesignPoints()
 	}
 	return cfg
 }
@@ -75,6 +81,25 @@ func (c *Config) ToReap() reap.Config {
 // shape.
 func (it SolveItem) ToRequest() reap.Request {
 	return reap.Request{Config: it.Config.ToReap(), Budget: it.BudgetJ, Solver: it.Solver}
+}
+
+// ToRequests converts a batch's items as ToRequest does, except that
+// the items without a config share one resolution of the paper
+// defaults, made once per batch.
+func ToRequests(items []SolveItem) []reap.Request {
+	reqs := make([]reap.Request, len(items))
+	var defaults reap.Config // resolved at the first item without a config
+	for i, it := range items {
+		if it.Config != nil {
+			reqs[i] = it.ToRequest()
+			continue
+		}
+		if defaults.DPs == nil {
+			defaults = it.Config.ToReap()
+		}
+		reqs[i] = reap.Request{Config: defaults, Budget: it.BudgetJ, Solver: it.Solver}
+	}
+	return reqs
 }
 
 // FromAllocation renders a solved schedule on the wire. The Active
@@ -91,10 +116,55 @@ func FromAllocation(a reap.Allocation) Allocation {
 // deriving the reported energy and expected accuracy under the solved
 // configuration.
 func NewSolveResponse(cfg reap.Config, a reap.Allocation) *SolveResponse {
-	return &SolveResponse{
+	r := new(SolveResponse)
+	r.fill(cfg, a, make([]float64, len(a.Active)))
+	return r
+}
+
+// NewBatchSolveResponse assembles the answer to a batch from
+// reap.SolveBatch's results, where results[i] answers reqs[i]. Each
+// item reads as NewSolveResponse or AsError would make it, but the
+// solves and their active_s copies are carved out of one slab each, so
+// the solved items cost a fixed number of allocations per batch.
+func NewBatchSolveResponse(reqs []reap.Request, results []reap.Result) *BatchSolveResponse {
+	solved, active := 0, 0
+	for _, res := range results {
+		if res.Err == nil {
+			solved++
+			active += len(res.Allocation.Active)
+		}
+	}
+	solves := make([]SolveResponse, solved)
+	slab := make([]float64, active)
+	resp := &BatchSolveResponse{V: Version, Results: make([]SolveResult, len(results))}
+	for i, res := range results {
+		if res.Err != nil {
+			resp.Results[i].Error = AsError(res.Err)
+			continue
+		}
+		s := &solves[0]
+		solves = solves[1:]
+		slab = s.fill(reqs[i].Config, res.Allocation, slab)
+		resp.Results[i].Solve = s
+	}
+	return resp
+}
+
+// fill sets r to the response for allocation a solved under cfg. Its
+// active_s is a copy of a.Active, made in the front of slab (wire
+// values outlive the solver's reused buffers); fill returns the rest
+// of slab.
+func (r *SolveResponse) fill(cfg reap.Config, a reap.Allocation, slab []float64) []float64 {
+	var active []float64 // nil for an empty Active, so active_s encodes as null as FromAllocation's copy does
+	if n := len(a.Active); n > 0 {
+		active = slab[:n:n]
+		copy(active, a.Active)
+	}
+	*r = SolveResponse{
 		V:                Version,
-		Allocation:       FromAllocation(a),
+		Allocation:       Allocation{ActiveS: active, OffS: a.Off, DeadS: a.Dead},
 		EnergyJ:          a.Energy(cfg),
 		ExpectedAccuracy: a.ExpectedAccuracy(cfg),
 	}
+	return slab[len(active):]
 }

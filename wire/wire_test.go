@@ -155,8 +155,11 @@ func TestAsError(t *testing.T) {
 	}
 }
 
+var cfgSink reap.Config
+
 // TestConfigToReapDefaults: the wire config's absent-field semantics —
-// zero/omitted selects the paper default, explicit zero stays zero.
+// zero/omitted selects the paper default, explicit zero stays zero, and
+// a negative period reaches validation instead of the default.
 func TestConfigToReapDefaults(t *testing.T) {
 	var nilCfg *wire.Config
 	cfg := nilCfg.ToReap()
@@ -178,6 +181,25 @@ func TestConfigToReapDefaults(t *testing.T) {
 	}
 	if explicit.Period != def.Period {
 		t.Fatalf("omitted period not defaulted: %v", explicit.Period)
+	}
+
+	// Each call hands out design points of its own, and a config that
+	// brings its own builds no defaults.
+	cfg.DPs[0].Accuracy = 0
+	if again := nilCfg.ToReap(); again.DPs[0].Accuracy != def.DPs[0].Accuracy {
+		t.Fatalf("a caller's edit leaked into the next default config: %+v", again.DPs[0])
+	}
+	own := &wire.Config{DesignPoints: []wire.DesignPoint{{Accuracy: 0.9, PowerW: 1e-3}}}
+	if n := testing.AllocsPerRun(100, func() { cfgSink = own.ToReap() }); n != 1 {
+		t.Fatalf("ToReap with its own design points: %v allocations, want 1 (its DPs)", n)
+	}
+
+	negative := (&wire.Config{PeriodS: -60}).ToReap()
+	if negative.Period != -60 {
+		t.Fatalf("negative period replaced: %v", negative.Period)
+	}
+	if err := negative.Validate(); !errors.Is(err, reap.ErrInvalidConfig) {
+		t.Fatalf("negative period: Validate() = %v, want ErrInvalidConfig", err)
 	}
 }
 
