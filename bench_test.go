@@ -364,6 +364,21 @@ func BenchmarkFleetStepAll(b *testing.B) {
 	}
 }
 
+// BenchmarkNewFleet measures building one reapd shard's fleet (262,144
+// devices over the daemon's 8 shards): one prototype controller stamped
+// into one slab, so allocs/op stays flat in the fleet size.
+func BenchmarkNewFleet(b *testing.B) {
+	const n = 32768
+	b.Run(fmt.Sprint(n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewFleet(n, WithBattery(0, 0)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // benchHarvest and benchConsumption close Fleet.Run's loop with fixed
 // correlated budgets and exact execution, keeping the benchmark's
 // allocations down to what the fleet layer itself does.

@@ -25,8 +25,13 @@ import (
 // plan: devices sharing a configuration share one memoized core.Plan,
 // and keep sharing it after a SetAlpha to a common α, so a solve is a
 // lock-free binary search with no allocation.
+//
+// The controllers live in one slab per fleet, so a fleet of any size is
+// a handful of heap objects for the collector to mark, and the per-tick
+// scratch appears on the first StepAll or ReportAll: a fleet that is
+// only ever stepped device by device never makes it.
 type Fleet struct {
-	ctls    []*Controller
+	ctls    []Controller
 	workers int
 
 	// active is the membership mask for mid-run churn (SetActive): nil
@@ -37,13 +42,12 @@ type Fleet struct {
 	// rejoins.
 	active []bool
 
-	// errs and started are the per-tick scratch of stepAllInto (and errs
-	// of ReportAll), hoisted here so a steady-state fleet tick allocates
-	// nothing. StepAll, ReportAll and Run are documented as not
-	// concurrency-safe with one another, so one scratch set per fleet
-	// suffices.
-	errs    []error
-	started []bool
+	// errs is the per-device error scratch of stepAllInto and ReportAll,
+	// made on the first tick (tickErrs) and reused after it, so a
+	// steady-state fleet tick allocates nothing. StepAll, ReportAll and
+	// Run are documented as not concurrency-safe with one another, so
+	// one scratch slice per fleet suffices.
+	errs []error
 }
 
 // NewFleet creates n controller sessions from the same options New
@@ -59,37 +63,35 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	if err := s.apply(opts); err != nil {
 		return nil, err
 	}
-	f := &Fleet{
-		ctls:    make([]*Controller, n),
-		workers: s.workers,
-		errs:    make([]error, n),
-		started: make([]bool, n),
-	}
-	for i := range f.ctls {
-		ds := s
-		if s.deviceOverride != nil {
-			// Copy the fleet-wide settings and refine them with the
-			// device's own options. The copy shares the design-point slice
-			// with the base, which is safe: every option that changes
-			// design points replaces the slice rather than mutating it.
-			dv := *s
-			if err := dv.apply(s.deviceOverride(i)); err != nil {
-				return nil, fmt.Errorf("device %d: %w", i, err)
-			}
-			ds = &dv
-		}
-		// Devices sharing a configuration share one compiled plan
-		// (core.PlanFor memoizes per fingerprint); a compiled core.Plan
-		// is immutable and safe for the whole fleet to solve on
-		// concurrently.
-		ctl, err := ds.newController()
+	f := &Fleet{ctls: make([]Controller, n), workers: s.workers}
+	// Every device is a copy of a controller built from its settings.
+	// The copies share the design-point slice, the compiled plan and
+	// any solve hook, which is safe: a controller never mutates its
+	// design points, every option that changes them replaces the slice,
+	// and a compiled core.Plan (core.PlanFor memoizes one per
+	// fingerprint) is immutable and safe to solve on concurrently.
+	if s.deviceOverride == nil {
+		proto, err := s.newController()
 		if err != nil {
-			if s.deviceOverride != nil {
-				err = fmt.Errorf("device %d: %w", i, err)
-			}
 			return nil, err
 		}
-		f.ctls[i] = ctl
+		for i := range f.ctls {
+			f.ctls[i] = *proto
+		}
+		return f, nil
+	}
+	for i := range f.ctls {
+		// Refine a copy of the fleet-wide settings with the device's own
+		// options.
+		ds := *s
+		if err := ds.apply(s.deviceOverride(i)); err != nil {
+			return nil, fmt.Errorf("device %d: %w", i, err)
+		}
+		ctl, err := ds.newController()
+		if err != nil {
+			return nil, fmt.Errorf("device %d: %w", i, err)
+		}
+		f.ctls[i] = *ctl
 	}
 	return f, nil
 }
@@ -98,14 +100,15 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 func (f *Fleet) Size() int { return len(f.ctls) }
 
 // Device returns device i's controller, for per-device inspection and
-// tuning (battery level, SetAlpha). Out-of-range indices return an error
-// wrapping ErrInvalidConfig. The controller is not safe to step
-// concurrently with StepAll.
+// tuning (battery level, SetAlpha); every call for one device returns
+// the same pointer, into the fleet's controller slab. Out-of-range
+// indices return an error wrapping ErrInvalidConfig. The controller is
+// not safe to step concurrently with StepAll.
 func (f *Fleet) Device(i int) (*Controller, error) {
 	if i < 0 || i >= len(f.ctls) {
 		return nil, fmt.Errorf("%w: device %d out of range [0, %d)", ErrInvalidConfig, i, len(f.ctls))
 	}
-	return f.ctls[i], nil
+	return &f.ctls[i], nil
 }
 
 // SetActive changes device i's fleet membership mid-run — the churn
@@ -171,45 +174,55 @@ func (f *Fleet) StepAll(ctx context.Context, budgets []float64) ([]Allocation, e
 //
 //reap:hotpath
 func (f *Fleet) stepAllInto(ctx context.Context, budgets []float64, allocs []Allocation) error {
-	errs, started := f.errs, f.started
-	for i := range errs {
-		errs[i], started[i] = nil, false
-	}
+	errs := f.tickErrs()
+	// Devices start in index order on both paths, so the stepped ones
+	// are the first ran.
+	ran := 0
 	if f.workerCount(len(f.ctls)) == 1 {
-		for i := range f.ctls {
-			if ctx.Err() != nil {
-				break
-			}
-			started[i] = true
-			if f.active != nil && !f.active[i] {
-				allocs[i] = Allocation{}
-				continue
-			}
-			if err := f.ctls[i].StepInto(ctx, budgets[i], &allocs[i]); err != nil {
-				errs[i] = fmt.Errorf("device %d: %w", i, err) //lint:reapvet hotalloc -- cold error path
-			}
+		for ; ran < len(f.ctls) && ctx.Err() == nil; ran++ {
+			f.stepDevice(ctx, ran, budgets[ran], &allocs[ran])
 		}
 	} else {
-		f.run(ctx, len(f.ctls), func(i int) { //lint:reapvet hotalloc -- one closure per multi-worker tick, not per device
-			started[i] = true
-			if f.active != nil && !f.active[i] {
-				allocs[i] = Allocation{}
-				return
-			}
-			if err := f.ctls[i].StepInto(ctx, budgets[i], &allocs[i]); err != nil {
-				errs[i] = fmt.Errorf("device %d: %w", i, err) //lint:reapvet hotalloc -- cold error path
+		ran = f.run(ctx, len(f.ctls), func(lo, hi int) { //lint:reapvet hotalloc -- one closure per multi-worker tick, not per device
+			for i := lo; i < hi; i++ {
+				f.stepDevice(ctx, i, budgets[i], &allocs[i])
 			}
 		})
 	}
-	if err := ctx.Err(); err != nil {
-		for i := range errs {
-			if !started[i] {
-				allocs[i] = Allocation{}
-				errs[i] = fmt.Errorf("device %d: not stepped: %w", i, err) //lint:reapvet hotalloc -- cold cancellation path
-			}
+	if ran < len(f.ctls) {
+		err := ctx.Err()
+		for i := ran; i < len(errs); i++ {
+			allocs[i] = Allocation{}
+			errs[i] = fmt.Errorf("device %d: not stepped: %w", i, err) //lint:reapvet hotalloc -- cold cancellation path
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// stepDevice plans device i's period into dst, or resets dst if the
+// device is inactive; a failure lands in the tick's errs[i].
+//
+//reap:hotpath
+func (f *Fleet) stepDevice(ctx context.Context, i int, budget float64, dst *Allocation) {
+	if f.active != nil && !f.active[i] {
+		*dst = Allocation{}
+		return
+	}
+	if err := f.ctls[i].StepInto(ctx, budget, dst); err != nil {
+		f.errs[i] = fmt.Errorf("device %d: %w", i, err) //lint:reapvet hotalloc -- cold error path
+	}
+}
+
+// tickErrs returns the per-device error scratch, cleared, making it on
+// the fleet's first tick.
+//
+//reap:hotpath
+func (f *Fleet) tickErrs() []error {
+	if f.errs == nil {
+		f.errs = make([]error, len(f.ctls)) //lint:reapvet hotalloc -- made once, on the first tick; every later tick reuses it
+	}
+	clear(f.errs)
+	return f.errs
 }
 
 // ReportAll closes the feedback loop for every device: consumed[i] is the
@@ -226,13 +239,12 @@ func (f *Fleet) ReportAll(consumed []float64) error {
 	}
 	// errors.Join copies the non-nil errors it keeps, so the scratch
 	// can be reused next tick.
-	errs := f.errs
-	clear(errs)
-	for i, ctl := range f.ctls {
+	errs := f.tickErrs()
+	for i := range f.ctls {
 		if f.active != nil && !f.active[i] {
 			continue
 		}
-		if err := ctl.Report(consumed[i]); err != nil {
+		if err := f.ctls[i].Report(consumed[i]); err != nil {
 			errs[i] = fmt.Errorf("device %d: %w", i, err) //lint:reapvet hotalloc -- cold error path
 		}
 	}
@@ -319,10 +331,10 @@ func (f *Fleet) workerCount(n int) int {
 	return poolWidth(workers, n)
 }
 
-// run executes work(0..n-1) on the fleet's worker pool, stopping early
-// when ctx is cancelled.
-func (f *Fleet) run(ctx context.Context, n int, work func(i int)) {
-	poolRun(ctx, f.workerCount(n), n, work)
+// run executes work over 0..n-1 on the fleet's worker pool as poolRun
+// does, returning how many leading indices ran.
+func (f *Fleet) run(ctx context.Context, n int, work func(lo, hi int)) int {
+	return poolRun(ctx, f.workerCount(n), n, work)
 }
 
 // poolChunk is how many indices a worker claims at a time. One solve
@@ -339,18 +351,21 @@ func poolWidth(workers, n int) int {
 }
 
 // poolRun fans indices 0..n-1 out to the given number of workers, but
-// never to more than one per chunk, stopping early (at chunk
-// granularity) when ctx is cancelled. A pool of one, which is all that
-// work of one chunk gets, runs inline on the calling goroutine.
-func poolRun(ctx context.Context, workers, n int, work func(i int)) {
+// never to more than one per chunk: each call work(lo, hi) runs one
+// chunk [lo, hi). Chunks are claimed in index order and run whole, and
+// a cancelled ctx stops the claiming, so the indices that ran are a
+// prefix: poolRun returns its length, n unless ctx was cancelled. A
+// pool of one, which is all that work of one chunk gets, runs inline
+// on the calling goroutine.
+func poolRun(ctx context.Context, workers, n int, work func(lo, hi int)) int {
 	if workers = poolWidth(workers, n); workers <= 1 {
-		for i := 0; i < n; i++ {
-			if i%poolChunk == 0 && ctx.Err() != nil {
-				return
+		for lo := 0; lo < n; lo += poolChunk {
+			if ctx.Err() != nil {
+				return lo
 			}
-			work(i)
+			work(lo, min(lo+poolChunk, n))
 		}
-		return
+		return n
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -359,21 +374,16 @@ func poolRun(ctx context.Context, workers, n int, work func(i int)) {
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				start := int(next.Add(poolChunk)) - poolChunk
-				if start >= n {
+				lo := int(next.Add(poolChunk)) - poolChunk
+				if lo >= n {
 					return
 				}
-				end := start + poolChunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					work(i)
-				}
+				work(lo, min(lo+poolChunk, n))
 			}
 		}()
 	}
 	wg.Wait()
+	return min(int(next.Load()), n)
 }
 
 // Request is one independent solve in a SolveBatch call.
@@ -409,58 +419,54 @@ type Result struct {
 // over one Config pays one compilation and N binary-search solves.
 func SolveBatch(ctx context.Context, reqs []Request) []Result {
 	results := make([]Result, len(reqs))
-	started := make([]bool, len(reqs))
-
-	// Resolve every request's backend up front, memoized per distinct
-	// name: the per-request work is a microsecond-scale solve, so
-	// registry locking and map lookups must stay out of the hot loop.
-	// resolved/resolveErr are read-only once the pool starts.
-	var defaultCfg Config // resolved at the first zero Config
-	byName := map[string]Solver{}
-	errByName := map[string]error{}
-	resolved := make([]Solver, len(reqs))
-	resolveErr := make([]error, len(reqs))
-	for i, req := range reqs {
-		name := req.Solver
-		if name == "" {
-			name = DefaultSolver
-		}
-		if _, seen := byName[name]; !seen && errByName[name] == nil {
-			if solver, err := LookupSolver(name); err != nil {
-				errByName[name] = err
-			} else {
-				byName[name] = solver
-			}
-		}
-		resolved[i], resolveErr[i] = byName[name], errByName[name]
-		if defaultCfg.DPs == nil && isZeroConfig(req.Config) {
+	var defaultCfg Config // the paper defaults, built only if a request has a zero Config
+	for i := range reqs {
+		if isZeroConfig(reqs[i].Config) {
 			defaultCfg = core.DefaultConfig()
+			break
 		}
 	}
-
-	poolRun(ctx, runtime.GOMAXPROCS(0), len(reqs), func(i int) {
-		started[i] = true
-		if err := resolveErr[i]; err != nil {
-			results[i] = Result{Err: err}
-			return
+	ran := poolRun(ctx, runtime.GOMAXPROCS(0), len(reqs), func(lo, hi int) {
+		// A batch almost always names one backend, so a chunk looks a
+		// backend up in the registry only when a request names another
+		// one than the request before it.
+		name := reqs[lo].Solver
+		solver, lookupErr := lookupBackend(name)
+		for i := lo; i < hi; i++ {
+			req := &reqs[i]
+			if req.Solver != name {
+				name = req.Solver
+				solver, lookupErr = lookupBackend(name)
+			}
+			if lookupErr != nil {
+				results[i] = Result{Err: lookupErr}
+				continue
+			}
+			cfg := req.Config
+			if isZeroConfig(cfg) {
+				cfg = defaultCfg
+			}
+			alloc, err := solver.Solve(ctx, cfg, req.Budget)
+			results[i] = Result{Allocation: alloc, Err: err}
 		}
-		cfg := reqs[i].Config
-		if isZeroConfig(cfg) {
-			cfg = defaultCfg
-		}
-		alloc, err := resolved[i].Solve(ctx, cfg, reqs[i].Budget)
-		results[i] = Result{Allocation: alloc, Err: err}
 	})
 	// Requests the pool never started (context cancelled mid-batch) carry
 	// the context error so callers can tell them from successes.
-	if err := ctx.Err(); err != nil {
-		for i := range results {
-			if !started[i] {
-				results[i].Err = err
-			}
+	if ran < len(reqs) {
+		err := ctx.Err()
+		for i := ran; i < len(results); i++ {
+			results[i].Err = err
 		}
 	}
 	return results
+}
+
+// lookupBackend resolves a Request.Solver name, empty for DefaultSolver.
+func lookupBackend(name string) (Solver, error) {
+	if name == "" {
+		name = DefaultSolver
+	}
+	return LookupSolver(name)
 }
 
 func isZeroConfig(c Config) bool {

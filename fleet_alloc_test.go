@@ -68,3 +68,19 @@ func TestFleetStepReportTickZeroAllocs(t *testing.T) {
 		t.Fatalf("step+report fleet tick allocated %v times per run, want 0", allocs)
 	}
 }
+
+// A fleet stamps its controllers from one prototype into one slab, so
+// building it costs the same allocations at any size; the tick scratch
+// waits for the first tick.
+func TestNewFleetAllocsIndependentOfSize(t *testing.T) {
+	build := func(n int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := NewFleet(n, WithBattery(0, 0)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := build(1), build(32768); many > one {
+		t.Fatalf("NewFleet(32768) allocated %v times, NewFleet(1) %v; want no more", many, one)
+	}
+}

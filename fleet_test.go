@@ -299,6 +299,105 @@ func TestSolveBatchCancellationMidBatch(t *testing.T) {
 	}
 }
 
+// TestFleetDevicesIsolated: the devices of a fleet are copies of one
+// prototype sharing its design points and plan, so stepping, reporting,
+// SetAlpha and Restore on one device must leave every other device's
+// state untouched, and Device(i) must hand out one stable pointer.
+func TestFleetDevicesIsolated(t *testing.T) {
+	const n, target = 5, 2
+	fleet, err := NewFleet(n, WithBattery(20, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	device := func(i int) *Controller {
+		t.Helper()
+		ctl, err := fleet.Device(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctl
+	}
+	before := make([]ControllerState, n)
+	for i := range before {
+		if device(i) != device(i) {
+			t.Fatalf("Device(%d) returned two different pointers", i)
+		}
+		before[i] = device(i).State()
+	}
+	ctl := device(target)
+	ops := []struct {
+		name string
+		op   func() error
+	}{
+		{"Step", func() error { _, err := ctl.Step(3); return err }},
+		{"Report", func() error { return ctl.Report(0.5) }},
+		{"SetAlpha", func() error { return ctl.SetAlpha(2) }},
+		{"Restore", func() error {
+			return ctl.Restore(ControllerState{BatteryJ: 50, CarryJ: 1, LastPlannedJ: 2, LastBudgetJ: 4, Steps: 7, Alpha: 0.5})
+		}},
+	}
+	for _, o := range ops {
+		if err := o.op(); err != nil {
+			t.Fatalf("%s: %v", o.name, err)
+		}
+		for i := range before {
+			if i == target {
+				continue
+			}
+			if got := device(i).State(); got != before[i] {
+				t.Fatalf("%s on device %d changed device %d: %+v, was %+v", o.name, target, i, got, before[i])
+			}
+		}
+	}
+	if got := device(target).State(); got == before[target] {
+		t.Fatalf("device %d state unchanged after every operation: %+v", target, got)
+	}
+	if device(target) != ctl {
+		t.Fatal("Device returned a different pointer after the operations")
+	}
+}
+
+// TestSolveBatchBackendRuns: a batch whose requests name backends in
+// runs of every length, across chunk boundaries and with an unknown
+// name among them, answers each request on its own backend and gives
+// each unknown one its own ErrUnknownSolver.
+func TestSolveBatchBackendRuns(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	names := []string{"", SolverPlan, "no-such-backend", SolverSimplex, SolverEnumerate, "no-such-backend"}
+	var reqs []Request
+	for run := 1; len(reqs) < 300; run++ {
+		name := names[run%len(names)]
+		for k := 0; k < run%70; k++ {
+			reqs = append(reqs, Request{Budget: 11 * float64(len(reqs)%97) / 97, Solver: name})
+		}
+	}
+	results := SolveBatch(ctx, reqs)
+	for i, req := range reqs {
+		res := results[i]
+		if req.Solver == "no-such-backend" {
+			if !errors.Is(res.Err, ErrUnknownSolver) {
+				t.Fatalf("request %d (%q): error %v, want ErrUnknownSolver", i, req.Solver, res.Err)
+			}
+			continue
+		}
+		if res.Err != nil {
+			t.Fatalf("request %d (%q): %v", i, req.Solver, res.Err)
+		}
+		name := req.Solver
+		if name == "" {
+			name = DefaultSolver
+		}
+		want, err := LookupSolverMust(t, name).Solve(ctx, cfg, req.Budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.Allocation.Objective(cfg)-want.Objective(cfg)) > 1e-12 {
+			t.Fatalf("request %d (%q): batch %v, direct %v", i, req.Solver, res.Allocation, want)
+		}
+	}
+}
+
 // activeCount counts the devices of f that take part in fleet steps.
 func activeCount(f *Fleet) int {
 	n := 0

@@ -31,13 +31,28 @@ func TestPlanSolveIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// NewPlan allocates the Plan and its envelope and nothing else: the
+// candidates sort and reduce to the envelope in one scratch array on
+// the stack.
+func TestNewPlanTwoAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := NewPlan(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("NewPlan(DefaultConfig()) allocated %v times per run, want 2", allocs)
+	}
+}
+
 func TestPlanShadowPriceZeroAllocs(t *testing.T) {
 	p, err := NewPlan(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One budget per regime: dead, a breakpoint, a segment, saturated.
-	budgets := []float64{0.05, p.vertBudget[1], 0.7, 5, 100}
+	budgets := []float64{0.05, p.hull[1].budget, 0.7, 5, 100}
 	allocs := testing.AllocsPerRun(200, func() {
 		for _, b := range budgets {
 			if _, err := p.ShadowPrice(b); err != nil {

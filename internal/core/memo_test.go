@@ -132,12 +132,12 @@ func TestPlanMemoCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.cfg.Fingerprint() != cfg.Fingerprint() {
-			t.Fatalf("config %d: plan compiled for another configuration", i)
-		}
 		ref, err := NewPlan(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, ref) {
+			t.Fatalf("config %d: plan compiled for another configuration", i)
 		}
 		for _, budget := range []float64{0.1, 2, 5, 12} {
 			x, err := p.Solve(budget)

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/fpx"
 )
@@ -25,97 +26,117 @@ import (
 // by power, and the hull construction. A compiled Plan answers
 // Solve(budget) with a binary search over the breakpoints plus two
 // multiplies, and SolveInto reuses the caller's Active slice so the
-// steady-state solve path allocates nothing.
+// steady-state solve path allocates nothing. A Plan keeps only what a
+// solve reads — the period, the off power, the design-point count and
+// the envelope — and no copy of the design points.
 //
 // A Plan is immutable after NewPlan and therefore safe for concurrent
 // use by any number of goroutines; a whole fleet shares one Plan per
 // distinct configuration.
 type Plan struct {
-	cfg       Config
-	weights   []float64
-	minBudget float64
+	period, pOff float64
+	nDPs         int
 
-	// The envelope, in strictly increasing budget order. vertBudget[k]
-	// is the energy the vertex state consumes running the whole period
-	// (a breakpoint of J*), vertValue[k] the objective it then earns,
-	// and vertState[k] the design-point index (offState for the off
-	// vertex, always index 0). Segment k mixes vertState[k] and
-	// vertState[k+1]. Design points strictly below the envelope
-	// (LP-dominated) appear in no vertex: no budget makes them optimal.
-	vertBudget []float64
-	vertValue  []float64
-	vertState  []int
+	// hull is the envelope, in strictly increasing budget order. Each
+	// vertex's state is a design-point index, or offState for the off
+	// vertex; segment k mixes hull[k] and hull[k+1]. hull[0] is always
+	// the cheapest state, so its budget is the idle floor POff·TP.
+	// Design points strictly below the envelope (LP-dominated) appear
+	// in no vertex: no budget makes them optimal.
+	hull []vertex
 }
 
-// offState marks the off vertex in Plan.vertState.
+// vertex is a device state in (energy-per-period, objective-weight)
+// space: running state for the whole period consumes budget joules and
+// earns value.
+type vertex struct {
+	budget, value float64
+	state         int
+}
+
+// offState marks the off vertex's state.
 const offState = -1
 
+// stackVertices sizes NewPlan's scratch array, which stays on the stack
+// for configurations of fewer design points.
+const stackVertices = 16
+
 // NewPlan validates the configuration and compiles it into its budget-
-// parametric solved form. The design-point slice is copied, so later
-// mutation of the caller's Config never reaches a compiled plan.
+// parametric solved form. The plan keeps no reference to c, so later
+// mutation of the caller's Config never reaches it. Compiling makes two
+// allocations, the Plan and its envelope; the candidates are sorted and
+// reduced to the envelope in one scratch array.
 func NewPlan(c Config) (*Plan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	c.DPs = append([]DesignPoint(nil), c.DPs...)
-	n := len(c.DPs)
-	p := &Plan{cfg: c, weights: make([]float64, n), minBudget: c.MinBudget()}
-	c.weightVector(p.weights)
-
-	type vert struct {
-		budget, value float64
-		state         int
+	var scratch [stackVertices]vertex
+	verts := scratch[:0]
+	if n := len(c.DPs) + 1; n > len(scratch) {
+		verts = make([]vertex, 0, n)
 	}
-	verts := make([]vert, 0, n+1)
-	verts = append(verts, vert{budget: p.minBudget, value: 0, state: offState})
+	verts = append(verts, vertex{budget: c.MinBudget(), value: 0, state: offState})
 	for i, d := range c.DPs {
-		verts = append(verts, vert{budget: d.EnergyPerPeriod(c.Period), value: p.weights[i], state: i})
+		verts = append(verts, vertex{budget: d.EnergyPerPeriod(c.Period), value: c.weight(i), state: i})
 	}
 	// Sort by budget; for equal budgets the higher-value state shadows
 	// the rest (stable, so equal (budget, value) ties keep the lowest
-	// index — deterministic compilation). The off vertex sorts strictly
-	// first because Validate guarantees every Pᵢ > POff.
-	sort.SliceStable(verts, func(i, j int) bool {
-		if !fpx.Eq(verts[i].budget, verts[j].budget) {
-			return verts[i].budget < verts[j].budget
+	// index — deterministic compilation). The off vertex sorts first
+	// because Validate guarantees every Pᵢ > POff; a design point whose
+	// Pᵢ·TP rounds to POff·TP ties it exactly.
+	slices.SortStableFunc(verts, func(a, b vertex) int {
+		if !fpx.Eq(a.budget, b.budget) {
+			if a.budget < b.budget {
+				return -1
+			}
+			return 1
 		}
-		return verts[i].value > verts[j].value
+		return cmp.Compare(b.value, a.value)
 	})
-
 	// Upper concave envelope (monotone-chain over the value-increasing
 	// prefix). J* is non-decreasing — spending more never hurts while
 	// the off state can absorb slack — so states that add energy without
 	// adding value are skipped outright, and the hull ends at the
-	// cheapest maximum-weight state.
-	hull := make([]vert, 0, n+1)
-	hull = append(hull, verts[0])
+	// cheapest maximum-weight state. The chain builds the hull in the
+	// front of verts: it never writes past the vertex it reads.
+	n := 1
 	for _, v := range verts[1:] {
-		if v.value <= hull[len(hull)-1].value {
+		if v.value <= verts[n-1].value {
 			continue
 		}
-		for len(hull) >= 2 {
-			a, b := hull[len(hull)-2], hull[len(hull)-1]
+		for n >= 2 {
+			a, b := verts[n-2], verts[n-1]
 			// Pop b when the a→v chord passes on or above it (slope to v
 			// at least the slope to b), written cross-product style so no
 			// division can overflow or lose precision.
 			if (b.value-a.value)*(v.budget-b.budget) <= (v.value-b.value)*(b.budget-a.budget) {
-				hull = hull[:len(hull)-1]
+				n--
 				continue
 			}
 			break
 		}
-		hull = append(hull, v)
+		verts[n] = v
+		n++
 	}
+	hull := make([]vertex, n)
+	copy(hull, verts)
+	return &Plan{period: c.Period, pOff: c.POff, nDPs: len(c.DPs), hull: hull}, nil
+}
 
-	p.vertBudget = make([]float64, len(hull))
-	p.vertValue = make([]float64, len(hull))
-	p.vertState = make([]int, len(hull))
-	for k, v := range hull {
-		p.vertBudget[k] = v.budget
-		p.vertValue[k] = v.value
-		p.vertState[k] = v.state
+// search returns the index of the first envelope vertex whose budget is
+// at least budget, or len(p.hull) if there is none, as
+// sort.SearchFloat64s would over the breakpoints.
+func (p *Plan) search(budget float64) int {
+	i, j := 0, len(p.hull)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if p.hull[h].budget >= budget {
+			j = h
+		} else {
+			i = h + 1
+		}
 	}
-	return p, nil
+	return i
 }
 
 // ShadowPrice returns ∂J*/∂Eb, the objective gained per additional joule
@@ -137,18 +158,18 @@ func (p *Plan) ShadowPrice(budget float64) (float64, error) {
 	if math.IsNaN(budget) || budget < 0 {
 		return 0, fmt.Errorf("%w: got %v", ErrBudgetNegative, budget) //lint:reapvet hotalloc -- cold error path
 	}
-	if budget < p.minBudget {
+	if budget < p.hull[0].budget {
 		return 0, nil
 	}
-	hi := sort.SearchFloat64s(p.vertBudget, budget)
-	if hi < len(p.vertBudget) && fpx.Eq(p.vertBudget[hi], budget) {
+	hi := p.search(budget)
+	if hi < len(p.hull) && fpx.Eq(p.hull[hi].budget, budget) {
 		hi++ // at a breakpoint: price the segment to its right
 	}
-	if hi == len(p.vertBudget) {
+	if hi == len(p.hull) {
 		return 0, nil // saturated: the budget constraint is slack
 	}
-	lo := hi - 1
-	return (p.vertValue[hi] - p.vertValue[lo]) / (p.vertBudget[hi] - p.vertBudget[lo]), nil
+	lo, up := p.hull[hi-1], p.hull[hi]
+	return (up.value - lo.value) / (up.budget - lo.budget), nil
 }
 
 // Solve computes the optimal allocation for the budget (J). It is exact:
@@ -172,7 +193,7 @@ func (p *Plan) SolveInto(budget float64, dst *Allocation) error {
 	if math.IsNaN(budget) || budget < 0 {
 		return fmt.Errorf("%w: got %v", ErrBudgetNegative, budget) //lint:reapvet hotalloc -- cold error path
 	}
-	n := len(p.cfg.DPs)
+	n := p.nDPs
 	if cap(dst.Active) < n {
 		dst.Active = make([]float64, n) //lint:reapvet hotalloc -- one-time buffer growth, amortized to zero
 	} else {
@@ -183,47 +204,47 @@ func (p *Plan) SolveInto(budget float64, dst *Allocation) error {
 	}
 	dst.Off, dst.Dead = 0, 0
 
-	if budget < p.minBudget {
+	if budget < p.hull[0].budget {
 		// Below the idle floor the LP is infeasible in spirit: idle for
 		// as long as the budget lasts, dead for the rest (same regime
 		// preLP carves off for the iterative solvers).
 		off := 0.0
-		if p.cfg.POff > 0 {
-			off = budget / p.cfg.POff
+		if p.pOff > 0 {
+			off = budget / p.pOff
 		}
-		if off > p.cfg.Period {
-			off = p.cfg.Period
+		if off > p.period {
+			off = p.period
 		}
 		dst.Off = off
-		dst.Dead = p.cfg.Period - off
+		dst.Dead = p.period - off
 		return nil
 	}
 
-	k := len(p.vertBudget)
-	if budget >= p.vertBudget[k-1] {
+	k := len(p.hull)
+	if budget >= p.hull[k-1].budget {
 		// Saturation: the best state runs the whole period, the budget
 		// constraint is slack.
-		p.assign(dst, p.vertState[k-1], p.cfg.Period)
-		clampAllocation(dst, p.cfg)
+		p.assign(dst, p.hull[k-1].state, p.period)
+		clampAllocation(dst, p.period)
 		return nil
 	}
-	hi := sort.SearchFloat64s(p.vertBudget, budget)
-	if fpx.Eq(p.vertBudget[hi], budget) {
+	hi := p.search(budget)
+	if fpx.Eq(p.hull[hi].budget, budget) {
 		// Exactly at a breakpoint: the vertex state alone is optimal.
-		p.assign(dst, p.vertState[hi], p.cfg.Period)
-		clampAllocation(dst, p.cfg)
+		p.assign(dst, p.hull[hi].state, p.period)
+		clampAllocation(dst, p.period)
 		return nil
 	}
 	// Interior of segment (hi-1, hi): mix the two vertex states with the
-	// budget binding. budget ≥ minBudget = vertBudget[0] guarantees
-	// hi ≥ 1, and vertBudget[hi-1] ≤ budget < vertBudget[hi] keeps the
-	// mixing fraction in [0, 1).
-	lo := hi - 1
-	lam := (budget - p.vertBudget[lo]) / (p.vertBudget[hi] - p.vertBudget[lo])
-	tHigh := lam * p.cfg.Period
-	p.assign(dst, p.vertState[hi], tHigh)
-	p.assign(dst, p.vertState[lo], p.cfg.Period-tHigh)
-	clampAllocation(dst, p.cfg)
+	// budget binding. budget ≥ hull[0].budget guarantees hi ≥ 1, and
+	// hull[hi-1].budget ≤ budget < hull[hi].budget keeps the mixing
+	// fraction in [0, 1).
+	lo, up := p.hull[hi-1], p.hull[hi]
+	lam := (budget - lo.budget) / (up.budget - lo.budget)
+	tHigh := lam * p.period
+	p.assign(dst, up.state, tHigh)
+	p.assign(dst, lo.state, p.period-tHigh)
+	clampAllocation(dst, p.period)
 	return nil
 }
 

@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/fpx"
 )
 
 // randomPlanConfig draws a valid configuration: 1-12 design points with
@@ -31,14 +34,25 @@ func randomPlanConfig(rng *rand.Rand) Config {
 	return c
 }
 
-// planValue returns J*(budget) as the objective of the plan's allocation.
-func planValue(t *testing.T, p *Plan, budget float64) float64 {
+// planValue returns J*(budget) as the objective of the allocation that
+// p, compiled from c, solves.
+func planValue(t *testing.T, p *Plan, c Config, budget float64) float64 {
 	t.Helper()
 	a, err := p.Solve(budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a.Objective(p.cfg)
+	return a.Objective(c)
+}
+
+// breakpoints lists the budgets of the plan's envelope vertices, the
+// breakpoints of J*.
+func (p *Plan) breakpoints() []float64 {
+	bps := make([]float64, len(p.hull))
+	for k, v := range p.hull {
+		bps[k] = v.budget
+	}
+	return bps
 }
 
 // budgetSweep returns a budget grid spanning all four regions of the
@@ -125,7 +139,7 @@ func TestPlanValueConcaveNonDecreasing(t *testing.T) {
 		vals := make([]float64, steps+1)
 		for i := range grid {
 			grid[i] = max * float64(i) / steps
-			vals[i] = planValue(t, p, grid[i])
+			vals[i] = planValue(t, p, c, grid[i])
 		}
 		for i := 1; i < len(vals); i++ {
 			if vals[i] < vals[i-1]-1e-12 {
@@ -143,7 +157,7 @@ func TestPlanValueConcaveNonDecreasing(t *testing.T) {
 			for j := i + 2; j < len(grid); j += 37 {
 				mid := (grid[i] + grid[j]) / 2
 				chord := (vals[i] + vals[j]) / 2
-				if v := planValue(t, p, mid); v < chord-1e-9 {
+				if v := planValue(t, p, c, mid); v < chord-1e-9 {
 					t.Fatalf("config %d: J*(%v)=%v below chord %v of [%v, %v]",
 						ci, mid, v, chord, grid[i], grid[j])
 				}
@@ -171,7 +185,7 @@ func TestPlanBreakpointsAgreeWithRegionBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("config %d: %v", ci, err)
 		}
-		bps := p.vertBudget
+		bps := p.breakpoints()
 		if len(bps) == 0 {
 			t.Fatalf("config %d: no breakpoints", ci)
 		}
@@ -201,7 +215,7 @@ func TestPlanBreakpointsAgreeWithRegionBoundaries(t *testing.T) {
 		}
 		// The last breakpoint saturates the most valuable state; past it
 		// the value is flat at the maximum weight.
-		if d := math.Abs(planValue(t, p, bps[len(bps)-1]) - planValue(t, p, 2*bps[len(bps)-1]+1)); d > 0 {
+		if d := math.Abs(planValue(t, p, c, bps[len(bps)-1]) - planValue(t, p, c, 2*bps[len(bps)-1]+1)); d > 0 {
 			t.Fatalf("config %d: value not flat past the last breakpoint (Δ %g)", ci, d)
 		}
 	}
@@ -212,7 +226,7 @@ func TestPlanBreakpointsAgreeWithRegionBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, bounds := len(p.vertBudget), len(RegionBoundaries(DefaultConfig())); got != bounds-1 {
+	if got, bounds := len(p.hull), len(RegionBoundaries(DefaultConfig())); got != bounds-1 {
 		t.Fatalf("paper config: %d breakpoints for %d boundaries, want DP2 excluded (one fewer)", got, bounds)
 	}
 }
@@ -278,7 +292,7 @@ func TestPlanErrorsAndDegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(dp.vertBudget); got != 1 {
+	if got := len(dp.hull); got != 1 {
 		t.Fatalf("all-zero-weight plan has %d breakpoints, want 1 (the off vertex)", got)
 	}
 	a, err := dp.Solve(5)
@@ -439,7 +453,7 @@ func TestShadowPriceAtBreakpoints(t *testing.T) {
 			t.Errorf("%s (%v J): price %v, want %v", tc.name, tc.budget, price, tc.price)
 		}
 	}
-	if got := len(paper.vertBudget); got != 5 {
+	if got := len(paper.hull); got != 5 {
 		t.Fatalf("paper plan has %d breakpoints, the table covers 5", got)
 	}
 
@@ -450,15 +464,16 @@ func TestShadowPriceAtBreakpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		last := len(p.vertBudget) - 1
-		for k, b := range p.vertBudget {
+		bps := p.breakpoints()
+		last := len(bps) - 1
+		for k, b := range bps {
 			price, err := p.ShadowPrice(b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := 0.0
 			if k < last {
-				h := (p.vertBudget[k+1] - b) / 2
+				h := (bps[k+1] - b) / 2
 				want = (enumerateValue(t, c, b+h) - enumerateValue(t, c, b)) / h
 			}
 			if math.Abs(price-want) > 1e-6*want {
@@ -487,8 +502,9 @@ func TestShadowPriceMatchesFiniteDifference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k := 0; k+1 < len(p.vertBudget); k++ {
-				lo, width := p.vertBudget[k], p.vertBudget[k+1]-p.vertBudget[k]
+			bps := p.breakpoints()
+			for k := 0; k+1 < len(bps); k++ {
+				lo, width := bps[k], bps[k+1]-bps[k]
 				budget := lo + (0.25+0.5*rng.Float64())*width
 				h := width / 5
 				price, err := p.ShadowPrice(budget)
@@ -545,6 +561,120 @@ func TestShadowPriceValidation(t *testing.T) {
 		if _, err := p.ShadowPrice(bad); !errors.Is(err, ErrBudgetNegative) {
 			t.Errorf("ShadowPrice(%v) = %v, want ErrBudgetNegative", bad, err)
 		}
+	}
+}
+
+// oracleHull is NewPlan's envelope construction as first written: a
+// weight vector, sort.SliceStable over a candidate slice, and a
+// monotone chain into a second slice.
+func oracleHull(c Config) []vertex {
+	weights := c.weightVector(make([]float64, len(c.DPs)))
+	verts := make([]vertex, 0, len(c.DPs)+1)
+	verts = append(verts, vertex{budget: c.MinBudget(), value: 0, state: offState})
+	for i, d := range c.DPs {
+		verts = append(verts, vertex{budget: d.EnergyPerPeriod(c.Period), value: weights[i], state: i})
+	}
+	sort.SliceStable(verts, func(i, j int) bool {
+		if !fpx.Eq(verts[i].budget, verts[j].budget) {
+			return verts[i].budget < verts[j].budget
+		}
+		return verts[i].value > verts[j].value
+	})
+	hull := make([]vertex, 0, len(verts))
+	hull = append(hull, verts[0])
+	for _, v := range verts[1:] {
+		if v.value <= hull[len(hull)-1].value {
+			continue
+		}
+		for len(hull) >= 2 {
+			a, b := hull[len(hull)-2], hull[len(hull)-1]
+			if (b.value-a.value)*(v.budget-b.budget) <= (v.value-b.value)*(b.budget-a.budget) {
+				hull = hull[:len(hull)-1]
+				continue
+			}
+			break
+		}
+		hull = append(hull, v)
+	}
+	return hull
+}
+
+// tiedPlanConfig is randomPlanConfig with ties injected: design points
+// that share another's power (equal budgets), its accuracy (equal
+// weights) or both, an accuracy of exactly 0 or 1, or a power one ulp
+// above the off power, whose budget can round onto the idle floor.
+func tiedPlanConfig(rng *rand.Rand) Config {
+	c := randomPlanConfig(rng)
+	for i := range c.DPs {
+		j := rng.Intn(len(c.DPs))
+		switch rng.Intn(6) {
+		case 0:
+			c.DPs[i].Power = c.DPs[j].Power
+		case 1:
+			c.DPs[i].Accuracy = c.DPs[j].Accuracy
+		case 2:
+			c.DPs[i] = c.DPs[j]
+		case 3:
+			c.DPs[i].Accuracy = float64(rng.Intn(2))
+		case 4:
+			c.DPs[i].Power = math.Nextafter(c.POff, 1)
+		}
+	}
+	return c
+}
+
+// requireOracleHull fails unless p, compiled from c, holds exactly the
+// oracle's envelope: the same breakpoints and values bit for bit, and
+// the same states.
+func requireOracleHull(t *testing.T, name string, p *Plan, c Config) {
+	t.Helper()
+	want := oracleHull(c)
+	if len(p.hull) != len(want) {
+		t.Fatalf("%s: %d envelope vertices, oracle %d", name, len(p.hull), len(want))
+	}
+	for k, v := range p.hull {
+		w := want[k]
+		if math.Float64bits(v.budget) != math.Float64bits(w.budget) ||
+			math.Float64bits(v.value) != math.Float64bits(w.value) || v.state != w.state {
+			t.Fatalf("%s: vertex %d is %+v, oracle %+v", name, k, v, w)
+		}
+	}
+	if !fpx.Eq(p.period, c.Period) || !fpx.Eq(p.pOff, c.POff) || p.nDPs != len(c.DPs) {
+		t.Fatalf("%s: plan keeps period %v, off power %v, %d design points; config has %v, %v, %d",
+			name, p.period, p.pOff, p.nDPs, c.Period, c.POff, len(c.DPs))
+	}
+}
+
+// TestPlanHullMatchesOracle: NewPlan's in-place, slices-sorted envelope
+// is bit-identical to the oracle's on random configurations with
+// injected ties, on the paper's own, on one whose states lie exactly on
+// a line (the chain pops collinear vertices), and on one 10,000-point
+// configuration, whose heap scratch path and O(n log n) sort it also
+// exercises.
+func TestPlanHullMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	line := Config{Period: 1024, Alpha: 1}
+	for k := 1; k <= 4; k++ {
+		line.DPs = append(line.DPs, DesignPoint{Accuracy: float64(k) / 8, Power: float64(k) / 1024})
+	}
+	configs := []Config{DefaultConfig(), line}
+	for i := 0; i < 20000; i++ {
+		configs = append(configs, tiedPlanConfig(rng))
+	}
+	big := Config{Period: DefaultPeriod, POff: DefaultPOff, Alpha: 1.37}
+	for i := 0; i < 10000; i++ {
+		big.DPs = append(big.DPs, DesignPoint{
+			Accuracy: float64(rng.Intn(1000)) / 1000,
+			Power:    DefaultPOff + float64(1+rng.Intn(5000))*1e-6,
+		})
+	}
+	configs = append(configs, big)
+	for ci, c := range configs {
+		p, err := NewPlan(c)
+		if err != nil {
+			t.Fatalf("config %d: %v", ci, err)
+		}
+		requireOracleHull(t, fmt.Sprintf("config %d (%d design points)", ci, len(c.DPs)), p, c)
 	}
 }
 

@@ -127,7 +127,7 @@ func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Sched
 		if a.Dead < 1e-9 {
 			a.Dead = 0
 		}
-		clampAllocation(&a, c)
+		clampAllocation(&a, c.Period)
 		plan.Allocations = append(plan.Allocations, a)
 		plan.Battery = append(plan.Battery, sol.X[nt+kk])
 		sumJ += a.Objective(c)

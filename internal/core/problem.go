@@ -102,9 +102,8 @@ func (c Config) weight(i int) float64 {
 }
 
 // weightVector fills dst (len(c.DPs) long) with every design point's
-// objective coefficient aᵢ^α. The solvers call it once per solve — and
-// NewPlan once per compilation — so the math.Pow cost stays out of
-// their vertex loops.
+// objective coefficient aᵢ^α. The iterative solvers call it once per
+// solve, so the math.Pow cost stays out of their vertex loops.
 func (c Config) weightVector(dst []float64) []float64 {
 	for i := range dst {
 		dst[i] = c.weight(i)

@@ -73,7 +73,7 @@ func SolveContext(ctx context.Context, c Config, budget float64) (Allocation, er
 		return Allocation{}, fmt.Errorf("core: solver terminated early: %w", solveStatusError(sol.Status))
 	}
 	alloc := Allocation{Active: sol.X[:n:n], Off: sol.X[n]}
-	clampAllocation(&alloc, c)
+	clampAllocation(&alloc, c.Period)
 	return alloc, nil
 }
 
@@ -194,7 +194,7 @@ func SolveEnumerateContext(ctx context.Context, c Config, budget float64) (Alloc
 			consider(i, j, ti, tj)
 		}
 	}
-	clampAllocation(&best, c)
+	clampAllocation(&best, c.Period)
 	return best, nil
 }
 
@@ -225,7 +225,7 @@ func preLP(c Config, budget float64) (Allocation, bool) {
 
 // clampAllocation removes floating-point dust and re-normalizes the time
 // identity t_off + Σtᵢ = TP.
-func clampAllocation(a *Allocation, c Config) {
+func clampAllocation(a *Allocation, period float64) {
 	for i, t := range a.Active {
 		if t < 1e-9 {
 			a.Active[i] = 0
@@ -235,7 +235,7 @@ func clampAllocation(a *Allocation, c Config) {
 		a.Off = 0
 	}
 	// Restore the exact time identity by adjusting off time.
-	slack := c.Period - a.ActiveTime() - a.Dead
+	slack := period - a.ActiveTime() - a.Dead
 	if slack < 0 {
 		slack = 0
 	}

@@ -34,9 +34,14 @@ import (
 // must not pin its buffers for as long as the pool stays busy.
 const maxPooled = 1 << 20
 
+// maxInterned bounds the length of a string text keeps for reuse, so a
+// pooled decoder holds at most len(decoder.names)·maxInterned bytes of
+// them.
+const maxInterned = 32
+
 // decoder is DecodeStrict's pooled state: the body buffer, the scan
-// cursor, and scratch slices that collect array elements before one
-// exact-size copy.
+// cursor, scratch slices that collect array elements before one
+// exact-size copy, and the short strings text decoded last.
 type decoder struct {
 	buf     bytes.Buffer
 	data    []byte
@@ -44,6 +49,14 @@ type decoder struct {
 	items   []SolveItem
 	reports []DeviceReport
 	dps     []DesignPoint
+
+	// names holds the last short strings text copied out of a body, the
+	// oldest at next; they outlive the request, as immutable strings
+	// may. A batch repeats a handful of design-point and solver names
+	// in every item, and text hands out the held copy instead of
+	// allocating another.
+	names [8]string
+	next  int
 }
 
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
@@ -317,11 +330,22 @@ func (d *decoder) str() ([]byte, bool) {
 	return nil, false
 }
 
-// text stores a copy of a string value, never an alias of the pooled
-// body buffer.
+// text stores a string value that never aliases the pooled body
+// buffer: one equal to a held name shares that name's bytes, and any
+// other is copied, a short copy replacing the oldest held name.
 func (d *decoder) text(p *string) bool {
 	s, ok := d.str()
+	for i := range d.names {
+		if string(s) == d.names[i] {
+			*p = d.names[i]
+			return ok
+		}
+	}
 	*p = string(s)
+	if len(s) <= maxInterned {
+		d.names[d.next] = *p
+		d.next = (d.next + 1) % len(d.names)
+	}
 	return ok
 }
 

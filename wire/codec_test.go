@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 	"testing/iotest"
+	"unsafe"
 
 	"repro/wire"
 )
@@ -296,6 +297,30 @@ func TestDecodedStringsAreCopies(t *testing.T) {
 	}
 	if first.Solver != "plan" {
 		t.Fatalf("first request's solver reads %q after later decodes", first.Solver)
+	}
+}
+
+// TestDecoderSharesRepeatedNames: a name the decoder copied out of the
+// body shortly before is handed out again rather than copied anew, so
+// a batch whose items repeat their design-point names pays for each
+// name once, not once per item.
+func TestDecoderSharesRepeatedNames(t *testing.T) {
+	item := `{"config":{"design_points":[{"name":"DP1","accuracy":0.9,"power_w":0.001},` +
+		`{"name":"DP2","accuracy":0.8,"power_w":0.0005}]},"budget_j":1,"solver":"plan"}`
+	body := []byte(`{"v":1,"items":[` + item + `,` + item + `]}`)
+	var req wire.BatchSolveRequest
+	if !wire.Scans(body, &req) {
+		t.Fatal("the scanner declined a canonical body")
+	}
+	first, second := req.Items[0], req.Items[1]
+	if unsafe.StringData(first.Solver) != unsafe.StringData(second.Solver) {
+		t.Errorf("solver %q copied twice", first.Solver)
+	}
+	for k, dp := range first.Config.DesignPoints {
+		other := second.Config.DesignPoints[k]
+		if dp.Name != other.Name || unsafe.StringData(dp.Name) != unsafe.StringData(other.Name) {
+			t.Errorf("design point %d: names %q and %q not shared", k, dp.Name, other.Name)
+		}
 	}
 }
 

@@ -48,6 +48,16 @@ func CodeForError(err error) string {
 // run by every construction and solve path — so the wire layer cannot
 // drift from the solver's rules.
 func (c *Config) ToReap() reap.Config {
+	var dps []reap.DesignPoint
+	if c != nil {
+		dps = make([]reap.DesignPoint, len(c.DesignPoints))
+	}
+	return c.toReap(dps)
+}
+
+// toReap is ToReap converting c's design points into dps, which is
+// len(c.DesignPoints) long.
+func (c *Config) toReap(dps []reap.DesignPoint) reap.Config {
 	cfg := reap.Config{
 		Period: reap.DefaultPeriod,
 		POff:   reap.DefaultPOff,
@@ -67,7 +77,7 @@ func (c *Config) ToReap() reap.Config {
 		cfg.Alpha = *c.Alpha
 	}
 	if len(c.DesignPoints) > 0 {
-		cfg.DPs = make([]reap.DesignPoint, len(c.DesignPoints))
+		cfg.DPs = dps
 		for i, dp := range c.DesignPoints {
 			cfg.DPs[i] = reap.DesignPoint{Name: dp.Name, Accuracy: dp.Accuracy, Power: dp.PowerW}
 		}
@@ -85,13 +95,24 @@ func (it SolveItem) ToRequest() reap.Request {
 
 // ToRequests converts a batch's items as ToRequest does, except that
 // the items without a config share one resolution of the paper
-// defaults, made once per batch.
+// defaults, made once per batch, and the items' own design points are
+// carved out of one slab, each with its capacity clipped to its length
+// so that an append to one item's cannot overwrite the next's.
 func ToRequests(items []SolveItem) []reap.Request {
 	reqs := make([]reap.Request, len(items))
+	n := 0
+	for _, it := range items {
+		if it.Config != nil {
+			n += len(it.Config.DesignPoints)
+		}
+	}
+	slab := make([]reap.DesignPoint, n)
 	var defaults reap.Config // resolved at the first item without a config
 	for i, it := range items {
 		if it.Config != nil {
-			reqs[i] = it.ToRequest()
+			k := len(it.Config.DesignPoints)
+			reqs[i] = reap.Request{Config: it.Config.toReap(slab[:k:k]), Budget: it.BudgetJ, Solver: it.Solver}
+			slab = slab[k:]
 			continue
 		}
 		if defaults.DPs == nil {

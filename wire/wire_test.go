@@ -203,6 +203,43 @@ func TestConfigToReapDefaults(t *testing.T) {
 	}
 }
 
+// TestToRequestsMatchesToRequest: the batch conversion gives every item
+// the request ToRequest would, and the design points it carves out of
+// one slab are clipped to each item, so an append to one item's cannot
+// reach its neighbour's.
+func TestToRequestsMatchesToRequest(t *testing.T) {
+	own := func(acc ...float64) *wire.Config {
+		c := &wire.Config{Alpha: ptr(1.5)}
+		for i, a := range acc {
+			c.DesignPoints = append(c.DesignPoints, wire.DesignPoint{Name: fmt.Sprintf("p%d", i), Accuracy: a, PowerW: 1e-3 * float64(i+1)})
+		}
+		return c
+	}
+	items := []wire.SolveItem{
+		{BudgetJ: 1, Config: own(0.9, 0.8)},
+		{BudgetJ: 2},
+		{BudgetJ: 3, Config: own(0.7), Solver: reap.SolverSimplex},
+		{BudgetJ: 4, Config: &wire.Config{PeriodS: 60}},
+		{BudgetJ: 5, Config: own(0.6, 0.5, 0.4)},
+	}
+	reqs := wire.ToRequests(items)
+	for i, it := range items {
+		if want := it.ToRequest(); !reflect.DeepEqual(reqs[i], want) {
+			t.Fatalf("item %d: ToRequests gives %+v, ToRequest %+v", i, reqs[i], want)
+		}
+	}
+	for _, i := range []int{0, 2} {
+		dps := reqs[i].Config.DPs
+		if cap(dps) != len(dps) {
+			t.Fatalf("item %d: design points have capacity %d for length %d", i, cap(dps), len(dps))
+		}
+		_ = append(dps, reap.DesignPoint{Name: "grown"})
+	}
+	if name := reqs[4].Config.DPs[0].Name; name != "p0" {
+		t.Fatalf("an append to one item's design points overwrote the next's: %q", name)
+	}
+}
+
 // TestSolveRoundTripThroughWire drives a real solve through the wire
 // types end to end: config → reap → solve → wire allocation → back,
 // checking the reported energy/accuracy match what the solver's own
