@@ -28,8 +28,8 @@ func (d DesignPoint) Validate() error {
 	if math.IsNaN(d.Accuracy) || d.Accuracy < 0 || d.Accuracy > 1 {
 		return fmt.Errorf("%w: design point %q accuracy %v outside [0,1]", ErrInvalidConfig, d.Name, d.Accuracy)
 	}
-	if math.IsNaN(d.Power) || d.Power <= 0 {
-		return fmt.Errorf("%w: design point %q power %v must be positive", ErrInvalidConfig, d.Name, d.Power)
+	if math.IsNaN(d.Power) || d.Power <= 0 || math.IsInf(d.Power, 1) {
+		return fmt.Errorf("%w: design point %q power %v must be positive and finite", ErrInvalidConfig, d.Name, d.Power)
 	}
 	return nil
 }

@@ -17,6 +17,7 @@ func TestDesignPointValidate(t *testing.T) {
 		{Accuracy: 0.5, Power: 0},
 		{Accuracy: 0.5, Power: -1},
 		{Accuracy: 0.5, Power: math.NaN()},
+		{Accuracy: 0.5, Power: math.Inf(1)},
 	}
 	for i, d := range bad {
 		if err := d.Validate(); err == nil {

@@ -48,8 +48,8 @@ func DefaultConfig() Config {
 // Validate checks the configuration for physical consistency. Every
 // failure wraps ErrInvalidConfig so callers can classify with errors.Is.
 func (c Config) Validate() error {
-	if c.Period <= 0 || math.IsNaN(c.Period) {
-		return fmt.Errorf("%w: period %v must be positive", ErrInvalidConfig, c.Period)
+	if c.Period <= 0 || math.IsNaN(c.Period) || math.IsInf(c.Period, 1) {
+		return fmt.Errorf("%w: period %v must be positive and finite", ErrInvalidConfig, c.Period)
 	}
 	if c.POff < 0 || math.IsNaN(c.POff) {
 		return fmt.Errorf("%w: off power %v must be non-negative", ErrInvalidConfig, c.POff)

@@ -50,7 +50,7 @@ func DayInLife(cfg core.Config, models []*har.Model, user synth.UserProfile,
 	if len(dayBudget) != 24 {
 		return nil, fmt.Errorf("eval: day budget has %d hours, want 24", len(dayBudget))
 	}
-	tl, err := synth.NewTimeline(user, 0, seed)
+	tl, err := synth.NewTimeline(0, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +79,7 @@ func DayInLife(cfg core.Config, models []*har.Model, user synth.UserProfile,
 		// drawing the design point per observed window proportionally.
 		activeFrac := alloc.ActiveTime() / cfg.Period
 		for w := 0; w < synth.WindowsPerHour; w++ {
-			win := tl.Next()
+			win := tl.Next(user)
 			totalWindows++
 			if w%stride != 0 {
 				// Unclassified stride windows still advance the timeline.

@@ -35,10 +35,11 @@ func NewEWMA(lambda float64) (*EWMA, error) {
 }
 
 // Observe records the harvest (J) of the current hour and advances the
-// clock.
+// clock. A negative, NaN or infinite harvest is refused: an infinite one
+// would stay in its slot for good, since (1−λ)·Inf + λ·x is Inf.
 func (e *EWMA) Observe(harvest float64) error {
-	if harvest < 0 || math.IsNaN(harvest) {
-		return fmt.Errorf("forecast: harvest %v must be non-negative", harvest)
+	if harvest < 0 || math.IsNaN(harvest) || math.IsInf(harvest, 1) {
+		return fmt.Errorf("forecast: harvest %v must be non-negative and finite", harvest)
 	}
 	s := e.next % SlotsPerDay
 	if e.seen[s] {
@@ -51,15 +52,31 @@ func (e *EWMA) Observe(harvest float64) error {
 	return nil
 }
 
+// PredictAt returns the expected harvest of the hour i hours after the
+// one Observe will record next: PredictAt(0) is the next hour's. A slot
+// never observed predicts zero. It reads one slot and allocates nothing,
+// so a caller that needs one hour per step reads it here rather than
+// through Predict's slice.
+//
+//reap:hotpath
+func (e *EWMA) PredictAt(i int) float64 {
+	s := (e.next + i) % SlotsPerDay
+	if s < 0 {
+		s += SlotsPerDay
+	}
+	return e.slots[s]
+}
+
 // Predict returns the expected harvest for the next k hours, starting at
-// the hour Observe will record next. Slots never observed predict zero.
+// the hour Observe will record next: PredictAt(0) through
+// PredictAt(k-1).
 func (e *EWMA) Predict(k int) []float64 {
 	if k <= 0 {
 		return nil
 	}
 	out := make([]float64, k)
-	for i := 0; i < k; i++ {
-		out[i] = e.slots[(e.next+i)%SlotsPerDay]
+	for i := range out {
+		out[i] = e.PredictAt(i)
 	}
 	return out
 }

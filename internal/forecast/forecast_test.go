@@ -23,6 +23,40 @@ func TestNewEWMAValidation(t *testing.T) {
 	if err := e.Observe(math.NaN()); err == nil {
 		t.Error("NaN harvest accepted")
 	}
+	// An accepted +Inf would stay in its slot for good: (1−λ)·Inf + λ·x
+	// is Inf, and a controller refuses an infinite budget.
+	if err := e.Observe(math.Inf(1)); err == nil {
+		t.Error("+Inf harvest accepted")
+	}
+}
+
+// PredictAt is the one-slot read Predict is built on: it must agree
+// with Predict at every offset, wrap negative offsets onto the day, and
+// allocate nothing (the sim reads one hour per device-hour through it).
+func TestPredictAtMatchesPredict(t *testing.T) {
+	e, err := NewEWMA(0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < 30; h++ {
+		if err := e.Observe(float64(h%7) + 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pred := e.Predict(3 * SlotsPerDay)
+	for i, want := range pred {
+		if got := e.PredictAt(i); got != want {
+			t.Fatalf("PredictAt(%d) = %v, Predict(%d)[%d] = %v", i, got, len(pred), i, want)
+		}
+		if got := e.PredictAt(i - 3*SlotsPerDay); got != want {
+			t.Fatalf("PredictAt(%d) = %v, want %v (a whole number of days earlier)", i-3*SlotsPerDay, got, want)
+		}
+	}
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() { sink += e.PredictAt(1) }); allocs != 0 {
+		t.Fatalf("PredictAt allocated %v times per call", allocs)
+	}
+	_ = sink
 }
 
 func TestEWMAConvergesOnPeriodicSignal(t *testing.T) {

@@ -6,12 +6,11 @@ import "testing"
 // for a seed, valid labels, bouts inside the dwell-time range, and a
 // single Transition between consecutive bouts.
 func TestNextLabelDeterministic(t *testing.T) {
-	u := NewUserProfile(0, 7)
-	a, err := NewTimeline(u, 8, 42)
+	a, err := NewTimeline(8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewTimeline(u, 8, 42)
+	b, err := NewTimeline(8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +22,7 @@ func TestNextLabelDeterministic(t *testing.T) {
 }
 
 func TestNextLabelBoutStructure(t *testing.T) {
-	u := NewUserProfile(1, 7)
-	tl, err := NewTimeline(u, 0, 1)
+	tl, err := NewTimeline(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +53,12 @@ func TestNextLabelBoutStructure(t *testing.T) {
 func TestNextLabelMatchesNextWindows(t *testing.T) {
 	// Next must report the same label NextLabel computed for the window.
 	u := NewUserProfile(2, 7)
-	tl, err := NewTimeline(u, 12, 3)
+	tl, err := NewTimeline(12, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		w := tl.Next()
+		w := tl.Next(u)
 		if w.Activity < 0 || w.Activity >= NumActivities {
 			t.Fatalf("window %d: invalid activity %d", i, w.Activity)
 		}
@@ -68,8 +66,7 @@ func TestNextLabelMatchesNextWindows(t *testing.T) {
 }
 
 func TestNextLabelAdvancesHour(t *testing.T) {
-	u := NewUserProfile(3, 7)
-	tl, err := NewTimeline(u, 23, 9)
+	tl, err := NewTimeline(23, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

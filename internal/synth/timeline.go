@@ -5,15 +5,18 @@ import (
 	"math/rand"
 )
 
-// Timeline generates a realistic sequence of activity windows for a day
+// Timeline generates a realistic sequence of activity labels for a day
 // of wear: activities persist for minutes (not single windows), posture
 // changes are bridged by explicit Transition windows, and the mix varies
-// by hour of day (nobody jogs at 3 am). The device simulator consumes
-// timelines to measure realized accuracy against a lifelike stream rather
-// than uniformly shuffled windows.
+// by hour of day (nobody jogs at 3 am). The labels do not depend on who
+// wears the device, so a Timeline holds no UserProfile: Next takes the
+// wearer when it synthesizes a sensor window, and NextLabel and Advance
+// need none. The day-in-the-life experiment classifies Next's windows
+// to measure realized accuracy against a lifelike stream rather than
+// uniformly shuffled windows; the sim package steps one timeline per
+// device through Advance for the hour's activity mix.
 type Timeline struct {
-	user UserProfile
-	rng  *rand.Rand
+	rng *rand.Rand
 
 	current   Activity
 	remaining int // windows left in the current bout
@@ -54,14 +57,14 @@ func hourlyMix(hour int) map[Activity]float64 {
 	}
 }
 
-// NewTimeline starts a timeline for the given user at the given hour of
-// day (0–23).
-func NewTimeline(u UserProfile, startHour int, seed int64) (*Timeline, error) {
+// NewTimeline starts a timeline at the given hour of day (0–23). The
+// seed alone fixes the label stream; the wearer enters only through
+// Next.
+func NewTimeline(startHour int, seed int64) (*Timeline, error) {
 	if startHour < 0 || startHour > 23 {
 		return nil, fmt.Errorf("synth: start hour %d outside 0..23", startHour)
 	}
 	tl := &Timeline{
-		user: u,
 		rng:  rand.New(rand.NewSource(seed)),
 		hour: startHour,
 	}
@@ -116,10 +119,11 @@ func (tl *Timeline) startBout() {
 	tl.remaining = minBout + tl.rng.Intn(maxBout-minBout)
 }
 
-// Next returns the next activity window in the stream. Between bouts it
+// Next returns the next activity window in the stream, synthesized for
+// wearer u from the timeline's own random stream. Between bouts it
 // emits a single Transition window.
-func (tl *Timeline) Next() Window {
-	return Generate(tl.user, tl.NextLabel(), tl.rng)
+func (tl *Timeline) Next(u UserProfile) Window {
+	return Generate(u, tl.NextLabel(), tl.rng)
 }
 
 // NextLabel advances the stream one window and returns its label without

@@ -5,7 +5,7 @@ import "testing"
 // Advance is //reap:hotpath: the sim steps every device's timeline an
 // hour at a time through it, so a call must not allocate.
 func TestAdvanceZeroAllocs(t *testing.T) {
-	tl, err := NewTimeline(NewUserProfile(0, 1), 0, 1)
+	tl, err := NewTimeline(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,14 +7,13 @@ import (
 )
 
 func TestNewTimelineValidation(t *testing.T) {
-	u := NewUserProfile(0, 1)
-	if _, err := NewTimeline(u, -1, 1); err == nil {
+	if _, err := NewTimeline(-1, 1); err == nil {
 		t.Fatal("negative hour accepted")
 	}
-	if _, err := NewTimeline(u, 24, 1); err == nil {
+	if _, err := NewTimeline(24, 1); err == nil {
 		t.Fatal("hour 24 accepted")
 	}
-	tl, err := NewTimeline(u, 3, 1)
+	tl, err := NewTimeline(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,17 +24,17 @@ func TestNewTimelineValidation(t *testing.T) {
 
 func TestTimelineBoutsPersist(t *testing.T) {
 	u := NewUserProfile(1, 2)
-	tl, err := NewTimeline(u, 10, 3)
+	tl, err := NewTimeline(10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Count label changes across 2000 windows: with 1–16 minute bouts the
 	// stream must be strongly autocorrelated, i.e. far fewer changes than
 	// windows.
-	prev := tl.Next().Activity
+	prev := tl.Next(u).Activity
 	changes := 0
 	for i := 0; i < 2000; i++ {
-		cur := tl.Next().Activity
+		cur := tl.Next(u).Activity
 		if cur != prev {
 			changes++
 		}
@@ -51,7 +50,7 @@ func TestTimelineBoutsPersist(t *testing.T) {
 
 func TestTimelineTransitionsBridgeBouts(t *testing.T) {
 	u := NewUserProfile(2, 4)
-	tl, err := NewTimeline(u, 12, 5)
+	tl, err := NewTimeline(12, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestTimelineTransitionsBridgeBouts(t *testing.T) {
 	prev := tl.current
 	sawTransition := false
 	for i := 0; i < 5000; i++ {
-		w := tl.Next()
+		w := tl.Next(u)
 		if w.Activity == Transition {
 			sawTransition = true
 		} else if prev != Transition && w.Activity != prev {
@@ -77,14 +76,14 @@ func TestTimelineTransitionsBridgeBouts(t *testing.T) {
 func TestTimelineHourlyMixShapesStream(t *testing.T) {
 	u := NewUserProfile(3, 6)
 	// Night: overwhelmingly lying down.
-	tl, err := NewTimeline(u, 1, 7)
+	tl, err := NewTimeline(1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lie := 0
 	const n = 1500
 	for i := 0; i < n; i++ {
-		if tl.Next().Activity == LieDown {
+		if tl.Next(u).Activity == LieDown {
 			lie++
 		}
 	}
@@ -92,13 +91,13 @@ func TestTimelineHourlyMixShapesStream(t *testing.T) {
 		t.Fatalf("only %d/%d night windows lying down", lie, n)
 	}
 	// Midday: mostly not lying down.
-	tl2, err := NewTimeline(u, 10, 8)
+	tl2, err := NewTimeline(10, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lie = 0
 	for i := 0; i < n; i++ {
-		if tl2.Next().Activity == LieDown {
+		if tl2.Next(u).Activity == LieDown {
 			lie++
 		}
 	}
@@ -109,12 +108,12 @@ func TestTimelineHourlyMixShapesStream(t *testing.T) {
 
 func TestTimelineClockAdvances(t *testing.T) {
 	u := NewUserProfile(4, 8)
-	tl, err := NewTimeline(u, 23, 9)
+	tl, err := NewTimeline(23, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < WindowsPerHour; i++ {
-		tl.Next()
+		tl.Next(u)
 	}
 	if tl.hour != 0 {
 		t.Fatalf("hour %d after one hour of windows from 23, want 0 (wrap)", tl.hour)
@@ -149,12 +148,11 @@ func TestAdvanceMatchesNextLabel(t *testing.T) {
 	lengths := rand.New(rand.NewSource(1))
 	for hour := 0; hour < 24; hour++ {
 		for seed := int64(0); seed < 100; seed++ {
-			user := NewUserProfile(int(seed), seed)
-			ref, err := NewTimeline(user, hour, seed)
+			ref, err := NewTimeline(hour, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := NewTimeline(user, hour, seed)
+			got, err := NewTimeline(hour, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

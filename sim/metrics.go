@@ -71,7 +71,11 @@ type Summary struct {
 const histBuckets = 20
 
 // summarize computes the run metrics from the trace, the per-device
-// start batteries and the fleet battery endpoint.
+// start batteries and the fleet battery endpoint. It gathers one utility
+// and one neutrality residual per record, in record order, into slices
+// it owns: it buckets both into their histograms first, then hands each
+// to summarizeInPlace, which sums it in that order and selects its
+// percentiles in place rather than sorting a copy.
 func summarize(res *Result, batteryStarts []float64, batteryEnd float64, elapsed time.Duration) (Summary, error) {
 	t := res.Trace
 	var batteryStart float64
@@ -126,15 +130,15 @@ func summarize(res *Result, batteryStarts []float64, batteryEnd float64, elapsed
 	if s.TotalBudgetJ > 0 {
 		s.NeutralityError = math.Abs(s.TotalBudgetJ-s.TotalConsumedJ-(batteryEnd-batteryStart)) / s.TotalBudgetJ
 	}
-	var err error
-	if s.UtilityDist, err = Summarize(utilities); err != nil {
-		return Summary{}, fmt.Errorf("utility distribution: %w", err)
-	}
-	if s.NeutralityErrDist, err = Summarize(residuals); err != nil {
-		return Summary{}, fmt.Errorf("neutrality distribution: %w", err)
-	}
 	s.UtilityHist = NewHistogram(utilities, 0, 1, histBuckets)
 	s.NeutralityErrHist = NewHistogram(residuals, 0, 1, histBuckets)
+	var err error
+	if s.UtilityDist, err = summarizeInPlace(utilities); err != nil {
+		return Summary{}, fmt.Errorf("utility distribution: %w", err)
+	}
+	if s.NeutralityErrDist, err = summarizeInPlace(residuals); err != nil {
+		return Summary{}, fmt.Errorf("neutrality distribution: %w", err)
+	}
 	if sec := elapsed.Seconds(); sec > 0 {
 		s.StepsPerSec = float64(len(t.Records)) / sec
 	}

@@ -434,6 +434,16 @@ func subSeed(seed int64, device int, salt int64) int64 {
 	return int64(x)
 }
 
+// deviceStreams seeds one random stream per device for the purpose the
+// salt names.
+func deviceStreams(sc Scenario, salt int64) []*rand.Rand {
+	rngs := make([]*rand.Rand, sc.Devices)
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(subSeed(sc.Seed, i, salt)))
+	}
+	return rngs
+}
+
 // activityIntensity maps each synth activity class onto a motion-
 // intensity coefficient in [0,1]; an hour's mean intensity modulates the
 // consumption model (vigorous hours cost slightly more: extra interrupt
@@ -483,6 +493,8 @@ type simulator struct {
 	hours [][]float64 // scenario- and region-scaled hourly harvest
 	skies [][]solar.Sky
 
+	// The per-device models; noiseRng and faultRng stay nil in a
+	// scenario that never draws them.
 	jitter    []float64
 	ewma      []*forecast.EWMA
 	timelines []*synth.Timeline
@@ -502,10 +514,14 @@ type simulator struct {
 
 	// Per-step scratch, filled by Budgets/Consumed and read by observe.
 	actual    []float64
+	planned   []float64
 	intensity []float64
 	faults    []synth.Fault
 
 	records []StepRecord
+	// schedules is the unused tail of one slab that holds every
+	// record's Active copy; observe carves each copy off its front.
+	schedules []float64
 }
 
 // regionOf maps a device to its region index (round-robin).
@@ -556,7 +572,7 @@ func (s *simulator) Budgets(step int, dst []float64) error {
 		budget := actual
 		if s.sc.Forecast {
 			if step >= forecast.SlotsPerDay {
-				budget = s.ewma[i].Predict(1)[0]
+				budget = s.ewma[i].PredictAt(0)
 			}
 			if err := s.ewma[i].Observe(actual); err != nil {
 				return err
@@ -596,6 +612,7 @@ func (s *simulator) Consumed(step int, allocs []reap.Allocation, dst []float64) 
 			continue
 		}
 		planned := allocs[i].Energy(cfg)
+		s.planned[i] = planned
 		// A device dead for most of the period cannot run its hourly
 		// telemetry upload.
 		telemetry := s.telemetryJ
@@ -655,7 +672,10 @@ func hourIntensity(tl *synth.Timeline) float64 {
 
 // observe records one trace line per device for the completed step.
 // Offline devices record a fully-dead period: no budget, no allocation,
-// no consumption, battery frozen at its last online value.
+// no consumption, battery frozen at its last online value. An online
+// device's schedule is copied into the next len(Active) slots of the
+// schedule slab, capped by a full-slice expression so that appending
+// to one record's Active cannot write into the next record's.
 func (s *simulator) observe(step int, budgets []float64, allocs []reap.Allocation, consumed []float64) error {
 	for i := range allocs {
 		dev, err := s.fleet.Device(i)
@@ -677,6 +697,10 @@ func (s *simulator) observe(step int, budgets []float64, allocs []reap.Allocatio
 		}
 		acc := allocs[i].ExpectedAccuracy(cfg)
 		_, utilScale := faultEffect(s.faults[i])
+		n := len(allocs[i].Active)
+		active := s.schedules[:n:n]
+		s.schedules = s.schedules[n:]
+		copy(active, allocs[i].Active)
 		s.records = append(s.records, StepRecord{
 			Step:         step,
 			Device:       i,
@@ -684,10 +708,10 @@ func (s *simulator) observe(step int, budgets []float64, allocs []reap.Allocatio
 			HarvestJ:     s.actual[i],
 			BudgetJ:      budgets[i],
 			SolveBudgetJ: dev.LastBudget(),
-			Active:       append([]float64(nil), allocs[i].Active...),
+			Active:       active,
 			OffS:         allocs[i].Off,
 			DeadS:        allocs[i].Dead,
-			PlannedJ:     allocs[i].Energy(cfg),
+			PlannedJ:     s.planned[i],
 			ConsumedJ:    consumed[i],
 			BatteryJ:     dev.Battery(),
 			Intensity:    s.intensity[i],
@@ -818,6 +842,7 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		jitter:     make([]float64, sc.Devices),
 		telemetryJ: energy.BLETransmission(sc.TelemetryBytes),
 		actual:     make([]float64, sc.Devices),
+		planned:    make([]float64, sc.Devices),
 		intensity:  make([]float64, sc.Devices),
 		faults:     make([]synth.Fault, sc.Devices),
 		records:    make([]StepRecord, 0, steps*sc.Devices),
@@ -837,6 +862,7 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	}
 
 	batteryStarts := make([]float64, sc.Devices)
+	dps := 0
 	for i := 0; i < sc.Devices; i++ {
 		dev, err := fleet.Device(i)
 		if err != nil {
@@ -844,7 +870,11 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		}
 		s.cfgs[i] = dev.Config()
 		batteryStarts[i] = dev.Battery()
+		dps += len(s.cfgs[i].DPs)
 	}
+	// Room for every device's schedule at every step: a device's
+	// allocation has one entry per design point of its configuration.
+	s.schedules = make([]float64, steps*dps)
 
 	jitterRng := rand.New(rand.NewSource(subSeed(sc.Seed, 0, saltJitter)))
 	for i := range s.jitter {
@@ -861,17 +891,22 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 			}
 		}
 	}
+	// Consumed draws from a device's noise stream only when the
+	// scenario has noise, and from its fault stream only when the
+	// scenario or its storm has a fault rate. A stream that would never
+	// be drawn is not seeded: seeding fills a rand.Source's whole state.
 	if !sc.FlatConsumption {
 		s.timelines = make([]*synth.Timeline, sc.Devices)
-		s.noiseRng = make([]*rand.Rand, sc.Devices)
-		s.faultRng = make([]*rand.Rand, sc.Devices)
-		for i := 0; i < sc.Devices; i++ {
-			user := synth.NewUserProfile(i, sc.Seed)
-			if s.timelines[i], err = synth.NewTimeline(user, 0, subSeed(sc.Seed, i, saltTimeline)); err != nil {
+		for i := range s.timelines {
+			if s.timelines[i], err = synth.NewTimeline(0, subSeed(sc.Seed, i, saltTimeline)); err != nil {
 				return nil, fmt.Errorf("sim: %s: %w", sc.Name, err)
 			}
-			s.noiseRng[i] = rand.New(rand.NewSource(subSeed(sc.Seed, i, saltNoise)))
-			s.faultRng[i] = rand.New(rand.NewSource(subSeed(sc.Seed, i, saltFault)))
+		}
+		if sc.Noise > 0 {
+			s.noiseRng = deviceStreams(sc, saltNoise)
+		}
+		if sc.FaultRate > 0 || (sc.Storm != nil && sc.Storm.FaultRate > 0) {
+			s.faultRng = deviceStreams(sc, saltFault)
 		}
 	}
 

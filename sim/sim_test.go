@@ -301,7 +301,7 @@ func TestMixedFleetHeterogeneous(t *testing.T) {
 }
 
 // mustScenario fetches a corpus scenario the test depends on.
-func mustScenario(t *testing.T, name string) Scenario {
+func mustScenario(t testing.TB, name string) Scenario {
 	t.Helper()
 	c, err := Corpus()
 	if err != nil {
@@ -521,12 +521,11 @@ func TestHourIntensityMatchesPerWindowSum(t *testing.T) {
 	}
 	var worst float64
 	for i := 0; i < timelines; i++ {
-		user := synth.NewUserProfile(i, 1)
-		got, err := synth.NewTimeline(user, 0, subSeed(1, i, saltTimeline))
+		got, err := synth.NewTimeline(0, subSeed(1, i, saltTimeline))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := synth.NewTimeline(user, 0, subSeed(1, i, saltTimeline))
+		ref, err := synth.NewTimeline(0, subSeed(1, i, saltTimeline))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Statistics helpers for distribution metrics: nearest-rank
@@ -20,14 +21,14 @@ func Percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return sorted[nearestRank(len(sorted), q)]
+}
+
+// nearestRank is the 0-based index of the q-quantile in a sorted sample
+// of n > 0: rank round(q·n), 1-based, clamped into the sample. It does
+// not decrease as q grows.
+func nearestRank(n int, q float64) int {
+	return min(max(int(q*float64(n)+0.5)-1, 0), n-1)
 }
 
 // Distribution summarizes a sample: count, moments, extremes and the
@@ -46,30 +47,85 @@ type Distribution struct {
 // Summarize computes a Distribution from samples. NaN samples are
 // rejected with an error wrapping ErrInvalidScenario — a NaN in a
 // metric stream means the simulation itself went wrong, and folding it
-// into a percentile would hide that. The input is not modified.
+// into a percentile would hide that. The input is not modified:
+// Summarize works on a copy, which summarizeInPlace reorders.
 func Summarize(samples []float64) (Distribution, error) {
-	if len(samples) == 0 {
+	return summarizeInPlace(append([]float64(nil), samples...))
+}
+
+// summarizeInPlace is Summarize on a sample the caller hands over: it
+// reorders samples instead of sorting a copy. It sums the samples in the
+// order given, so Mean has the bits of a sum over the input, and takes
+// the extremes in the same pass. The three percentiles are nearest-rank
+// selections, which read the values a sort would put at those ranks:
+// P99 over the whole sample, then P90 within the prefix that P99's
+// selection leaves at or below it, then P50 within P90's. That is O(n)
+// expected time where a sort is O(n log n), and the sim summarizes up to
+// one sample per device-hour.
+func summarizeInPlace(samples []float64) (Distribution, error) {
+	n := len(samples)
+	if n == 0 {
 		return Distribution{}, nil
 	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
 	var sum float64
-	for _, v := range sorted {
+	lo, hi := samples[0], samples[0]
+	for _, v := range samples {
 		if math.IsNaN(v) {
 			return Distribution{}, fmt.Errorf("%w: NaN sample in distribution", ErrInvalidScenario)
 		}
 		sum += v
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	sort.Float64s(sorted)
-	return Distribution{
-		Count: len(sorted),
-		Mean:  sum / float64(len(sorted)),
-		Min:   sorted[0],
-		Max:   sorted[len(sorted)-1],
-		P50:   Percentile(sorted, 0.50),
-		P90:   Percentile(sorted, 0.90),
-		P99:   Percentile(sorted, 0.99),
-	}, nil
+	d := Distribution{Count: n, Mean: sum / float64(n), Min: lo, Max: hi}
+	// Each selection reorders the prefix the previous one left, so each
+	// percentile is read before the next selection runs.
+	k99, k90, k50 := nearestRank(n, 0.99), nearestRank(n, 0.90), nearestRank(n, 0.50)
+	selectRank(samples, k99)
+	d.P99 = samples[k99]
+	selectRank(samples[:k99+1], k90)
+	d.P90 = samples[k90]
+	selectRank(samples[:k90+1], k50)
+	d.P50 = samples[k50]
+	return d, nil
+}
+
+// selectRank reorders s, which holds no NaN, so that s[k] is the value
+// a sort would put there, no element before it is larger and none after
+// it smaller. It is quickselect with a median-of-three pivot and a
+// three-way partition, so a run of equal values ends the search in one
+// pass. The range left once it holds a dozen elements or fewer, or after
+// 2·log₂(n) partitions, is sorted, which bounds the worst case at
+// O(n log n).
+func selectRank(s []float64, k int) {
+	lo, hi := 0, len(s) // the range [lo, hi) holds rank k
+	for budget := 2 * bits.Len(uint(len(s))); hi-lo > 12 && budget > 0; budget-- {
+		a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi-1]
+		p := max(min(a, b), min(max(a, b), c)) // the median of the three
+		// Partition [lo, hi) into [lo, lt) < p, [lt, gt) == p, [gt, hi) > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := s[i]; {
+			case v < p:
+				s[lt], s[i] = v, s[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				s[i], s[gt] = s[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return // s[k] == p, and the partition placed it
+		}
+	}
+	slices.Sort(s[lo:hi])
 }
 
 // Histogram is a fixed-width bucket count over [Lo, Lo+Width·len(Counts)).
@@ -93,12 +149,14 @@ func NewHistogram(samples []float64, lo, hi float64, n int) Histogram {
 	}
 	h := Histogram{Lo: lo, Width: (hi - lo) / float64(n), Counts: make([]int, n)}
 	for _, v := range samples {
-		i := int((v - lo) / h.Width)
-		if !(i > 0) { // catches NaN as well as the low tail
-			i = 0
-		}
-		if i >= n {
+		// The tails are placed before converting: int() of +Inf, or of
+		// a quotient beyond the int range, is not n-1 or above.
+		i := 0 // the low tail, and NaN
+		switch {
+		case v >= hi:
 			i = n - 1
+		case v > lo:
+			i = min(int((v-lo)/h.Width), n-1)
 		}
 		h.Counts[i]++
 	}

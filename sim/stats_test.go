@@ -26,6 +26,125 @@ func oraclePercentile(samples []float64, q float64) float64 {
 	return s[rank-1]
 }
 
+// oracleDistribution is the sort-based Distribution: sort a copy, read
+// the extremes off its ends and the ceiling-rounded ranks out of it, and
+// sum the samples in their given order.
+func oracleDistribution(samples []float64) Distribution {
+	n := len(samples)
+	if n == 0 {
+		return Distribution{}
+	}
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	at := func(q float64) float64 {
+		rank := int(math.Floor(q*float64(n) + 0.5))
+		return sorted[min(max(rank, 1), n)-1]
+	}
+	var sum float64
+	for _, v := range samples {
+		sum += v
+	}
+	return Distribution{Count: n, Mean: sum / float64(n), Min: sorted[0], Max: sorted[n-1],
+		P50: at(0.50), P90: at(0.90), P99: at(0.99)}
+}
+
+// sameDistribution reports whether got equals want field for field,
+// with the means equal bit for bit.
+func sameDistribution(got, want Distribution) bool {
+	return got == want && math.Float64bits(got.Mean) == math.Float64bits(want.Mean)
+}
+
+// Summarize selects its percentiles in place on a copy instead of
+// sorting one. Whatever the shape of the sample, it must return exactly
+// the sort oracle's distribution, with the mean's bits, and leave its
+// input as it was.
+func TestSummarizeMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	shapes := []struct {
+		name string
+		gen  func(n int) []float64
+	}{
+		{"normal", func(n int) []float64 {
+			s := make([]float64, n)
+			for i := range s {
+				s[i] = rng.NormFloat64()
+			}
+			return s
+		}},
+		{"heavy duplicates", func(n int) []float64 {
+			s := make([]float64, n)
+			for i := range s {
+				s[i] = float64(rng.Intn(4)) / 4
+			}
+			return s
+		}},
+		{"constant", func(n int) []float64 {
+			s := make([]float64, n)
+			for i := range s {
+				s[i] = 0.76
+			}
+			return s
+		}},
+		{"constant runs", func(n int) []float64 {
+			s := make([]float64, 0, n)
+			for len(s) < n {
+				v, run := rng.Float64(), 1+rng.Intn(50)
+				for j := 0; j < run && len(s) < n; j++ {
+					s = append(s, v)
+				}
+			}
+			return s
+		}},
+		{"sorted", func(n int) []float64 {
+			s := make([]float64, n)
+			for i := range s {
+				s[i] = float64(i/3) * 0.01
+			}
+			return s
+		}},
+		{"reversed", func(n int) []float64 {
+			s := make([]float64, n)
+			for i := range s {
+				s[i] = float64((n-i)/3) * 0.01
+			}
+			return s
+		}},
+		{"mostly one value", func(n int) []float64 {
+			s := make([]float64, n)
+			for i := range s {
+				if s[i] = 1; rng.Intn(5) == 0 {
+					s[i] = rng.Float64() / 10
+				}
+			}
+			return s
+		}},
+	}
+	var sizes []int
+	for n := 1; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 1000, 4097, 6912, 92160, 200_000)
+	for _, shape := range shapes {
+		name := shape.name
+		for _, n := range sizes {
+			samples := shape.gen(n)
+			in := append([]float64(nil), samples...)
+			got, err := Summarize(samples)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", name, n, err)
+			}
+			if want := oracleDistribution(samples); !sameDistribution(got, want) {
+				t.Fatalf("%s n=%d: Summarize %+v, sort oracle %+v", name, n, got, want)
+			}
+			for i := range in {
+				if math.Float64bits(samples[i]) != math.Float64bits(in[i]) {
+					t.Fatalf("%s n=%d: Summarize changed sample %d from %v to %v", name, n, i, in[i], samples[i])
+				}
+			}
+		}
+	}
+}
+
 // Percentile must agree with the sort-based oracle over random samples
 // of every small size, with heavy ties, across the quantiles the
 // Summary reports and the reapload latency path uses.
@@ -94,20 +213,21 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{-1, 0, 0.04, 0.5, 0.96, 2, math.NaN()}, 0, 1, 20)
+	h := NewHistogram([]float64{-1, 0, 0.04, 0.5, 0.96, 2, math.NaN(), math.Inf(1), 1e300, math.Inf(-1)}, 0, 1, 20)
 	total := 0
 	for _, c := range h.Counts {
 		total += c
 	}
-	if total != 7 {
-		t.Fatalf("histogram dropped samples: %d of 7 counted (%v)", total, h.Counts)
+	if total != 10 {
+		t.Fatalf("histogram dropped samples: %d of 10 counted (%v)", total, h.Counts)
 	}
-	// Low tail and NaN land in the first bucket, high tail in the last.
-	if h.Counts[0] != 4 { // -1, 0, 0.04, NaN
-		t.Fatalf("first bucket holds %d, want 4 (%v)", h.Counts[0], h.Counts)
+	// Low tail and NaN land in the first bucket, high tail in the last,
+	// however far out: +Inf and 1e300 convert to no int at or above 19.
+	if h.Counts[0] != 5 { // -1, 0, 0.04, NaN, -Inf
+		t.Fatalf("first bucket holds %d, want 5 (%v)", h.Counts[0], h.Counts)
 	}
-	if h.Counts[19] != 2 { // 0.96, 2
-		t.Fatalf("last bucket holds %d, want 2 (%v)", h.Counts[19], h.Counts)
+	if h.Counts[19] != 4 { // 0.96, 2, +Inf, 1e300
+		t.Fatalf("last bucket holds %d, want 4 (%v)", h.Counts[19], h.Counts)
 	}
 	defer func() {
 		if recover() == nil {
