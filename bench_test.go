@@ -193,20 +193,16 @@ func BenchmarkSolveEnumerate5DPs(b *testing.B) {
 	}
 }
 
-// BenchmarkSolvePlan5DPs measures the compiled parametric backend at
-// the paper's operating point, through the public registry (compile
-// amortized across calls by the core.PlanFor fingerprint memo).
+// BenchmarkSolvePlan5DPs measures Solve, the compiled parametric plan,
+// at the paper's operating point (compile amortized across calls by
+// the core.PlanFor fingerprint memo).
 func BenchmarkSolvePlan5DPs(b *testing.B) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
-	solver, err := LookupSolver(SolverPlan)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.Solve(ctx, cfg, 5.0); err != nil {
+		if _, err := Solve(ctx, cfg, 5.0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,14 +222,10 @@ func BenchmarkSolvePlan100DPs(b *testing.B) {
 			Power:    1e-3 + rng.Float64()*2e-3,
 		})
 	}
-	solver, err := LookupSolver(SolverPlan)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.Solve(ctx, cfg, 5.0); err != nil {
+		if _, err := Solve(ctx, cfg, 5.0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,17 +257,13 @@ func batchRequests(n int) []Request {
 	return reqs
 }
 
-// BenchmarkSolveBatch compares a sequential loop against the
-// worker-pool batch layer, both on the default backend, at the
+// BenchmarkSolveBatch compares a sequential loop of Solve calls against
+// the worker-pool batch layer, both on the plan, at the
 // daemon's 64-item batch (one pool chunk, so SolveBatch runs it inline)
 // and at fleet scales (1k and 10k devices). The ratio of the two is the
 // batch API's speedup (DESIGN.md, "Fleet/batch layer").
 func BenchmarkSolveBatch(b *testing.B) {
 	ctx := context.Background()
-	solver, err := LookupSolver(DefaultSolver)
-	if err != nil {
-		b.Fatal(err)
-	}
 	cfg := DefaultConfig()
 	for _, n := range []int{64, 1000, 10000} {
 		reqs := batchRequests(n)
@@ -283,7 +271,7 @@ func BenchmarkSolveBatch(b *testing.B) {
 			results := make([]Result, len(reqs))
 			for i := 0; i < b.N; i++ {
 				for j, req := range reqs {
-					alloc, err := solver.Solve(ctx, cfg, req.Budget)
+					alloc, err := Solve(ctx, cfg, req.Budget)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -4,11 +4,10 @@
 // Usage:
 //
 //	reap -budget 5.0 [-alpha 1] [-period 3600] [-poff 5e-5] [-dps file.json]
-//	     [-solver simplex|enumerate]
 //
 // The design points default to the paper's Table 2; -dps accepts a JSON
 // array of {"name": ..., "accuracy": ..., "power": ...} objects (power in
-// watts). -solver selects a registered optimizer backend by name.
+// watts). The allocation comes from reap.Solve, the compiled plan.
 package main
 
 import (
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"repro"
 )
@@ -36,8 +34,6 @@ func main() {
 	period := flag.Float64("period", reap.DefaultPeriod, "activity period, seconds")
 	poff := flag.Float64("poff", reap.DefaultPOff, "off-state power, watts")
 	dpsFile := flag.String("dps", "", "JSON file with custom design points")
-	solverName := flag.String("solver", reap.DefaultSolver,
-		"optimizer backend: "+strings.Join(reap.Solvers(), ", "))
 	flag.Parse()
 
 	opts := []reap.Option{
@@ -65,17 +61,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	solver, err := reap.LookupSolver(*solverName)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	alloc, err := solver.Solve(context.Background(), cfg, *budget)
+	alloc, err := reap.Solve(context.Background(), cfg, *budget)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("budget      %.3f J (%s)\n", *budget, reap.Classify(cfg, *budget))
-	fmt.Printf("solver      %s\n", *solverName)
 	fmt.Printf("objective   J(t) = %.4f (alpha %g)\n", alloc.Objective(cfg), cfg.Alpha)
 	fmt.Printf("expected accuracy %.2f%%\n", 100*alloc.ExpectedAccuracy(cfg))
 	fmt.Printf("active time %.0f s of %.0f (%.1f%%)\n",

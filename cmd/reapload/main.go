@@ -8,7 +8,7 @@
 //
 //	reapload [-addr 127.0.0.1:8080] [-duration 10s] [-conns 4]
 //	         [-batch 64] [-mode solve] [-devices 1024]
-//	         [-solver ""] [-tenant bench]
+//	         [-tenant bench]
 //	         [-chaos 0] [-chaos-seed 1]
 //	         [-out BENCH_serve.json] [-max-p99 0]
 //
@@ -182,7 +182,6 @@ func main() {
 	batch := flag.Int("batch", 64, "solves or reports per request (1 = /v1/solve singles)")
 	mode := flag.String("mode", "solve", "traffic mix: solve | report | mixed")
 	devices := flag.Int("devices", 1024, "device id space for -mode report/mixed")
-	solver := flag.String("solver", "", "solver backend to request (default: server default)")
 	tenant := flag.String("tenant", "bench", "X-Tenant header value")
 	chaos := flag.Float64("chaos", 0, "probability of tearing a connection mid-request")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for tear decisions and backoff jitter")
@@ -202,7 +201,7 @@ func main() {
 		log.Fatal("-failover needs -promote and must fire inside -duration")
 	}
 
-	payloads := buildPayloads(*mode, *batch, *devices, *solver)
+	payloads := buildPayloads(*mode, *batch, *devices)
 	transport := &http.Transport{
 		MaxIdleConns:        *conns * 2,
 		MaxIdleConnsPerHost: *conns * 2,
@@ -485,18 +484,18 @@ func tear(addr string, p payload, rng *rand.Rand) {
 // configuration) so consecutive requests exercise distinct solves;
 // report batches walk the device space in sorted runs, the shape a
 // fleet gateway produces.
-func buildPayloads(mode string, batch, devices int, solver string) []payload {
+func buildPayloads(mode string, batch, devices int) []payload {
 	budget := func(i int) float64 { return 11.0 * float64(i%97) / 97 }
 	const variants = 16
 	var solves, reports []payload
 	for v := 0; v < variants; v++ {
 		if batch == 1 {
 			solves = append(solves, payload{path: "/v1/solve", solves: 1,
-				body: mustEncode(&wire.SolveRequest{V: wire.Version, BudgetJ: budget(v), Solver: solver})})
+				body: mustEncode(&wire.SolveRequest{V: wire.Version, BudgetJ: budget(v)})})
 		} else {
 			items := make([]wire.SolveItem, batch)
 			for i := range items {
-				items[i] = wire.SolveItem{BudgetJ: budget(v*batch + i), Solver: solver}
+				items[i] = wire.SolveItem{BudgetJ: budget(v*batch + i)}
 			}
 			solves = append(solves, payload{path: "/v1/batch-solve", solves: batch,
 				body: mustEncode(&wire.BatchSolveRequest{V: wire.Version, Items: items})})

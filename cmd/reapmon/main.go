@@ -7,11 +7,10 @@
 // Usage:
 //
 //	reapmon [-days 3] [-month 9] [-year 2015] [-alpha 1] [-battery 20]
-//	        [-capacity 100] [-noise 0.03] [-solver plan] [-lookahead]
+//	        [-capacity 100] [-noise 0.03] [-lookahead]
 //
-// -solver picks the hourly optimizer backend (default plan, the compiled
-// parametric solver). The -lookahead planner bypasses the hourly solver
-// entirely, so -solver does not apply there.
+// Each hour solves on the compiled plan; -lookahead replaces the hourly
+// solve with the 24-hour receding-horizon planner.
 package main
 
 import (
@@ -20,7 +19,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 
 	"repro"
 	"repro/internal/core"
@@ -47,8 +45,6 @@ func run(w io.Writer, args []string) error {
 	battery := fs.Float64("battery", 20, "initial battery charge, J")
 	capacity := fs.Float64("capacity", 100, "battery capacity, J")
 	noise := fs.Float64("noise", 0.03, "execution noise (relative std)")
-	solverName := fs.String("solver", reap.DefaultSolver,
-		"optimizer backend: "+strings.Join(reap.Solvers(), ", "))
 	lookahead := fs.Bool("lookahead", false, "use the 24h receding-horizon planner instead of myopic REAP")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -97,8 +93,7 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 
-	ctl, err := reap.New(reap.WithConfig(cfg), reap.WithBattery(*battery, *capacity),
-		reap.WithSolver(*solverName))
+	ctl, err := reap.New(reap.WithConfig(cfg), reap.WithBattery(*battery, *capacity))
 	if err != nil {
 		return err
 	}

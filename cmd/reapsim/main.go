@@ -47,7 +47,6 @@ func main() {
 	devices := flag.Int("devices", 0, "override the scenario's fleet size")
 	days := flag.Int("days", 0, "override the scenario's horizon in days")
 	seed := flag.Int64("seed", 0, "override the scenario's seed (0 keeps it)")
-	solver := flag.String("solver", "", "override the solver backend")
 	tracePath := flag.String("trace", "", "write the canonical trace here (\"-\" for stdout)")
 	metricsPath := flag.String("metrics", "", "write the summary metrics as JSON here (\"-\" for stdout)")
 	metricsDir := flag.String("metrics-dir", "", "write per-scenario metrics JSON files into this directory")
@@ -89,7 +88,7 @@ func main() {
 			log.Fatal("reapsim: -trace/-metrics need a single scenario; use -metrics-dir with -all")
 		}
 		for _, sc := range corpus.Scenarios() {
-			run(sc, *devices, *days, *seed, *solver, "", "", *metricsDir)
+			run(sc, *devices, *days, *seed, "", "", *metricsDir)
 			fmt.Println()
 		}
 		return
@@ -101,7 +100,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		run(sc, *devices, *days, *seed, *solver, *tracePath, *metricsPath, *metricsDir)
+		run(sc, *devices, *days, *seed, *tracePath, *metricsPath, *metricsDir)
 		return
 	case *name == "":
 		log.Fatal("reapsim: pick a -scenario (see -list), -config, -all or -validate")
@@ -110,7 +109,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run(sc, *devices, *days, *seed, *solver, *tracePath, *metricsPath, *metricsDir)
+	run(sc, *devices, *days, *seed, *tracePath, *metricsPath, *metricsDir)
 }
 
 // loadCorpus resolves the scenario source: the embedded corpus by
@@ -122,7 +121,7 @@ func loadCorpus(dir string) (*sim.ScenarioCorpus, error) {
 	return sim.LoadCorpus(dir)
 }
 
-func run(sc sim.Scenario, devices, days int, seed int64, solver, tracePath, metricsPath, metricsDir string) {
+func run(sc sim.Scenario, devices, days int, seed int64, tracePath, metricsPath, metricsDir string) {
 	if devices > 0 {
 		sc.Devices = devices
 	}
@@ -131,9 +130,6 @@ func run(sc sim.Scenario, devices, days int, seed int64, solver, tracePath, metr
 	}
 	if seed != 0 {
 		sc.Seed = seed
-	}
-	if solver != "" {
-		sc.Solver = solver
 	}
 	res, err := sim.Run(context.Background(), sc)
 	if err != nil {

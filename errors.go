@@ -10,7 +10,7 @@ import (
 // wraps one of these, so callers branch with errors.Is rather than string
 // matching:
 //
-//	alloc, err := solver.Solve(ctx, cfg, budget)
+//	alloc, err := reap.Solve(ctx, cfg, budget)
 //	switch {
 //	case errors.Is(err, reap.ErrBudgetNegative): // caller passed bad input
 //	case errors.Is(err, reap.ErrInvalidConfig):  // options produced a bad Config
@@ -32,7 +32,8 @@ var (
 	// optimum for any reason other than infeasibility (unbounded,
 	// iteration limit).
 	ErrSolverFailure = core.ErrSolverFailure
-	// ErrUnknownSolver is returned by LookupSolver, WithSolver and
-	// SolveBatch when a backend name is not in the registry.
+	// ErrUnknownSolver is returned by WithSolver for a name other than
+	// SolverPlan, SolverSimplex and SolverEnumerate, and by the wire
+	// layer for a request that names any solver but the plan.
 	ErrUnknownSolver = errors.New("reap: unknown solver backend")
 )

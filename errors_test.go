@@ -12,38 +12,42 @@ import (
 
 // TestErrorsIsRoundTrips pins the error taxonomy contract: every failure
 // mode of the public surface classifies with errors.Is against the
-// package sentinels, across the reap -> core -> lp wrapping chain.
+// package sentinels, on the plan and across the reap -> core -> lp
+// wrapping chain of the iterative solvers.
 func TestErrorsIsRoundTrips(t *testing.T) {
 	ctx := context.Background()
 	cfg, err := NewConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := LookupSolverMust(t, SolverSimplex)
 
 	t.Run("budget negative", func(t *testing.T) {
-		for _, bad := range []float64{-1, math.NaN()} {
-			if _, err := solver.Solve(ctx, cfg, bad); !errors.Is(err, ErrBudgetNegative) {
-				t.Errorf("Solve(%v): err %v, want ErrBudgetNegative", bad, err)
+		for _, s := range solvers {
+			for _, bad := range []float64{-1, math.NaN()} {
+				if _, err := s.solve(ctx, cfg, bad); !errors.Is(err, ErrBudgetNegative) {
+					t.Errorf("%s(%v): err %v, want ErrBudgetNegative", s.name, bad, err)
+				}
 			}
 		}
 	})
 
 	t.Run("invalid config", func(t *testing.T) {
-		bad := cfg
-		bad.Period = -1
-		if _, err := solver.Solve(ctx, bad, 5); !errors.Is(err, ErrInvalidConfig) {
-			t.Errorf("negative period: err %v, want ErrInvalidConfig", err)
-		}
-		bad = cfg
-		bad.DPs = nil
-		_, err := solver.Solve(ctx, bad, 5)
-		if !errors.Is(err, ErrInvalidConfig) {
-			t.Errorf("no DPs: err %v, want ErrInvalidConfig", err)
-		}
-		// The finer-grained sentinel stays visible through the wrap.
-		if !errors.Is(err, core.ErrNoDesignPoints) {
-			t.Errorf("no DPs: err %v should also match core.ErrNoDesignPoints", err)
+		for _, s := range solvers {
+			bad := cfg
+			bad.Period = -1
+			if _, err := s.solve(ctx, bad, 5); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s, negative period: err %v, want ErrInvalidConfig", s.name, err)
+			}
+			bad = cfg
+			bad.DPs = nil
+			_, err := s.solve(ctx, bad, 5)
+			if !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s, no DPs: err %v, want ErrInvalidConfig", s.name, err)
+			}
+			// The finer-grained sentinel stays visible through the wrap.
+			if !errors.Is(err, core.ErrNoDesignPoints) {
+				t.Errorf("%s, no DPs: err %v should also match core.ErrNoDesignPoints", s.name, err)
+			}
 		}
 	})
 
@@ -54,8 +58,8 @@ func TestErrorsIsRoundTrips(t *testing.T) {
 		if _, err := NewFleet(0); !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("NewFleet(0): err %v, want ErrInvalidConfig", err)
 		}
-		if _, err := LookupSolver("bogus"); !errors.Is(err, ErrUnknownSolver) {
-			t.Errorf("LookupSolver: err %v, want ErrUnknownSolver", err)
+		if _, err := New(WithSolver("bogus")); !errors.Is(err, ErrUnknownSolver) {
+			t.Errorf("WithSolver: err %v, want ErrUnknownSolver", err)
 		}
 		// NaN battery state must fail construction on both the options
 		// path and the core positional path.
@@ -92,16 +96,12 @@ func TestErrorsIsRoundTrips(t *testing.T) {
 		results := SolveBatch(ctx, []Request{
 			{Budget: 5},
 			{Budget: -3},
-			{Budget: 5, Solver: "bogus"},
 		})
 		if results[0].Err != nil {
 			t.Errorf("good request failed: %v", results[0].Err)
 		}
 		if !errors.Is(results[1].Err, ErrBudgetNegative) {
 			t.Errorf("negative budget: err %v, want ErrBudgetNegative", results[1].Err)
-		}
-		if !errors.Is(results[2].Err, ErrUnknownSolver) {
-			t.Errorf("bogus solver: err %v, want ErrUnknownSolver", results[2].Err)
 		}
 	})
 }

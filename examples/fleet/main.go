@@ -65,30 +65,26 @@ func main() {
 	fmt.Printf("\n24 fleet-hours (%d steps) in %v; day-mean E{a} %.1f%%\n",
 		24*devices, time.Since(start).Round(time.Millisecond), 100*totalAcc/(24*devices))
 
-	// Stateless batch: a what-if sweep over budgets, cross-checking the
-	// default plan backend against the paper's simplex per request.
-	reqs := make([]reap.Request, 0, 40)
-	for i := 0; i < 20; i++ {
-		budget := 0.5 + 0.5*float64(i)
-		reqs = append(reqs,
-			reap.Request{Budget: budget}, // default backend: the compiled plan
-			reap.Request{Budget: budget, Solver: reap.SolverSimplex},
-		)
+	// Stateless batch: a what-if sweep over budgets on the paper's
+	// configuration (a zero Config), every request solved on the plan.
+	reqs := make([]reap.Request, 20)
+	for i := range reqs {
+		reqs[i] = reap.Request{Budget: 0.5 + 0.5*float64(i)}
 	}
-	results := reap.SolveBatch(ctx, reqs)
-	agree := 0
-	for i := 0; i < len(results); i += 2 {
-		if results[i].Err != nil || results[i+1].Err != nil {
-			panic(fmt.Sprintf("batch solve failed: %v %v", results[i].Err, results[i+1].Err))
+	cfg, err := reap.NewConfig() // the defaults a zero Config stands for
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("\nSolveBatch: %d budget points\n", len(reqs))
+	for i, res := range reap.SolveBatch(ctx, reqs) {
+		if res.Err != nil {
+			panic(fmt.Sprintf("batch solve at %.1f J failed: %v", reqs[i].Budget, res.Err))
 		}
-		cfg, _ := reap.NewConfig()
-		a, b := results[i].Allocation.Objective(cfg), results[i+1].Allocation.Objective(cfg)
-		if math.Abs(a-b) < 1e-9 {
-			agree++
+		if i%5 == 4 {
+			fmt.Printf("  %4.1f J  E{a} %5.1f%%  active %5.1f%% of the hour\n", reqs[i].Budget,
+				100*res.Allocation.ExpectedAccuracy(cfg), 100*res.Allocation.ActiveTime()/cfg.Period)
 		}
 	}
-	fmt.Printf("\nSolveBatch: %d budget points, plan and simplex agree on %d/%d\n",
-		len(reqs)/2, agree, len(reqs)/2)
 }
 
 func mean(xs []float64) float64 {

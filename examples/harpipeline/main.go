@@ -35,15 +35,10 @@ func main() {
 	}
 
 	// Assemble the optimizer configuration from the simulated
-	// characterization (not the paper's numbers) and plan an hour with
-	// the enumeration backend from the solver registry.
+	// characterization (not the paper's numbers) and plan an hour.
 	cfg := har.CoreConfig(points, 1)
-	solver, err := reap.LookupSolver(reap.SolverEnumerate)
-	if err != nil {
-		panic(err)
-	}
 	budget := 5.0
-	alloc, err := solver.Solve(context.Background(), cfg, budget)
+	alloc, err := reap.Solve(context.Background(), cfg, budget)
 	if err != nil {
 		panic(err)
 	}

@@ -16,14 +16,6 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	// The default backend is "plan" — the compiled parametric solver;
-	// reap.SolverSimplex pins the paper's Algorithm 1 instead.
-	solver, err := reap.LookupSolver(reap.DefaultSolver)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("registered solver backends: %v\n\n", reap.Solvers())
-
 	fmt.Println("REAP quickstart: the paper's five design points")
 	for _, dp := range cfg.DPs {
 		fmt.Printf("  %-4s accuracy %.0f%%  power %.2f mW (%.2f J/hour)\n",
@@ -34,7 +26,9 @@ func main() {
 	// The paper's running example: a 5 J hourly budget lands in Region 2,
 	// and the optimum mixes DP4 (42%) with DP5 (58%).
 	for _, budget := range []float64{0.5, 2.0, 5.0, 8.0, 10.5} {
-		alloc, err := solver.Solve(ctx, cfg, budget)
+		// reap.Solve answers on the compiled plan: the configuration
+		// compiles once, then every budget is a binary search.
+		alloc, err := reap.Solve(ctx, cfg, budget)
 		if err != nil {
 			panic(err)
 		}

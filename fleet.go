@@ -15,7 +15,7 @@ import (
 // Fleet owns one Controller session per device and steps them all
 // concurrently — the coordination layer for serving many harvesting
 // devices from one process. Every device shares the same configuration,
-// solver backend and initial battery state; per-device divergence happens
+// solver and initial battery state; per-device divergence happens
 // through each device's own budgets, accounting carry and battery.
 //
 //	fleet, _ := reap.NewFleet(1000, reap.WithBattery(20, 100))
@@ -393,9 +393,6 @@ type Request struct {
 	Config Config
 	// Budget is the energy available for the period, in joules.
 	Budget float64
-	// Solver names the registry backend to use; empty selects the
-	// default backend (DefaultSolver, the compiled parametric plan).
-	Solver string
 }
 
 // Result pairs a Request's allocation with its error; exactly one of the
@@ -413,10 +410,9 @@ type Result struct {
 // results[i] answers reqs[i]; cancelling the context marks every
 // unstarted request with ctx.Err().
 //
-// Each request names its own backend (Request.Solver). Requests on the
-// default plan backend compile each distinct configuration fingerprint
-// once (core.PlanFor memoizes compiled plans), so a sweep of N budgets
-// over one Config pays one compilation and N binary-search solves.
+// Each request solves as Solve does, on the plan core.PlanFor memoizes
+// per configuration fingerprint, so a sweep of N budgets over one
+// Config pays one compilation and N binary-search solves.
 func SolveBatch(ctx context.Context, reqs []Request) []Result {
 	results := make([]Result, len(reqs))
 	var defaultCfg Config // the paper defaults, built only if a request has a zero Config
@@ -427,26 +423,12 @@ func SolveBatch(ctx context.Context, reqs []Request) []Result {
 		}
 	}
 	ran := poolRun(ctx, runtime.GOMAXPROCS(0), len(reqs), func(lo, hi int) {
-		// A batch almost always names one backend, so a chunk looks a
-		// backend up in the registry only when a request names another
-		// one than the request before it.
-		name := reqs[lo].Solver
-		solver, lookupErr := lookupBackend(name)
 		for i := lo; i < hi; i++ {
-			req := &reqs[i]
-			if req.Solver != name {
-				name = req.Solver
-				solver, lookupErr = lookupBackend(name)
-			}
-			if lookupErr != nil {
-				results[i] = Result{Err: lookupErr}
-				continue
-			}
-			cfg := req.Config
+			cfg := reqs[i].Config
 			if isZeroConfig(cfg) {
 				cfg = defaultCfg
 			}
-			alloc, err := solver.Solve(ctx, cfg, req.Budget)
+			alloc, err := Solve(ctx, cfg, reqs[i].Budget)
 			results[i] = Result{Allocation: alloc, Err: err}
 		}
 	})
@@ -459,14 +441,6 @@ func SolveBatch(ctx context.Context, reqs []Request) []Result {
 		}
 	}
 	return results
-}
-
-// lookupBackend resolves a Request.Solver name, empty for DefaultSolver.
-func lookupBackend(name string) (Solver, error) {
-	if name == "" {
-		name = DefaultSolver
-	}
-	return LookupSolver(name)
 }
 
 func isZeroConfig(c Config) bool {

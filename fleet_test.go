@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
-	"runtime"
+	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestFleetStepAllMatchesSequential checks that the concurrent fleet path
@@ -181,8 +182,6 @@ func TestSolveBatchMatchesDirectSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := LookupSolverMust(t, SolverSimplex)
-
 	reqs := make([]Request, 200)
 	for i := range reqs {
 		reqs[i] = Request{Budget: 11.0 * float64(i) / float64(len(reqs))}
@@ -195,12 +194,12 @@ func TestSolveBatchMatchesDirectSolve(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("request %d: %v", i, res.Err)
 		}
-		want, err := solver.Solve(ctx, cfg, reqs[i].Budget)
+		want, err := core.SolveContext(ctx, cfg, reqs[i].Budget)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(res.Allocation.Objective(cfg)-want.Objective(cfg)) > 1e-12 {
-			t.Fatalf("request %d: batch %v, direct %v", i, res.Allocation, want)
+			t.Fatalf("request %d: batch %v, simplex %v", i, res.Allocation, want)
 		}
 	}
 }
@@ -211,57 +210,34 @@ func TestSolveBatchEmpty(t *testing.T) {
 	}
 }
 
-// The registry is append-only and process-global, so tests that need a
-// bespoke backend register one hooked solver once and swap its behaviour
-// per test run (keeps -count=N reruns working).
-var (
-	registerHookedSolverOnce sync.Once
-	hookedSolve              atomic.Pointer[SolverFunc]
-)
-
-const hookedSolverName = "test-hooked"
-
-func registerHookedSolver(t *testing.T) {
-	t.Helper()
-	registerHookedSolverOnce.Do(func() {
-		err := RegisterSolver(hookedSolverName, SolverFunc(
-			func(ctx context.Context, cfg Config, budget float64) (Allocation, error) {
-				return (*hookedSolve.Load())(ctx, cfg, budget)
-			}))
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
+// countdownCtx is a context whose Err turns context.Canceled once it
+// has answered nil left times, so a test can cancel a batch at a known
+// point with no hook inside SolveBatch.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
 }
 
-// TestSolveBatchCancellationMidBatch cancels the context from inside the
-// tenth solve: items completed before the cancellation keep their
-// results, everything else — abandoned or refused mid-flight — reports
-// context.Canceled.
-func TestSolveBatchCancellationMidBatch(t *testing.T) {
-	registerHookedSolver(t)
-	simplex := LookupSolverMust(t, SolverSimplex)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
 
+// TestSolveBatchCancellationMidBatch cancels a batch partway: SolveBatch
+// reads the context once per chunk it claims and Solve once per request,
+// so at most the first cancelAt reads find it live. Items completed
+// before the cancellation keep their results, and everything else —
+// abandoned or refused mid-flight — reports context.Canceled.
+func TestSolveBatchCancellationMidBatch(t *testing.T) {
 	const n, cancelAt = 200, 10
-	var solves atomic.Int32
-	fn := SolverFunc(func(ctx context.Context, cfg Config, budget float64) (Allocation, error) {
-		// Solve first, cancel after: the counted solves are guaranteed to
-		// complete, so the assertions below are race-free on any core
-		// count (in-flight workers may still finish their current solve
-		// after the cancellation — bounded by the pool width).
-		alloc, err := simplex.Solve(ctx, cfg, budget)
-		if err == nil && solves.Add(1) == cancelAt {
-			cancel()
-		}
-		return alloc, err
-	})
-	hookedSolve.Store(&fn)
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.left.Store(cancelAt)
 
 	reqs := make([]Request, n)
 	for i := range reqs {
-		reqs[i] = Request{Budget: 5, Solver: hookedSolverName}
+		reqs[i] = Request{Budget: 11 * float64(i) / n}
 	}
 	results := SolveBatch(ctx, reqs)
 	if len(results) != n {
@@ -272,8 +248,12 @@ func TestSolveBatchCancellationMidBatch(t *testing.T) {
 	for i, res := range results {
 		switch {
 		case res.Err == nil:
-			if res.Allocation.Total() == 0 {
-				t.Fatalf("request %d: no error but empty allocation", i)
+			want, err := Solve(context.Background(), DefaultConfig(), reqs[i].Budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Allocation, want) {
+				t.Fatalf("request %d: completed with %v, want %v", i, res.Allocation, want)
 			}
 			completed++
 		case errors.Is(res.Err, context.Canceled):
@@ -285,17 +265,13 @@ func TestSolveBatchCancellationMidBatch(t *testing.T) {
 			t.Fatalf("request %d: unexpected error %v", i, res.Err)
 		}
 	}
-	if completed < cancelAt {
-		t.Fatalf("%d completed, want at least the %d solves that finished before cancellation", completed, cancelAt)
+	// Every completed solve read a live context, and so did the pool's
+	// first claim.
+	if completed == 0 || completed >= cancelAt {
+		t.Fatalf("%d completed, want between 1 and %d", completed, cancelAt-1)
 	}
-	// Workers already inside a solve when the cancellation landed may
-	// finish it; anything beyond one per worker means the pool kept
-	// dispatching after cancellation.
-	if limit := cancelAt + runtime.GOMAXPROCS(0); completed > limit {
-		t.Fatalf("%d completed, want at most %d after cancellation at solve %d", completed, limit, cancelAt)
-	}
-	if cancelled == 0 {
-		t.Fatal("no request observed the cancellation")
+	if cancelled != n-completed {
+		t.Fatalf("%d cancelled and %d completed of %d", cancelled, completed, n)
 	}
 }
 
@@ -354,47 +330,6 @@ func TestFleetDevicesIsolated(t *testing.T) {
 	}
 	if device(target) != ctl {
 		t.Fatal("Device returned a different pointer after the operations")
-	}
-}
-
-// TestSolveBatchBackendRuns: a batch whose requests name backends in
-// runs of every length, across chunk boundaries and with an unknown
-// name among them, answers each request on its own backend and gives
-// each unknown one its own ErrUnknownSolver.
-func TestSolveBatchBackendRuns(t *testing.T) {
-	ctx := context.Background()
-	cfg := DefaultConfig()
-	names := []string{"", SolverPlan, "no-such-backend", SolverSimplex, SolverEnumerate, "no-such-backend"}
-	var reqs []Request
-	for run := 1; len(reqs) < 300; run++ {
-		name := names[run%len(names)]
-		for k := 0; k < run%70; k++ {
-			reqs = append(reqs, Request{Budget: 11 * float64(len(reqs)%97) / 97, Solver: name})
-		}
-	}
-	results := SolveBatch(ctx, reqs)
-	for i, req := range reqs {
-		res := results[i]
-		if req.Solver == "no-such-backend" {
-			if !errors.Is(res.Err, ErrUnknownSolver) {
-				t.Fatalf("request %d (%q): error %v, want ErrUnknownSolver", i, req.Solver, res.Err)
-			}
-			continue
-		}
-		if res.Err != nil {
-			t.Fatalf("request %d (%q): %v", i, req.Solver, res.Err)
-		}
-		name := req.Solver
-		if name == "" {
-			name = DefaultSolver
-		}
-		want, err := LookupSolverMust(t, name).Solve(ctx, cfg, req.Budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(res.Allocation.Objective(cfg)-want.Objective(cfg)) > 1e-12 {
-			t.Fatalf("request %d (%q): batch %v, direct %v", i, req.Solver, res.Allocation, want)
-		}
 	}
 }
 

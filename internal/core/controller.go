@@ -8,8 +8,8 @@ import (
 
 // SolveFunc is the pluggable optimizer backend of a Controller: it maps a
 // configuration and an energy budget onto an allocation. SolveContext and
-// SolveEnumerateContext both satisfy it; the public reap package adapts
-// registered Solver backends through this type.
+// SolveEnumerateContext both satisfy it; the public reap package installs
+// one of them when WithSolver names "simplex" or "enumerate".
 type SolveFunc func(ctx context.Context, c Config, budget float64) (Allocation, error)
 
 // Controller is the runtime side of REAP: once per activity period it

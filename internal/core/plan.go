@@ -205,18 +205,9 @@ func (p *Plan) SolveInto(budget float64, dst *Allocation) error {
 	dst.Off, dst.Dead = 0, 0
 
 	if budget < p.hull[0].budget {
-		// Below the idle floor the LP is infeasible in spirit: idle for
-		// as long as the budget lasts, dead for the rest (same regime
-		// preLP carves off for the iterative solvers).
-		off := 0.0
-		if p.pOff > 0 {
-			off = budget / p.pOff
-		}
-		if off > p.period {
-			off = p.period
-		}
-		dst.Off = off
-		dst.Dead = p.period - off
+		// Below the idle floor the LP is infeasible in spirit (the
+		// regime preLP carves off for the iterative solvers).
+		dst.Off, dst.Dead = idleThenDead(budget, p.pOff, p.period)
 		return nil
 	}
 

@@ -198,29 +198,29 @@ func SolveEnumerateContext(ctx context.Context, c Config, budget float64) (Alloc
 	return best, nil
 }
 
-// preLP handles the regimes the LP cannot express: a budget below the
-// off-state floor (device dies partway through the period) and a budget so
-// large the time constraint alone binds. It returns done=false when the LP
-// must run.
+// preLP handles the regime the LP cannot express: a budget below the
+// off-state floor (the device dies partway through the period). It
+// returns done=false when the LP must run.
 func preLP(c Config, budget float64) (Allocation, bool) {
-	floor := c.MinBudget()
-	if budget < floor {
-		// Not even the idle circuitry survives the hour: stay off until
-		// the budget is gone, then the device is dead.
-		off := 0.0
-		if c.POff > 0 {
-			off = budget / c.POff
-		}
-		if off > c.Period {
-			off = c.Period
-		}
-		return Allocation{
-			Active: make([]float64, len(c.DPs)),
-			Off:    off,
-			Dead:   c.Period - off,
-		}, true
+	if budget < c.MinBudget() {
+		off, dead := idleThenDead(budget, c.POff, c.Period)
+		return Allocation{Active: make([]float64, len(c.DPs)), Off: off, Dead: dead}, true
 	}
 	return Allocation{}, false
+}
+
+// idleThenDead is the sub-floor regime every solver and the static
+// baselines share: when not even the idle circuitry survives the
+// period, the device stays off (idle, drawing pOff) until the budget
+// is gone, clamped to the period, and is dead for the rest.
+func idleThenDead(budget, pOff, period float64) (off, dead float64) {
+	if pOff > 0 {
+		off = budget / pOff
+	}
+	if off > period {
+		off = period
+	}
+	return off, period - off
 }
 
 // clampAllocation removes floating-point dust and re-normalizes the time

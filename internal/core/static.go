@@ -8,17 +8,8 @@ func StaticAllocation(c Config, i int, budget float64) Allocation {
 	alloc := Allocation{Active: make([]float64, len(c.DPs))}
 	floor := c.MinBudget()
 	if budget < floor {
-		// Same sub-floor behaviour as the optimizer: idle until the
-		// budget is exhausted, dead afterwards.
-		off := 0.0
-		if c.POff > 0 {
-			off = budget / c.POff
-		}
-		if off > c.Period {
-			off = c.Period
-		}
-		alloc.Off = off
-		alloc.Dead = c.Period - off
+		// Same sub-floor behaviour as the optimizer.
+		alloc.Off, alloc.Dead = idleThenDead(budget, c.POff, c.Period)
 		return alloc
 	}
 	t := c.Period

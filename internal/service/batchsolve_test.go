@@ -44,8 +44,9 @@ func distinctItems(rng *rand.Rand) []wire.SolveItem {
 
 // TestBatchSolveResponseBytes pins the batch answer byte for byte: for
 // each body, the handler's response equals json.Encoder's encoding of a
-// BatchSolveResponse built item by item, each item solved as a batch of
-// its own and rendered with wire.NewSolveResponse or wire.AsError.
+// BatchSolveResponse built item by item, each item refused by
+// wire.CheckSolver or solved as a batch of its own, and rendered with
+// wire.NewSolveResponse or wire.AsError.
 func TestBatchSolveResponseBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	period, poff := 1800.0, 0.0
@@ -68,6 +69,10 @@ func TestBatchSolveResponseBytes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := wire.BatchSolveResponse{V: wire.Version, Results: make([]wire.SolveResult, len(items))}
 			for i, it := range items {
+				if err := wire.CheckSolver(it.Solver); err != nil {
+					want.Results[i].Error = wire.AsError(err)
+					continue
+				}
 				req := it.ToRequest()
 				res := reap.SolveBatch(context.Background(), []reap.Request{req})[0]
 				if res.Err != nil {

@@ -396,34 +396,19 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if s.testHookSolve != nil {
 		s.testHookSolve()
 	}
-	resp, werr := s.solveOne(r.Context(), wire.SolveItem{
-		Config: req.Config, BudgetJ: req.BudgetJ, Solver: req.Solver,
-	})
-	if werr != nil {
+	if err := wire.CheckSolver(req.Solver); err != nil {
+		writeError(w, http.StatusBadRequest, wire.AsError(err))
+		return
+	}
+	cfg := req.Config.ToReap()
+	alloc, err := reap.Solve(r.Context(), cfg, req.BudgetJ)
+	if err != nil {
+		werr := wire.AsError(err)
 		writeError(w, statusFor(werr), werr)
 		return
 	}
 	s.solves.Add(1)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// solveOne answers one stateless solve item — the shared core of the
-// solve and batch-solve endpoints.
-func (s *Service) solveOne(ctx context.Context, item wire.SolveItem) (*wire.SolveResponse, *wire.Error) {
-	name := item.Solver
-	if name == "" {
-		name = reap.DefaultSolver
-	}
-	solver, err := reap.LookupSolver(name)
-	if err != nil {
-		return nil, wire.AsError(err)
-	}
-	cfg := item.Config.ToReap()
-	alloc, err := solver.Solve(ctx, cfg, item.BudgetJ)
-	if err != nil {
-		return nil, wire.AsError(err)
-	}
-	return wire.NewSolveResponse(cfg, alloc), nil
+	writeJSON(w, http.StatusOK, wire.NewSolveResponse(cfg, alloc))
 }
 
 func (s *Service) handleBatchSolve(w http.ResponseWriter, r *http.Request) {
@@ -443,7 +428,13 @@ func (s *Service) handleBatchSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqs := wire.ToRequests(req.Items)
-	resp := wire.NewBatchSolveResponse(reqs, reap.SolveBatch(r.Context(), reqs))
+	results := reap.SolveBatch(r.Context(), reqs)
+	for i := range req.Items {
+		if err := wire.CheckSolver(req.Items[i].Solver); err != nil {
+			results[i] = reap.Result{Err: err}
+		}
+	}
+	resp := wire.NewBatchSolveResponse(reqs, results)
 	s.batchItems.Add(uint64(len(req.Items)))
 	writeJSON(w, http.StatusOK, resp)
 }

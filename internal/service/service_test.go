@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -17,20 +18,6 @@ import (
 	reap "repro"
 	"repro/wire"
 )
-
-func init() {
-	// A deterministic way to exercise the infeasible → 422 path: the
-	// stateless solve endpoints accept any budget ≥ 0 on the real
-	// backends, so infeasibility must come from a backend that produces
-	// it.
-	err := reap.RegisterSolver("svc-test-infeasible",
-		reap.SolverFunc(func(ctx context.Context, cfg reap.Config, budget float64) (reap.Allocation, error) {
-			return reap.Allocation{}, fmt.Errorf("svc test: %w", reap.ErrInfeasible)
-		}))
-	if err != nil {
-		panic(err)
-	}
-}
 
 func newTestService(t *testing.T, cfg Config) *Service {
 	t.Helper()
@@ -142,15 +129,76 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestSolveInfeasibleMapsTo422: the plan answers every valid request,
+// so no HTTP solve produces these sentinels, but the status mapping
+// holds: an infeasible or failed solve is 422, not the client's 400 or
+// a 500.
 func TestSolveInfeasibleMapsTo422(t *testing.T) {
-	svc := newTestService(t, Config{})
-	rec := do(t, svc.Handler(), http.MethodPost, "/v1/solve",
-		&wire.SolveRequest{V: wire.Version, BudgetJ: 1, Solver: "svc-test-infeasible"})
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("status = %d, want 422; body %s", rec.Code, rec.Body)
+	for _, sentinel := range []error{reap.ErrInfeasible, reap.ErrSolverFailure} {
+		werr := wire.AsError(fmt.Errorf("solve: %w", sentinel))
+		if got := statusFor(werr); got != http.StatusUnprocessableEntity {
+			t.Errorf("%v (code %q): status %d, want 422", sentinel, werr.Code, got)
+		}
 	}
-	if got := decodeErrCode(t, rec); got != wire.CodeInfeasible {
-		t.Errorf("error code = %q, want %q", got, wire.CodeInfeasible)
+}
+
+// TestSolveAcceptsOnlyThePlan: wire v1 solves on the plan, so a request
+// naming no solver or "plan" is answered byte for byte alike, and any
+// other name — the iterative solvers' included — is refused with
+// unknown_solver: 400 on /v1/solve, a per-item result in a batch.
+func TestSolveAcceptsOnlyThePlan(t *testing.T) {
+	svc := newTestService(t, Config{})
+	h := svc.Handler()
+	names := []string{"", "plan", "simplex", "enumerate", "no-such-solver"}
+	accepted := func(name string) bool { return name == "" || name == "plan" }
+
+	var want []byte
+	for _, name := range names {
+		rec := do(t, h, http.MethodPost, "/v1/solve", &wire.SolveRequest{V: wire.Version, BudgetJ: 5, Solver: name})
+		if !accepted(name) {
+			if rec.Code != http.StatusBadRequest || decodeErrCode(t, rec) != wire.CodeUnknownSolver {
+				t.Errorf("/v1/solve %q: status %d, body %s; want 400 unknown_solver", name, rec.Code, rec.Body)
+			}
+			continue
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/v1/solve %q: status %d, body %s", name, rec.Code, rec.Body)
+		}
+		if want == nil {
+			want = rec.Body.Bytes()
+		} else if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("/v1/solve %q answers %s, the unnamed solver %s", name, rec.Body, want)
+		}
+	}
+
+	items := make([]wire.SolveItem, len(names))
+	for i, name := range names {
+		items[i] = wire.SolveItem{BudgetJ: 5, Solver: name}
+	}
+	rec := do(t, h, http.MethodPost, "/v1/batch-solve", &wire.BatchSolveRequest{V: wire.Version, Items: items})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch: status %d, body %s", rec.Code, rec.Body)
+	}
+	var resp wire.BatchSolveResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	var solo wire.SolveResponse
+	if err := json.Unmarshal(want, &solo); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		res := resp.Results[i]
+		switch {
+		case !accepted(name):
+			if res.Solve != nil || res.Error == nil || res.Error.Code != wire.CodeUnknownSolver {
+				t.Errorf("batch item %q: %+v, want an unknown_solver error", name, res)
+			}
+		case res.Solve == nil:
+			t.Errorf("batch item %q: error %+v, want a solve", name, res.Error)
+		case !reflect.DeepEqual(*res.Solve, solo):
+			t.Errorf("batch item %q: %+v, /v1/solve answers %+v", name, *res.Solve, solo)
+		}
 	}
 }
 

@@ -16,11 +16,11 @@ type Option func(*settings) error
 // battery (0 J charge, 0 J capacity) models the battery-less device
 // class, matching the paper's harvesting-only prototype.
 type settings struct {
-	cfg        Config
-	solverName string
-	batteryJ   float64
-	capacityJ  float64
-	workers    int
+	cfg       Config
+	solve     core.SolveFunc // nil: solve on the plan
+	batteryJ  float64
+	capacityJ float64
+	workers   int
 
 	// deviceOverride refines settings per device when NewFleet builds a
 	// heterogeneous fleet; nil means every device is identical.
@@ -28,7 +28,7 @@ type settings struct {
 }
 
 func defaultSettings() *settings {
-	return &settings{cfg: core.DefaultConfig(), solverName: DefaultSolver}
+	return &settings{cfg: core.DefaultConfig()}
 }
 
 func (s *settings) apply(opts []Option) error {
@@ -95,17 +95,26 @@ func WithOffPower(watts float64) Option {
 	}
 }
 
-// WithSolver selects a registered backend by name; see Solvers for the
-// available names. The name resolves at construction time, so an unknown
-// backend fails New rather than the first Step. NewConfig ignores this
-// option (beyond validating the name) since a Config carries no solver.
+// WithSolver selects the optimizer a session steps on by name:
+// SolverPlan, the default, or SolverSimplex or SolverEnumerate, the
+// iterative solvers the plan is checked against. Any other name fails
+// construction with ErrUnknownSolver, so an unknown name fails New
+// rather than the first Step. NewConfig ignores this option (beyond
+// validating the name) since a Config carries no solver.
 func WithSolver(name string) Option {
-	return func(s *settings) error {
-		if _, err := LookupSolver(name); err != nil {
-			return err
-		}
-		s.solverName = name
-		return nil
+	// Each name maps onto the session's solve hook; the plan is the
+	// absence of one. The three options capture nothing, so building
+	// one allocates nothing.
+	switch name {
+	case SolverPlan:
+		return func(s *settings) error { s.solve = nil; return nil }
+	case SolverSimplex:
+		return func(s *settings) error { s.solve = core.SolveContext; return nil }
+	case SolverEnumerate:
+		return func(s *settings) error { s.solve = core.SolveEnumerateContext; return nil }
+	}
+	return func(*settings) error {
+		return fmt.Errorf("%w: %q (have %s, %s, %s)", ErrUnknownSolver, name, SolverEnumerate, SolverPlan, SolverSimplex)
 	}
 }
 
@@ -124,8 +133,8 @@ func WithBattery(chargeJ, capacityJ float64) Option {
 }
 
 // WithoutSolveCache does nothing: the solve cache it once disabled has
-// been removed, and every device solves directly on its configured
-// backend.
+// been removed, and every device solves directly on its plan or on the
+// solver WithSolver names.
 //
 // Deprecated: drop the option; it has no effect.
 func WithoutSolveCache() Option {
@@ -189,8 +198,7 @@ func NewConfig(opts ...Option) (Config, error) {
 
 // New creates a runtime controller session from options. The zero-option
 // call reproduces the paper's setup — Table 2 design points, a
-// battery-less device — on the default backend (DefaultSolver, the
-// compiled plan).
+// battery-less device — solving on the compiled plan.
 //
 //	ctl, err := reap.New(
 //	    reap.WithAlpha(2),
@@ -207,20 +215,13 @@ func New(opts ...Option) (*Controller, error) {
 
 // newController builds one session from resolved settings. Every
 // controller solves on the memoized plan for its configuration
-// (core.PlanFor), so on the plan backend its steady-state step
-// allocates nothing; any other backend installs as the controller's
-// SolveFunc.
+// (core.PlanFor), so its steady-state step allocates nothing, unless
+// WithSolver installed an iterative solver as its SolveFunc.
 func (s *settings) newController() (*Controller, error) {
 	ctl, err := core.NewController(s.cfg, s.batteryJ, s.capacityJ)
 	if err != nil {
 		return nil, err
 	}
-	if s.solverName != SolverPlan {
-		solver, err := LookupSolver(s.solverName)
-		if err != nil {
-			return nil, err
-		}
-		ctl.SetSolveFunc(solver.Solve)
-	}
+	ctl.SetSolveFunc(s.solve)
 	return ctl, nil
 }

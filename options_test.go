@@ -158,32 +158,22 @@ func TestNewWithEnumerateBackend(t *testing.T) {
 	}
 }
 
+// TestNewWithCustomBackend: a hook installed with SetSolveFunc answers
+// the session's steps in place of its plan.
 func TestNewWithCustomBackend(t *testing.T) {
-	registerHookedSolver(t)
-	calls := 0
-	spy := SolverFunc(func(ctx context.Context, cfg Config, budget float64) (Allocation, error) {
-		calls++
-		return LookupSolverMust(t, SolverSimplex).Solve(ctx, cfg, budget)
-	})
-	hookedSolve.Store(&spy)
-	ctl, err := New(WithSolver(hookedSolverName))
+	ctl, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
+	calls := 0
+	ctl.SetSolveFunc(func(ctx context.Context, cfg Config, budget float64) (Allocation, error) {
+		calls++
+		return core.SolveContext(ctx, cfg, budget)
+	})
 	if _, err := ctl.Step(5); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
 		t.Fatalf("custom backend called %d times, want 1", calls)
 	}
-}
-
-// LookupSolverMust is a test helper that fails the test on lookup errors.
-func LookupSolverMust(t *testing.T, name string) Solver {
-	t.Helper()
-	s, err := LookupSolver(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }

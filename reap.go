@@ -10,24 +10,21 @@
 //
 // The API is layered (see DESIGN.md):
 //
-//   - Solver layer: named optimizer backends behind a registry
-//     (RegisterSolver, LookupSolver, Solvers) sharing the Solver
-//     interface, with typed sentinel errors (ErrInvalidConfig,
-//     ErrBudgetNegative, ErrInfeasible, ErrUnknownSolver) classified via
-//     errors.Is. The default backend is "plan", a compiled parametric
-//     solver that turns each configuration into its piecewise-linear
-//     budget→value envelope once and answers every solve with a binary
-//     search; "simplex" (the paper's Algorithm 1) and "enumerate"
-//     remain as exact cross-checks.
+//   - Solve: one stateless solve on the compiled plan, which turns
+//     each configuration into its piecewise-linear budget→value
+//     envelope once (memoized per configuration fingerprint) and
+//     answers every solve with a binary search. Failures wrap typed
+//     sentinel errors (ErrInvalidConfig, ErrBudgetNegative,
+//     ErrInfeasible, ErrUnknownSolver) classified via errors.Is.
 //   - Options layer: New and NewConfig assemble sessions and
 //     configurations from functional options (WithDesignPoints,
-//     WithAlpha, WithPeriod, WithSolver, WithBattery, ...).
+//     WithAlpha, WithPeriod, WithBattery, ...). WithSolver can put a
+//     session on "simplex" (the paper's Algorithm 1) or "enumerate",
+//     the exact iterative solvers the plan is checked against.
 //   - Fleet layer: Fleet steps many per-device sessions on a bounded
-//     worker pool; SolveBatch is its stateless counterpart. Devices
-//     solve directly on their configured backend — by default a
-//     compiled plan, memoized once per configuration fingerprint and
-//     shared by every controller, batch item and SetAlpha that lands
-//     on that configuration.
+//     worker pool; SolveBatch is its stateless counterpart. Both solve
+//     on the compiled plan, shared by every controller, batch item and
+//     SetAlpha that lands on one configuration.
 //   - Wire layer: package wire defines the versioned request/response
 //     structs of the reapd network service (cmd/reapd), shared verbatim
 //     by clients; internal/service hosts the sharded daemon behind
@@ -36,8 +33,7 @@
 // # Quick start
 //
 //	cfg, _ := reap.NewConfig()               // the paper's five Table 2 DPs
-//	solver, _ := reap.LookupSolver(reap.DefaultSolver)
-//	alloc, err := solver.Solve(ctx, cfg, 5.0) // 5 J budget for this hour
+//	alloc, err := reap.Solve(ctx, cfg, 5.0)  // 5 J budget for this hour
 //	if err != nil { ... }
 //	fmt.Println(alloc)                       // dp4:42.9% dp5:57.1%
 //	fmt.Println(alloc.ExpectedAccuracy(cfg)) // 0.82

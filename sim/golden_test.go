@@ -59,20 +59,19 @@ func TestGoldenTraces(t *testing.T) {
 	}
 }
 
-// TestGoldenTracesPlanBackend guards the default-backend flip to
-// "plan". The sim package deliberately resolves an unset
-// Scenario.Solver to simplex — not to reap.DefaultSolver — so the
-// golden traces stay pinned to the paper's Algorithm 1 across registry
-// default changes. This test covers the flip anyway: every library
-// scenario that does not name a backend (cloudy-bursts pins enumerate)
-// is re-run with the compiled parametric plan and must reproduce its
-// checked-in golden trace byte for byte. Only the header's solver=
-// token may differ, since the trace honestly records which backend
-// ran; every record line — budgets, allocations, planned energy,
-// batteries, accuracies — must be byte-identical to the
-// simplex-generated golden. No golden is regenerated for the flip: the
-// parametric solver is exact enough that the fixed-point trace
-// encoding cannot tell it apart from the paper's Algorithm 1.
+// TestGoldenTracesPlanBackend guards the plan against the goldens. The
+// sim package resolves an unset Scenario.Solver to simplex — not to the
+// plan that Solve, SolveBatch and every default session use — so the
+// golden traces stay pinned to the paper's Algorithm 1. This test runs
+// the plan anyway: every library scenario that does not name a solver
+// (cloudy-bursts pins enumerate) is re-run with the compiled parametric
+// plan and must reproduce its checked-in golden trace byte for byte.
+// Only the header's solver= token may differ, since the trace honestly
+// records which solver ran; every record line — budgets, allocations,
+// planned energy, batteries, accuracies — must be byte-identical to
+// the simplex-generated golden. No golden is regenerated for the plan:
+// it is exact enough that the fixed-point trace encoding cannot tell
+// it apart from the paper's Algorithm 1.
 func TestGoldenTracesPlanBackend(t *testing.T) {
 	if *update {
 		t.Skip("regenerating")

@@ -86,12 +86,12 @@ type Scenario struct {
 	DeviceJitter float64 `json:"device_jitter,omitempty"`
 
 	// Alpha, BatteryJ, CapacityJ configure every controller (refine per
-	// device with Populations). Solver names the registry backend; an
-	// empty Solver resolves to simplex — deliberately pinned, rather
-	// than following reap.DefaultSolver, so golden traces cannot move
-	// when the registry default changes (the golden harness separately
-	// asserts the plan backend reproduces them byte-for-byte). Workers
-	// bounds StepAll's pool (0 = GOMAXPROCS).
+	// device with Populations). Solver is a name reap.WithSolver accepts
+	// ("plan", "simplex" or "enumerate"); Validate refuses any other. An
+	// empty Solver resolves to simplex, pinned so that the solver named
+	// in each golden trace's header does not move (the golden harness
+	// separately asserts the plan reproduces every trace
+	// byte-for-byte). Workers bounds StepAll's pool (0 = GOMAXPROCS).
 	Alpha     float64 `json:"alpha,omitempty"`
 	BatteryJ  float64 `json:"battery_j,omitempty"`
 	CapacityJ float64 `json:"capacity_j,omitempty"`
@@ -173,7 +173,7 @@ type Population struct {
 	// set, CapacityJ must be positive and BatteryJ within it).
 	BatteryJ  float64 `json:"battery_j,omitempty"`
 	CapacityJ float64 `json:"capacity_j,omitempty"`
-	// Solver overrides the backend ("" inherits).
+	// Solver overrides the scenario's solver ("" inherits).
 	Solver string `json:"solver,omitempty"`
 }
 
@@ -302,6 +302,9 @@ func (sc Scenario) Validate() error {
 		math.IsNaN(sc.BatteryJ) || math.IsNaN(sc.CapacityJ) {
 		return fmt.Errorf("%w: %s: battery %v/%v J inconsistent", ErrInvalidScenario, sc.Name, sc.BatteryJ, sc.CapacityJ)
 	}
+	if err := checkSolver(sc.Solver); err != nil {
+		return fmt.Errorf("%w: %s: %w", ErrInvalidScenario, sc.Name, err)
+	}
 	if sc.Workers < 0 {
 		return fmt.Errorf("%w: %s: %d workers must be non-negative", ErrInvalidScenario, sc.Name, sc.Workers)
 	}
@@ -326,6 +329,9 @@ func (sc Scenario) Validate() error {
 				return fmt.Errorf("%w: %s: population %d: battery %v/%v J inconsistent",
 					ErrInvalidScenario, sc.Name, pi, p.BatteryJ, p.CapacityJ)
 			}
+		}
+		if err := checkSolver(p.Solver); err != nil {
+			return fmt.Errorf("%w: %s: population %d: %w", ErrInvalidScenario, sc.Name, pi, err)
 		}
 	}
 	seen := map[string]bool{}
@@ -371,6 +377,16 @@ func (sc Scenario) Validate() error {
 		}
 	}
 	return nil
+}
+
+// checkSolver refuses a solver name reap.WithSolver would refuse; the
+// empty name, which selects the default, passes.
+func checkSolver(name string) error {
+	if name == "" {
+		return nil
+	}
+	_, err := reap.NewConfig(reap.WithSolver(name))
+	return err
 }
 
 // perDeviceOverride synthesizes the per-device options from the
@@ -815,9 +831,6 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	sc = sc.withDefaults()
 	if err := sc.Validate(); err != nil {
 		return nil, err
-	}
-	if _, err := reap.LookupSolver(sc.Solver); err != nil {
-		return nil, fmt.Errorf("sim: %s: %w", sc.Name, err)
 	}
 	steps := sc.Days * 24
 

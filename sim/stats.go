@@ -44,19 +44,13 @@ type Distribution struct {
 	P99   float64 `json:"p99"`
 }
 
-// Summarize computes a Distribution from samples. NaN samples are
-// rejected with an error wrapping ErrInvalidScenario — a NaN in a
-// metric stream means the simulation itself went wrong, and folding it
-// into a percentile would hide that. The input is not modified:
-// Summarize works on a copy, which summarizeInPlace reorders.
-func Summarize(samples []float64) (Distribution, error) {
-	return summarizeInPlace(append([]float64(nil), samples...))
-}
-
-// summarizeInPlace is Summarize on a sample the caller hands over: it
-// reorders samples instead of sorting a copy. It sums the samples in the
-// order given, so Mean has the bits of a sum over the input, and takes
-// the extremes in the same pass. The three percentiles are nearest-rank
+// summarizeInPlace computes a Distribution from samples, which it
+// reorders instead of sorting a copy. NaN samples are rejected with an
+// error wrapping ErrInvalidScenario — a NaN in a metric stream means
+// the simulation itself went wrong, and folding it into a percentile
+// would hide that. It sums the samples in the order given, so Mean has
+// the bits of a sum over the input, and takes the extremes in the same
+// pass. The three percentiles are nearest-rank
 // selections, which read the values a sort would put at those ranks:
 // P99 over the whole sample, then P90 within the prefix that P99's
 // selection leaves at or below it, then P50 within P90's. That is O(n)
@@ -142,7 +136,7 @@ type Histogram struct {
 // NewHistogram buckets samples into n equal-width bins spanning
 // [lo, hi). It panics only via invalid arguments (n ≤ 0 or hi ≤ lo are
 // programming errors, not data errors); NaN samples count into the
-// first bucket and should be screened with Summarize first.
+// first bucket and should be screened out first.
 func NewHistogram(samples []float64, lo, hi float64, n int) Histogram {
 	if n <= 0 || hi <= lo {
 		panic(fmt.Sprintf("sim: NewHistogram(n=%d, lo=%v, hi=%v): invalid shape", n, lo, hi))

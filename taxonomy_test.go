@@ -6,44 +6,21 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 )
 
-// Failing test backends, registered once: SolveBatch must surface a
-// backend's sentinel to the right per-result slot, so the taxonomy test
-// needs backends that fail with each core sentinel on demand.
-var registerFailingBackends sync.Once
-
-func sentinelBackend(err error) Solver {
-	return SolverFunc(func(context.Context, Config, float64) (Allocation, error) {
-		return Allocation{}, fmt.Errorf("test backend: %w", err)
-	})
-}
-
-func failingBackends(t *testing.T) {
-	t.Helper()
-	registerFailingBackends.Do(func() {
-		if err := RegisterSolver("test-infeasible", sentinelBackend(ErrInfeasible)); err != nil {
-			t.Fatal(err)
-		}
-		if err := RegisterSolver("test-solverfailure", sentinelBackend(ErrSolverFailure)); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // TestSolveBatchErrorTaxonomy drives every sentinel of the public error
-// taxonomy through SolveBatch and requires each to land in its own
-// request's Result, classifiable with errors.Is, without disturbing the
-// healthy requests sharing the batch.
+// taxonomy to its caller and requires each to classify with errors.Is,
+// exclusively. The sentinels a batch request can carry must land in
+// their own request's Result without disturbing the healthy requests
+// sharing the batch. The plan never fails with ErrInfeasible or
+// ErrSolverFailure, so those come from a session's solve hook, and
+// ErrUnknownSolver from construction.
 func TestSolveBatchErrorTaxonomy(t *testing.T) {
-	failingBackends(t)
-
 	badConfig := DefaultConfig()
 	badConfig.Period = -1
 
-	cases := []struct {
+	batch := []struct {
 		name     string
 		req      Request
 		sentinel error
@@ -63,55 +40,63 @@ func TestSolveBatchErrorTaxonomy(t *testing.T) {
 			req:      Request{Budget: math.NaN()},
 			sentinel: ErrBudgetNegative,
 		},
-		{
-			name:     "unknown solver",
-			req:      Request{Budget: 5, Solver: "no-such-backend"},
-			sentinel: ErrUnknownSolver,
-		},
-		{
-			name:     "infeasible",
-			req:      Request{Budget: 5, Solver: "test-infeasible"},
-			sentinel: ErrInfeasible,
-		},
-		{
-			name:     "solver failure",
-			req:      Request{Budget: 5, Solver: "test-solverfailure"},
-			sentinel: ErrSolverFailure,
-		},
 	}
+
+	type outcome struct {
+		name          string
+		err, sentinel error
+	}
+	var got []outcome
 
 	// Interleave a healthy request after every failing one: per-result
 	// errors must not leak across slots.
-	reqs := make([]Request, 0, 2*len(cases))
-	for _, c := range cases {
+	reqs := make([]Request, 0, 2*len(batch))
+	for _, c := range batch {
 		reqs = append(reqs, c.req, Request{Budget: 5})
 	}
 	results := SolveBatch(context.Background(), reqs)
 	if len(results) != len(reqs) {
 		t.Fatalf("%d results for %d requests", len(results), len(reqs))
 	}
-	for i, c := range cases {
-		got := results[2*i]
-		if got.Err == nil {
-			t.Errorf("%s: no error", c.name)
-			continue
-		}
-		if !errors.Is(got.Err, c.sentinel) {
-			t.Errorf("%s: error %v does not wrap the sentinel", c.name, got.Err)
-		}
-		// Each sentinel classification must be exclusive within the
-		// taxonomy the caller branches on.
-		for _, other := range cases {
-			if other.sentinel != c.sentinel && errors.Is(got.Err, other.sentinel) {
-				t.Errorf("%s: error also matches %v", c.name, other.sentinel)
-			}
-		}
+	for i, c := range batch {
+		got = append(got, outcome{c.name, results[2*i].Err, c.sentinel})
 		healthy := results[2*i+1]
 		if healthy.Err != nil {
 			t.Errorf("healthy request after %s failed: %v", c.name, healthy.Err)
 		}
 		if healthy.Err == nil && healthy.Allocation.Total() == 0 {
 			t.Errorf("healthy request after %s returned an empty allocation", c.name)
+		}
+	}
+
+	for _, sentinel := range []error{ErrInfeasible, ErrSolverFailure} {
+		ctl, err := New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl.SetSolveFunc(func(context.Context, Config, float64) (Allocation, error) {
+			return Allocation{}, fmt.Errorf("test hook: %w", sentinel)
+		})
+		_, err = ctl.Step(5)
+		got = append(got, outcome{sentinel.Error(), err, sentinel})
+	}
+	_, err := New(WithSolver("no-such-backend"))
+	got = append(got, outcome{"unknown solver", err, ErrUnknownSolver})
+
+	for _, o := range got {
+		if o.err == nil {
+			t.Errorf("%s: no error", o.name)
+			continue
+		}
+		if !errors.Is(o.err, o.sentinel) {
+			t.Errorf("%s: error %v does not wrap the sentinel", o.name, o.err)
+		}
+		// Each sentinel classification must be exclusive within the
+		// taxonomy the caller branches on.
+		for _, other := range got {
+			if other.sentinel != o.sentinel && errors.Is(o.err, other.sentinel) {
+				t.Errorf("%s: error also matches %v", o.name, other.sentinel)
+			}
 		}
 	}
 }

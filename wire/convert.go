@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	reap "repro"
 	"repro/internal/fpx"
@@ -37,6 +38,17 @@ func CodeForError(err error) string {
 	default:
 		return CodeInternal
 	}
+}
+
+// CheckSolver validates a request's solver name. Wire v1 solves every
+// request on the compiled plan, so it accepts only "" and "plan"; any
+// other name is an error wrapping reap.ErrUnknownSolver, which
+// CodeForError maps to CodeUnknownSolver.
+func CheckSolver(name string) error {
+	if name == "" || name == reap.SolverPlan {
+		return nil
+	}
+	return fmt.Errorf("%w: %q (wire v%d solves on %q)", reap.ErrUnknownSolver, name, Version, reap.SolverPlan)
 }
 
 // ToReap resolves the wire config against the paper defaults: a nil
@@ -88,9 +100,10 @@ func (c *Config) toReap(dps []reap.DesignPoint) reap.Config {
 }
 
 // ToRequest converts one batch item into the reap.SolveBatch request
-// shape.
+// shape. The item's solver name has no place there: CheckSolver
+// answers for it.
 func (it SolveItem) ToRequest() reap.Request {
-	return reap.Request{Config: it.Config.ToReap(), Budget: it.BudgetJ, Solver: it.Solver}
+	return reap.Request{Config: it.Config.ToReap(), Budget: it.BudgetJ}
 }
 
 // ToRequests converts a batch's items as ToRequest does, except that
@@ -111,14 +124,14 @@ func ToRequests(items []SolveItem) []reap.Request {
 	for i, it := range items {
 		if it.Config != nil {
 			k := len(it.Config.DesignPoints)
-			reqs[i] = reap.Request{Config: it.Config.toReap(slab[:k:k]), Budget: it.BudgetJ, Solver: it.Solver}
+			reqs[i] = reap.Request{Config: it.Config.toReap(slab[:k:k]), Budget: it.BudgetJ}
 			slab = slab[k:]
 			continue
 		}
 		if defaults.DPs == nil {
 			defaults = it.Config.ToReap()
 		}
-		reqs[i] = reap.Request{Config: defaults, Budget: it.BudgetJ, Solver: it.Solver}
+		reqs[i] = reap.Request{Config: defaults, Budget: it.BudgetJ}
 	}
 	return reqs
 }

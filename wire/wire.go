@@ -126,8 +126,9 @@ type SolveRequest struct {
 	V       int     `json:"v"`
 	Config  *Config `json:"config,omitempty"`
 	BudgetJ float64 `json:"budget_j"`
-	// Solver names a registered backend; empty selects the default
-	// (the compiled parametric plan).
+	// Solver must be empty or "plan": every request solves on the
+	// compiled plan, and any other name is refused with
+	// CodeUnknownSolver (see CheckSolver).
 	Solver string `json:"solver,omitempty"`
 }
 
@@ -151,7 +152,8 @@ type BatchSolveRequest struct {
 }
 
 // SolveItem is one solve within a batch: SolveRequest minus the
-// envelope version.
+// envelope version. An item whose Solver names anything but the plan
+// gets its own CodeUnknownSolver result.
 type SolveItem struct {
 	Config  *Config `json:"config,omitempty"`
 	BudgetJ float64 `json:"budget_j"`
@@ -402,7 +404,8 @@ const (
 	// CodeSolverFailure: the solver terminated without an optimum for a
 	// reason other than infeasibility.
 	CodeSolverFailure = "solver_failure"
-	// CodeUnknownSolver: the named solver backend is not registered.
+	// CodeUnknownSolver: the request names a solver other than the
+	// plan, the only one wire v1 serves.
 	CodeUnknownSolver = "unknown_solver"
 	// CodeUnknownDevice: a device index outside the fleet the service
 	// owns.
