@@ -352,9 +352,11 @@ func BenchmarkFleetStepAll(b *testing.B) {
 	}
 }
 
-// BenchmarkNewFleet measures building one reapd shard's fleet (262,144
-// devices over the daemon's 8 shards): one prototype controller stamped
-// into one slab, so allocs/op stays flat in the fleet size.
+// BenchmarkNewFleet measures building a 32,768-device fleet: one
+// prototype controller stamped into one slab, so allocs/op stays flat
+// in the fleet size, and reapd builds one such fleet of all its
+// devices. The size stays fixed so that the row keeps its name in
+// BENCH_solve.json.
 func BenchmarkNewFleet(b *testing.B) {
 	const n = 32768
 	b.Run(fmt.Sprint(n), func(b *testing.B) {

@@ -24,7 +24,9 @@
 // With -baseline FILE, benchjson also gates the run against a committed
 // document such as BENCH_solve.json, after printing its own. A row
 // present in both that allocates more per op fails the run (exit
-// status 1): at a fixed -cpu, allocs/op is a property of the code. A
+// status 1): at a fixed -cpu, allocs/op is a property of the code. So
+// does a baseline row the run did not produce, so that renaming or
+// deleting a gated benchmark cannot drop it from the gate unnoticed. A
 // row that got slower or allocates more bytes per op only warns, since
 // ns/op follows the host and B/op the GC. Both documents must come
 // from the same core count.
@@ -68,7 +70,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	baseline := flag.String("baseline", "", "committed document to gate against (more allocs/op fails; slower ns/op or more B/op warns)")
+	baseline := flag.String("baseline", "", "committed document to gate against (a missing row or more allocs/op fails; slower ns/op or more B/op warns)")
 	flag.Parse()
 	doc := document{Benchmarks: map[string]result{}}
 	cpus := ""
@@ -136,15 +138,15 @@ func main() {
 			log.Fatal(err)
 		}
 		if failed > 0 {
-			log.Fatalf("%d benchmark(s) allocate more per op than %s", failed, *baseline)
+			log.Fatalf("%d row(s) of %s missing from this run or allocating more per op", failed, *baseline)
 		}
 	}
 }
 
 // compare checks the rows of doc, in names order, against the document
 // at path. It warns on stderr about each row that got slower or
-// allocates more bytes, reports each that allocates more often, and
-// returns the number of the latter.
+// allocates more bytes, reports each that allocates more often and each
+// row of path that doc lacks, and returns the number of the latter two.
 func compare(doc document, names []string, path string) (int, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -177,8 +179,19 @@ func compare(doc document, names []string, path string) (int, error) {
 			fmt.Fprintf(os.Stderr, "benchjson: warn %s: %.0f B/op, baseline %.0f\n", name, *cur.BytesPerOp, *old.BytesPerOp)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: %d rows compared with %s, %d allocate more\n", compared, path, failed)
-	return failed, nil
+	var missing []string
+	for name := range base.Benchmarks {
+		if _, ok := doc.Benchmarks[name]; !ok {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		fmt.Fprintf(os.Stderr, "benchjson: FAIL %s: in %s but not in this run\n", name, path)
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: %d rows compared with %s, %d allocate more, %d missing\n",
+		compared, path, failed, len(missing))
+	return failed + len(missing), nil
 }
 
 // cpus returns the "cpus: N" line of a document's context.

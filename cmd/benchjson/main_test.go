@@ -49,3 +49,33 @@ func TestCompareGatesAllocsOnly(t *testing.T) {
 		t.Error("compare accepted documents from different core counts")
 	}
 }
+
+// TestCompareFailsOnMissingRow: a baseline row the run did not produce,
+// as after renaming a gated benchmark, fails the gate even when every
+// row the run did produce passes.
+func TestCompareFailsOnMissingRow(t *testing.T) {
+	base := document{Context: []string{"cpus: 1"}, Benchmarks: map[string]result{
+		"BenchmarkA":     row(100, 48, 1),
+		"BenchmarkB/hot": row(100, 48, 1),
+		"BenchmarkC":     row(100, 48, 1),
+	}}
+	raw, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doc := document{Context: []string{"cpus: 1"}, Benchmarks: map[string]result{
+		"BenchmarkA":         row(100, 48, 1),
+		"BenchmarkB/renamed": row(100, 48, 1),
+	}}
+	failed, err := compare(doc, []string{"BenchmarkA", "BenchmarkB/renamed"}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed != 2 {
+		t.Errorf("compare counted %d failures, want 2 (BenchmarkB/hot and BenchmarkC missing)", failed)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -102,23 +103,44 @@ func TestFleetDeviceOutOfRange(t *testing.T) {
 	}
 }
 
+// TestFleetStepAllWorkerBounds: at 1,000 devices, 16 pool chunks, every
+// worker count, including more workers than chunks, plans each device
+// bit for bit as the one-worker fleet does, tick after tick.
 func TestFleetStepAllWorkerBounds(t *testing.T) {
+	const n = 1000
+	budgets := make([]float64, n)
+	for i := range budgets {
+		budgets[i] = 11.0 * float64(i) / n // dead region through saturation
+	}
+	bits := func(a Allocation) []uint64 {
+		out := []uint64{math.Float64bits(a.Off), math.Float64bits(a.Dead)}
+		for _, v := range a.Active {
+			out = append(out, math.Float64bits(v))
+		}
+		return out
+	}
+	var want [2][]Allocation // the one-worker fleet's two ticks
 	for _, workers := range []int{1, 2, 7, 64} {
-		fleet, err := NewFleet(50, WithWorkers(workers))
+		// A battery small against the 9.94 J a device can spend, so
+		// every budget moves its device's schedule.
+		fleet, err := NewFleet(n, WithBattery(1, 5), WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		budgets := make([]float64, 50)
-		for i := range budgets {
-			budgets[i] = 5
-		}
-		allocs, err := fleet.StepAll(context.Background(), budgets)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, a := range allocs {
-			if a.Total() == 0 {
-				t.Fatalf("workers=%d: device %d unplanned", workers, i)
+		for tick := range want {
+			allocs, err := fleet.StepAll(context.Background(), budgets)
+			if err != nil {
+				t.Fatalf("workers=%d tick %d: %v", workers, tick, err)
+			}
+			if workers == 1 {
+				want[tick] = allocs
+				continue
+			}
+			for i, a := range allocs {
+				if !slices.Equal(bits(a), bits(want[tick][i])) {
+					t.Fatalf("workers=%d tick %d device %d: %+v, one worker planned %+v",
+						workers, tick, i, a, want[tick][i])
+				}
 			}
 		}
 	}

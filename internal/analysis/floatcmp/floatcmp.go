@@ -6,9 +6,9 @@
 // every float comparison names its intent through the helpers in
 // repro/internal/fpx: fpx.Eq / fpx.Zero for deliberately exact
 // comparisons (breakpoint hits, zero-value defaults, sort tie-breaks),
-// fpx.Near / fpx.InDelta for tolerance comparisons. The fpx package
-// itself is the allowlisted epsilon-helper set; everywhere else a raw
-// float ==/!= is a diagnostic.
+// and an explicit math.Abs(a-b) <= tol for tolerance comparisons. The
+// fpx package itself is the allowlisted helper set; everywhere else a
+// raw float ==/!= is a diagnostic.
 package floatcmp
 
 import (
@@ -27,7 +27,7 @@ const allowedPkg = "repro/internal/fpx"
 var Analyzer = &analysis.Analyzer{
 	Name: "floatcmp",
 	Doc: "forbid raw == / != on float64 or float32 operands; spell the intent " +
-		"with repro/internal/fpx (Eq, Zero, Near, InDelta) instead",
+		"with repro/internal/fpx (Eq, Zero) or a tolerance, math.Abs(a-b) <= tol, instead",
 	Run: run,
 }
 
@@ -43,7 +43,7 @@ func run(pass *analysis.Pass) error {
 			}
 			if isFloat(pass.TypesInfo, bin.X) || isFloat(pass.TypesInfo, bin.Y) {
 				pass.Reportf(bin.OpPos,
-					"raw float comparison (%s): use fpx.Eq/fpx.Zero for intentional exact compares or fpx.Near/fpx.InDelta for tolerances",
+					"raw float comparison (%s): use fpx.Eq/fpx.Zero for intentional exact compares or math.Abs(a-b) <= tol for tolerances",
 					bin.Op)
 			}
 			return true

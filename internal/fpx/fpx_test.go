@@ -25,21 +25,3 @@ func TestZero(t *testing.T) {
 		t.Error("Zero accepted a non-zero value")
 	}
 }
-
-func TestNear(t *testing.T) {
-	if !Near(1.0, 1.0+1e-12, 1e-9) {
-		t.Error("Near rejected values within tolerance")
-	}
-	if Near(1.0, 1.1, 1e-9) {
-		t.Error("Near accepted values outside tolerance")
-	}
-	if !Near(math.Inf(1), math.Inf(1), 0) {
-		t.Error("Near(+Inf, +Inf) = false")
-	}
-	if Near(math.NaN(), 0, 1e9) {
-		t.Error("Near(NaN, 0) = true")
-	}
-	if !InDelta(2, 2.5, 0.5) {
-		t.Error("InDelta boundary case failed")
-	}
-}

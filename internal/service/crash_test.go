@@ -84,17 +84,11 @@ func (m mutation) apply(t *testing.T, h http.Handler) bool {
 // call while a replication tailer is applying frames concurrently.
 func deviceStates(t *testing.T, svc *Service) []reap.ControllerState {
 	t.Helper()
-	for _, sh := range svc.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for i := len(svc.shards) - 1; i >= 0; i-- {
-			svc.shards[i].mu.Unlock()
-		}
-	}()
+	lockShards(svc.shards)
+	defer unlockShards(svc.shards)
 	states := make([]reap.ControllerState, svc.cfg.Devices)
 	for d := range states {
-		ctl, err := svc.deviceFor(d)
+		ctl, err := svc.fleet.Device(d)
 		if err != nil {
 			t.Fatalf("device %d: %v", d, err)
 		}

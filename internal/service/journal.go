@@ -393,7 +393,7 @@ func (s *Service) restoreSnapshot(payload []byte) error {
 			reap.ErrInvalidConfig, len(snap.States), s.cfg.Devices)
 	}
 	for device, st := range snap.States {
-		ctl, err := s.deviceFor(device)
+		ctl, err := s.fleet.Device(device)
 		if err != nil {
 			return err
 		}
@@ -407,16 +407,6 @@ func (s *Service) restoreSnapshot(payload []byte) error {
 	s.reports.Store(snap.Reports)
 	s.alphaSets.Store(snap.AlphaSets)
 	return nil
-}
-
-// deviceFor resolves a global device index to its controller. Boot-time
-// only — no shard locking; the service is not serving yet.
-func (s *Service) deviceFor(device int) (*reap.Controller, error) {
-	sh, err := s.shardFor(device)
-	if err != nil {
-		return nil, err
-	}
-	return sh.fleet.Device(device - sh.lo)
 }
 
 // replayEvent applies one logged event during boot. Only successful
@@ -439,7 +429,7 @@ func (s *Service) applyEvent(ev *journalEvent) error {
 	switch ev.Op {
 	case opReport:
 		for _, rep := range ev.Reports {
-			ctl, err := s.deviceFor(rep.Device)
+			ctl, err := s.fleet.Device(rep.Device)
 			if err != nil {
 				return fmt.Errorf("replaying report: %w", err)
 			}
@@ -451,7 +441,7 @@ func (s *Service) applyEvent(ev *journalEvent) error {
 		if ev.HarvestJ == nil {
 			return fmt.Errorf("journal step event without harvest")
 		}
-		ctl, err := s.deviceFor(ev.Device)
+		ctl, err := s.fleet.Device(ev.Device)
 		if err != nil {
 			return fmt.Errorf("replaying step: %w", err)
 		}
@@ -462,7 +452,7 @@ func (s *Service) applyEvent(ev *journalEvent) error {
 		if ev.Alpha == nil {
 			return fmt.Errorf("journal alpha event without alpha")
 		}
-		ctl, err := s.deviceFor(ev.Device)
+		ctl, err := s.fleet.Device(ev.Device)
 		if err != nil {
 			return fmt.Errorf("replaying alpha: %w", err)
 		}
@@ -475,26 +465,21 @@ func (s *Service) applyEvent(ev *journalEvent) error {
 	return nil
 }
 
-// journalAppend logs one event, a no-op when journaling is off. Callers
-// hold the lock of every shard the event mutated, which is what pins
-// per-shard journal order to apply order. On a replicating primary the
-// append routes through the hub, which ships the event to every live
-// follower before returning — acked ⇒ journaled ⇒ shipped.
+// journalAppend logs one event, a no-op when journaling is off. Every
+// journaled node builds its hub in New before it serves, and the append
+// routes through it: the hub appends to the store and ships the event to
+// every live follower before returning — acked ⇒ journaled ⇒ shipped.
+// Callers hold the lock of every shard the event mutated, which is what
+// pins per-shard journal order to apply order.
 func (s *Service) journalAppend(ev *journalEvent) *wire.Error {
-	if s.store == nil {
+	if s.hub == nil {
 		return nil
 	}
 	payload, err := encodeEvent(make([]byte, 0, 4+18*(1+len(ev.Reports))), ev)
 	if err != nil {
 		return wire.Errorf(wire.CodeInternal, "encoding journal event: %v", err)
 	}
-	var aerr error
-	if s.hub != nil {
-		_, aerr = s.hub.Append(payload)
-	} else {
-		_, aerr = s.store.Append(payload)
-	}
-	if aerr != nil {
+	if _, aerr := s.hub.Append(payload); aerr != nil {
 		if errors.Is(aerr, journal.ErrDiskFull) {
 			// Out of disk: flip to sticky read-only degraded mode — this
 			// mutation and all later ones answer 503 degraded (applied but
@@ -528,15 +513,13 @@ func (s *Service) buildSnapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, sh := range s.shards {
-		for local := 0; local < sh.hi-sh.lo; local++ {
-			ctl, err := sh.fleet.Device(local)
-			if err != nil {
-				return nil, err
-			}
-			if buf, err = appendStateRecord(buf, ctl.State()); err != nil {
-				return nil, fmt.Errorf("device %d: %w", sh.lo+local, err)
-			}
+	for d := range s.cfg.Devices {
+		ctl, err := s.fleet.Device(d)
+		if err != nil {
+			return nil, err
+		}
+		if buf, err = appendStateRecord(buf, ctl.State()); err != nil {
+			return nil, fmt.Errorf("device %d: %w", d, err)
 		}
 	}
 	return buf, nil
@@ -548,10 +531,8 @@ func (s *Service) buildSnapshot() ([]byte, error) {
 // sequence number; the pause is one full-fleet state encoding plus the
 // snapshot file's write and fsync.
 func (s *Service) compact() error {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
+	lockShards(s.shards)
+	defer unlockShards(s.shards)
 	payload, err := s.buildSnapshot()
 	if err != nil {
 		return err

@@ -97,12 +97,7 @@ func (s *Service) gateWrite(w http.ResponseWriter, r *http.Request) bool {
 			"node fenced at epoch %d: a higher epoch is in force elsewhere", s.epoch.Load()))
 		return false
 	}
-	if s.follower.Load() {
-		if s.cfg.PrimaryAddr != "" {
-			w.Header().Set("Leader", s.cfg.PrimaryAddr)
-		}
-		writeError(w, http.StatusServiceUnavailable, wire.Errorf(wire.CodeNotPrimary,
-			"this node is a follower; send mutations to the primary"))
+	if s.refuseFollower(w, "send mutations to the primary") {
 		return false
 	}
 	if s.degraded.Load() {
@@ -110,6 +105,21 @@ func (s *Service) gateWrite(w http.ResponseWriter, r *http.Request) bool {
 			"journal disk full: node is read-only (solves still served)"))
 		return false
 	}
+	return true
+}
+
+// refuseFollower answers 503 not_primary, with the primary as the
+// Leader hint, when this node is a follower; action tells the client
+// where to go instead.
+func (s *Service) refuseFollower(w http.ResponseWriter, action string) bool {
+	if !s.follower.Load() {
+		return false
+	}
+	if s.cfg.PrimaryAddr != "" {
+		w.Header().Set("Leader", s.cfg.PrimaryAddr)
+	}
+	writeError(w, http.StatusServiceUnavailable, wire.Errorf(wire.CodeNotPrimary,
+		"this node is a follower; %s", action))
 	return true
 }
 
@@ -132,12 +142,7 @@ func (s *Service) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			"replication requires a journal (-journal)"))
 		return
 	}
-	if s.follower.Load() {
-		if s.cfg.PrimaryAddr != "" {
-			w.Header().Set("Leader", s.cfg.PrimaryAddr)
-		}
-		writeError(w, http.StatusServiceUnavailable, wire.Errorf(wire.CodeNotPrimary,
-			"this node is a follower; replicate from the primary"))
+	if s.refuseFollower(w, "replicate from the primary") {
 		return
 	}
 	q := r.URL.Query()
@@ -186,12 +191,7 @@ func valueOr(v, def string) string {
 // accounting — correctness never rides on acks.
 func (s *Service) handleReplicateAck(w http.ResponseWriter, r *http.Request) {
 	var req wire.ReplicateAckRequest
-	if err := wire.DecodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, wire.AsError(err))
-		return
-	}
-	if err := wire.CheckVersion(req.V); err != nil {
-		writeError(w, http.StatusBadRequest, wire.AsError(err))
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	if s.hub == nil || s.follower.Load() {
@@ -217,12 +217,7 @@ func (s *Service) handleReplicateAck(w http.ResponseWriter, r *http.Request) {
 // may also be promoted, which re-arms it at a winning epoch.
 func (s *Service) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var req wire.PromoteRequest
-	if err := wire.DecodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, wire.AsError(err))
-		return
-	}
-	if err := wire.CheckVersion(req.V); err != nil {
-		writeError(w, http.StatusBadRequest, wire.AsError(err))
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	if s.store == nil {
@@ -324,10 +319,8 @@ func (s *Service) replHello(epoch, seq uint64) error {
 // shard lock held — the same consistent cut compaction takes — so
 // neither a mutation nor a concurrent compaction can interleave.
 func (s *Service) replSnapshot(seq uint64, payload []byte) error {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
+	lockShards(s.shards)
+	defer unlockShards(s.shards)
 	if err := s.restoreSnapshot(payload); err != nil {
 		return err
 	}
@@ -358,14 +351,8 @@ func (s *Service) replEvent(seq uint64, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", replicate.ErrOutOfSync, err)
 	}
-	for _, sh := range shs {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for i := len(shs) - 1; i >= 0; i-- {
-			shs[i].mu.Unlock()
-		}
-	}()
+	lockShards(shs)
+	defer unlockShards(shs)
 	if want := s.store.Seq() + 1; seq != want {
 		return fmt.Errorf("%w: stream at event %d, local journal expects %d",
 			replicate.ErrOutOfSync, seq, want)

@@ -9,10 +9,11 @@
 // per-tenant admission control, drain state, counters — compose around
 // the handlers rather than inside them.
 //
-//   - Sharding: the owned fleet is partitioned contiguously into shards,
-//     each wrapping its own reap.Fleet behind its own mutex. Stateful
-//     work (telemetry steps, reports) serializes per shard and runs
-//     concurrently across shards; stateless solves never touch a shard.
+//   - Sharding: the service owns one reap.Fleet of every device, and
+//     shards are lock stripes over it: contiguous device ranges, each
+//     with its own mutex and panic breaker. Stateful work (telemetry
+//     steps, reports) serializes per shard and runs concurrently across
+//     shards; stateless solves never touch a shard.
 //   - Admission: a per-tenant token bucket (tenant = X-Tenant header)
 //     charges one token per solve — batch items each cost one — and
 //     rejects over-budget work with 429 and a Retry-After hint.
@@ -57,9 +58,9 @@ import (
 type Config struct {
 	// Devices is the number of controller sessions the daemon owns.
 	Devices int
-	// Shards partitions the fleet; 0 picks min(Devices, 8). Stateful
-	// endpoints lock one shard, so more shards mean more telemetry
-	// concurrency at the cost of more fleets.
+	// Shards partitions the fleet into lock stripes; 0 picks
+	// min(Devices, 8). Stateful endpoints lock one shard, so more shards
+	// mean more telemetry concurrency, and a compaction takes them all.
 	Shards int
 	// BatteryJ/CapacityJ is every device's initial battery state.
 	BatteryJ, CapacityJ float64
@@ -122,11 +123,11 @@ type Config struct {
 	Chaos resilience.ChaosConfig
 }
 
-// Service owns the sharded fleet and implements the endpoint handlers.
+// Service owns the fleet and implements the endpoint handlers.
 type Service struct {
 	cfg     Config
-	shards  []*shard
-	bounds  []int // shard i owns global devices [bounds[i], bounds[i+1])
+	fleet   *reap.Fleet // every owned device, by global index
+	shards  []*shard    // lock stripes over fleet, in device order
 	limiter *limiter
 	store   *journal.Store // nil when journaling is off
 	gate    *resilience.Gate
@@ -178,18 +179,17 @@ type Service struct {
 	testHookReport func()
 }
 
-// shard is one partition of the owned fleet: a reap.Fleet plus the
-// mutex that serializes stateful access to it (Controller sessions are
-// not safe for concurrent stepping) and the breaker that quarantines
-// the shard when its handlers keep panicking.
+// shard is one lock stripe over the fleet: the mutex that serializes
+// stateful access to devices [lo, hi) (Controller sessions are not safe
+// for concurrent stepping) and the breaker that quarantines the stripe
+// when its critical sections keep panicking.
 type shard struct {
 	mu      sync.Mutex
-	fleet   *reap.Fleet
 	lo, hi  int
 	breaker *resilience.Breaker
 }
 
-// New builds the sharded service.
+// New builds the service: one fleet and its lock stripes.
 func New(cfg Config) (*Service, error) {
 	if cfg.Devices <= 0 {
 		return nil, fmt.Errorf("%w: service needs a positive device count, got %d",
@@ -235,23 +235,15 @@ func New(cfg Config) (*Service, error) {
 	case cfg.RetainSegments < 0:
 		cfg.RetainSegments = 0
 	}
-	s := &Service{cfg: cfg}
+	fleet, err := reap.NewFleet(cfg.Devices, reap.WithBattery(cfg.BatteryJ, cfg.CapacityJ))
+	if err != nil {
+		return nil, err
+	}
+	s := &Service{cfg: cfg, fleet: fleet, shards: make([]*shard, cfg.Shards)}
 	s.gate = resilience.NewGate(cfg.MaxInflight)
 	s.chaos = resilience.NewChaos(cfg.Chaos)
-
-	opts := []reap.Option{reap.WithBattery(cfg.BatteryJ, cfg.CapacityJ)}
-
-	s.bounds = make([]int, cfg.Shards+1)
-	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
-		lo := i * cfg.Devices / cfg.Shards
-		hi := (i + 1) * cfg.Devices / cfg.Shards
-		s.bounds[i], s.bounds[i+1] = lo, hi
-		fleet, err := reap.NewFleet(hi-lo, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		s.shards[i] = &shard{fleet: fleet, lo: lo, hi: hi,
+		s.shards[i] = &shard{lo: i * cfg.Devices / cfg.Shards, hi: (i + 1) * cfg.Devices / cfg.Shards,
 			breaker: resilience.NewBreaker(cfg.QuarantineAfter)}
 	}
 
@@ -306,22 +298,15 @@ func (s *Service) Shards() int { return len(s.shards) }
 func (s *Service) Drain() { s.draining.Store(true) }
 
 // shardFor maps a global device index to its shard, or an unknown-device
-// error.
+// error. With D devices over S shards, shard i starts at ⌊i·D/S⌋, so
+// device d lies in the last shard starting at or before it: the largest
+// i with i·D < (d+1)·S, which is ⌊((d+1)·S − 1)/D⌋.
 func (s *Service) shardFor(device int) (*shard, error) {
 	if device < 0 || device >= s.cfg.Devices {
 		return nil, wire.Errorf(wire.CodeUnknownDevice,
 			"device %d outside owned fleet [0, %d)", device, s.cfg.Devices)
 	}
-	// Contiguous partition: shard sizes differ by at most one, so the
-	// proportional guess lands on the owner or its neighbor.
-	i := device * len(s.shards) / s.cfg.Devices
-	for i+1 < len(s.bounds) && device >= s.bounds[i+1] {
-		i++
-	}
-	for i > 0 && device < s.bounds[i] {
-		i--
-	}
-	return s.shards[i], nil
+	return s.shards[((device+1)*len(s.shards)-1)/s.cfg.Devices], nil
 }
 
 // Handler returns the service's HTTP routes wrapped in the resilience
@@ -361,10 +346,7 @@ func (s *Service) admit(w http.ResponseWriter, r *http.Request, cost float64) bo
 	if s.limiter == nil || cost <= 0 {
 		return true
 	}
-	tenant := r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = "default"
-	}
+	tenant := tenantOf(r)
 	retryAfter, ok := s.limiter.admit(tenant, cost)
 	if !ok {
 		s.rateLimited.Add(1)
@@ -380,17 +362,36 @@ func (s *Service) admit(w http.ResponseWriter, r *http.Request, cost float64) bo
 	return true
 }
 
+// tenantOf names the admission tenant of r: its X-Tenant header, or
+// "default".
+func tenantOf(r *http.Request) string {
+	if tenant := r.Header.Get("X-Tenant"); tenant != "" {
+		return tenant
+	}
+	return "default"
+}
+
+// decode reads a JSON handler's body into req strictly and checks the
+// wire version that decoding stored at v, req's "v" field, answering
+// 400 itself when either fails.
+func decode(w http.ResponseWriter, r *http.Request, req any, v *int) bool {
+	err := wire.DecodeStrict(r.Body, req)
+	if err == nil {
+		err = wire.CheckVersion(*v)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, wire.AsError(err))
+		return false
+	}
+	return true
+}
+
 func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r, 1) {
 		return
 	}
 	var req wire.SolveRequest
-	if err := wire.DecodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, wire.AsError(err))
-		return
-	}
-	if err := wire.CheckVersion(req.V); err != nil {
-		writeError(w, http.StatusBadRequest, wire.AsError(err))
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	if s.testHookSolve != nil {
@@ -416,12 +417,7 @@ func (s *Service) handleBatchSolve(w http.ResponseWriter, r *http.Request) {
 	// from being cheaper than 10k solos; the body must decode first to
 	// know the cost, so decode precedes admission here.
 	var req wire.BatchSolveRequest
-	if err := wire.DecodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, wire.AsError(err))
-		return
-	}
-	if err := wire.CheckVersion(req.V); err != nil {
-		writeError(w, http.StatusBadRequest, wire.AsError(err))
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	if !s.admit(w, r, float64(len(req.Items))) {
@@ -447,12 +443,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req wire.ReportRequest
-	if err := wire.DecodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, wire.AsError(err))
-		return
-	}
-	if err := wire.CheckVersion(req.V); err != nil {
-		writeError(w, http.StatusBadRequest, wire.AsError(err))
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	accepted, werr := s.applyReportBatch(req.Reports)
@@ -499,21 +490,11 @@ func (s *Service) applyReportBatch(reports []wire.DeviceReport) (int, *wire.Erro
 func (s *Service) reportGroup(reports []wire.DeviceReport) (n int, werr *wire.Error) {
 	var held []*shard // ascending by sh.lo; all released below
 	var cur *shard    // shard owning the report being applied — panic attribution
+	defer func() { unlockShards(held) }()
 	defer func() {
-		for i := len(held) - 1; i >= 0; i-- {
-			held[i].mu.Unlock()
+		if rec := recover(); rec != nil {
+			werr = s.shardPanic(cur, rec)
 		}
-	}()
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			return
-		}
-		s.panics.Add(1)
-		if cur != nil {
-			cur.breaker.RecordPanic()
-		}
-		werr = wire.Errorf(wire.CodePanic, "shard handler panicked: %v", rec)
 	}()
 	for n < len(reports) {
 		rep := reports[n]
@@ -537,7 +518,7 @@ func (s *Service) reportGroup(reports []wire.DeviceReport) (n int, werr *wire.Er
 			}
 		}
 		cur = sh
-		ctl, derr := sh.fleet.Device(rep.Device - sh.lo)
+		ctl, derr := s.fleet.Device(rep.Device)
 		if derr != nil {
 			werr = wire.AsError(derr)
 			break
@@ -568,11 +549,19 @@ func shardHeld(held []*shard, sh *shard) bool {
 	return false
 }
 
-// reportDevice applies one consumption report — the telemetry path's
-// entry into the shared report machinery.
-func (s *Service) reportDevice(device int, consumedJ float64) *wire.Error {
-	_, werr := s.applyReportBatch([]wire.DeviceReport{{Device: device, ConsumedJ: consumedJ}})
-	return werr
+// lockShards locks shs, which must be in ascending order: the one lock
+// order of every path that holds more than one shard, which keeps them
+// deadlock-free. unlockShards releases them in reverse.
+func lockShards(shs []*shard) {
+	for _, sh := range shs {
+		sh.mu.Lock()
+	}
+}
+
+func unlockShards(shs []*shard) {
+	for i := len(shs) - 1; i >= 0; i-- {
+		shs[i].mu.Unlock()
+	}
 }
 
 // checkShard refuses work for a quarantined shard: after
@@ -588,48 +577,55 @@ func (s *Service) checkShard(sh *shard) *wire.Error {
 	return nil
 }
 
-// recoverShard is the deferred recover boundary for shard critical
-// sections: a panic is counted against the service and the shard's
-// breaker, converted into a 500/CodePanic wire error, and the shard
-// lock still releases normally via its own deferred unlock.
-func (s *Service) recoverShard(sh *shard, werr **wire.Error) {
-	rec := recover()
-	if rec == nil {
-		return
-	}
+// shardPanic contains a panic recovered inside a shard's critical
+// section: it is counted against the service and, when known, the
+// shard's breaker, and answers as 500/CodePanic. The shard locks still
+// release through their own deferred unlocks.
+func (s *Service) shardPanic(sh *shard, rec any) *wire.Error {
 	s.panics.Add(1)
-	sh.breaker.RecordPanic()
-	*werr = wire.Errorf(wire.CodePanic,
-		"shard handler panicked: %v", rec)
+	if sh != nil {
+		sh.breaker.RecordPanic()
+	}
+	return wire.Errorf(wire.CodePanic, "shard handler panicked: %v", rec)
 }
 
-// stepDevice plans one owned device's next period from its reported
-// harvest, under its shard's lock, journaling the successful step
-// before it is acknowledged.
-func (s *Service) stepDevice(ctx context.Context, device int, harvestJ float64) (alloc reap.Allocation, cfg reap.Config, werr *wire.Error) {
+// withDevice is the single-device critical section: it runs fn on an
+// owned device's controller under its shard's lock, once the device is
+// known and its shard is not quarantined, and contains a panic in fn.
+func (s *Service) withDevice(device int, fn func(ctl *reap.Controller) *wire.Error) (werr *wire.Error) {
 	sh, err := s.shardFor(device)
 	if err != nil {
-		return reap.Allocation{}, reap.Config{}, wire.AsError(err)
+		return wire.AsError(err)
 	}
 	if werr := s.checkShard(sh); werr != nil {
-		return reap.Allocation{}, reap.Config{}, werr
+		return werr
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	defer s.recoverShard(sh, &werr)
-	ctl, derr := sh.fleet.Device(device - sh.lo)
-	if derr != nil {
-		return reap.Allocation{}, reap.Config{}, wire.AsError(derr)
+	defer func() {
+		if rec := recover(); rec != nil {
+			werr = s.shardPanic(sh, rec)
+		}
+	}()
+	ctl, err := s.fleet.Device(device)
+	if err != nil {
+		return wire.AsError(err)
 	}
-	alloc, serr := ctl.StepContext(ctx, harvestJ)
-	if serr != nil {
-		return reap.Allocation{}, reap.Config{}, wire.AsError(serr)
-	}
-	s.steps.Add(1)
-	if jerr := s.journalAppend(&journalEvent{Op: opStep, Device: device, HarvestJ: &harvestJ}); jerr != nil {
-		return reap.Allocation{}, reap.Config{}, jerr
-	}
-	return alloc, ctl.Config(), nil
+	return fn(ctl)
+}
+
+// stepDevice plans one owned device's next period from its reported
+// harvest, journaling the successful step before it is acknowledged.
+func (s *Service) stepDevice(ctx context.Context, device int, harvestJ float64) (alloc reap.Allocation, werr *wire.Error) {
+	werr = s.withDevice(device, func(ctl *reap.Controller) *wire.Error {
+		var err error
+		if alloc, err = ctl.StepContext(ctx, harvestJ); err != nil {
+			return wire.AsError(err)
+		}
+		s.steps.Add(1)
+		return s.journalAppend(&journalEvent{Op: opStep, Device: device, HarvestJ: &harvestJ})
+	})
+	return alloc, werr
 }
 
 func (s *Service) handleAlpha(w http.ResponseWriter, r *http.Request) {
@@ -640,12 +636,7 @@ func (s *Service) handleAlpha(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req wire.AlphaRequest
-	if err := wire.DecodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, wire.AsError(err))
-		return
-	}
-	if err := wire.CheckVersion(req.V); err != nil {
-		writeError(w, http.StatusBadRequest, wire.AsError(err))
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	if werr := s.setAlpha(req.Device, req.Alpha); werr != nil {
@@ -657,26 +648,14 @@ func (s *Service) handleAlpha(w http.ResponseWriter, r *http.Request) {
 
 // setAlpha re-weights one device's accuracy-time objective, journaled
 // like every other mutation.
-func (s *Service) setAlpha(device int, alpha float64) (werr *wire.Error) {
-	sh, err := s.shardFor(device)
-	if err != nil {
-		return wire.AsError(err)
-	}
-	if werr := s.checkShard(sh); werr != nil {
-		return werr
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	defer s.recoverShard(sh, &werr)
-	ctl, derr := sh.fleet.Device(device - sh.lo)
-	if derr != nil {
-		return wire.AsError(derr)
-	}
-	if serr := ctl.SetAlpha(alpha); serr != nil {
-		return wire.AsError(serr)
-	}
-	s.alphaSets.Add(1)
-	return s.journalAppend(&journalEvent{Op: opAlpha, Device: device, Alpha: &alpha})
+func (s *Service) setAlpha(device int, alpha float64) *wire.Error {
+	return s.withDevice(device, func(ctl *reap.Controller) *wire.Error {
+		if err := ctl.SetAlpha(alpha); err != nil {
+			return wire.AsError(err)
+		}
+		s.alphaSets.Add(1)
+		return s.journalAppend(&journalEvent{Op: opAlpha, Device: device, Alpha: &alpha})
+	})
 }
 
 // handleTelemetry is the streaming ingest endpoint: NDJSON
@@ -693,10 +672,7 @@ func (s *Service) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	if !s.gateWrite(w, r) { // every telemetry event mutates state
 		return
 	}
-	tenant := r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = "default"
-	}
+	tenant := tenantOf(r)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
@@ -746,10 +722,8 @@ func scanCompleteLines(data []byte, atEOF bool) (advance int, token []byte, err 
 // admission checks, then consumption report and/or harvest step.
 func (s *Service) telemetryEvent(ctx context.Context, tenant string, line []byte, ev *wire.TelemetryEvent) *wire.TelemetryResult {
 	res := &wire.TelemetryResult{V: wire.Version, Device: -1}
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(ev); err != nil {
-		res.Error = wire.Errorf(wire.CodeMalformed, "decoding telemetry event: %v", err)
+	if err := wire.DecodeStrict(bytes.NewReader(line), ev); err != nil {
+		res.Error = wire.AsError(err)
 		return res
 	}
 	res.Device = ev.Device
@@ -767,13 +741,13 @@ func (s *Service) telemetryEvent(ctx context.Context, tenant string, line []byte
 		}
 	}
 	if ev.ConsumedJ != nil {
-		if werr := s.reportDevice(ev.Device, *ev.ConsumedJ); werr != nil {
+		if _, werr := s.applyReportBatch([]wire.DeviceReport{{Device: ev.Device, ConsumedJ: *ev.ConsumedJ}}); werr != nil {
 			res.Error = werr
 			return res
 		}
 	}
 	if ev.HarvestJ != nil {
-		alloc, _, werr := s.stepDevice(ctx, ev.Device, *ev.HarvestJ)
+		alloc, werr := s.stepDevice(ctx, ev.Device, *ev.HarvestJ)
 		if werr != nil {
 			res.Error = werr
 			return res
@@ -812,8 +786,8 @@ func (s *Service) Stats() *wire.StatsResponse {
 			resp.ShardsQuarantined++
 		}
 		sh.mu.Lock()
-		for local := 0; local < sh.hi-sh.lo; local++ {
-			if ctl, err := sh.fleet.Device(local); err == nil {
+		for d := sh.lo; d < sh.hi; d++ {
+			if ctl, err := s.fleet.Device(d); err == nil {
 				resp.TotalBatteryJ += ctl.Battery()
 			}
 		}

@@ -325,6 +325,36 @@ func TestTelemetryStream(t *testing.T) {
 	}
 }
 
+// TestTelemetryLineIsOneValue: a telemetry line holds exactly one JSON
+// value, like every other body. A line with a second value or trailing
+// garbage answers malformed_request and steps no device.
+func TestTelemetryLineIsOneValue(t *testing.T) {
+	svc := newTestService(t, Config{BatteryJ: 20, CapacityJ: 100})
+	body := `{"v":1,"device":1,"harvest_j":2}{"v":1,"device":2,"harvest_j":2}` + "\n" +
+		`{"v":1,"device":3,"harvest_j":2} garbage` + "\n"
+	rec := do(t, svc.Handler(), http.MethodPost, "/v1/telemetry", []byte(body))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
+	}
+	sc := bufio.NewScanner(rec.Body)
+	lines := 0
+	for ; sc.Scan(); lines++ {
+		var res wire.TelemetryResult
+		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
+			t.Fatalf("decoding result line %q: %v", sc.Text(), err)
+		}
+		if res.Error == nil || res.Error.Code != wire.CodeMalformed || res.Allocation != nil {
+			t.Errorf("line %d: got %s, want %s and no allocation", lines, sc.Text(), wire.CodeMalformed)
+		}
+	}
+	if lines != 2 {
+		t.Errorf("got %d result lines, want 2", lines)
+	}
+	if steps := svc.Stats().Steps; steps != 0 {
+		t.Errorf("stats steps = %d, want 0", steps)
+	}
+}
+
 func TestRateLimitRefusesWithRetryAfter(t *testing.T) {
 	svc := newTestService(t, Config{RatePerSec: 1, Burst: 2})
 	h := svc.Handler()
@@ -573,18 +603,39 @@ func TestTelemetryDrainFinishesCurrentEvent(t *testing.T) {
 	}
 }
 
+// TestShardForCoversFleet: for every fleet shape up to 40 devices and 9
+// shards, the shards tile the fleet in order with sizes that differ by
+// at most one, and shardFor maps each device to the shard holding it.
 func TestShardForCoversFleet(t *testing.T) {
-	svc := newTestService(t, Config{Devices: 10, Shards: 3})
-	for device := 0; device < 10; device++ {
-		sh, err := svc.shardFor(device)
-		if err != nil {
-			t.Fatalf("device %d: %v", device, err)
-		}
-		local := device - sh.lo
-		if _, err := sh.fleet.Device(local); err != nil {
-			t.Errorf("device %d maps to shard-local %d: %v", device, local, err)
+	for devices := 1; devices <= 40; devices++ {
+		for shards := 1; shards <= 9; shards++ {
+			svc := newTestService(t, Config{Devices: devices, Shards: shards})
+			lo, smallest, largest := 0, devices, 0
+			for i, sh := range svc.shards {
+				if sh.lo != lo || sh.hi <= sh.lo {
+					t.Fatalf("%d devices over %d shards: shard %d holds [%d, %d) after %d",
+						devices, shards, i, sh.lo, sh.hi, lo)
+				}
+				smallest, largest = min(smallest, sh.hi-sh.lo), max(largest, sh.hi-sh.lo)
+				lo = sh.hi
+			}
+			if lo != devices || largest-smallest > 1 {
+				t.Fatalf("%d devices over %d shards: tiling ends at %d with sizes %d..%d",
+					devices, shards, lo, smallest, largest)
+			}
+			for device := 0; device < devices; device++ {
+				sh, err := svc.shardFor(device)
+				if err != nil {
+					t.Fatalf("device %d: %v", device, err)
+				}
+				if device < sh.lo || device >= sh.hi {
+					t.Fatalf("%d devices over %d shards: device %d maps to shard [%d, %d)",
+						devices, shards, device, sh.lo, sh.hi)
+				}
+			}
 		}
 	}
+	svc := newTestService(t, Config{Devices: 10, Shards: 3})
 	for _, device := range []int{-1, 10, 1 << 20} {
 		if _, err := svc.shardFor(device); err == nil {
 			t.Errorf("device %d: want unknown-device error", device)

@@ -240,7 +240,7 @@ func restoreDevice(t *testing.T, svc *Service, device int, st reap.ControllerSta
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ctl, err := sh.fleet.Device(device - sh.lo)
+	ctl, err := svc.fleet.Device(device)
 	if err != nil {
 		t.Fatal(err)
 	}

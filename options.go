@@ -119,12 +119,14 @@ func WithSolver(name string) Option {
 }
 
 // WithBattery sets the backup battery's initial charge and capacity in
-// joules. The default (0, 0) models a battery-less device; NewConfig
-// ignores this option since a Config carries no battery state.
+// joules. The default (0, 0) models a battery-less device. The charge
+// must be finite, non-negative and at most the capacity plus 1e-9 J of
+// rounding slack, and the capacity non-negative; NewConfig checks them
+// and keeps neither, since a Config carries no battery state.
 func WithBattery(chargeJ, capacityJ float64) Option {
 	return func(s *settings) error {
 		if capacityJ < 0 || chargeJ < 0 || chargeJ > capacityJ+1e-9 ||
-			math.IsNaN(chargeJ) || math.IsNaN(capacityJ) {
+			math.IsNaN(chargeJ) || math.IsInf(chargeJ, 0) || math.IsNaN(capacityJ) {
 			return fmt.Errorf("%w: battery state %v/%v", ErrInvalidConfig, chargeJ, capacityJ)
 		}
 		s.batteryJ, s.capacityJ = chargeJ, capacityJ

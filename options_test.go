@@ -89,12 +89,18 @@ func TestOptionValidation(t *testing.T) {
 		"no design points": WithDesignPoints(),
 		"bad battery":      WithBattery(10, 5),
 		"negative battery": WithBattery(-1, 5),
+		"infinite battery": WithBattery(math.Inf(1), math.Inf(1)),
 		"bad workers":      WithWorkers(-1),
 		"nil option":       nil,
 	}
 	for name, opt := range cases {
 		if _, err := New(opt); !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("%s: err %v, want ErrInvalidConfig", name, err)
+		}
+		// NewConfig keeps no battery or worker count, but it refuses
+		// every option New refuses.
+		if _, err := NewConfig(opt); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: NewConfig err %v, want ErrInvalidConfig", name, err)
 		}
 	}
 	if _, err := New(WithSolver("missing")); !errors.Is(err, ErrUnknownSolver) {

@@ -170,7 +170,7 @@ type Population struct {
 	// Alpha overrides the accuracy/active-time emphasis (0 inherits).
 	Alpha float64 `json:"alpha,omitempty"`
 	// BatteryJ/CapacityJ override the battery (both zero inherits; when
-	// set, CapacityJ must be positive and BatteryJ within it).
+	// set, they must pass reap.WithBattery).
 	BatteryJ  float64 `json:"battery_j,omitempty"`
 	CapacityJ float64 `json:"capacity_j,omitempty"`
 	// Solver overrides the scenario's solver ("" inherits).
@@ -294,19 +294,12 @@ func (sc Scenario) Validate() error {
 	if sc.AgingPerDay < 0 || sc.AgingPerDay > 0.1 || math.IsNaN(sc.AgingPerDay) {
 		return fmt.Errorf("%w: %s: aging %v per day outside [0, 0.1]", ErrInvalidScenario, sc.Name, sc.AgingPerDay)
 	}
-	if sc.Alpha < 0 || math.IsNaN(sc.Alpha) || math.IsInf(sc.Alpha, 0) {
-		return fmt.Errorf("%w: %s: alpha %v must be non-negative and finite", ErrInvalidScenario, sc.Name, sc.Alpha)
-	}
-	// The same rule (and tolerance) as reap.WithBattery.
-	if sc.CapacityJ < 0 || sc.BatteryJ < 0 || sc.BatteryJ > sc.CapacityJ+1e-9 ||
-		math.IsNaN(sc.BatteryJ) || math.IsNaN(sc.CapacityJ) {
-		return fmt.Errorf("%w: %s: battery %v/%v J inconsistent", ErrInvalidScenario, sc.Name, sc.BatteryJ, sc.CapacityJ)
-	}
-	if err := checkSolver(sc.Solver); err != nil {
+	// The controller settings go through the options Run builds the
+	// fleet from (spelled out in both places, so that neither list
+	// escapes to the heap), and Validate refuses what Run would.
+	if _, err := reap.NewConfig(reap.WithAlpha(sc.Alpha), reap.WithBattery(sc.BatteryJ, sc.CapacityJ),
+		reap.WithSolver(sc.Solver), reap.WithWorkers(sc.Workers)); err != nil {
 		return fmt.Errorf("%w: %s: %w", ErrInvalidScenario, sc.Name, err)
-	}
-	if sc.Workers < 0 {
-		return fmt.Errorf("%w: %s: %d workers must be non-negative", ErrInvalidScenario, sc.Name, sc.Workers)
 	}
 	if sc.Forecast && !(sc.ForecastLambda > 0 && sc.ForecastLambda <= 1) {
 		return fmt.Errorf("%w: %s: forecast lambda %v outside (0, 1]", ErrInvalidScenario, sc.Name, sc.ForecastLambda)
@@ -320,17 +313,7 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("%w: %s: population %d: residue %d outside [0,%d)",
 				ErrInvalidScenario, sc.Name, pi, p.Residue, p.Modulus)
 		}
-		if p.Alpha < 0 || math.IsNaN(p.Alpha) || math.IsInf(p.Alpha, 0) {
-			return fmt.Errorf("%w: %s: population %d: alpha %v must be non-negative and finite",
-				ErrInvalidScenario, sc.Name, pi, p.Alpha)
-		}
-		if !fpx.Zero(p.BatteryJ) || !fpx.Zero(p.CapacityJ) {
-			if p.CapacityJ <= 0 || p.BatteryJ < 0 || p.BatteryJ > p.CapacityJ {
-				return fmt.Errorf("%w: %s: population %d: battery %v/%v J inconsistent",
-					ErrInvalidScenario, sc.Name, pi, p.BatteryJ, p.CapacityJ)
-			}
-		}
-		if err := checkSolver(p.Solver); err != nil {
+		if _, err := reap.NewConfig(p.appendOptions(nil)...); err != nil {
 			return fmt.Errorf("%w: %s: population %d: %w", ErrInvalidScenario, sc.Name, pi, err)
 		}
 	}
@@ -379,20 +362,24 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
-// checkSolver refuses a solver name reap.WithSolver would refuse; the
-// empty name, which selects the default, passes.
-func checkSolver(name string) error {
-	if name == "" {
-		return nil
+// appendOptions appends the population's overrides to opts: alpha, then
+// battery, then solver, each only when set. Each touches a distinct
+// setting, so the order is cosmetic.
+func (p Population) appendOptions(opts []reap.Option) []reap.Option {
+	if !fpx.Zero(p.Alpha) {
+		opts = append(opts, reap.WithAlpha(p.Alpha))
 	}
-	_, err := reap.NewConfig(reap.WithSolver(name))
-	return err
+	if !fpx.Zero(p.BatteryJ) || !fpx.Zero(p.CapacityJ) {
+		opts = append(opts, reap.WithBattery(p.BatteryJ, p.CapacityJ))
+	}
+	if p.Solver != "" {
+		opts = append(opts, reap.WithSolver(p.Solver))
+	}
+	return opts
 }
 
 // perDeviceOverride synthesizes the per-device options from the
-// declarative Populations (overrides applied in population order:
-// alpha, then battery, then solver — each touches a distinct setting,
-// so the order is cosmetic).
+// declarative Populations, applied in population order.
 func (sc Scenario) perDeviceOverride() func(int) []reap.Option {
 	if len(sc.Populations) == 0 {
 		return nil
@@ -404,15 +391,7 @@ func (sc Scenario) perDeviceOverride() func(int) []reap.Option {
 			if p.Modulus > 0 && i%p.Modulus != p.Residue {
 				continue
 			}
-			if !fpx.Zero(p.Alpha) {
-				opts = append(opts, reap.WithAlpha(p.Alpha))
-			}
-			if !fpx.Zero(p.BatteryJ) || !fpx.Zero(p.CapacityJ) {
-				opts = append(opts, reap.WithBattery(p.BatteryJ, p.CapacityJ))
-			}
-			if p.Solver != "" {
-				opts = append(opts, reap.WithSolver(p.Solver))
-			}
+			opts = p.appendOptions(opts)
 		}
 		return opts
 	}

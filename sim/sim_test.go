@@ -45,6 +45,27 @@ func TestSameSeedByteIdenticalTrace(t *testing.T) {
 	}
 }
 
+// TestTraceIndependentOfWorkers: the pool runs one worker per 64-device
+// chunk at most, so the corpus worlds, at 16 devices or fewer, never
+// start one. cloudy-bursts at 256 devices spans four chunks, and a
+// four-worker run must write the one-worker run's trace byte for byte.
+func TestTraceIndependentOfWorkers(t *testing.T) {
+	sc := mustScenario(t, "cloudy-bursts")
+	sc.Devices = 256
+	var traces [2][]byte
+	for i, workers := range []int{1, 4} {
+		sc.Workers = workers
+		res, err := Run(context.Background(), sc)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		traces[i] = res.Trace.Bytes()
+	}
+	if !bytes.Equal(traces[0], traces[1]) {
+		t.Fatalf("4 workers wrote a different trace than 1 (%d vs %d bytes)", len(traces[1]), len(traces[0]))
+	}
+}
+
 func TestDifferentSeedDifferentTrace(t *testing.T) {
 	sc := mustScenario(t, "brownout")
 	a, err := Run(context.Background(), sc)
@@ -216,6 +237,11 @@ func TestScenarioValidation(t *testing.T) {
 		"storm no duration": func(s *Scenario) { s.Storm = &Storm{StartRate: 0.1} },
 		"storm bad faults":  func(s *Scenario) { s.Storm = &Storm{StartRate: 0.1, DurationHours: 3, FaultRate: -1} },
 		"storm bad scale":   func(s *Scenario) { s.Storm = &Storm{StartRate: 0.1, DurationHours: 3, HarvestScale: -1} },
+		"battery inf":       func(s *Scenario) { s.BatteryJ, s.CapacityJ = math.Inf(1), math.Inf(1) },
+		"pop battery nan":   func(s *Scenario) { s.Populations = []Population{{BatteryJ: math.NaN(), CapacityJ: 10}} },
+		"pop battery inf": func(s *Scenario) {
+			s.Populations = []Population{{BatteryJ: math.Inf(1), CapacityJ: math.Inf(1)}}
+		},
 	}
 	base := mustScenario(t, "clear-month")
 	for name, mutate := range cases {
@@ -235,6 +261,22 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Scenario{}); !errors.Is(err, ErrInvalidScenario) {
 		t.Errorf("zero scenario must fail with ErrInvalidScenario, got %v", err)
+	}
+	// Run accepts these, so Validate must too: reap.WithBattery allows a
+	// charge up to 1e-9 J above the capacity.
+	valid := map[string]func(*Scenario){
+		"battery at tolerance":     func(s *Scenario) { s.BatteryJ, s.CapacityJ = 10+5e-10, 10 },
+		"pop battery at tolerance": func(s *Scenario) { s.Populations = []Population{{BatteryJ: 10 + 5e-10, CapacityJ: 10}} },
+	}
+	for name, mutate := range valid {
+		sc := base
+		mutate(&sc)
+		if err := sc.withDefaults().Validate(); err != nil {
+			t.Errorf("%s: Validate returned %v, want nil", name, err)
+		}
+		if _, err := Run(context.Background(), sc); err != nil {
+			t.Errorf("%s: Run returned %v", name, err)
+		}
 	}
 }
 
