@@ -9,7 +9,7 @@
 //	      [-battery 0] [-capacity 0]
 //	      [-rate 0] [-burst 0] [-drain-timeout 30s]
 //	      [-journal DIR] [-fsync interval] [-fsync-interval 100ms]
-//	      [-snapshot-every 4096] [-retain-segments 4]
+//	      [-snapshot-every 4096]
 //	      [-role primary] [-primary HOST:PORT] [-follower-id ID]
 //	      [-quarantine-after 0]
 //	      [-max-inflight 0] [-default-deadline 0] [-max-deadline 0]
@@ -19,7 +19,7 @@
 //	POST /v1/solve          one stateless allocation
 //	POST /v1/batch-solve    many independent allocations in one round trip
 //	POST /v1/report         measured consumption for owned devices
-//	POST /v1/telemetry      NDJSON stream: harvest in, allocation out
+//	POST /v1/telemetry      NDJSON stream: harvest in, allocation out (full duplex)
 //	POST /v1/alpha          re-weight one device's accuracy-time objective
 //	GET  /v1/stats          counters, shards, journal, replication
 //	GET  /healthz           liveness + role/epoch/lag (503 while draining)
@@ -43,7 +43,9 @@
 //
 // -role follower -primary HOST:PORT makes this daemon a hot standby: it
 // boots from its own -journal, tails the primary's journal stream
-// (snapshot bootstrap when it is too far behind), applies every acked
+// (snapshot bootstrap when it is further behind than the newest
+// snapshot and the four rotated segments the primary keeps before it;
+// heartbeats every 500 ms on an idle stream), applies every acked
 // mutation, serves stateless solves normally, and refuses mutations
 // with 503 not_primary plus a Leader hint header. POST /v1/promote
 // turns it into the primary, bumping the fencing epoch persisted in the
@@ -89,7 +91,6 @@ func main() {
 	role := flag.String("role", "", "replication role: primary (default) | follower")
 	primary := flag.String("primary", "", "primary address a follower replicates from")
 	followerID := flag.String("follower-id", "", "name for this follower in the primary's lag accounting")
-	retainSegments := flag.Int("retain-segments", 0, "rotated journal segments kept for replication catch-up (0 = 4, negative = none)")
 	quarantineAfter := flag.Int("quarantine-after", 0, "quarantine a shard after N panics (0 = never)")
 	maxInflight := flag.Int("max-inflight", 0, "shed requests beyond N in flight with 503 (0 = unlimited)")
 	defaultDeadline := flag.Duration("default-deadline", 0, "per-request deadline when the client sends none (0 = none)")
@@ -110,7 +111,6 @@ func main() {
 		Role:            *role,
 		PrimaryAddr:     *primary,
 		FollowerID:      *followerID,
-		RetainSegments:  *retainSegments,
 		QuarantineAfter: *quarantineAfter,
 		MaxInflight:     *maxInflight,
 		Deadline: resilience.DeadlinePolicy{

@@ -3,6 +3,7 @@ package reap
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -21,13 +22,16 @@ func TestFleetStepAllMatchesSequential(t *testing.T) {
 	const n = 1000
 	ctx := context.Background()
 
-	fleet, err := NewFleet(n, WithBattery(20, 100))
+	// An empty 5 J battery makes each first budget its harvest, so the
+	// budgets run from the dead region through saturation (9.94 J) and
+	// most devices plan a schedule of their own.
+	fleet, err := NewFleet(n, WithBattery(0, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	budgets := make([]float64, n)
 	for i := range budgets {
-		budgets[i] = 11.0 * float64(i) / n // dead region through saturation
+		budgets[i] = 11.0 * float64(i) / n
 	}
 
 	allocs, err := fleet.StepAll(ctx, budgets)
@@ -38,8 +42,10 @@ func TestFleetStepAllMatchesSequential(t *testing.T) {
 		t.Fatalf("%d allocations for %d devices", len(allocs), n)
 	}
 
+	regions := map[Region]bool{}
+	schedules := map[string]bool{}
 	for i, alloc := range allocs {
-		ref, err := New(WithBattery(20, 100))
+		ref, err := New(WithBattery(0, 5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,6 +61,14 @@ func TestFleetStepAllMatchesSequential(t *testing.T) {
 		if math.Abs(alloc.Objective(cfg)-want.Objective(cfg)) > 1e-12 {
 			t.Fatalf("device %d: fleet %v, sequential %v", i, alloc, want)
 		}
+		regions[Classify(cfg, dev.LastBudget())] = true
+		schedules[fmt.Sprint(alloc.Active, alloc.Off, alloc.Dead)] = true
+	}
+	if len(regions) != 4 {
+		t.Errorf("stepped budgets span %d operating regions, want all 4", len(regions))
+	}
+	if len(schedules) <= n/2 {
+		t.Errorf("%d distinct schedules over %d devices, want more than %d", len(schedules), n, n/2)
 	}
 
 	// Second period: the per-device battery state must have evolved

@@ -15,11 +15,11 @@
 //     complete and the checksum matches; the first invalid record ends
 //     the readable prefix of a segment — everything after it is
 //     untrusted because framing is lost.
-//   - Appends write the full record to the kernel (bufio build, flushed
-//     per append) before returning, so an acknowledgment survives
-//     kill -9; fdatasync frequency is the caller's policy (SyncAlways
-//     per append, or explicit Sync calls on an interval) and bounds
-//     loss on power failure, not process death.
+//   - An append frames its record in one buffer and hands it to the
+//     kernel in one write(2) before returning, so an acknowledgment
+//     survives kill -9; fdatasync frequency is the caller's policy
+//     (Options.SyncEveryAppend, or explicit Sync calls on an interval)
+//     and bounds loss on power failure, not process death.
 //   - Compaction is atomic: the snapshot is written to a temp file,
 //     fsynced, renamed into place, and only then are older segments and
 //     snapshots removed. A crash at any point leaves a directory that
@@ -80,10 +80,25 @@ func frameHeaderInto(buf, payload []byte) {
 	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
 }
 
-// readRecord reads one framed record from r. It returns io.EOF on a
+// EncodeFrame returns payload framed as one journal record in a fresh
+// buffer, [length|CRC-32C|payload], so that a segment append is one
+// write(2) and a crash can tear at most the tail record, never
+// interleave two. The replication stream ships the same frames, so a
+// follower validates shipped bytes with the exact parser its own boot
+// replay trusts.
+func EncodeFrame(payload []byte) []byte {
+	buf := make([]byte, frameSize+len(payload))
+	frameHeaderInto(buf, payload)
+	copy(buf[frameSize:], payload)
+	return buf
+}
+
+// ReadFrame reads one framed record from r. It returns io.EOF on a
 // clean end (no bytes of a further record), and ErrTornTail when the
-// stream ends mid-record or the checksum fails.
-func readRecord(r *bufio.Reader) ([]byte, error) {
+// stream ends mid-record or the checksum fails: boot replay truncates
+// a segment there, and a replication tailer reconnects and resyncs
+// instead of applying.
+func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	var frame [frameSize]byte
 	if _, err := io.ReadFull(r, frame[:]); err != nil {
 		if err == io.EOF {
@@ -105,18 +120,6 @@ func readRecord(r *bufio.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// EncodeFrame returns payload framed as one journal record — the same
-// [length|CRC-32C|payload] framing segments use. The replication stream
-// reuses it so a follower validates shipped bytes with the exact parser
-// its own boot replay trusts.
-func EncodeFrame(payload []byte) []byte { return newFrameBuffer(payload) }
-
-// ReadFrame reads one framed record from r. It returns io.EOF on a
-// clean end and ErrTornTail when the stream dies mid-record or the
-// checksum fails — a replication tailer maps the latter to a
-// reconnect-and-resync, never an apply.
-func ReadFrame(r *bufio.Reader) ([]byte, error) { return readRecord(r) }
-
 // scanSegment reads every valid record of the file at path, calling fn
 // for each. It returns the byte offset of the end of the valid prefix
 // and whether the tail beyond it is torn. An error from fn aborts the
@@ -129,7 +132,7 @@ func scanSegment(path string, fn func(payload []byte) error) (validEnd int64, to
 	defer f.Close()
 	r := bufio.NewReader(f)
 	for {
-		payload, rerr := readRecord(r)
+		payload, rerr := ReadFrame(r)
 		if rerr != nil {
 			if errors.Is(rerr, ErrTornTail) {
 				return validEnd, true, nil

@@ -60,12 +60,11 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	f        *os.File // active segment, nil until Start
-	started  bool
-	closed   bool
-	seq      uint64 // events in history (snapshot base + replayed + appended)
-	segStart uint64 // seq at which the active segment begins
+	mu      sync.Mutex
+	f       *os.File // active segment, nil until Start
+	started bool
+	closed  bool
+	seq     uint64 // events in history (snapshot base + replayed + appended)
 
 	snapshot []byte
 	snapSeq  uint64
@@ -181,10 +180,6 @@ func readSnapshot(path string) ([]byte, bool) {
 	return payload, true
 }
 
-// Snapshot returns the newest snapshot payload loaded by Open, or nil
-// when the directory holds none, plus the sequence number it covers.
-func (s *Store) Snapshot() (payload []byte, seq uint64) { return s.snapshot, s.snapSeq }
-
 // Start replays every logged event after the snapshot through fn (in
 // append order), truncates a torn tail in place, and opens the journal
 // for appending. Segments that the snapshot already covers are removed.
@@ -198,7 +193,6 @@ func (s *Store) Start(fn func(payload []byte) error) error {
 	}
 
 	expected := s.snapSeq
-	last := -1
 	var covered, replayedSegs []segmentFile
 	for i, seg := range s.pending {
 		if seg.start < s.snapSeq {
@@ -235,7 +229,6 @@ func (s *Store) Start(fn func(payload []byte) error) error {
 		expected += n
 		s.replayed += n
 		replayedSegs = append(replayedSegs, seg)
-		last = i
 	}
 	keep := s.opts.RetainSegments
 	if keep > len(covered) {
@@ -248,32 +241,39 @@ func (s *Store) Start(fn func(payload []byte) error) error {
 	s.disk = append(s.disk, replayedSegs...)
 	s.seq = expected
 	s.pending = nil
-	return s.openActive(last >= 0)
-}
-
-// openActive opens the active segment for appending. reuse continues
-// the newest existing segment; otherwise a fresh segment is cut at the
-// current sequence number.
-func (s *Store) openActive(reuse bool) error {
-	name := segName(s.seq)
-	if reuse && len(s.disk) > 0 {
-		// The newest on-disk segment ends exactly at s.seq after replay
-		// and truncation, so appending continues it; its name keeps the
-		// start it had.
-		name = filepath.Base(s.disk[len(s.disk)-1].path)
+	// The newest replayed segment ends exactly at s.seq after replay and
+	// truncation, so appending continues it; with none, a fresh segment
+	// starts at the snapshot.
+	start := s.seq
+	if n := len(replayedSegs); n > 0 {
+		start = replayedSegs[n-1].start
 	}
-	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: opening segment: %w", err)
-	}
-	s.f = f
-	if start, ok := parseSeq(name, segPrefix, segSuffix); ok {
-		s.segStart = start
-	}
-	if !reuse || len(s.disk) == 0 {
-		s.disk = append(s.disk, segmentFile{path: filepath.Join(s.dir, name), start: s.seq})
+	if err := s.openSegment(start); err != nil {
+		return fmt.Errorf("journal: start: %w", err)
 	}
 	s.started = true
+	return nil
+}
+
+// openSegment makes the segment starting at start the active one,
+// open for appending. It continues the newest on-disk segment when that
+// one starts there, and otherwise creates the file and lists it last in
+// disk. Callers hold s.mu.
+func (s *Store) openSegment(start uint64) error {
+	seg := segmentFile{path: filepath.Join(s.dir, segName(start)), start: start}
+	n := len(s.disk)
+	reuse := n > 0 && s.disk[n-1].start == start
+	if reuse {
+		seg = s.disk[n-1]
+	}
+	f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("opening segment: %w", err)
+	}
+	s.f = f
+	if !reuse {
+		s.disk = append(s.disk, seg)
+	}
 	return nil
 }
 
@@ -309,10 +309,7 @@ func (s *Store) writeRecord(payload []byte) error {
 	if s.failAppend != nil {
 		return classifyWriteErr(s.failAppend)
 	}
-	// Build the frame in one buffer so a crash can tear at most the
-	// tail record, never interleave two.
-	bw := newFrameBuffer(payload)
-	if _, err := s.f.Write(bw); err != nil {
+	if _, err := s.f.Write(EncodeFrame(payload)); err != nil {
 		return classifyWriteErr(err)
 	}
 	return nil
@@ -378,33 +375,22 @@ func (s *Store) Compact(snapshot []byte) error {
 	seq := s.seq
 
 	// 1. Rotate: the old segment is complete at seq, appends go to a
-	// fresh segment starting there.
+	// fresh segment starting there (the same one, when nothing was
+	// appended since it started).
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("journal: compact: syncing old segment: %w", err)
 	}
 	if err := s.f.Close(); err != nil {
 		return fmt.Errorf("journal: compact: closing old segment: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: compact: rotating segment: %w", err)
-	}
-	s.f = f
-	oldStart := s.segStart
-	s.segStart = seq
-	if oldStart < seq {
-		s.disk = append(s.disk, segmentFile{path: filepath.Join(s.dir, segName(seq)), start: seq})
+	if err := s.openSegment(seq); err != nil {
+		return fmt.Errorf("journal: compact: %w", err)
 	}
 
 	// 2. Snapshot: temp write, fsync, atomic rename.
-	tmp := filepath.Join(s.dir, snapName(seq)+".tmp")
-	if err := writeSnapshotFile(tmp, snapshot); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapName(seq))); err != nil {
+	if err := s.installSnapshot(snapshot, seq); err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
 	}
-	syncDir(s.dir)
 
 	// 3. Cleanup: anything strictly before the new snapshot is covered
 	// by it, but RetainSegments rotated segments stay on disk so
@@ -425,33 +411,38 @@ func (s *Store) Compact(snapshot []byte) error {
 	return nil
 }
 
-// writeSnapshotFile writes payload to path as one framed record: the
-// frame header, then the payload itself, so a fleet-sized snapshot is
-// never copied into a framed buffer. Two writes are safe here, unlike
-// for a segment append: the caller's tmp + fsync + rename sequence, not
-// a single write(2), is what makes the file appear whole.
-func writeSnapshotFile(path string, payload []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// installSnapshot makes payload the snapshot file at seq: one framed
+// record written to a temp file, fsynced, renamed into place, and the
+// directory synced. The frame header and the payload go out as two
+// writes, so a fleet-sized snapshot is never copied into a framed
+// buffer; unlike for a segment append that is safe here, because the
+// rename, not a single write(2), is what makes the file appear whole.
+// Callers hold s.mu.
+func (s *Store) installSnapshot(payload []byte, seq uint64) error {
+	path := filepath.Join(s.dir, snapName(seq))
+	f, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
+		return err
 	}
 	var frame [frameSize]byte
 	frameHeaderInto(frame[:], payload)
-	if _, err := f.Write(frame[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: compact: writing snapshot: %w", err)
+	_, err = f.Write(frame[:])
+	if err == nil {
+		_, err = f.Write(payload)
 	}
-	if _, err := f.Write(payload); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: compact: writing snapshot: %w", err)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: compact: syncing snapshot: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
+	if err != nil {
+		return fmt.Errorf("writing snapshot: %w", err)
 	}
+	if err := os.Rename(path+".tmp", path); err != nil {
+		return err
+	}
+	syncDir(s.dir)
 	return nil
 }
 
@@ -523,11 +514,11 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// SnapshotNow returns the newest snapshot payload and the sequence
-// number it covers, tracking compactions as they happen (unlike
-// Snapshot, which is a boot-time accessor with no synchronization).
-// The payload must be treated as read-only.
-func (s *Store) SnapshotNow() (payload []byte, seq uint64) {
+// Snapshot returns the newest snapshot payload and the sequence number
+// it covers: the one Open loaded (nil and 0 for a directory without
+// one) until Compact or Reset installs a newer one. The payload must be
+// treated as read-only.
+func (s *Store) Snapshot() (payload []byte, seq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.snapshot, s.snapSeq
@@ -572,22 +563,15 @@ func (s *Store) Reset(snapshot []byte, seq uint64) error {
 			_ = os.Remove(filepath.Join(s.dir, name))
 		}
 	}
-	tmp := filepath.Join(s.dir, snapName(seq)+".tmp")
-	if err := writeSnapshotFile(tmp, snapshot); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapName(seq))); err != nil {
+	if err := s.installSnapshot(snapshot, seq); err != nil {
 		return fmt.Errorf("journal: reset: %w", err)
 	}
-	syncDir(s.dir)
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	s.disk = nil
+	if err := s.openSegment(seq); err != nil {
 		return fmt.Errorf("journal: reset: %w", err)
 	}
-	s.f = f
-	s.seq, s.segStart, s.snapSeq = seq, seq, seq
+	s.seq, s.snapSeq = seq, seq
 	s.snapshot = snapshot
-	s.disk = append(s.disk[:0:0], segmentFile{path: filepath.Join(s.dir, segName(seq)), start: seq})
 	s.compactions++
 	return nil
 }
@@ -616,13 +600,4 @@ func (s *Store) segmentAt(seq uint64) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// newFrameBuffer returns payload framed as one record in a fresh
-// buffer, so the write to the file is a single contiguous syscall.
-func newFrameBuffer(payload []byte) []byte {
-	buf := make([]byte, frameSize+len(payload))
-	frameHeaderInto(buf, payload)
-	copy(buf[frameSize:], payload)
-	return buf
 }

@@ -12,6 +12,15 @@ import (
 	"repro/internal/journal"
 )
 
+// heartbeatInterval is the idle-stream keepalive interval; it bounds
+// how stale a follower's lag measurement can get.
+const heartbeatInterval = 500 * time.Millisecond
+
+// shipTimeout bounds how long a slow follower may stall the append
+// path: a live write that cannot complete within it detaches the
+// follower, which must reconnect and catch up.
+const shipTimeout = time.Second
+
 // HubConfig configures the primary side of replication.
 type HubConfig struct {
 	// Store is the journal every append flows through.
@@ -19,13 +28,6 @@ type HubConfig struct {
 	// Epoch returns the node's current term, stamped on hellos so
 	// followers adopt it.
 	Epoch func() uint64
-	// Heartbeat is the idle-stream keepalive interval (default 500ms);
-	// it bounds how stale a follower's lag measurement can get.
-	Heartbeat time.Duration
-	// ShipTimeout bounds how long a slow follower may stall the append
-	// path (default 1s): a live write that cannot complete within it
-	// detaches the follower, which must reconnect and catch up.
-	ShipTimeout time.Duration
 	// WrapStream, when non-nil, wraps each stream's writer — the chaos
 	// seam for injecting mid-frame tears.
 	WrapStream func(io.Writer) io.Writer
@@ -72,12 +74,6 @@ type ackState struct {
 
 // NewHub builds the primary-side fan-out over store.
 func NewHub(cfg HubConfig) *Hub {
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 500 * time.Millisecond
-	}
-	if cfg.ShipTimeout <= 0 {
-		cfg.ShipTimeout = time.Second
-	}
 	return &Hub{
 		cfg:  cfg,
 		live: make(map[string]*liveFollower),
@@ -199,13 +195,13 @@ func (h *Hub) ServeStream(ctx context.Context, w http.ResponseWriter, id string,
 	// The write deadline bounds a stalled follower, so it only needs to
 	// be roughly right: refreshing it once per quarter-timeout instead
 	// of per frame saves a setsockopt on the hot append path, at the
-	// cost of the effective bound being ShipTimeout±25%. Writes on one
+	// cost of the effective bound being shipTimeout±25%. Writes on one
 	// stream never race: catch-up runs before the follower attaches,
 	// and attached writes all happen under h.mu.
 	var deadlineAt time.Time
 	write := func(frame []byte) error {
-		if now := time.Now(); now.Sub(deadlineAt) > h.cfg.ShipTimeout/4 {
-			_ = conn.SetWriteDeadline(now.Add(h.cfg.ShipTimeout))
+		if now := time.Now(); now.Sub(deadlineAt) > shipTimeout/4 {
+			_ = conn.SetWriteDeadline(now.Add(shipTimeout))
 			deadlineAt = now
 		}
 		_, err := sink.Write(frame)
@@ -233,7 +229,7 @@ func (h *Hub) ServeStream(ctx context.Context, w http.ResponseWriter, id string,
 		if cur != nil {
 			_ = cur.Close()
 		}
-		snap, snapSeq := st.SnapshotNow()
+		snap, snapSeq := st.Snapshot()
 		if err := send(Message{Kind: KindSnapshot, Seq: snapSeq, Payload: snap}); err != nil {
 			return fmt.Errorf("%w: snapshot: %v", ErrStream, err)
 		}
@@ -307,7 +303,7 @@ func (h *Hub) ServeStream(ctx context.Context, w http.ResponseWriter, id string,
 		h.detachLocked(id, f)
 		h.mu.Unlock()
 	}()
-	hb := time.NewTicker(h.cfg.Heartbeat)
+	hb := time.NewTicker(heartbeatInterval)
 	defer hb.Stop()
 	for {
 		select {

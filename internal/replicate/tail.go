@@ -16,10 +16,15 @@ import (
 	"repro/internal/journal"
 )
 
+// ackInterval rate-limits ack posts back to the primary. Acks ride the
+// tail loop, after applying frames.
+const ackInterval = 500 * time.Millisecond
+
 // TailConfig configures a follower's stream client. The callbacks run
-// on the tail goroutine, one frame at a time; returning an error drops
-// the stream (reconnect with backoff). OnEvent returning ErrOutOfSync
-// additionally forces a snapshot resync on the next connect.
+// on the tail goroutine, one frame at a time, and all of them must be
+// set; returning an error drops the stream (reconnect with backoff).
+// OnEvent returning ErrOutOfSync additionally forces a snapshot resync
+// on the next connect.
 type TailConfig struct {
 	// Primary is the host:port the follower replicates from.
 	Primary string
@@ -42,12 +47,6 @@ type TailConfig struct {
 	OnEvent func(seq uint64, payload []byte) error
 	// OnHeartbeat observes the primary's seq on an idle stream.
 	OnHeartbeat func(seq uint64)
-	// AckInterval rate-limits ack posts back to the primary (default
-	// 500ms). Acks ride the tail loop, after applying frames.
-	AckInterval time.Duration
-	// Client is the HTTP client for both the stream and acks; nil uses
-	// a dedicated default.
-	Client *http.Client
 }
 
 // Tailer pulls the replication stream and keeps pulling: reconnect
@@ -64,18 +63,12 @@ type Tailer struct {
 	lastAcked  atomic.Uint64
 }
 
-// NewTailer builds a tailer; Run starts it.
+// NewTailer builds a tailer with its own HTTP client for the stream and
+// the acks; Run starts it. The client has no overall timeout, because
+// the stream request legitimately lasts forever: cancellation comes
+// from the Run context.
 func NewTailer(cfg TailConfig) *Tailer {
-	if cfg.AckInterval <= 0 {
-		cfg.AckInterval = 500 * time.Millisecond
-	}
-	client := cfg.Client
-	if client == nil {
-		// No overall timeout: the stream request legitimately lasts
-		// forever. Cancellation comes from the Run context.
-		client = &http.Client{}
-	}
-	return &Tailer{cfg: cfg, client: client}
+	return &Tailer{cfg: cfg, client: &http.Client{}}
 }
 
 // Connected reports whether a stream is currently established.
@@ -168,10 +161,8 @@ func (t *Tailer) stream(ctx context.Context) (progressed bool, err error) {
 		switch m.Kind {
 		case KindHello:
 			sawHello = true
-			if t.cfg.OnHello != nil {
-				if err := t.cfg.OnHello(m.Epoch, m.Seq); err != nil {
-					return progressed, err
-				}
+			if err := t.cfg.OnHello(m.Epoch, m.Seq); err != nil {
+				return progressed, err
 			}
 			t.connected.Store(true)
 			defer t.connected.Store(false)
@@ -192,11 +183,9 @@ func (t *Tailer) stream(ctx context.Context) (progressed bool, err error) {
 			}
 			progressed = true
 		case KindHeartbeat:
-			if t.cfg.OnHeartbeat != nil {
-				t.cfg.OnHeartbeat(m.Seq)
-			}
+			t.cfg.OnHeartbeat(m.Seq)
 		}
-		if time.Since(lastAck) >= t.cfg.AckInterval {
+		if time.Since(lastAck) >= ackInterval {
 			t.postAck(ctx)
 			lastAck = time.Now()
 		}

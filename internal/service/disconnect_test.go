@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -23,12 +24,12 @@ import (
 // extra step, no malformed-event error), and every handler goroutine
 // winds down — an abandoned stream may not pin a goroutine.
 //
-// The responses are deliberately not read: Go's HTTP/1 server drains an
-// unconsumed request body before flushing response headers, so a
-// client that both streams and reads would deadlock against a test
-// that controls one socket. The observable effects — counters and
-// goroutine count — are the contract here; response framing per event
-// is covered by TestTelemetryStream and the handler-level test below.
+// The responses are not read: the contract here is what the server
+// does with a stream whose client is gone, seen through the counters
+// and the goroutine count. Response framing per event is covered by
+// TestTelemetryStream, the handler-level test below and, over real
+// HTTP/1.1 with a client that streams and reads at once,
+// TestTelemetryStreamFullDuplex.
 func TestTelemetryDisconnectMidStream(t *testing.T) {
 	svc := newTestService(t, Config{Devices: 8, BatteryJ: 20, CapacityJ: 100})
 	srv := httptest.NewServer(svc.Handler())
@@ -119,6 +120,89 @@ func TestTelemetryPartialLineAnsweredPrefix(t *testing.T) {
 	if got := svc.Stats().Steps; got != 2 {
 		t.Errorf("steps = %d, want 2 — the partial line must not have stepped device 3", got)
 	}
+}
+
+// TestTelemetryStreamFullDuplex posts 3,000 events in one HTTP/1.1
+// request and reads the answers while the body is still uploading.
+// net/http's HTTP/1 server stops reading a request body once the
+// handler has flushed, unless the handler enables full duplex; without
+// it the stream answered only the events read before its first flush
+// and then ended with a 200 and no error line.
+func TestTelemetryStreamFullDuplex(t *testing.T) {
+	svc := newTestService(t, Config{Devices: 8, BatteryJ: 20, CapacityJ: 100})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	const events = 3000
+	var body strings.Builder
+	for i := range events {
+		fmt.Fprintf(&body, `{"v":%d,"device":%d,"harvest_j":1.5}`+"\n", wire.Version, i%8)
+	}
+	results := postTelemetry(t, srv.URL, body.String())
+	if len(results) != events {
+		t.Fatalf("%d result lines for %d events", len(results), events)
+	}
+	for i, res := range results {
+		if res.Error != nil || res.Device != i%8 || res.Allocation == nil {
+			t.Fatalf("event %d answered %+v", i, res)
+		}
+	}
+	if got := svc.Stats().Steps; got != events {
+		t.Errorf("steps = %d, want %d", got, events)
+	}
+}
+
+// TestTelemetryOverlongLineAnswered sends a valid event, a 2 MiB line
+// and another valid event. The scanner cannot hold a line over 1 MiB,
+// nor find the next line past one, so the stream ends there; but it
+// says why, with one malformed_request result after the first event's
+// answer, instead of closing a 200 in silence.
+func TestTelemetryOverlongLineAnswered(t *testing.T) {
+	svc := newTestService(t, Config{Devices: 8, BatteryJ: 20, CapacityJ: 100})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	event := fmt.Sprintf(`{"v":%d,"device":1,"harvest_j":1.5}`+"\n", wire.Version)
+	results := postTelemetry(t, srv.URL, event+strings.Repeat("x", 2<<20)+"\n"+event)
+	if len(results) != 2 {
+		t.Fatalf("%d result lines, want 2: %+v", len(results), results)
+	}
+	if res := results[0]; res.Error != nil || res.Device != 1 || res.Allocation == nil {
+		t.Errorf("first event answered %+v", res)
+	}
+	if res := results[1]; res.Error == nil || res.Error.Code != wire.CodeMalformed || res.Allocation != nil {
+		t.Errorf("overlong line answered %+v, want one %s error", res, wire.CodeMalformed)
+	}
+	if got := svc.Stats().Steps; got != 1 {
+		t.Errorf("steps = %d, want 1", got)
+	}
+}
+
+// postTelemetry posts body to the telemetry stream at url and returns
+// the result lines of a 200 answer.
+func postTelemetry(t *testing.T, url, body string) []wire.TelemetryResult {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/telemetry", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var results []wire.TelemetryResult
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var res wire.TelemetryResult
+		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
+			t.Fatalf("decoding %q: %v", sc.Text(), err)
+		}
+		results = append(results, res)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("reading results: %v", err)
+	}
+	return results
 }
 
 // waitFor polls cond until it holds or the deadline passes.

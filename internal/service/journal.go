@@ -39,25 +39,21 @@ const (
 	FsyncNever    = "never"    // no explicit sync; kernel writeback only
 )
 
-// Journal event ops.
-const (
-	opReport = "report"
-	opStep   = "step"
-	opAlpha  = "alpha"
-)
+// retainSegments is how many rotated journal segments each compaction
+// keeps on disk, so that a follower a few snapshots behind catches up
+// from the log instead of a full snapshot bootstrap.
+const retainSegments = 4
 
-// journalEvent is one logged state mutation. Exactly one of the
-// op-specific field sets is populated.
+// journalEvent is one logged state mutation, in the shape of its
+// payload: op is the payload's tag (evReport, evStep or evAlpha).
+// reports is an evReport's locked group; device and value are an
+// evStep's device and harvest, or an evAlpha's device and new
+// accuracy-time weight.
 type journalEvent struct {
-	Op string
-	// opReport: the reports applied in one locked group.
-	Reports []wire.DeviceReport
-	// opStep / opAlpha: the device acted on.
-	Device int
-	// opStep: the harvest the device planned with.
-	HarvestJ *float64
-	// opAlpha: the new accuracy-time weight.
-	Alpha *float64
+	op      byte
+	reports []wire.DeviceReport
+	device  int
+	value   float64
 }
 
 // Journal event payload encoding: a compact binary format rather than
@@ -85,33 +81,25 @@ const (
 
 // encodeEvent appends ev's binary encoding to buf and returns it.
 func encodeEvent(buf []byte, ev *journalEvent) ([]byte, error) {
-	switch ev.Op {
-	case opReport:
-		buf = append(buf, evFormat, evReport)
-		buf = binary.AppendUvarint(buf, uint64(len(ev.Reports)))
-		for _, rep := range ev.Reports {
+	buf = append(buf, evFormat, ev.op)
+	switch ev.op {
+	case evReport:
+		buf = binary.AppendUvarint(buf, uint64(len(ev.reports)))
+		for _, rep := range ev.reports {
 			if rep.Device < 0 {
 				return nil, fmt.Errorf("journal event: negative device %d", rep.Device)
 			}
 			buf = binary.AppendUvarint(buf, uint64(rep.Device))
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rep.ConsumedJ))
 		}
-	case opStep:
-		if ev.Device < 0 || ev.HarvestJ == nil {
-			return nil, fmt.Errorf("journal step event: device %d, harvest %v", ev.Device, ev.HarvestJ)
+	case evStep, evAlpha:
+		if ev.device < 0 {
+			return nil, fmt.Errorf("journal event: negative device %d", ev.device)
 		}
-		buf = append(buf, evFormat, evStep)
-		buf = binary.AppendUvarint(buf, uint64(ev.Device))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(*ev.HarvestJ))
-	case opAlpha:
-		if ev.Device < 0 || ev.Alpha == nil {
-			return nil, fmt.Errorf("journal alpha event: device %d, alpha %v", ev.Device, ev.Alpha)
-		}
-		buf = append(buf, evFormat, evAlpha)
-		buf = binary.AppendUvarint(buf, uint64(ev.Device))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(*ev.Alpha))
+		buf = binary.AppendUvarint(buf, uint64(ev.device))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ev.value))
 	default:
-		return nil, fmt.Errorf("journal event: unknown op %q", ev.Op)
+		return nil, fmt.Errorf("journal event: unknown op tag %d", ev.op)
 	}
 	return buf, nil
 }
@@ -127,7 +115,7 @@ func decodeEvent(payload []byte) (*journalEvent, error) {
 	if payload[0] != evFormat {
 		return nil, fmt.Errorf("journal event: unknown format %d", payload[0])
 	}
-	tag, rest := payload[1], payload[2:]
+	ev, rest := &journalEvent{op: payload[1]}, payload[2:]
 	readUvarint := func() (int, error) {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -150,10 +138,8 @@ func decodeEvent(payload []byte) (*journalEvent, error) {
 		rest = rest[8:]
 		return f, nil
 	}
-	ev := &journalEvent{}
-	switch tag {
+	switch ev.op {
 	case evReport:
-		ev.Op = opReport
 		count, err := readUvarint()
 		if err != nil {
 			return nil, err
@@ -161,8 +147,8 @@ func decodeEvent(payload []byte) (*journalEvent, error) {
 		if count > len(rest) { // each report needs ≥9 bytes
 			return nil, fmt.Errorf("journal event: implausible report count %d", count)
 		}
-		ev.Reports = make([]wire.DeviceReport, count)
-		for i := range ev.Reports {
+		ev.reports = make([]wire.DeviceReport, count)
+		for i := range ev.reports {
 			device, err := readUvarint()
 			if err != nil {
 				return nil, err
@@ -171,27 +157,18 @@ func decodeEvent(payload []byte) (*journalEvent, error) {
 			if err != nil {
 				return nil, err
 			}
-			ev.Reports[i] = wire.DeviceReport{Device: device, ConsumedJ: consumed}
+			ev.reports[i] = wire.DeviceReport{Device: device, ConsumedJ: consumed}
 		}
 	case evStep, evAlpha:
-		device, err := readUvarint()
-		if err != nil {
+		var err error
+		if ev.device, err = readUvarint(); err != nil {
 			return nil, err
 		}
-		f, err := readFloat()
-		if err != nil {
+		if ev.value, err = readFloat(); err != nil {
 			return nil, err
-		}
-		ev.Device = device
-		if tag == evStep {
-			ev.Op = opStep
-			ev.HarvestJ = &f
-		} else {
-			ev.Op = opAlpha
-			ev.Alpha = &f
 		}
 	default:
-		return nil, fmt.Errorf("journal event: unknown op tag %d", tag)
+		return nil, fmt.Errorf("journal event: unknown op tag %d", ev.op)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("journal event: %d trailing bytes", len(rest))
@@ -357,7 +334,7 @@ func (s *Service) fingerprint() string {
 func (s *Service) openJournal() error {
 	store, err := journal.Open(s.cfg.JournalDir, journal.Options{
 		SyncEveryAppend: s.cfg.FsyncPolicy == FsyncAlways,
-		RetainSegments:  s.cfg.RetainSegments,
+		RetainSegments:  retainSegments,
 	})
 	if err != nil {
 		return err
@@ -426,9 +403,9 @@ func (s *Service) replayEvent(payload []byte) error {
 // boot replay (no locks: not serving yet) and the follower's stream
 // applier (which holds the touched shards' locks; see replication.go).
 func (s *Service) applyEvent(ev *journalEvent) error {
-	switch ev.Op {
-	case opReport:
-		for _, rep := range ev.Reports {
+	switch ev.op {
+	case evReport:
+		for _, rep := range ev.reports {
 			ctl, err := s.fleet.Device(rep.Device)
 			if err != nil {
 				return fmt.Errorf("replaying report: %w", err)
@@ -437,30 +414,24 @@ func (s *Service) applyEvent(ev *journalEvent) error {
 				s.reports.Add(1)
 			}
 		}
-	case opStep:
-		if ev.HarvestJ == nil {
-			return fmt.Errorf("journal step event without harvest")
-		}
-		ctl, err := s.fleet.Device(ev.Device)
+	case evStep:
+		ctl, err := s.fleet.Device(ev.device)
 		if err != nil {
 			return fmt.Errorf("replaying step: %w", err)
 		}
-		if _, err := ctl.Step(*ev.HarvestJ); err == nil {
+		if _, err := ctl.Step(ev.value); err == nil {
 			s.steps.Add(1)
 		}
-	case opAlpha:
-		if ev.Alpha == nil {
-			return fmt.Errorf("journal alpha event without alpha")
-		}
-		ctl, err := s.fleet.Device(ev.Device)
+	case evAlpha:
+		ctl, err := s.fleet.Device(ev.device)
 		if err != nil {
 			return fmt.Errorf("replaying alpha: %w", err)
 		}
-		if ctl.SetAlpha(*ev.Alpha) == nil {
+		if ctl.SetAlpha(ev.value) == nil {
 			s.alphaSets.Add(1)
 		}
 	default:
-		return fmt.Errorf("unknown journal op %q", ev.Op)
+		return fmt.Errorf("unknown journal op tag %d", ev.op)
 	}
 	return nil
 }
@@ -475,7 +446,7 @@ func (s *Service) journalAppend(ev *journalEvent) *wire.Error {
 	if s.hub == nil {
 		return nil
 	}
-	payload, err := encodeEvent(make([]byte, 0, 4+18*(1+len(ev.Reports))), ev)
+	payload, err := encodeEvent(make([]byte, 0, 4+18*(1+len(ev.reports))), ev)
 	if err != nil {
 		return wire.Errorf(wire.CodeInternal, "encoding journal event: %v", err)
 	}

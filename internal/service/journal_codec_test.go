@@ -17,15 +17,15 @@ func TestEventCodecRoundTrip(t *testing.T) {
 		name string
 		ev   journalEvent
 	}{
-		{"report", journalEvent{Op: opReport, Reports: []wire.DeviceReport{
+		{"report", journalEvent{op: evReport, reports: []wire.DeviceReport{
 			{Device: 0, ConsumedJ: 0.001},
 			{Device: 300, ConsumedJ: tiny},
 			{Device: 7, ConsumedJ: math.MaxFloat64},
 		}}},
-		{"report_empty", journalEvent{Op: opReport, Reports: []wire.DeviceReport{}}},
-		{"step", journalEvent{Op: opStep, Device: 3, HarvestJ: &harvest}},
-		{"step_device_zero", journalEvent{Op: opStep, Device: 0, HarvestJ: &harvest}},
-		{"alpha", journalEvent{Op: opAlpha, Device: 1 << 20, Alpha: &alpha}},
+		{"report_empty", journalEvent{op: evReport, reports: []wire.DeviceReport{}}},
+		{"step", journalEvent{op: evStep, device: 3, value: harvest}},
+		{"step_device_zero", journalEvent{op: evStep, device: 0, value: harvest}},
+		{"alpha", journalEvent{op: evAlpha, device: 1 << 20, value: alpha}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,7 +46,7 @@ func TestEventCodecRoundTrip(t *testing.T) {
 
 func TestEventCodecRejectsInvalid(t *testing.T) {
 	harvest := 1.5
-	valid, err := encodeEvent(nil, &journalEvent{Op: opStep, Device: 3, HarvestJ: &harvest})
+	valid, err := encodeEvent(nil, &journalEvent{op: evStep, device: 3, value: harvest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,9 @@ func TestEventCodecRejectsInvalid(t *testing.T) {
 
 	// Encoding refuses events that could not replay.
 	for name, ev := range map[string]*journalEvent{
-		"unknown_op":      {Op: "flush"},
-		"step_no_harvest": {Op: opStep, Device: 1},
-		"alpha_no_alpha":  {Op: opAlpha, Device: 1},
-		"negative_device": {Op: opStep, Device: -1, HarvestJ: &harvest},
-		"negative_report": {Op: opReport, Reports: []wire.DeviceReport{{Device: -2}}},
+		"unknown_op":      {op: 99},
+		"negative_device": {op: evStep, device: -1, value: harvest},
+		"negative_report": {op: evReport, reports: []wire.DeviceReport{{Device: -2}}},
 	} {
 		if _, err := encodeEvent(nil, ev); err == nil {
 			t.Errorf("encode %s: want error", name)
@@ -92,9 +90,9 @@ func TestEventCodecRejectsInvalid(t *testing.T) {
 func FuzzDecodeEvent(f *testing.F) {
 	harvest, alpha := 1.5, 0.25
 	for _, ev := range []*journalEvent{
-		{Op: opReport, Reports: []wire.DeviceReport{{Device: 0, ConsumedJ: 0.001}, {Device: 300, ConsumedJ: 2}}},
-		{Op: opStep, Device: 3, HarvestJ: &harvest},
-		{Op: opAlpha, Device: 1 << 20, Alpha: &alpha},
+		{op: evReport, reports: []wire.DeviceReport{{Device: 0, ConsumedJ: 0.001}, {Device: 300, ConsumedJ: 2}}},
+		{op: evStep, device: 3, value: harvest},
+		{op: evAlpha, device: 1 << 20, value: alpha},
 	} {
 		payload, err := encodeEvent(nil, ev)
 		if err != nil {

@@ -22,7 +22,9 @@ import (
 // trackingWriter records whether a response has started, so the recover
 // middleware knows whether a 500 can still be written. It forwards the
 // optional interfaces the handlers rely on: Flusher for telemetry
-// streaming, Hijacker for chaos connection tears.
+// streaming, Hijacker for chaos connection tears, and Unwrap, through
+// which http.ResponseController reaches the server's writer to enable
+// full duplex for telemetry.
 type trackingWriter struct {
 	http.ResponseWriter
 	wrote bool
@@ -44,6 +46,8 @@ func (t *trackingWriter) Flush() {
 		f.Flush()
 	}
 }
+
+func (t *trackingWriter) Unwrap() http.ResponseWriter { return t.ResponseWriter }
 
 func (t *trackingWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 	hj, ok := t.ResponseWriter.(http.Hijacker)

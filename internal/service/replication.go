@@ -266,7 +266,7 @@ func (s *Service) startTail() {
 		OnHello:     s.replHello,
 		OnSnapshot:  s.replSnapshot,
 		OnEvent:     s.replEvent,
-		OnHeartbeat: s.replHeartbeat,
+		OnHeartbeat: s.noteFrame,
 	})
 	t := s.tailer
 	resilience.Go("replicate-tail", s.backgroundPanic, func() {
@@ -287,7 +287,8 @@ func (s *Service) stopTailLocked() {
 }
 
 // noteFrame records stream liveness: the primary's position and when we
-// last heard from it. Tail-goroutine only; plain stores suffice.
+// last heard from it, on every applied frame and on each heartbeat of
+// an idle stream. Tail-goroutine only; plain stores suffice.
 func (s *Service) noteFrame(primarySeq uint64) {
 	if primarySeq > s.primarySeq.Load() {
 		s.primarySeq.Store(primarySeq)
@@ -372,15 +373,12 @@ func (s *Service) replEvent(seq uint64, payload []byte) error {
 	return nil
 }
 
-// replHeartbeat observes the primary's position on an idle stream.
-func (s *Service) replHeartbeat(seq uint64) { s.noteFrame(seq) }
-
 // shardsTouched resolves the shards a journal event mutates, ascending
 // by shard range — the lock order every other multi-shard path uses.
 func (s *Service) shardsTouched(ev *journalEvent) ([]*shard, error) {
 	var out []*shard
-	if ev.Op == opReport {
-		for _, rep := range ev.Reports {
+	if ev.op == evReport {
+		for _, rep := range ev.reports {
 			sh, err := s.shardFor(rep.Device)
 			if err != nil {
 				return nil, err
@@ -390,7 +388,7 @@ func (s *Service) shardsTouched(ev *journalEvent) ([]*shard, error) {
 			}
 		}
 	} else {
-		sh, err := s.shardFor(ev.Device)
+		sh, err := s.shardFor(ev.device)
 		if err != nil {
 			return nil, err
 		}

@@ -183,22 +183,25 @@ func TestFollowerRefusesMutationsWithLeaderHint(t *testing.T) {
 }
 
 func TestSnapshotBootstrapBehindRetention(t *testing.T) {
-	// RetainSegments < 0 keeps no history past each snapshot, and
-	// SnapshotEvery 1 compacts aggressively: a follower connecting from
-	// seq 0 is guaranteed to predate retention and must bootstrap from
-	// the in-stream snapshot.
-	cfg := Config{Devices: 12, Shards: 4, BatteryJ: 30, CapacityJ: 100,
-		SnapshotEvery: 1, RetainSegments: -1, FsyncInterval: 5 * time.Millisecond}
+	// Each compaction after traffic rotates the journal onto a fresh
+	// segment and keeps only the retainSegments newest rotated ones, so
+	// retainSegments+2 of them drop the segment history began in: a
+	// follower connecting from seq 0 predates retention and must
+	// bootstrap from the in-stream snapshot.
+	cfg := Config{Devices: 12, Shards: 4, BatteryJ: 30, CapacityJ: 100}
 	primary, srv, addr := newPrimary(t, cfg)
 	defer primary.Close()
 	defer srv.Close()
 
-	fleetMutations(t, primary.Handler(), 8, 12)
-	waitFor(t, 10*time.Second, func() bool {
-		return primary.store.OldestRetained() > 0
-	}, func() string {
-		return fmt.Sprintf("oldest retained still %d after compaction window", primary.store.OldestRetained())
-	})
+	for range retainSegments + 2 {
+		fleetMutations(t, primary.Handler(), 2, 12)
+		if err := primary.compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if oldest := primary.store.OldestRetained(); oldest == 0 {
+		t.Fatalf("oldest retained still 0 after %d compactions", retainSegments+2)
+	}
 	// Edge values set outside the journal reach the follower only
 	// through the snapshot, so a bit-for-bit match below proves the
 	// bootstrap installed the binary snapshot exactly. The later
@@ -210,13 +213,11 @@ func TestSnapshotBootstrapBehindRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fcfg := cfg
-	fcfg.RetainSegments = 0
-	follower := newFollower(t, fcfg, addr)
+	follower := newFollower(t, cfg, addr)
 	defer follower.Close()
 	waitCaughtUp(t, primary, follower)
 	expectStatesEqual(t, deviceStates(t, follower), deviceStates(t, primary))
-	if payload, _ := follower.store.SnapshotNow(); len(payload) == 0 || payload[0] != snapBinary {
+	if payload, _ := follower.store.Snapshot(); len(payload) == 0 || payload[0] != snapBinary {
 		t.Errorf("follower's snapshot is not in the binary format")
 	}
 

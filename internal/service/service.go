@@ -38,6 +38,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -99,14 +100,6 @@ type Config struct {
 	// FollowerID names this follower in the primary's lag accounting
 	// (default "follower").
 	FollowerID string
-	// RetainSegments keeps that many rotated journal segments after each
-	// compaction so replication cursors can read recent history; 0
-	// defaults to 4 when journaling is on, negative retains none (the
-	// pre-replication behavior).
-	RetainSegments int
-	// Heartbeat is the replication stream keepalive interval (default
-	// 500ms): it bounds how stale a follower's lag measurement can get.
-	Heartbeat time.Duration
 	// QuarantineAfter takes a shard out of service (503
 	// shard_quarantined) after that many panics inside its handlers —
 	// state that keeps panicking can no longer be trusted. 0 disables
@@ -229,12 +222,6 @@ func New(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("%w: unknown role %q (want %q or %q)",
 			reap.ErrInvalidConfig, cfg.Role, wire.RolePrimary, wire.RoleFollower)
 	}
-	switch {
-	case cfg.RetainSegments == 0:
-		cfg.RetainSegments = 4
-	case cfg.RetainSegments < 0:
-		cfg.RetainSegments = 0
-	}
 	fleet, err := reap.NewFleet(cfg.Devices, reap.WithBattery(cfg.BatteryJ, cfg.CapacityJ))
 	if err != nil {
 		return nil, err
@@ -264,7 +251,7 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("service epoch: %w", err)
 		}
 		s.epoch.Store(epoch)
-		hubCfg := replicate.HubConfig{Store: s.store, Epoch: s.epoch.Load, Heartbeat: cfg.Heartbeat}
+		hubCfg := replicate.HubConfig{Store: s.store, Epoch: s.epoch.Load}
 		if s.chaos != nil {
 			hubCfg.WrapStream = s.chaos.WrapStream
 		}
@@ -531,7 +518,7 @@ func (s *Service) reportGroup(reports []wire.DeviceReport) (n int, werr *wire.Er
 	}
 	if n > 0 {
 		s.reports.Add(uint64(n))
-		if jerr := s.journalAppend(&journalEvent{Op: opReport, Reports: reports[:n]}); jerr != nil && werr == nil {
+		if jerr := s.journalAppend(&journalEvent{op: evReport, reports: reports[:n]}); jerr != nil && werr == nil {
 			werr = jerr
 		}
 	}
@@ -623,7 +610,7 @@ func (s *Service) stepDevice(ctx context.Context, device int, harvestJ float64) 
 			return wire.AsError(err)
 		}
 		s.steps.Add(1)
-		return s.journalAppend(&journalEvent{Op: opStep, Device: device, HarvestJ: &harvestJ})
+		return s.journalAppend(&journalEvent{op: evStep, device: device, value: harvestJ})
 	})
 	return alloc, werr
 }
@@ -654,17 +641,24 @@ func (s *Service) setAlpha(device int, alpha float64) *wire.Error {
 			return wire.AsError(err)
 		}
 		s.alphaSets.Add(1)
-		return s.journalAppend(&journalEvent{Op: opAlpha, Device: device, Alpha: &alpha})
+		return s.journalAppend(&journalEvent{op: evAlpha, device: device, value: alpha})
 	})
 }
+
+// maxTelemetryLine is the longest telemetry line the stream reads.
+const maxTelemetryLine = 1 << 20
 
 // handleTelemetry is the streaming ingest endpoint: NDJSON
 // TelemetryEvent lines in, one TelemetryResult line out per event, in
 // order, flushed per event so devices see their allocation as soon as
-// it is planned. Per-event failures answer on the stream and keep it
-// open; only an unreadable stream ends the exchange. A drain finishes
-// the in-flight event and then closes the stream, so SIGTERM never
-// abandons a half-processed event.
+// it is planned. The stream is full duplex: over HTTP/1.1 net/http
+// otherwise stops reading the body at the first flush. Per-event
+// failures answer on the stream and keep it open. A line longer than
+// maxTelemetryLine ends the stream with one malformed_request result,
+// since no later line boundary can be found past it; a body that fails
+// (a client gone mid-line) ends it without one. A drain finishes the
+// in-flight event and then closes the stream, so SIGTERM never abandons
+// a half-processed event.
 func (s *Service) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r, 0) { // charged per event below, not per stream
 		return
@@ -672,12 +666,15 @@ func (s *Service) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	if !s.gateWrite(w, r) { // every telemetry event mutates state
 		return
 	}
+	// A writer with no connection behind it, such as httptest's
+	// recorder, has no duplex to enable.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	tenant := tenantOf(r)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxTelemetryLine)
 	sc.Split(scanCompleteLines)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -695,6 +692,11 @@ func (s *Service) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			return // finish current event, then close the stream
 		}
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		// The stream ends either way; a failed write means the client left.
+		_ = enc.Encode(&wire.TelemetryResult{V: wire.Version, Device: -1,
+			Error: wire.Errorf(wire.CodeMalformed, "telemetry line longer than %d bytes", maxTelemetryLine)})
 	}
 }
 

@@ -507,10 +507,9 @@ func TestServerDrainWaitsForInFlight(t *testing.T) {
 
 // lineWriter is a ResponseWriter that hands each written NDJSON line to
 // the test as it is produced — the handler-level stand-in for a
-// streaming client. (Go's HTTP/1 transport cannot read a response while
-// the request body is still open, so the mid-stream drain exchange is
-// driven against the handler directly; the per-event flush behaviour
-// over a real socket is what the reapload smoke run exercises.)
+// streaming client, which lets a test act between two events of one
+// stream. TestTelemetryStreamFullDuplex covers the same exchange over
+// a real socket.
 type lineWriter struct {
 	header http.Header
 	buf    bytes.Buffer
@@ -579,13 +578,24 @@ func TestTelemetryDrainFinishesCurrentEvent(t *testing.T) {
 		t.Fatalf("pre-drain event: %+v", res)
 	}
 
+	// Drain while the next event is half read. The pipe hands the first
+	// half over only once the handler reads again, which it does after
+	// answering event 0 and finding the service not draining; draining
+	// any earlier could close the stream before event 1 and leave the
+	// second write blocked.
+	raw := append(mustMarshal(t, &wire.TelemetryEvent{V: wire.Version, Device: 1, HarvestJ: &harvest}), '\n')
+	if _, err := pw.Write(raw[:len(raw)/2]); err != nil {
+		t.Fatalf("writing event: %v", err)
+	}
 	svc.Drain()
 
 	// The next event was already accepted by the open stream: it must be
 	// answered, after which the handler returns even though the request
 	// body is still open — the "finish current event, then close"
 	// contract SIGTERM relies on.
-	send(1)
+	if _, err := pw.Write(raw[len(raw)/2:]); err != nil {
+		t.Fatalf("writing event: %v", err)
+	}
 	if res := readResult(); res.Error != nil || res.Allocation == nil {
 		t.Fatalf("in-flight event during drain: %+v", res)
 	}

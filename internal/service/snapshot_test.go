@@ -267,7 +267,7 @@ func TestRestartRestoresStatesBitForBit(t *testing.T) {
 	restored := newTestService(t, cfg)
 	defer restored.Close()
 	expectStatesEqual(t, deviceStates(t, restored), want)
-	payload, _ := restored.store.SnapshotNow()
+	payload, _ := restored.store.Snapshot()
 	if want := 1 + 1 + stateRecordSize*cfg.Devices; len(payload) < want || payload[0] != snapBinary {
 		t.Errorf("boot snapshot: %d bytes starting %#x, want a binary snapshot of over %d bytes",
 			len(payload), payload[0], want)

@@ -134,6 +134,11 @@ func TestConfigStrictDecode(t *testing.T) {
 	if _, err := ParseScenario([]byte(`{"v": 2, "name": "x", "devices": 0, "days": 1, "seed": 1, "month": 6, "year": 2016}`)); !errors.Is(err, ErrInvalidScenario) {
 		t.Errorf("semantically invalid config: got %v, want ErrInvalidScenario", err)
 	}
+	// A population no longer picks its own solver; a config that still
+	// names one fails to decode.
+	if _, err := ParseScenario([]byte(`{"v": 2, "name": "x", "devices": 3, "days": 1, "seed": 1, "month": 6, "year": 2016, "populations": [{"modulus": 3, "solver": "enumerate"}]}`)); !errors.Is(err, ErrConfigMalformed) {
+		t.Errorf("bad pop solver: got %v, want ErrConfigMalformed", err)
+	}
 }
 
 // LoadScenario and LoadCorpus are the filesystem counterparts of the

@@ -10,8 +10,6 @@ import (
 
 // variant reruns a scenario on the solver under test, keeping
 // everything else (seed, climate, consumption model) identical.
-// Per-device solver overrides (mixed-fleet) stay in place — those
-// devices are simply identical across variants.
 func variant(t *testing.T, sc Scenario, solver string) *Result {
 	t.Helper()
 	sc.Solver = solver

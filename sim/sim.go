@@ -132,8 +132,8 @@ type Scenario struct {
 
 	// Populations declaratively refines subsets of the fleet (the data
 	// form of reap.WithDeviceOverride): device i takes the overrides of
-	// every population it matches, in order. Mixed-α, mixed-battery and
-	// mixed-backend fleets are expressed this way.
+	// every population it matches, in order. Mixed-α and mixed-battery
+	// fleets are expressed this way.
 	Populations []Population `json:"populations,omitempty"`
 
 	// Regions partitions the fleet geographically: device i belongs to
@@ -173,8 +173,6 @@ type Population struct {
 	// set, they must pass reap.WithBattery).
 	BatteryJ  float64 `json:"battery_j,omitempty"`
 	CapacityJ float64 `json:"capacity_j,omitempty"`
-	// Solver overrides the scenario's solver ("" inherits).
-	Solver string `json:"solver,omitempty"`
 }
 
 // Region is one geographic segment of a fleet: its own deterministic
@@ -363,17 +361,14 @@ func (sc Scenario) Validate() error {
 }
 
 // appendOptions appends the population's overrides to opts: alpha, then
-// battery, then solver, each only when set. Each touches a distinct
-// setting, so the order is cosmetic.
+// battery, each only when set. They touch distinct settings, so the
+// order is cosmetic.
 func (p Population) appendOptions(opts []reap.Option) []reap.Option {
 	if !fpx.Zero(p.Alpha) {
 		opts = append(opts, reap.WithAlpha(p.Alpha))
 	}
 	if !fpx.Zero(p.BatteryJ) || !fpx.Zero(p.CapacityJ) {
 		opts = append(opts, reap.WithBattery(p.BatteryJ, p.CapacityJ))
-	}
-	if p.Solver != "" {
-		opts = append(opts, reap.WithSolver(p.Solver))
 	}
 	return opts
 }

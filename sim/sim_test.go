@@ -220,7 +220,6 @@ func TestScenarioValidation(t *testing.T) {
 		"huge aging":        func(s *Scenario) { s.AgingPerDay = 0.2 },
 		"bad residue":       func(s *Scenario) { s.Populations = []Population{{Modulus: 3, Residue: 3}} },
 		"bad solver":        func(s *Scenario) { s.Solver = "no-such-backend" },
-		"bad pop solver":    func(s *Scenario) { s.Populations = []Population{{Solver: "nope"}} },
 		"bad pop battery":   func(s *Scenario) { s.Populations = []Population{{BatteryJ: 10}} },
 		"neg alpha":         func(s *Scenario) { s.Alpha = -1 },
 		"neg workers":       func(s *Scenario) { s.Workers = -2 },
