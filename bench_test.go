@@ -259,8 +259,9 @@ func batchRequests(n int) []Request {
 
 // BenchmarkSolveBatch compares a sequential loop of Solve calls against
 // the worker-pool batch layer, both on the plan, at the
-// daemon's 64-item batch (one pool chunk, so SolveBatch runs it inline)
-// and at fleet scales (1k and 10k devices). The ratio of the two is the
+// daemon's 64-item batch (inside one 256-index pool chunk, so SolveBatch
+// runs it inline) and at fleet scales (1k and 10k devices, 4 and 40
+// chunks). The ratio of the two is the
 // batch API's speedup (DESIGN.md, "Fleet/batch layer").
 func BenchmarkSolveBatch(b *testing.B) {
 	ctx := context.Background()

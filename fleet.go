@@ -337,11 +337,15 @@ func (f *Fleet) run(ctx context.Context, n int, work func(lo, hi int)) int {
 	return poolRun(ctx, f.workerCount(n), n, work)
 }
 
-// poolChunk is how many indices a worker claims at a time. One solve
-// runs in about a microsecond, so per-index handoff through a channel
-// would cost more than the work; chunked claims off an atomic counter
-// amortize the coordination to noise while keeping the pool balanced.
-const poolChunk = 64
+// poolChunk is how many indices a worker claims at a time. A plan step
+// costs ~0.1–0.2 µs, so per-index handoff through a channel would cost
+// more than the work; chunked claims off an atomic counter amortize the
+// coordination while keeping the pool balanced. A second worker costs
+// ~50 µs of CPU per tick on a 2-vCPU host, more than a 96-device
+// tick's solves, so work of up to one chunk, 256 indices, runs inline
+// on the caller; 1,024-index chunks gave up parallelism that pays at
+// 1,000 indices.
+const poolChunk = 256
 
 // poolWidth caps a pool of workers at one per chunk of n indices: a
 // worker past the last chunk would start, find nothing to claim and
@@ -403,7 +407,7 @@ type Result struct {
 }
 
 // SolveBatch solves many independent allocation problems on a worker pool
-// of up to GOMAXPROCS goroutines, one per chunk of 64 requests (a batch
+// of up to GOMAXPROCS goroutines, one per chunk of 256 requests (a batch
 // of one chunk runs on the calling goroutine) — the stateless
 // counterpart of Fleet.StepAll for embarrassingly parallel workloads
 // (budget sweeps, what-if grids, serving stateless solve RPCs).

@@ -117,7 +117,7 @@ func TestFleetDeviceOutOfRange(t *testing.T) {
 	}
 }
 
-// TestFleetStepAllWorkerBounds: at 1,000 devices, 16 pool chunks, every
+// TestFleetStepAllWorkerBounds: at 1,000 devices, 4 pool chunks, every
 // worker count, including more workers than chunks, plans each device
 // bit for bit as the one-worker fleet does, tick after tick.
 func TestFleetStepAllWorkerBounds(t *testing.T) {
@@ -156,6 +156,23 @@ func TestFleetStepAllWorkerBounds(t *testing.T) {
 						workers, tick, i, a, want[tick][i])
 				}
 			}
+		}
+	}
+}
+
+// TestPoolWidthInlineUpToOneChunk pins the pool's width: work of up to
+// one 256-index chunk gets one worker at any worker count, so a fleet
+// tick or a SolveBatch of that size runs on the calling goroutine, and
+// 1,000 indices still fan out to one worker per chunk.
+func TestPoolWidthInlineUpToOneChunk(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 7, 64} {
+		for n := 1; n <= 256; n++ {
+			if got := poolWidth(workers, n); got != 1 {
+				t.Fatalf("poolWidth(%d, %d) = %d, want 1", workers, n, got)
+			}
+		}
+		if got, want := poolWidth(workers, 1000), min(workers, 4); got != want {
+			t.Fatalf("poolWidth(%d, 1000) = %d, want %d", workers, got, want)
 		}
 	}
 }
@@ -265,9 +282,11 @@ func (c *countdownCtx) Err() error {
 // reads the context once per chunk it claims and Solve once per request,
 // so at most the first cancelAt reads find it live. Items completed
 // before the cancellation keep their results, and everything else —
-// abandoned or refused mid-flight — reports context.Canceled.
+// abandoned or refused mid-flight — reports context.Canceled. 1,000
+// requests span four pool chunks, so with GOMAXPROCS above 1 several
+// workers see the cancellation.
 func TestSolveBatchCancellationMidBatch(t *testing.T) {
-	const n, cancelAt = 200, 10
+	const n, cancelAt = 1000, 10
 	ctx := &countdownCtx{Context: context.Background()}
 	ctx.left.Store(cancelAt)
 

@@ -82,3 +82,35 @@ func TestStepIntoOnPlanZeroAllocs(t *testing.T) {
 		t.Fatalf("Controller.StepInto on the plan path allocated %v times per run, want 0", allocs)
 	}
 }
+
+// The simplex hook builds its objective, constraint rows and problem on
+// the stack, and lp.Solve keeps its row headers and basis there: a solve
+// allocates the tableau's one backing array and the solution, which
+// becomes the Allocation's Active slice.
+func TestSolveContextTwoAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := SolveContext(ctx, cfg, 1.0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("SolveContext at %d design points allocated %v times per run, want at most 2", len(cfg.DPs), allocs)
+	}
+}
+
+// The enumerating hook keeps its weight vector on the stack: its one
+// allocation is the returned Active slice.
+func TestSolveEnumerateContextOneAlloc(t *testing.T) {
+	cfg := DefaultConfig()
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := SolveEnumerateContext(ctx, cfg, 1.0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("SolveEnumerateContext at %d design points allocated %v times per run, want 1", len(cfg.DPs), allocs)
+	}
+}

@@ -45,12 +45,17 @@ func SolveContext(ctx context.Context, c Config, budget float64) (Allocation, er
 	}
 
 	n := len(c.DPs)
-	// Variables: t_1..t_N, t_off. The weight vector is computed once up
-	// front so math.Pow stays out of the row-building loop.
-	obj := make([]float64, n+1)
+	// Variables: t_1..t_N, t_off. The objective and both constraint rows
+	// are windows of one scratch array, on the stack up to stackVertices
+	// columns as NewPlan's candidates are; the weight vector is computed
+	// once up front so math.Pow stays out of the row-building loop.
+	var scratch [3 * stackVertices]float64
+	cells := scratch[:]
+	if n+1 > stackVertices {
+		cells = make([]float64, 3*(n+1))
+	}
+	obj, timeRow, energyRow := cells[:n+1], cells[n+1:2*(n+1)], cells[2*(n+1):3*(n+1)]
 	c.scaledWeights(obj[:n])
-	timeRow := make([]float64, n+1)
-	energyRow := make([]float64, n+1)
 	for i := 0; i < n; i++ {
 		timeRow[i] = 1
 		energyRow[i] = c.DPs[i].Power
@@ -58,14 +63,11 @@ func SolveContext(ctx context.Context, c Config, budget float64) (Allocation, er
 	timeRow[n] = 1
 	energyRow[n] = c.POff
 
-	p := &lp.Problem{
-		Objective: obj,
-		Constraints: []lp.Constraint{
-			{Coeffs: timeRow, Op: lp.EQ, RHS: c.Period},
-			{Coeffs: energyRow, Op: lp.LE, RHS: budget},
-		},
+	cons := [2]lp.Constraint{
+		{Coeffs: timeRow, Op: lp.EQ, RHS: c.Period},
+		{Coeffs: energyRow, Op: lp.LE, RHS: budget},
 	}
-	sol, err := lp.Solve(p)
+	sol, err := lp.Solve(&lp.Problem{Objective: obj, Constraints: cons[:]})
 	if err != nil {
 		return Allocation{}, err
 	}
@@ -120,8 +122,14 @@ func SolveEnumerateContext(ctx context.Context, c Config, budget float64) (Alloc
 	n := len(c.DPs)
 	// State i in [0,n) is a design point; state n is "off". The weight
 	// vector is hoisted out of the O(N²) vertex loops — value() used to
-	// recompute math.Pow per candidate pair.
-	weights := c.weightVector(make([]float64, n))
+	// recompute math.Pow per candidate pair — into a stack array up to
+	// stackVertices design points.
+	var scratch [stackVertices]float64
+	weights := scratch[:]
+	if n > stackVertices {
+		weights = make([]float64, n)
+	}
+	weights = c.weightVector(weights[:n])
 	power := func(i int) float64 {
 		if i == n {
 			return c.POff

@@ -1,11 +1,10 @@
 package journal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"os"
 )
 
@@ -127,12 +126,12 @@ func (c *Cursor) seek() error {
 	var off int64
 	var hdr [frameSize]byte
 	for skip := c.seq - start; skip > 0; skip-- {
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			_ = f.Close()
-			return ErrNotReady
+		_, err := f.ReadAt(hdr[:], off)
+		var n uint32
+		if err == nil {
+			n, err = frameLen(hdr[:])
 		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		if n > MaxPayload {
+		if err != nil {
 			_ = f.Close()
 			return ErrNotReady
 		}
@@ -142,26 +141,16 @@ func (c *Cursor) seek() error {
 	return nil
 }
 
-// read attempts one framed record at the current offset. Anything
-// short, torn or checksum-failed maps to errSegmentEnd: with a live
-// writer those bytes may simply not all be visible yet, and the CRC
-// guarantees a record is returned only when completely written.
+// read attempts one framed record at the current offset with ReadFrame.
+// Its two errors, io.EOF and ErrTornTail (anything short, torn or
+// checksum-failed), map to errSegmentEnd: with a live writer those
+// bytes may simply not all be visible yet, and the CRC guarantees a
+// record is returned only when completely written.
 func (c *Cursor) read() ([]byte, error) {
-	var hdr [frameSize]byte
-	if _, err := c.f.ReadAt(hdr[:], c.off); err != nil {
+	payload, err := ReadFrame(io.NewSectionReader(c.f, c.off, math.MaxInt64-c.off))
+	if err != nil {
 		return nil, errSegmentEnd
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	if n > MaxPayload {
-		return nil, errSegmentEnd
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(c.f, c.off+frameSize, int64(n)), payload); err != nil {
-		return nil, errSegmentEnd
-	}
-	if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(hdr[4:8]) {
-		return nil, errSegmentEnd
-	}
-	c.off += int64(frameSize) + int64(n)
+	c.off += int64(frameSize + len(payload))
 	return payload, nil
 }

@@ -3,9 +3,12 @@ package journal
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 )
@@ -263,5 +266,62 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFrame(r); !errors.Is(err, ErrTornTail) {
 		t.Fatalf("ReadFrame torn: err = %v, want ErrTornTail", err)
+	}
+}
+
+// TestFrameReadersAgree: boot replay's ReadFrame over a bufio.Reader and
+// a Cursor over a segment file accept and refuse the same bytes — the
+// cursor reads through ReadFrame, so a frame-format change has one
+// reader to keep right.
+func TestFrameReadersAgree(t *testing.T) {
+	valid := EncodeFrame([]byte("event"))
+	overLen := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(overLen[0:4], MaxPayload+1)
+	badCRC := append([]byte(nil), valid...)
+	badCRC[len(badCRC)-1] ^= 0xff
+	cases := []struct {
+		name  string
+		bytes []byte
+		ok    bool
+	}{
+		{"valid frame", valid, true},
+		{"short header", valid[:frameSize-3], false},
+		{"length over MaxPayload", overLen, false},
+		{"short payload", valid[:len(valid)-2], false},
+		{"bad CRC", badCRC, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := ReadFrame(bufio.NewReader(bytes.NewReader(tc.bytes)))
+			if (err == nil) != tc.ok || (!tc.ok && !errors.Is(err, ErrTornTail)) {
+				t.Fatalf("ReadFrame = (%q, %v), want ok=%v", p, err, tc.ok)
+			}
+
+			dir := t.TempDir()
+			st, _ := openStarted(t, dir, Options{})
+			defer st.Close()
+			f, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tc.bytes); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cur, err := st.OpenCursor(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cur.Close()
+			cp, _, err := cur.Next()
+			switch {
+			case tc.ok && (err != nil || !bytes.Equal(cp, p)):
+				t.Fatalf("Cursor.Next = (%q, %v), ReadFrame read %q", cp, err, p)
+			case !tc.ok && !errors.Is(err, ErrNotReady):
+				t.Fatalf("Cursor.Next = (%q, %v), want ErrNotReady", cp, err)
+			}
+		})
 	}
 }

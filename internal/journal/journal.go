@@ -95,10 +95,11 @@ func EncodeFrame(payload []byte) []byte {
 
 // ReadFrame reads one framed record from r. It returns io.EOF on a
 // clean end (no bytes of a further record), and ErrTornTail when the
-// stream ends mid-record or the checksum fails: boot replay truncates
-// a segment there, and a replication tailer reconnects and resyncs
-// instead of applying.
-func ReadFrame(r *bufio.Reader) ([]byte, error) {
+// stream ends mid-record, a read fails or the checksum fails: boot
+// replay truncates a segment there, a replication tailer reconnects and
+// resyncs instead of applying, and a Cursor waits for the writer. It
+// returns no other error.
+func ReadFrame(r io.Reader) ([]byte, error) {
 	var frame [frameSize]byte
 	if _, err := io.ReadFull(r, frame[:]); err != nil {
 		if err == io.EOF {
@@ -106,9 +107,9 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("%w: incomplete frame", ErrTornTail)
 	}
-	n := binary.BigEndian.Uint32(frame[0:4])
-	if n > MaxPayload {
-		return nil, fmt.Errorf("%w: implausible record length %d", ErrTornTail, n)
+	n, err := frameLen(frame[:])
+	if err != nil {
+		return nil, err
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -118,6 +119,16 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrTornTail)
 	}
 	return payload, nil
+}
+
+// frameLen returns the payload length a frame header declares, refusing
+// one over MaxPayload as a torn record.
+func frameLen(hdr []byte) (uint32, error) {
+	n := binary.BigEndian.Uint32(hdr[0:4])
+	if n > MaxPayload {
+		return 0, fmt.Errorf("%w: implausible record length %d", ErrTornTail, n)
+	}
+	return n, nil
 }
 
 // scanSegment reads every valid record of the file at path, calling fn

@@ -412,23 +412,36 @@ func (s *Store) Compact(snapshot []byte) error {
 }
 
 // installSnapshot makes payload the snapshot file at seq: one framed
-// record written to a temp file, fsynced, renamed into place, and the
-// directory synced. The frame header and the payload go out as two
-// writes, so a fleet-sized snapshot is never copied into a framed
-// buffer; unlike for a segment append that is safe here, because the
-// rename, not a single write(2), is what makes the file appear whole.
-// Callers hold s.mu.
+// record installed with InstallFile. The frame header and the payload
+// go out as two writes, so a fleet-sized snapshot is never copied into
+// a framed buffer; unlike for a segment append that is safe here,
+// because the rename, not a single write(2), is what makes the file
+// appear whole. Callers hold s.mu.
 func (s *Store) installSnapshot(payload []byte, seq uint64) error {
-	path := filepath.Join(s.dir, snapName(seq))
-	f, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	var frame [frameSize]byte
+	frameHeaderInto(frame[:], payload)
+	if err := InstallFile(filepath.Join(s.dir, snapName(seq)), frame[:], payload); err != nil {
+		return fmt.Errorf("writing snapshot: %w", err)
+	}
+	return nil
+}
+
+// InstallFile atomically makes the concatenation of parts the file at
+// path: the parts are written in turn to path+".tmp", which is fsynced,
+// closed and renamed over path, and then the directory is synced so the
+// rename is durable (best-effort: some filesystems refuse directory
+// fsync). A crash leaves the old file or the new one, never a prefix,
+// and at most a stale temp file beside it.
+func InstallFile(path string, parts ...[]byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	var frame [frameSize]byte
-	frameHeaderInto(frame[:], payload)
-	_, err = f.Write(frame[:])
-	if err == nil {
-		_, err = f.Write(payload)
+	for _, p := range parts {
+		if _, err = f.Write(p); err != nil {
+			break
+		}
 	}
 	if err == nil {
 		err = f.Sync()
@@ -437,22 +450,16 @@ func (s *Store) installSnapshot(payload []byte, seq uint64) error {
 		err = cerr
 	}
 	if err != nil {
-		return fmt.Errorf("writing snapshot: %w", err)
-	}
-	if err := os.Rename(path+".tmp", path); err != nil {
 		return err
 	}
-	syncDir(s.dir)
-	return nil
-}
-
-// syncDir fsyncs a directory so renames and creates within it are
-// durable. Best-effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
+	return nil
 }
 
 // Close syncs and closes the active segment. It does not compact —

@@ -23,6 +23,12 @@ type tableau struct {
 	total int   // number of variable columns
 }
 
+// stackRows sizes Solve's scratch arrays: for a problem of up to this
+// many constraints the row headers and the basis stay on the stack, so
+// a solve allocates only the tableau's one backing array and the
+// solution.
+const stackRows = 16
+
 // Solve runs the two-phase simplex method on p.
 func Solve(p *Problem) (Solution, error) {
 	if err := p.Validate(); err != nil {
@@ -35,7 +41,16 @@ func Solve(p *Problem) (Solution, error) {
 		maxIter = 100 * (n + m + 10)
 	}
 
-	t, nArt := build(p)
+	var rowsBuf [stackRows + 1][]float64
+	var basisBuf [stackRows]int
+	var rows [][]float64
+	var basis []int
+	if m <= stackRows {
+		rows, basis = rowsBuf[:m+1], basisBuf[:m]
+	} else {
+		rows, basis = make([][]float64, m+1), make([]int, m)
+	}
+	t, nArt := build(p, rows, basis)
 	iters := 0
 
 	// Phase 1: drive artificial variables to zero, if any were needed.
@@ -66,28 +81,31 @@ func Solve(p *Problem) (Solution, error) {
 	return sol, nil
 }
 
-// build constructs the initial tableau, adding slack, surplus and artificial
-// columns as required, and returns it along with the artificial count.
-// Rows with a negative right-hand side are negated first (LE and GE swap)
-// so the starting basis is non-negative.
-func build(p *Problem) (*tableau, int) {
+// rowOp is the operator of constraint c once a negative right-hand side
+// is negated (LE and GE swap), so the starting basis is non-negative.
+func rowOp(c Constraint) Op {
+	if c.RHS < 0 {
+		switch c.Op {
+		case LE:
+			return GE
+		case GE:
+			return LE
+		}
+	}
+	return c.Op
+}
+
+// build constructs the initial tableau into rows (m+1 headers) and basis
+// (m entries), adding slack, surplus and artificial columns as required,
+// and returns it along with the artificial count. Every row, the
+// objective's included, is a window of one backing array.
+func build(p *Problem, rows [][]float64, basis []int) (tableau, int) {
 	n := p.NumVars()
 	m := p.NumConstraints()
 
-	ops := make([]Op, m)
 	nSlack, nArt := 0, 0
-	for i, c := range p.Constraints {
-		op := c.Op
-		if c.RHS < 0 {
-			switch op {
-			case LE:
-				op = GE
-			case GE:
-				op = LE
-			}
-		}
-		ops[i] = op
-		switch op {
+	for _, c := range p.Constraints {
+		switch rowOp(c) {
 		case LE:
 			nSlack++
 		case GE:
@@ -99,15 +117,12 @@ func build(p *Problem) (*tableau, int) {
 	}
 
 	total := n + nSlack + nArt
-	t := &tableau{
-		rows:  make([][]float64, m+1),
-		basis: make([]int, m),
-		m:     m,
-		total: total,
+	w := total + 1
+	cells := make([]float64, (m+1)*w)
+	for i := range rows {
+		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
 	}
-	for i := range t.rows {
-		t.rows[i] = make([]float64, total+1)
-	}
+	t := tableau{rows: rows, basis: basis, m: m, total: total}
 
 	slackAt, artAt := n, n+nSlack
 	for i, c := range p.Constraints {
@@ -120,7 +135,7 @@ func build(p *Problem) (*tableau, int) {
 			}
 			row[total] = -c.RHS
 		}
-		switch ops[i] {
+		switch rowOp(c) {
 		case LE:
 			row[slackAt] = 1
 			t.basis[i] = slackAt

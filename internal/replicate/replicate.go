@@ -38,6 +38,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/journal"
 )
 
 // Frame kinds carried by a replication stream. Every frame is a
@@ -178,33 +180,13 @@ func LoadEpoch(dir string) (uint64, error) {
 	return e, nil
 }
 
-// SaveEpoch durably persists epoch in dir (temp write, fsync, atomic
-// rename, directory sync). Fencing is only as strong as this write:
-// a promotion must not be acknowledged before its epoch is on disk.
+// SaveEpoch durably persists epoch in dir with journal.InstallFile
+// (temp write, fsync, atomic rename, directory sync). Fencing is only
+// as strong as this write: a promotion must not be acknowledged before
+// its epoch is on disk.
 func SaveEpoch(dir string, epoch uint64) error {
-	path := filepath.Join(dir, epochFile)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := journal.InstallFile(filepath.Join(dir, epochFile), fmt.Appendf(nil, "%016x\n", epoch)); err != nil {
 		return fmt.Errorf("replicate: save epoch: %w", err)
-	}
-	if _, err := fmt.Fprintf(f, "%016x\n", epoch); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("replicate: save epoch: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("replicate: save epoch: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("replicate: save epoch: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("replicate: save epoch: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
 	}
 	return nil
 }

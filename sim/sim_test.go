@@ -45,13 +45,14 @@ func TestSameSeedByteIdenticalTrace(t *testing.T) {
 	}
 }
 
-// TestTraceIndependentOfWorkers: the pool runs one worker per 64-device
-// chunk at most, so the corpus worlds, at 16 devices or fewer, never
-// start one. cloudy-bursts at 256 devices spans four chunks, and a
-// four-worker run must write the one-worker run's trace byte for byte.
+// TestTraceIndependentOfWorkers: the pool runs one worker per
+// 256-device chunk at most, so the corpus worlds, at 16 devices or
+// fewer, never start one. cloudy-bursts at 1,024 devices spans four
+// chunks, and a four-worker run must write the one-worker run's trace
+// byte for byte.
 func TestTraceIndependentOfWorkers(t *testing.T) {
 	sc := mustScenario(t, "cloudy-bursts")
-	sc.Devices = 256
+	sc.Devices = 1024
 	var traces [2][]byte
 	for i, workers := range []int{1, 4} {
 		sc.Workers = workers
