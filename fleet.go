@@ -180,12 +180,12 @@ func (f *Fleet) stepAllInto(ctx context.Context, budgets []float64, allocs []All
 	ran := 0
 	if f.workerCount(len(f.ctls)) == 1 {
 		for ; ran < len(f.ctls) && ctx.Err() == nil; ran++ {
-			f.stepDevice(ctx, ran, budgets[ran], &allocs[ran])
+			f.stepOne(ctx, ran, budgets[ran], &allocs[ran])
 		}
 	} else {
 		ran = f.run(ctx, len(f.ctls), func(lo, hi int) { //lint:reapvet hotalloc -- one closure per multi-worker tick, not per device
 			for i := lo; i < hi; i++ {
-				f.stepDevice(ctx, i, budgets[i], &allocs[i])
+				f.stepOne(ctx, i, budgets[i], &allocs[i])
 			}
 		})
 	}
@@ -199,11 +199,11 @@ func (f *Fleet) stepAllInto(ctx context.Context, budgets []float64, allocs []All
 	return errors.Join(errs...)
 }
 
-// stepDevice plans device i's period into dst, or resets dst if the
+// stepOne plans device i's period into dst, or resets dst if the
 // device is inactive; a failure lands in the tick's errs[i].
 //
 //reap:hotpath
-func (f *Fleet) stepDevice(ctx context.Context, i int, budget float64, dst *Allocation) {
+func (f *Fleet) stepOne(ctx context.Context, i int, budget float64, dst *Allocation) {
 	if f.active != nil && !f.active[i] {
 		*dst = Allocation{}
 		return

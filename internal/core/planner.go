@@ -76,10 +76,16 @@ func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Sched
 		copy(obj[kk*perHour:], weights)
 	}
 
-	var cons []lp.Constraint
+	// The 3k rows are carved, in order, from one backing array.
+	rows := make([]float64, 3*k*nv)
+	cons := make([]lp.Constraint, 0, 3*k)
+	nextRow := func() []float64 {
+		r := len(cons) * nv
+		return rows[r : r+nv : r+nv]
+	}
 	// Time identity per hour (design points + off + dead).
 	for kk := 0; kk < k; kk++ {
-		row := make([]float64, nv)
+		row := nextRow()
 		for i := 0; i <= n+1; i++ {
 			row[kk*perHour+i] = 1
 		}
@@ -87,7 +93,7 @@ func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Sched
 	}
 	// Battery dynamics: b[kk+1] + spend[kk] + s[kk] - b[kk] = h[kk].
 	for kk := 0; kk < k; kk++ {
-		row := make([]float64, nv)
+		row := nextRow()
 		for i := 0; i < n; i++ {
 			row[kk*perHour+i] = c.DPs[i].Power
 		}
@@ -104,7 +110,7 @@ func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Sched
 	}
 	// Battery capacity (non-negativity is implicit in the LP).
 	for kk := 0; kk < k; kk++ {
-		row := make([]float64, nv)
+		row := nextRow()
 		row[nt+kk] = 1
 		cons = append(cons, lp.Constraint{Coeffs: row, Op: lp.LE, RHS: capacity})
 	}
@@ -117,19 +123,22 @@ func Lookahead(c Config, battery0, capacity float64, forecast []float64) (*Sched
 		return nil, fmt.Errorf("core: lookahead solver terminated early: %w", solveStatusError(sol.Status))
 	}
 
-	plan := &Schedule{Battery: []float64{battery0}}
+	plan := &Schedule{Allocations: make([]Allocation, k), Battery: make([]float64, k+1)}
+	plan.Battery[0] = battery0
+	// Every hour's Active is cut from one slab, capacity clipped.
+	active := make([]float64, k*n)
 	var sumJ float64
 	for kk := 0; kk < k; kk++ {
-		a := Allocation{Active: make([]float64, n)}
+		a := &plan.Allocations[kk]
+		a.Active = active[kk*n : (kk+1)*n : (kk+1)*n]
 		copy(a.Active, sol.X[kk*perHour:kk*perHour+n])
 		a.Off = sol.X[kk*perHour+n]
 		a.Dead = sol.X[kk*perHour+n+1]
 		if a.Dead < 1e-9 {
 			a.Dead = 0
 		}
-		clampAllocation(&a, c.Period)
-		plan.Allocations = append(plan.Allocations, a)
-		plan.Battery = append(plan.Battery, sol.X[nt+kk])
+		clampAllocation(a, c.Period)
+		plan.Battery[kk+1] = sol.X[nt+kk]
 		sumJ += a.Objective(c)
 	}
 	plan.Objective = sumJ / float64(k)

@@ -3,6 +3,7 @@ package device
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -76,7 +77,11 @@ func (rh *RecedingHorizon) Run(harvest []float64) (*RunResult, error) {
 		if err != nil {
 			return core.Allocation{}, err
 		}
-		return plan.Allocations[0], nil
+		// The run keeps every hour's allocation; a copy of the first
+		// hour's Active keeps it from pinning the horizon's whole slab.
+		first := plan.Allocations[0]
+		first.Active = slices.Clone(first.Active)
+		return first, nil
 	})
 	res := &RunResult{}
 	for _, actual := range harvest {

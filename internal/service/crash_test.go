@@ -147,8 +147,8 @@ func TestCrashRecoveryReconcilesState(t *testing.T) {
 			t.Fatalf("mutation %d (%+v) not acknowledged", i, m)
 		}
 	}
-	// One request whose reports span several shards exercises the
-	// per-shard run batching in the journal.
+	// One request whose reports span several shards is one journal
+	// record that replays across all of them.
 	rec := do(t, h, http.MethodPost, "/v1/report", &wire.ReportRequest{
 		V: wire.Version,
 		Reports: []wire.DeviceReport{
@@ -159,6 +159,7 @@ func TestCrashRecoveryReconcilesState(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("spanning report: %d %s", rec.Code, rec.Body)
 	}
+	reportOutOfOrderAndStopped(t, svc)
 
 	pre := svc.Stats()
 	preStates := deviceStates(t, svc)
@@ -202,12 +203,67 @@ func TestCrashRecoveryReconcilesState(t *testing.T) {
 	}); rec.Code != http.StatusOK {
 		t.Fatalf("reference spanning report: %d", rec.Code)
 	}
+	reportOutOfOrderAndStopped(t, ref)
 	expectStatesEqual(t, deviceStates(t, restored), deviceStates(t, ref))
 
 	// And the restored daemon is live, not a museum: it keeps serving
 	// and journaling.
 	if !(mutation{op: "step", device: 3, harvestJ: 1}).apply(t, restored.Handler()) {
 		t.Error("restored service refused new work")
+	}
+}
+
+// reportOutOfOrderAndStopped sends two report batches to a 12-device,
+// 4-shard service: [10, 7, 4, 1], whose devices run down the shards
+// (3, 2, 1, 0) and must apply and journal as one record, and [2, 12, 5],
+// which stops at a device outside the fleet with device 2 applied and
+// device 5 not.
+func reportOutOfOrderAndStopped(t *testing.T, svc *Service) {
+	t.Helper()
+	h := svc.Handler()
+	var appended uint64
+	if svc.store != nil {
+		appended = svc.store.Stats().Appended
+	}
+	rec := do(t, h, http.MethodPost, "/v1/report", &wire.ReportRequest{
+		V: wire.Version,
+		Reports: []wire.DeviceReport{
+			{Device: 10, ConsumedJ: 0.11}, {Device: 7, ConsumedJ: 0.12},
+			{Device: 4, ConsumedJ: 0.13}, {Device: 1, ConsumedJ: 0.14},
+		},
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("descending-shard report: %d %s", rec.Code, rec.Body)
+	}
+	var resp wire.ReportResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Accepted != 4 {
+		t.Fatalf("descending-shard report: accepted %d (%v), want 4", resp.Accepted, err)
+	}
+	if svc.store != nil {
+		if got := svc.store.Stats().Appended - appended; got != 1 {
+			t.Errorf("descending-shard report appended %d journal records, want 1", got)
+		}
+	}
+
+	before := deviceStates(t, svc)
+	rec = do(t, h, http.MethodPost, "/v1/report", &wire.ReportRequest{
+		V: wire.Version,
+		Reports: []wire.DeviceReport{
+			{Device: 2, ConsumedJ: 0.15}, {Device: 12, ConsumedJ: 0.16}, {Device: 5, ConsumedJ: 0.17},
+		},
+	})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("report stopped by an unknown device: %d %s, want 400", rec.Code, rec.Body)
+	}
+	if code := decodeErrCode(t, rec); code != wire.CodeUnknownDevice {
+		t.Errorf("report stopped by an unknown device: code %q, want %q", code, wire.CodeUnknownDevice)
+	}
+	after := deviceStates(t, svc)
+	if stateBits(after[2]) == stateBits(before[2]) {
+		t.Error("device 2, ahead of the unknown device, was not applied")
+	}
+	if stateBits(after[5]) != stateBits(before[5]) {
+		t.Error("device 5, behind the unknown device, was applied")
 	}
 }
 

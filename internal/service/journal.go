@@ -19,16 +19,17 @@ import (
 // alpha changes) is framed as a journalEvent and appended to an
 // internal/journal store before the response goes out, so a restart —
 // even an unclean one — reconstructs the fleet by loading the newest
-// snapshot and replaying the logged tail through the same deterministic
-// apply paths the live handlers use. Solves are pure and never
-// journaled.
+// snapshot and replaying the logged tail through applyEvent, the apply
+// function the live handlers (through mutate) and a follower's frames
+// use too. Solves are pure and never journaled.
 //
-// Ordering contract: an event is appended while the locks of every
-// shard it mutated are still held (a step or alpha change holds one; a
-// report group holds all the shards it touched, acquired in ascending
-// order), so the journal's per-shard subsequence matches the order
-// mutations actually ran in. Replay applies events in journal order,
-// which therefore replays each shard's history exactly.
+// Ordering contract: one request is one record, appended while the
+// locks of every shard the request touches are held, all acquired in
+// ascending order (a step or alpha change holds one; a report batch
+// holds every shard its devices fall in, in whatever order they come),
+// so the journal's per-shard subsequence matches the order mutations
+// actually ran in. Replay applies events in journal order, which
+// therefore replays each shard's history exactly.
 
 // Fsync policies: how often the journal flushes to disk. Appends always
 // reach the kernel before a request is acknowledged (surviving kill
@@ -46,7 +47,7 @@ const retainSegments = 4
 
 // journalEvent is one logged state mutation, in the shape of its
 // payload: op is the payload's tag (evReport, evStep or evAlpha).
-// reports is an evReport's locked group; device and value are an
+// reports is an evReport's batch; device and value are an
 // evStep's device and harvest, or an evAlpha's device and new
 // accuracy-time weight.
 type journalEvent struct {
@@ -54,6 +55,31 @@ type journalEvent struct {
 	reports []wire.DeviceReport
 	device  int
 	value   float64
+}
+
+// mutations returns how many device mutations ev carries: an evReport's
+// report count, or 1.
+func (ev *journalEvent) mutations() int {
+	if ev.op == evReport {
+		return len(ev.reports)
+	}
+	return 1
+}
+
+// deviceOf returns the device of ev's i-th mutation, or of its last
+// when i is past the end.
+func (ev *journalEvent) deviceOf(i int) int {
+	if ev.op == evReport {
+		return ev.reports[min(i, len(ev.reports)-1)].Device
+	}
+	return ev.device
+}
+
+// cut drops every mutation of ev after its first n.
+func (ev *journalEvent) cut(n int) {
+	if ev.op == evReport {
+		ev.reports = ev.reports[:n]
+	}
 }
 
 // Journal event payload encoding: a compact binary format rather than
@@ -387,53 +413,65 @@ func (s *Service) restoreSnapshot(payload []byte) error {
 }
 
 // replayEvent applies one logged event during boot. Only successful
-// mutations were journaled, so apply errors here mean the event is
-// re-failing deterministically (skipped, exactly as it failed live);
-// structural errors — unknown ops, devices outside the fleet — mean a
-// journal this configuration cannot own, and abort the boot.
+// mutations were journaled, so an apply error here means the event is
+// re-failing deterministically (skipped, exactly as it failed live); a
+// device outside the fleet means a journal this configuration cannot
+// own, and aborts the boot.
 func (s *Service) replayEvent(payload []byte) error {
 	ev, err := decodeEvent(payload)
 	if err != nil {
 		return fmt.Errorf("malformed journal event: %w", err)
 	}
-	return s.applyEvent(ev)
+	if _, valid, werr := s.shardsOf(ev, nil); valid < ev.mutations() {
+		return fmt.Errorf("%w: replaying journal event: %v", reap.ErrInvalidConfig, werr)
+	}
+	var n int
+	_ = s.applyEvent(ev, nil, &n)
+	return nil
 }
 
-// applyEvent applies one decoded journal event to the fleet — shared by
-// boot replay (no locks: not serving yet) and the follower's stream
-// applier (which holds the touched shards' locks; see replication.go).
-func (s *Service) applyEvent(ev *journalEvent) error {
+// applyEvent applies ev's mutations to the fleet in order: the one
+// place a controller's battery, carry or α changes, for a live request
+// (mutate), a follower's frame (replEvent) and boot replay
+// (replayEvent) alike. It stops at the first mutation a controller
+// refuses and returns the refusal. *n counts the applied mutations as
+// they apply, so a caller that recovers a panic knows the device it
+// hit, and the matching counter grows by *n once at the end. A step's
+// schedule goes to alloc unless it is nil. The caller holds the locks
+// of every shard ev touches, or runs before the service serves.
+func (s *Service) applyEvent(ev *journalEvent, alloc *reap.Allocation, n *int) error {
+	var err error
+	for ; *n < ev.mutations(); *n++ {
+		var ctl *reap.Controller
+		if ctl, err = s.fleet.Device(ev.deviceOf(*n)); err != nil {
+			break
+		}
+		switch ev.op {
+		case evReport:
+			err = ctl.Report(ev.reports[*n].ConsumedJ)
+		case evStep:
+			var a reap.Allocation
+			if a, err = ctl.Step(ev.value); err == nil && alloc != nil {
+				*alloc = a
+			}
+		case evAlpha:
+			err = ctl.SetAlpha(ev.value)
+		default:
+			err = fmt.Errorf("unknown journal op tag %d", ev.op)
+		}
+		if err != nil {
+			break
+		}
+	}
 	switch ev.op {
 	case evReport:
-		for _, rep := range ev.reports {
-			ctl, err := s.fleet.Device(rep.Device)
-			if err != nil {
-				return fmt.Errorf("replaying report: %w", err)
-			}
-			if ctl.Report(rep.ConsumedJ) == nil {
-				s.reports.Add(1)
-			}
-		}
+		s.reports.Add(uint64(*n))
 	case evStep:
-		ctl, err := s.fleet.Device(ev.device)
-		if err != nil {
-			return fmt.Errorf("replaying step: %w", err)
-		}
-		if _, err := ctl.Step(ev.value); err == nil {
-			s.steps.Add(1)
-		}
+		s.steps.Add(uint64(*n))
 	case evAlpha:
-		ctl, err := s.fleet.Device(ev.device)
-		if err != nil {
-			return fmt.Errorf("replaying alpha: %w", err)
-		}
-		if ctl.SetAlpha(ev.value) == nil {
-			s.alphaSets.Add(1)
-		}
-	default:
-		return fmt.Errorf("unknown journal op tag %d", ev.op)
+		s.alphaSets.Add(uint64(*n))
 	}
-	return nil
+	return err
 }
 
 // journalAppend logs one event, a no-op when journaling is off. Every

@@ -35,10 +35,13 @@ func newLimiter(rate, burst float64) *limiter {
 	}
 }
 
-// admit charges cost tokens against the tenant's bucket. When the
-// bucket cannot cover the cost, admit refuses and returns how long the
-// tenant must wait for the deficit to refill — the Retry-After hint.
-// Refused work is not charged.
+// admit charges cost tokens against the tenant's bucket. Work is
+// admitted once the bucket holds min(cost, burst) tokens, since a
+// bucket never holds more than burst, and is charged in full: a batch
+// that costs more than burst leaves the bucket in debt, which the
+// tenant's next admission waits to refill. Otherwise admit refuses and
+// returns how long the tenant must wait for the deficit to refill — the
+// Retry-After hint. Refused work is not charged.
 func (l *limiter) admit(tenant string, cost float64) (retryAfter time.Duration, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -55,10 +58,11 @@ func (l *limiter) admit(tenant string, cost float64) (retryAfter time.Duration, 
 		}
 	}
 	b.last = now
-	if b.tokens >= cost {
+	need := min(cost, l.burst)
+	if b.tokens >= need {
 		b.tokens -= cost
 		return 0, true
 	}
-	deficit := cost - b.tokens
+	deficit := need - b.tokens
 	return time.Duration(deficit / l.rate * float64(time.Second)), false
 }

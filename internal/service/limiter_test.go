@@ -104,3 +104,25 @@ func TestLimiterCapsAtBurst(t *testing.T) {
 		t.Error("bucket banked more than burst over an idle hour")
 	}
 }
+
+// TestLimiterBatchOverBurst: a batch that costs more than the burst is
+// admitted once the bucket is full and leaves it in debt. A bucket
+// capped at its burst never holds its cost, so requiring the full cost
+// would refuse it forever.
+func TestLimiterBatchOverBurst(t *testing.T) {
+	l, clk := newTestLimiter(1, 2)
+	for i := range 5 {
+		clk.advance(10 * time.Second)
+		if retry, ok := l.admit("a", 3); !ok {
+			t.Fatalf("3-token batch %d on a full 2-token bucket refused, retry %v", i, retry)
+		}
+	}
+	// The last batch left the bucket one token in debt.
+	retry, ok := l.admit("a", 1)
+	if ok {
+		t.Fatal("admit right after an over-burst batch succeeded")
+	}
+	if retry != 2*time.Second {
+		t.Errorf("retry = %v, want 2s", retry)
+	}
+}

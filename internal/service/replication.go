@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -340,17 +339,18 @@ func (s *Service) replSnapshot(seq uint64, payload []byte) error {
 // replEvent applies one replicated journal event: under the locks of
 // every shard it touches, the event is appended to the local journal in
 // sequence lockstep with the primary (acked⇒journaled holds on the
-// follower too) and then applied with replay semantics. A sequence
-// mismatch means our history diverged — ErrOutOfSync forces a snapshot
-// resync on reconnect.
+// follower too) and then applied with replay semantics. An event whose
+// shards do not all resolve, or a sequence mismatch, means our history
+// diverged — ErrOutOfSync forces a snapshot resync on reconnect.
 func (s *Service) replEvent(seq uint64, payload []byte) error {
 	ev, err := decodeEvent(payload)
 	if err != nil {
 		return fmt.Errorf("%w: %v", replicate.ErrOutOfSync, err)
 	}
-	shs, err := s.shardsTouched(ev)
-	if err != nil {
-		return fmt.Errorf("%w: %v", replicate.ErrOutOfSync, err)
+	var buf [defaultShards]*shard
+	shs, valid, werr := s.shardsOf(ev, buf[:0])
+	if valid < ev.mutations() {
+		return fmt.Errorf("%w: %v", replicate.ErrOutOfSync, werr)
 	}
 	lockShards(shs)
 	defer unlockShards(shs)
@@ -367,35 +367,11 @@ func (s *Service) replEvent(seq uint64, payload []byte) error {
 	// Apply failures are skipped exactly as boot replay skips them: only
 	// successful mutations were journaled by the primary, so a re-failure
 	// here is the same deterministic no-op it was there.
-	_ = s.applyEvent(ev)
+	var n int
+	_ = s.applyEvent(ev, nil, &n)
 	s.applied.Add(1)
 	s.noteFrame(seq)
 	return nil
-}
-
-// shardsTouched resolves the shards a journal event mutates, ascending
-// by shard range — the lock order every other multi-shard path uses.
-func (s *Service) shardsTouched(ev *journalEvent) ([]*shard, error) {
-	var out []*shard
-	if ev.op == evReport {
-		for _, rep := range ev.reports {
-			sh, err := s.shardFor(rep.Device)
-			if err != nil {
-				return nil, err
-			}
-			if !shardHeld(out, sh) {
-				out = append(out, sh)
-			}
-		}
-	} else {
-		sh, err := s.shardFor(ev.device)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sh)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].lo < out[j].lo })
-	return out, nil
 }
 
 // replicationStats builds the /v1/stats replication block; nil when the

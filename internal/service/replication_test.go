@@ -116,6 +116,7 @@ func TestFollowerCatchUpLiveStream(t *testing.T) {
 
 	// History after attach: shipped live, before each ack.
 	fleetMutations(t, primary.Handler(), 6, 12)
+	reportOutOfOrderAndStopped(t, primary)
 	waitCaughtUp(t, primary, follower)
 
 	expectStatesEqual(t, deviceStates(t, follower), deviceStates(t, primary))

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -182,6 +183,10 @@ type shard struct {
 	breaker *resilience.Breaker
 }
 
+// defaultShards is the shard count a zero Config.Shards picks, and so
+// the most shards a request's locks resolve into without allocating.
+const defaultShards = 8
+
 // New builds the service: one fleet and its lock stripes.
 func New(cfg Config) (*Service, error) {
 	if cfg.Devices <= 0 {
@@ -189,7 +194,7 @@ func New(cfg Config) (*Service, error) {
 			reap.ErrInvalidConfig, cfg.Devices)
 	}
 	if cfg.Shards <= 0 {
-		cfg.Shards = 8
+		cfg.Shards = defaultShards
 	}
 	if cfg.Shards > cfg.Devices {
 		cfg.Shards = cfg.Devices
@@ -441,99 +446,80 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, &wire.ReportResponse{V: wire.Version, Accepted: accepted})
 }
 
-// applyReportBatch applies device reports in request order. Reports are
-// grouped into the longest prefix whose owning shards can be locked in
-// ascending order; a group applies and journals as ONE record while
-// every touched shard lock is held, so the journal's per-shard
-// subsequence still matches apply order and a sorted gateway batch —
-// the common case — costs one append total instead of one per shard
-// run (the difference between ~90% and <15% journaling overhead, see
-// BenchmarkReportPath). On failure the applied-and-journaled prefix
-// stays applied; the error names the report that stopped the batch.
+// applyReportBatch applies device reports in request order as one
+// mutation, so a batch costs one journal append whatever shards its
+// devices fall in (the difference between ~90% and <15% journaling
+// overhead, see BenchmarkReportPath). On failure the applied-and-
+// journaled prefix stays applied; the error names the report that
+// stopped the batch.
 func (s *Service) applyReportBatch(reports []wire.DeviceReport) (int, *wire.Error) {
-	accepted := 0
-	for accepted < len(reports) {
-		n, werr := s.reportGroup(reports[accepted:])
-		accepted += n
-		if werr != nil {
-			return accepted, werr
-		}
-		if n == 0 {
-			// A group always applies at least one report or errors;
-			// refuse to spin if that invariant ever breaks.
-			return accepted, wire.Errorf(wire.CodeInternal, "report batch made no progress")
-		}
-	}
-	return accepted, nil
+	return s.mutate(&journalEvent{op: evReport, reports: reports}, nil)
 }
 
-// reportGroup applies the longest applicable prefix of reports, locking
-// each newly-touched shard in ascending index order and holding all of
-// them until the applied prefix is journaled as one record. A group
-// ends at a report owned by a lower-indexed shard not already held
-// (out-of-order batches fall back to multiple groups — ascending
-// acquisition is what keeps concurrent batches and compaction
-// deadlock-free), at a failing report, or at the end of the batch.
-func (s *Service) reportGroup(reports []wire.DeviceReport) (n int, werr *wire.Error) {
-	var held []*shard // ascending by sh.lo; all released below
-	var cur *shard    // shard owning the report being applied — panic attribution
-	defer func() { unlockShards(held) }()
+// mutate is the one way a request changes fleet state. It locks the
+// shards of ev's longest valid prefix in ascending order, applies that
+// prefix with applyEvent, and journals what applied as one record
+// before the locks are released, so the journal's per-shard
+// subsequence is the order mutations ran in. It returns how many of
+// ev's mutations applied and the error that stopped the rest: a device
+// outside the fleet, a quarantined shard, a controller's refusal or a
+// journal failure. A panic is contained, charged to the shard of the
+// device it hit and not journaled. A step's schedule goes to alloc.
+// mutate cuts ev to what it applied.
+func (s *Service) mutate(ev *journalEvent, alloc *reap.Allocation) (n int, werr *wire.Error) {
+	var buf [defaultShards]*shard
+	shs, valid, werr := s.shardsOf(ev, buf[:0])
+	if valid == 0 {
+		return 0, werr
+	}
+	lockShards(shs)
+	defer unlockShards(shs)
 	defer func() {
 		if rec := recover(); rec != nil {
-			werr = s.shardPanic(cur, rec)
+			sh, _ := s.shardFor(ev.deviceOf(n))
+			werr = s.shardPanic(sh, rec)
 		}
 	}()
-	for n < len(reports) {
-		rep := reports[n]
-		sh, err := s.shardFor(rep.Device)
-		if err != nil {
-			werr = wire.AsError(err)
-			break
-		}
-		if !shardHeld(held, sh) {
-			if len(held) > 0 && sh.lo < held[len(held)-1].lo {
-				break // lower-indexed shard: close this group, start the next
-			}
-			if werr = s.checkShard(sh); werr != nil {
-				break
-			}
-			sh.mu.Lock()
-			held = append(held, sh)
-			cur = sh
-			if s.testHookReport != nil {
-				s.testHookReport()
-			}
-		}
-		cur = sh
-		ctl, derr := s.fleet.Device(rep.Device)
-		if derr != nil {
-			werr = wire.AsError(derr)
-			break
-		}
-		if rerr := ctl.Report(rep.ConsumedJ); rerr != nil {
-			werr = wire.AsError(rerr)
-			break
-		}
-		n++
+	if ev.op == evReport && s.testHookReport != nil {
+		s.testHookReport()
+	}
+	ev.cut(valid)
+	if err := s.applyEvent(ev, alloc, &n); err != nil {
+		werr = wire.AsError(err)
 	}
 	if n > 0 {
-		s.reports.Add(uint64(n))
-		if jerr := s.journalAppend(&journalEvent{op: evReport, reports: reports[:n]}); jerr != nil && werr == nil {
+		ev.cut(n)
+		if jerr := s.journalAppend(ev); jerr != nil && werr == nil {
 			werr = jerr
 		}
 	}
 	return n, werr
 }
 
-// shardHeld reports whether sh is among the locks this group holds.
-// Linear scan: groups touch at most a handful of shards.
-func shardHeld(held []*shard, sh *shard) bool {
-	for _, h := range held {
-		if h == sh {
-			return true
+// shardsOf resolves the shards ev's mutations touch. It returns the
+// shards of ev's longest valid prefix, appended to buf in ascending
+// order, the prefix's length, and the error that ended it: a device
+// outside the fleet or a quarantined shard.
+func (s *Service) shardsOf(ev *journalEvent, buf []*shard) ([]*shard, int, *wire.Error) {
+	shs, n := buf, ev.mutations()
+	for i := range n {
+		sh, err := s.shardFor(ev.deviceOf(i))
+		if err != nil {
+			return shs, i, wire.AsError(err)
 		}
+		j := len(shs) // insertion point; O(1) for a batch in device order
+		for j > 0 && shs[j-1].lo > sh.lo {
+			j--
+		}
+		if j > 0 && shs[j-1] == sh {
+			continue
+		}
+		if werr := s.checkShard(sh); werr != nil {
+			return shs, i, werr
+		}
+		shs = slices.Insert(shs, j, sh)
 	}
-	return false
+	return shs, n, nil
 }
 
 // lockShards locks shs, which must be in ascending order: the one lock
@@ -576,45 +562,6 @@ func (s *Service) shardPanic(sh *shard, rec any) *wire.Error {
 	return wire.Errorf(wire.CodePanic, "shard handler panicked: %v", rec)
 }
 
-// withDevice is the single-device critical section: it runs fn on an
-// owned device's controller under its shard's lock, once the device is
-// known and its shard is not quarantined, and contains a panic in fn.
-func (s *Service) withDevice(device int, fn func(ctl *reap.Controller) *wire.Error) (werr *wire.Error) {
-	sh, err := s.shardFor(device)
-	if err != nil {
-		return wire.AsError(err)
-	}
-	if werr := s.checkShard(sh); werr != nil {
-		return werr
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	defer func() {
-		if rec := recover(); rec != nil {
-			werr = s.shardPanic(sh, rec)
-		}
-	}()
-	ctl, err := s.fleet.Device(device)
-	if err != nil {
-		return wire.AsError(err)
-	}
-	return fn(ctl)
-}
-
-// stepDevice plans one owned device's next period from its reported
-// harvest, journaling the successful step before it is acknowledged.
-func (s *Service) stepDevice(ctx context.Context, device int, harvestJ float64) (alloc reap.Allocation, werr *wire.Error) {
-	werr = s.withDevice(device, func(ctl *reap.Controller) *wire.Error {
-		var err error
-		if alloc, err = ctl.StepContext(ctx, harvestJ); err != nil {
-			return wire.AsError(err)
-		}
-		s.steps.Add(1)
-		return s.journalAppend(&journalEvent{op: evStep, device: device, value: harvestJ})
-	})
-	return alloc, werr
-}
-
 func (s *Service) handleAlpha(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r, 0) { // config changes are rare: drain-gated only
 		return
@@ -626,23 +573,11 @@ func (s *Service) handleAlpha(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req, &req.V) {
 		return
 	}
-	if werr := s.setAlpha(req.Device, req.Alpha); werr != nil {
+	if _, werr := s.mutate(&journalEvent{op: evAlpha, device: req.Device, value: req.Alpha}, nil); werr != nil {
 		writeError(w, statusFor(werr), werr)
 		return
 	}
 	writeJSON(w, http.StatusOK, &wire.AlphaResponse{V: wire.Version, Device: req.Device, Alpha: req.Alpha})
-}
-
-// setAlpha re-weights one device's accuracy-time objective, journaled
-// like every other mutation.
-func (s *Service) setAlpha(device int, alpha float64) *wire.Error {
-	return s.withDevice(device, func(ctl *reap.Controller) *wire.Error {
-		if err := ctl.SetAlpha(alpha); err != nil {
-			return wire.AsError(err)
-		}
-		s.alphaSets.Add(1)
-		return s.journalAppend(&journalEvent{op: evAlpha, device: device, value: alpha})
-	})
 }
 
 // maxTelemetryLine is the longest telemetry line the stream reads.
@@ -749,8 +684,14 @@ func (s *Service) telemetryEvent(ctx context.Context, tenant string, line []byte
 		}
 	}
 	if ev.HarvestJ != nil {
-		alloc, werr := s.stepDevice(ctx, ev.Device, *ev.HarvestJ)
-		if werr != nil {
+		// A plan solve takes microseconds, so the request's context is
+		// checked once, before the step takes its shard lock.
+		if err := ctx.Err(); err != nil {
+			res.Error = wire.AsError(err)
+			return res
+		}
+		var alloc reap.Allocation
+		if _, werr := s.mutate(&journalEvent{op: evStep, device: ev.Device, value: *ev.HarvestJ}, &alloc); werr != nil {
 			res.Error = werr
 			return res
 		}

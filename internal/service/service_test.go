@@ -419,6 +419,32 @@ func TestBatchChargesPerItem(t *testing.T) {
 	}
 }
 
+// TestBatchOverBurstAdmittedIntoDebt: a bucket never holds more than
+// its burst, so a batch costing more is admitted on a full bucket and
+// charged in full, and the tenant's next request waits out the debt.
+func TestBatchOverBurstAdmittedIntoDebt(t *testing.T) {
+	svc := newTestService(t, Config{RatePerSec: 1, Burst: 2})
+	h := svc.Handler()
+	batch := func(n int) *httptest.ResponseRecorder {
+		items := make([]wire.SolveItem, n)
+		for i := range items {
+			items[i].BudgetJ = 1
+		}
+		return do(t, h, http.MethodPost, "/v1/batch-solve", &wire.BatchSolveRequest{V: wire.Version, Items: items})
+	}
+	if rec := batch(3); rec.Code != http.StatusOK {
+		t.Fatalf("3-item batch on a full 2-token bucket: status = %d, want 200; body %s", rec.Code, rec.Body)
+	}
+	rec := batch(1)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("batch right after the debt: status = %d, want 429; body %s", rec.Code, rec.Body)
+	}
+	// One token in debt at 1 token/s: the next token is 2 s away.
+	if got := rec.Header().Get("Retry-After"); got != "2" {
+		t.Errorf("Retry-After = %q, want \"2\"", got)
+	}
+}
+
 func TestDrainRefusesNewWork(t *testing.T) {
 	svc := newTestService(t, Config{})
 	h := svc.Handler()
