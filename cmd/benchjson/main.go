@@ -25,8 +25,9 @@
 // document such as BENCH_solve.json, after printing its own. A row
 // present in both that allocates more per op fails the run (exit
 // status 1): at a fixed -cpu, allocs/op is a property of the code. So
-// does a baseline row the run did not produce, so that renaming or
-// deleting a gated benchmark cannot drop it from the gate unnoticed. A
+// does a baseline row the run did not produce or produced without
+// allocs/op, so that renaming a gated benchmark or losing its
+// allocation column cannot drop it from the gate unnoticed. A
 // row that got slower or allocates more bytes per op only warns, since
 // ns/op follows the host and B/op the GC. Both documents must come
 // from the same core count.
@@ -65,7 +66,10 @@ type document struct {
 // benchLine matches e.g.
 //
 //	BenchmarkFleetStepAll/default/10000-4  100  42 ns/op  16 B/op  2 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+//
+// and skips the MB/s column a benchmark that calls b.SetBytes adds
+// after ns/op.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(?:\s+[\d.]+ MB/s)?(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
 
 func main() {
 	log.SetFlags(0)
@@ -145,8 +149,9 @@ func main() {
 
 // compare checks the rows of doc, in names order, against the document
 // at path. It warns on stderr about each row that got slower or
-// allocates more bytes, reports each that allocates more often and each
-// row of path that doc lacks, and returns the number of the latter two.
+// allocates more bytes, reports each that allocates more often or no
+// longer reports allocs/op the baseline has, and each row of path that
+// doc lacks, and returns the number of those.
 func compare(doc document, names []string, path string) (int, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -167,7 +172,12 @@ func compare(doc document, names []string, path string) (int, error) {
 			continue
 		}
 		compared++
-		if cur.AllocsPerOp != nil && old.AllocsPerOp != nil && *cur.AllocsPerOp > *old.AllocsPerOp {
+		switch {
+		case old.AllocsPerOp == nil:
+		case cur.AllocsPerOp == nil:
+			fmt.Fprintf(os.Stderr, "benchjson: FAIL %s: no allocs/op in this run, baseline %.0f\n", name, *old.AllocsPerOp)
+			failed++
+		case *cur.AllocsPerOp > *old.AllocsPerOp:
 			fmt.Fprintf(os.Stderr, "benchjson: FAIL %s: %.0f allocs/op, baseline %.0f\n", name, *cur.AllocsPerOp, *old.AllocsPerOp)
 			failed++
 		}

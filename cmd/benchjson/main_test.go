@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -52,7 +53,8 @@ func TestCompareGatesAllocsOnly(t *testing.T) {
 
 // TestCompareFailsOnMissingRow: a baseline row the run did not produce,
 // as after renaming a gated benchmark, fails the gate even when every
-// row the run did produce passes.
+// row the run did produce passes; so does one it produced without
+// allocs/op.
 func TestCompareFailsOnMissingRow(t *testing.T) {
 	base := document{Context: []string{"cpus: 1"}, Benchmarks: map[string]result{
 		"BenchmarkA":     row(100, 48, 1),
@@ -77,5 +79,34 @@ func TestCompareFailsOnMissingRow(t *testing.T) {
 	}
 	if failed != 2 {
 		t.Errorf("compare counted %d failures, want 2 (BenchmarkB/hot and BenchmarkC missing)", failed)
+	}
+
+	// A row present but without its allocation column, as a parse that
+	// missed it leaves it, fails too.
+	doc.Benchmarks["BenchmarkB/hot"] = result{Iterations: 1, NsPerOp: 100}
+	doc.Benchmarks["BenchmarkC"] = row(100, 48, 1)
+	failed, err = compare(doc, []string{"BenchmarkA", "BenchmarkB/hot", "BenchmarkC"}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed != 1 {
+		t.Errorf("compare counted %d failures, want 1 (BenchmarkB/hot without allocs/op)", failed)
+	}
+}
+
+// TestBenchLineReadsAllocsAfterThroughput: a row with the MB/s column
+// b.SetBytes adds still yields its B/op and allocs/op, so the gate
+// covers it.
+func TestBenchLineReadsAllocsAfterThroughput(t *testing.T) {
+	for line, want := range map[string][]string{
+		"BenchmarkDecodeStrict/distinct    \t   10000\t    108927 ns/op\t 276.27 MB/s\t   16208 B/op\t     195 allocs/op": {
+			"BenchmarkDecodeStrict/distinct", "", "10000", "108927", "16208", "195"},
+		"BenchmarkPlanCompile-4  \t 1000000\t       300 ns/op\t     448 B/op\t       5 allocs/op": {
+			"BenchmarkPlanCompile", "4", "1000000", "300", "448", "5"},
+	} {
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil || !reflect.DeepEqual(m[1:], want) {
+			t.Errorf("%q: matched %q, want %q", line, m, want)
+		}
 	}
 }

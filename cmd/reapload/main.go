@@ -17,7 +17,11 @@
 // request (one item = one solve, the unit the rate limiter charges and
 // the solves/sec figure counts). -mode report posts -batch consumption
 // reports per request for devices cycling through [0, -devices); -mode
-// mixed alternates the two per worker. Budgets cycle through a fixed
+// mixed interleaves those two with α changes on /v1/alpha (α in
+// 0.5–2) and one-line /v1/telemetry harvest steps for the same devices,
+// so every kind of journaled mutation rides the traffic, and counts the
+// acknowledged reports, steps and α changes (a step is acknowledged by
+// a 200 whose result line carries no error). Budgets cycle through a fixed
 // spread covering every operating region of the paper's configuration,
 // so the server sees realistic key diversity rather than one hot
 // budget.
@@ -74,6 +78,8 @@ type stats struct {
 	requests  int
 	solves    int
 	reports   int
+	steps     int
+	alphaSets int
 	shed      int
 	torn      int
 	errors    int
@@ -91,6 +97,8 @@ type document struct {
 	Requests   int     `json:"requests"`
 	Solves     int     `json:"solves"`
 	Reports    int     `json:"reports,omitempty"`
+	Steps      int     `json:"steps,omitempty"`
+	AlphaSets  int     `json:"alpha_sets,omitempty"`
 	Shed       int     `json:"shed"`
 	Torn       int     `json:"torn,omitempty"`
 	Errors     int     `json:"errors"`
@@ -123,12 +131,16 @@ type latency struct {
 	Max  float64 `json:"max"`
 }
 
-// payload is one pre-encoded request body and where to send it.
+// payload is one pre-encoded request body, where to send it and the
+// operations a 200 acknowledges. A telemetry body's steps count only if
+// its result line carries no error.
 type payload struct {
-	path    string
-	body    []byte
-	solves  int
-	reports int
+	path      string
+	body      []byte
+	solves    int
+	reports   int
+	steps     int
+	alphaSets int
 }
 
 // Backoff bounds for shed requests: exponential from min to max, and
@@ -247,6 +259,8 @@ func main() {
 		total.requests += results[i].requests
 		total.solves += results[i].solves
 		total.reports += results[i].reports
+		total.steps += results[i].steps
+		total.alphaSets += results[i].alphaSets
 		total.shed += results[i].shed
 		total.torn += results[i].torn
 		total.errors += results[i].errors
@@ -268,6 +282,8 @@ func main() {
 		Requests:   total.requests,
 		Solves:     total.solves,
 		Reports:    total.reports,
+		Steps:      total.steps,
+		AlphaSets:  total.alphaSets,
 		Shed:       total.shed,
 		Torn:       total.torn,
 		Errors:     total.errors,
@@ -395,6 +411,7 @@ func fetchStats(client *http.Client, addr string) (*wire.StatsResponse, error) {
 func drive(st *stats, client *http.Client, tgt *target, tenant string, payloads []payload,
 	deadline time.Time, chaosP float64, rng *rand.Rand, w int) {
 	backoff := backoffMin
+	var answer bytes.Buffer // a telemetry answer, read for its result line
 	for i := 0; time.Now().Before(deadline); i++ {
 		p := payloads[(w+i)%len(payloads)]
 		addr, epoch := tgt.get()
@@ -404,7 +421,12 @@ func drive(st *stats, client *http.Client, tgt *target, tenant string, payloads 
 			continue
 		}
 		t0 := time.Now()
-		status, retryAfter, leader, err := post(client, "http://"+addr+p.path, tenant, epoch, p.body)
+		sink := io.Discard
+		if p.steps > 0 {
+			answer.Reset()
+			sink = &answer
+		}
+		status, retryAfter, leader, err := post(client, "http://"+addr+p.path, tenant, epoch, p.body, sink)
 		switch {
 		case err != nil:
 			// Connection-level failure — during a failover window this is
@@ -420,6 +442,10 @@ func drive(st *stats, client *http.Client, tgt *target, tenant string, payloads 
 			st.latencies = append(st.latencies, time.Since(t0))
 			st.solves += p.solves
 			st.reports += p.reports
+			st.alphaSets += p.alphaSets
+			if p.steps > 0 && stepped(answer.Bytes()) {
+				st.steps += p.steps
+			}
 			backoff = backoffMin
 		case status == http.StatusServiceUnavailable && leader != "":
 			// A follower pointing at its primary: a redirect, not an
@@ -453,6 +479,13 @@ func drive(st *stats, client *http.Client, tgt *target, tenant string, payloads 
 	}
 }
 
+// stepped reports whether a one-event telemetry answer is one result
+// line without an error: only then was the step applied and journaled.
+func stepped(answer []byte) bool {
+	var res wire.TelemetryResult
+	return json.Unmarshal(answer, &res) == nil && res.Error == nil
+}
+
 // withJitter spreads d by ±jitterFrac so backed-off workers do not
 // stampede back in lockstep.
 func withJitter(d time.Duration, rng *rand.Rand) time.Duration {
@@ -483,11 +516,12 @@ func tear(addr string, p payload, rng *rand.Rand) {
 // sweep the dead region through saturation (0–11 J for the paper's
 // configuration) so consecutive requests exercise distinct solves;
 // report batches walk the device space in sorted runs, the shape a
-// fleet gateway produces.
+// fleet gateway produces. Mixed mode adds an α change and a harvest
+// step per variant, each for one device of the space.
 func buildPayloads(mode string, batch, devices int) []payload {
 	budget := func(i int) float64 { return 11.0 * float64(i%97) / 97 }
 	const variants = 16
-	var solves, reports []payload
+	var solves, reports, alphas, steps []payload
 	for v := 0; v < variants; v++ {
 		if batch == 1 {
 			solves = append(solves, payload{path: "/v1/solve", solves: 1,
@@ -507,6 +541,13 @@ func buildPayloads(mode string, batch, devices int) []payload {
 		sort.Slice(reps, func(i, j int) bool { return reps[i].Device < reps[j].Device })
 		reports = append(reports, payload{path: "/v1/report", reports: batch,
 			body: mustEncode(&wire.ReportRequest{V: wire.Version, Reports: reps})})
+		device := (v * 37) % devices
+		alpha := 0.5 + 1.5*float64(v)/(variants-1)
+		harvest := budget(v * 13)
+		alphas = append(alphas, payload{path: "/v1/alpha", alphaSets: 1,
+			body: mustEncode(&wire.AlphaRequest{V: wire.Version, Device: device, Alpha: alpha})})
+		steps = append(steps, payload{path: "/v1/telemetry", steps: 1,
+			body: append(mustEncode(&wire.TelemetryEvent{V: wire.Version, Device: device, HarvestJ: &harvest}), '\n')})
 	}
 	switch mode {
 	case "solve":
@@ -516,7 +557,7 @@ func buildPayloads(mode string, batch, devices int) []payload {
 	case "mixed":
 		var mixed []payload
 		for i := range solves {
-			mixed = append(mixed, solves[i], reports[i])
+			mixed = append(mixed, solves[i], reports[i], alphas[i], steps[i])
 		}
 		return mixed
 	default:
@@ -536,10 +577,10 @@ func mustEncode(v any) []byte {
 // post sends one request and reports its status plus any Retry-After
 // and Leader hints. A nonzero epoch rides the X-Reap-Epoch header so a
 // fenced ex-primary rejects us instead of acknowledging into a dead
-// log. The body is drained so the connection is reusable; payloads are
-// not parsed on the hot path — correctness is the service tests' job,
-// throughput is ours.
-func post(client *http.Client, url, tenant string, epoch uint64, body []byte) (status int, retryAfter time.Duration, leader string, err error) {
+// log. The answer is copied to sink, which drains it so the connection
+// is reusable; only telemetry answers are parsed, for their result
+// line — correctness is the service tests' job, throughput is ours.
+func post(client *http.Client, url, tenant string, epoch uint64, body []byte, sink io.Writer) (status int, retryAfter time.Duration, leader string, err error) {
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return 0, 0, "", err
@@ -553,7 +594,7 @@ func post(client *http.Client, url, tenant string, epoch uint64, body []byte) (s
 	if err != nil {
 		return 0, 0, "", err
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
+	_, _ = io.Copy(sink, resp.Body)
 	resp.Body.Close()
 	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 		retryAfter = time.Duration(secs) * time.Second

@@ -188,11 +188,27 @@ func TestDecodeStrictRejects(t *testing.T) {
 	}
 }
 
-// FuzzDecodeStrict mutates the decode cases and requires DecodeStrict
-// to agree with encoding/json on every scanner type.
+// numberEdges are literals on each side of the scanner's own number
+// conversion: signed zeros, the integer path's 2^53, the encoder's 'e'
+// switches, the 19-digit and 10^±19 limits, an exact tie, exponents
+// only strconv handles and the int64 limits.
+var numberEdges = []string{
+	"0", "-0", "0e5", "-0.0", "0.000123", "3600", "9007199254740991", "9007199254740992",
+	"9007199254740994", "9007199254740993", "45035996273704965e-1", "1e-7", "1e21",
+	"9999999999999999999", "99999999999999999999", "1e19", "1e-19", "1e20", "1e-20",
+	"1e400", "1e-400", "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+}
+
+// FuzzDecodeStrict mutates the decode cases and the number edges and
+// requires DecodeStrict to agree with encoding/json on every scanner
+// type.
 func FuzzDecodeStrict(f *testing.F) {
 	for _, tc := range decodeCases {
 		f.Add([]byte(tc.body))
+	}
+	for _, lit := range numberEdges {
+		f.Add([]byte(`{"v":1,"items":[{"config":{"alpha":` + lit + `},"budget_j":` + lit + `}]}`))
+		f.Add([]byte(`{"v":1,"reports":[{"device":` + lit + `,"consumed_j":` + lit + `}]}`))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, typ := range scannerTypes {
@@ -350,11 +366,13 @@ func TestDecodeStrictConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// encodeFloats straddle every boundary of encoding/json's float format.
+// encodeFloats straddle every boundary of encoding/json's float format
+// and of the encoder's integer path, which ends below 2^53.
 var encodeFloats = []float64{
 	0, math.Copysign(0, -1), 1, -1, 0.5, 3600, 1e-6, 9.999999999999999e-7, -1e-6,
 	1e-7, 1.5e-9, 1e21, 9.999999999999999e20, -1e21, 1e22, 123456789e300,
 	math.SmallestNonzeroFloat64, math.MaxFloat64, 0.1 + 0.2, 1.0 / 3,
+	1<<53 - 1, 1 << 53, 1<<53 + 2, 1<<53 - 0.5, 1e20, 1e15 + 0.5,
 }
 
 // encodeStrings need every escape encoding/json applies.
