@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -314,8 +315,8 @@ func correlatedBudgets(n int) []float64 {
 //     plan, solving straight into each controller's reused allocation
 //     (default/10000 versus uncached-simplex/10000 is the headline,
 //     ≥3x on one core);
-//   - sequential-uncached-plan: the same without the worker pool,
-//     isolating pool overhead at plan-solve speeds;
+//   - sequential-uncached-plan: the same at GOMAXPROCS 1, without the
+//     worker pool, isolating pool overhead at plan-solve speeds;
 //   - uncached-simplex / uncached-enumerate: every device runs the
 //     iterative LP solver on the pooled path.
 //
@@ -324,18 +325,22 @@ func correlatedBudgets(n int) []float64 {
 func BenchmarkFleetStepAll(b *testing.B) {
 	ctx := context.Background()
 	variants := []struct {
-		name string
-		opts []Option
+		name  string
+		procs int // GOMAXPROCS for the run; 0 keeps the -cpu setting
+		opts  []Option
 	}{
-		{"sequential-uncached-plan", []Option{WithWorkers(1)}},
-		{"default", nil},
-		{"uncached-simplex", []Option{WithSolver(SolverSimplex)}},
-		{"uncached-enumerate", []Option{WithSolver(SolverEnumerate)}},
+		{"sequential-uncached-plan", 1, nil},
+		{"default", 0, nil},
+		{"uncached-simplex", 0, []Option{WithSolver(SolverSimplex)}},
+		{"uncached-enumerate", 0, []Option{WithSolver(SolverEnumerate)}},
 	}
 	for _, n := range []int{1000, 10000} {
 		budgets := correlatedBudgets(n)
 		for _, v := range variants {
 			b.Run(fmt.Sprintf("%s/%d", v.name, n), func(b *testing.B) {
+				if v.procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(v.procs))
+				}
 				opts := append([]Option{WithBattery(20, 100)}, v.opts...)
 				fleet, err := NewFleet(n, opts...)
 				if err != nil {

@@ -31,8 +31,7 @@ import (
 // scratch appears on the first StepAll or ReportAll: a fleet that is
 // only ever stepped device by device never makes it.
 type Fleet struct {
-	ctls    []Controller
-	workers int
+	ctls []Controller
 
 	// active is the membership mask for mid-run churn (SetActive): nil
 	// means every device participates, the common case, so fleets that
@@ -51,10 +50,10 @@ type Fleet struct {
 }
 
 // NewFleet creates n controller sessions from the same options New
-// accepts, plus WithWorkers to bound StepAll's concurrency and
-// WithDeviceOverride to vary settings per device. The default solve
-// path is the compiled plan core.PlanFor memoizes per configuration
-// fingerprint, one per distinct configuration in the fleet.
+// accepts, plus WithDeviceOverride to vary settings per device. The
+// default solve path is the compiled plan core.PlanFor memoizes per
+// configuration fingerprint, one per distinct configuration in the
+// fleet.
 func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: fleet size %d must be positive", ErrInvalidConfig, n)
@@ -63,7 +62,7 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	if err := s.apply(opts); err != nil {
 		return nil, err
 	}
-	f := &Fleet{ctls: make([]Controller, n), workers: s.workers}
+	f := &Fleet{ctls: make([]Controller, n)}
 	// Every device is a copy of a controller built from its settings.
 	// The copies share the design-point slice, the compiled plan and
 	// any solve hook, which is safe: a controller never mutates its
@@ -148,7 +147,8 @@ func (f *Fleet) Active(i int) bool {
 
 // StepAll plans the next activity period for every device: budgets[i] is
 // the energy (J) device i's harvesting subsystem expects to collect. The
-// solves run on a bounded worker pool (WithWorkers, default GOMAXPROCS).
+// solves run on a worker pool of up to GOMAXPROCS goroutines, one per
+// chunk of 256 devices.
 //
 // The returned slice always has one entry per device. Per-device failures
 // do not stop the rest of the fleet: failed entries hold the zero
@@ -177,13 +177,13 @@ func (f *Fleet) stepAllInto(ctx context.Context, budgets []float64, allocs []All
 	errs := f.tickErrs()
 	// Devices start in index order on both paths, so the stepped ones
 	// are the first ran.
-	ran := 0
-	if f.workerCount(len(f.ctls)) == 1 {
+	ran, workers := 0, runtime.GOMAXPROCS(0)
+	if poolWidth(workers, len(f.ctls)) == 1 {
 		for ; ran < len(f.ctls) && ctx.Err() == nil; ran++ {
 			f.stepOne(ctx, ran, budgets[ran], &allocs[ran])
 		}
 	} else {
-		ran = f.run(ctx, len(f.ctls), func(lo, hi int) { //lint:reapvet hotalloc -- one closure per multi-worker tick, not per device
+		ran = poolRun(ctx, workers, len(f.ctls), func(lo, hi int) { //lint:reapvet hotalloc -- one closure per multi-worker tick, not per device
 			for i := lo; i < hi; i++ {
 				f.stepOne(ctx, i, budgets[i], &allocs[i])
 			}
@@ -318,23 +318,6 @@ func (f *Fleet) Run(ctx context.Context, steps int, src HarvestSource, model Con
 		}
 	}
 	return nil
-}
-
-// workerCount resolves the pool width for n work items: the WithWorkers
-// setting, defaulting to GOMAXPROCS, never more than one worker per
-// chunk of the work.
-func (f *Fleet) workerCount(n int) int {
-	workers := f.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return poolWidth(workers, n)
-}
-
-// run executes work over 0..n-1 on the fleet's worker pool as poolRun
-// does, returning how many leading indices ran.
-func (f *Fleet) run(ctx context.Context, n int, work func(lo, hi int)) int {
-	return poolRun(ctx, f.workerCount(n), n, work)
 }
 
 // poolChunk is how many indices a worker claims at a time. A plan step

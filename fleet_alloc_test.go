@@ -6,12 +6,12 @@ import (
 )
 
 // Steady-state fleet ticks are //reap:hotpath: with the per-tick scratch
-// hoisted into the Fleet and a single worker, a warmed tick must not
-// allocate.
+// hoisted into the Fleet and a fleet of one pool chunk stepping on the
+// caller, a warmed tick must not allocate.
 
 func TestFleetTickZeroAllocsPlanPath(t *testing.T) {
 	const n = 8
-	f, err := NewFleet(n, WithWorkers(1))
+	f, err := NewFleet(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestFleetTickZeroAllocsPlanPath(t *testing.T) {
 // device's carry, and so its budget, every tick.
 func TestFleetStepReportTickZeroAllocs(t *testing.T) {
 	const n = 8
-	f, err := NewFleet(n, WithWorkers(1))
+	f, err := NewFleet(n)
 	if err != nil {
 		t.Fatal(err)
 	}

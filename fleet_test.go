@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -118,8 +119,8 @@ func TestFleetDeviceOutOfRange(t *testing.T) {
 }
 
 // TestFleetStepAllWorkerBounds: at 1,000 devices, 4 pool chunks, every
-// worker count, including more workers than chunks, plans each device
-// bit for bit as the one-worker fleet does, tick after tick.
+// GOMAXPROCS, including more than there are chunks, plans each device
+// bit for bit as one P does, tick after tick.
 func TestFleetStepAllWorkerBounds(t *testing.T) {
 	const n = 1000
 	budgets := make([]float64, n)
@@ -133,18 +134,20 @@ func TestFleetStepAllWorkerBounds(t *testing.T) {
 		}
 		return out
 	}
-	var want [2][]Allocation // the one-worker fleet's two ticks
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want [2][]Allocation // the two ticks at GOMAXPROCS 1
 	for _, workers := range []int{1, 2, 7, 64} {
+		runtime.GOMAXPROCS(workers)
 		// A battery small against the 9.94 J a device can spend, so
 		// every budget moves its device's schedule.
-		fleet, err := NewFleet(n, WithBattery(1, 5), WithWorkers(workers))
+		fleet, err := NewFleet(n, WithBattery(1, 5))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for tick := range want {
 			allocs, err := fleet.StepAll(context.Background(), budgets)
 			if err != nil {
-				t.Fatalf("workers=%d tick %d: %v", workers, tick, err)
+				t.Fatalf("GOMAXPROCS=%d tick %d: %v", workers, tick, err)
 			}
 			if workers == 1 {
 				want[tick] = allocs
@@ -152,7 +155,7 @@ func TestFleetStepAllWorkerBounds(t *testing.T) {
 			}
 			for i, a := range allocs {
 				if !slices.Equal(bits(a), bits(want[tick][i])) {
-					t.Fatalf("workers=%d tick %d device %d: %+v, one worker planned %+v",
+					t.Fatalf("GOMAXPROCS=%d tick %d device %d: %+v, one P planned %+v",
 						workers, tick, i, a, want[tick][i])
 				}
 			}
@@ -217,7 +220,7 @@ func TestFleetStepAllPartialFailure(t *testing.T) {
 }
 
 func TestFleetStepAllCancelled(t *testing.T) {
-	fleet, err := NewFleet(100, WithWorkers(1))
+	fleet, err := NewFleet(100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,8 +90,8 @@ func TestCursorMidSegmentStart(t *testing.T) {
 
 // TestRetentionBoundsCursorAndSurvivesReboot verifies that
 // RetainSegments keeps rotated segments readable (and prunes beyond
-// the cap), that OldestRetained tracks the prune point, and that
-// retention holds across a store reboot.
+// the cap), that a cursor opens from the prune point and not before
+// it, and that retention holds across a store reboot.
 func TestRetentionBoundsCursorAndSurvivesReboot(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openStarted(t, dir, Options{RetainSegments: 2})
@@ -108,9 +108,6 @@ func TestRetentionBoundsCursorAndSurvivesReboot(t *testing.T) {
 		seqAt[round] = st.Seq()
 	}
 	// Five rotations, keep 2: history before seq 30 is pruned.
-	if got := st.OldestRetained(); got != seqAt[2] {
-		t.Fatalf("OldestRetained = %d, want %d", got, seqAt[2])
-	}
 	if _, err := st.OpenCursor(seqAt[2] - 1); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("cursor before retention: err = %v, want ErrCompacted", err)
 	}
@@ -143,8 +140,8 @@ func TestRetentionBoundsCursorAndSurvivesReboot(t *testing.T) {
 	if len(replayed) != 0 {
 		t.Fatalf("replayed %d records, want 0 (snapshot covers all)", len(replayed))
 	}
-	if got := st2.OldestRetained(); got != seqAt[2] {
-		t.Fatalf("OldestRetained after reboot = %d, want %d", got, seqAt[2])
+	if _, err := st2.OpenCursor(seqAt[2] - 1); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("cursor before retention after reboot: err = %v, want ErrCompacted", err)
 	}
 	cur2, err := st2.OpenCursor(seqAt[2])
 	if err != nil {
@@ -176,8 +173,13 @@ func TestResetReRootsHistory(t *testing.T) {
 	if st.Seq() != 1000 {
 		t.Fatalf("Seq after Reset = %d, want 1000", st.Seq())
 	}
-	if got := st.OldestRetained(); got != 1000 {
-		t.Fatalf("OldestRetained after Reset = %d, want 1000", got)
+	if _, err := st.OpenCursor(999); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("cursor before the Reset point: err = %v, want ErrCompacted", err)
+	}
+	if cur, err := st.OpenCursor(1000); err != nil {
+		t.Fatalf("OpenCursor at the Reset point: %v", err)
+	} else {
+		cur.Close()
 	}
 	seq, err := st.Append([]byte("replicated"))
 	if err != nil {
@@ -246,13 +248,13 @@ func TestDiskFullClassification(t *testing.T) {
 }
 
 // TestFrameRoundTrip pins the exported stream framing to the segment
-// framing: EncodeFrame bytes read back via ReadFrame, and a torn
+// framing: AppendFrame bytes read back via ReadFrame, and a torn
 // stream surfaces ErrTornTail.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write(EncodeFrame([]byte("hello")))
-	buf.Write(EncodeFrame(nil))
-	full := EncodeFrame([]byte("torn away"))
+	buf.Write(AppendFrame(nil, []byte("hello")))
+	buf.Write(AppendFrame(nil, nil))
+	full := AppendFrame(nil, []byte("torn away"))
 	buf.Write(full[:len(full)-3])
 
 	r := bufio.NewReader(&buf)
@@ -274,7 +276,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // cursor reads through ReadFrame, so a frame-format change has one
 // reader to keep right.
 func TestFrameReadersAgree(t *testing.T) {
-	valid := EncodeFrame([]byte("event"))
+	valid := AppendFrame(nil, []byte("event"))
 	overLen := append([]byte(nil), valid...)
 	binary.BigEndian.PutUint32(overLen[0:4], MaxPayload+1)
 	badCRC := append([]byte(nil), valid...)

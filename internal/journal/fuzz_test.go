@@ -16,7 +16,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage that is not a record"))
 	// A valid single record ("hi") followed by a torn frame.
-	valid := EncodeFrame([]byte("hi"))
+	valid := AppendFrame(nil, []byte("hi"))
 	f.Add(valid)
 	f.Add(append(append([]byte{}, valid...), 0x00, 0x00))
 	f.Add(append(append([]byte{}, valid...), valid[:5]...))

@@ -73,6 +73,10 @@ var ErrClosed = errors.New("journal: store not open for appends")
 // corruption before the end means later events cannot be trusted.
 var ErrCorrupt = errors.New("journal: corrupt directory")
 
+// ErrVarint reports a varint ReadUvarint refuses: truncated, longer
+// than 64 bits or not in its minimal form.
+var ErrVarint = errors.New("journal: malformed varint")
+
 // frameHeaderInto writes payload's frame header (length and CRC-32C)
 // into buf[:frameSize].
 func frameHeaderInto(buf, payload []byte) {
@@ -80,17 +84,32 @@ func frameHeaderInto(buf, payload []byte) {
 	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
 }
 
-// EncodeFrame returns payload framed as one journal record in a fresh
-// buffer, [length|CRC-32C|payload], so that a segment append is one
-// write(2) and a crash can tear at most the tail record, never
-// interleave two. The replication stream ships the same frames, so a
-// follower validates shipped bytes with the exact parser its own boot
-// replay trusts.
-func EncodeFrame(payload []byte) []byte {
-	buf := make([]byte, frameSize+len(payload))
-	frameHeaderInto(buf, payload)
-	copy(buf[frameSize:], payload)
-	return buf
+// AppendFrame appends payload framed as one journal record to dst,
+// [length|CRC-32C|payload], so that a segment append is one write(2)
+// and a crash can tear at most the tail record, never interleave two.
+// The replication stream ships the same frames, so a follower validates
+// shipped bytes with the exact parser its own boot replay trusts.
+func AppendFrame(dst, payload []byte) []byte {
+	var hdr [frameSize]byte
+	frameHeaderInto(hdr[:], payload)
+	return append(append(dst, hdr[:]...), payload...)
+}
+
+// ReadUvarint reads the uvarint at the start of p and returns its value
+// and the bytes after it. It accepts only the minimal form
+// binary.AppendUvarint writes: a padded varint (a final 0x00 group)
+// decodes to the same value from other bytes, so a decoder that took it
+// would not re-encode its input. The event, snapshot and replication
+// frame decoders read every varint with it.
+func ReadUvarint(p []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(p)
+	if n <= 0 {
+		return 0, nil, fmt.Errorf("%w: truncated", ErrVarint)
+	}
+	if n > 1 && p[n-1] == 0 {
+		return 0, nil, fmt.Errorf("%w: non-minimal % x", ErrVarint, p[:n])
+	}
+	return v, p[n:], nil
 }
 
 // ReadFrame reads one framed record from r. It returns io.EOF on a

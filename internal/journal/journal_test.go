@@ -151,7 +151,7 @@ func TestSnapshotFileIsOneFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw, EncodeFrame(payload)) {
+	if !bytes.Equal(raw, AppendFrame(nil, payload)) {
 		t.Fatalf("snapshot file is %d bytes, not the %d-byte framed record", len(raw), frameSize+len(payload))
 	}
 }

@@ -65,6 +65,7 @@ type Store struct {
 	started bool
 	closed  bool
 	seq     uint64 // events in history (snapshot base + replayed + appended)
+	frame   []byte // the last record writeRecord framed, reused by the next
 
 	snapshot []byte
 	snapSeq  uint64
@@ -309,7 +310,8 @@ func (s *Store) writeRecord(payload []byte) error {
 	if s.failAppend != nil {
 		return classifyWriteErr(s.failAppend)
 	}
-	if _, err := s.f.Write(EncodeFrame(payload)); err != nil {
+	s.frame = AppendFrame(s.frame[:0], payload)
+	if _, err := s.f.Write(s.frame); err != nil {
 		return classifyWriteErr(err)
 	}
 	return nil
@@ -529,18 +531,6 @@ func (s *Store) Snapshot() (payload []byte, seq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.snapshot, s.snapSeq
-}
-
-// OldestRetained returns the sequence number from which on-disk history
-// is readable: a cursor can serve events in (OldestRetained, Seq].
-// Followers whose position predates it need a snapshot bootstrap.
-func (s *Store) OldestRetained() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.disk) > 0 {
-		return s.disk[0].start
-	}
-	return s.seq
 }
 
 // Reset discards the store's entire on-disk history and re-roots it at

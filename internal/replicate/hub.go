@@ -58,6 +58,7 @@ type Hub struct {
 	live   map[string]*liveFollower
 	acks   map[string]ackState
 	closed bool
+	buf    []byte // the last event Append shipped, message then frame, reused by the next
 }
 
 type liveFollower struct {
@@ -94,7 +95,11 @@ func (h *Hub) Append(payload []byte) (uint64, error) {
 		return seq, err
 	}
 	if len(h.live) > 0 {
-		frame := journal.EncodeFrame(Message{Kind: KindEvent, Seq: seq, Payload: payload}.Encode())
+		// The message goes in the front of h.buf and its frame after it.
+		h.buf = Message{Kind: KindEvent, Seq: seq, Payload: payload}.AppendTo(h.buf[:0])
+		n := len(h.buf)
+		h.buf = journal.AppendFrame(h.buf, h.buf[:n])
+		frame := h.buf[n:]
 		for id, f := range h.live {
 			if err := f.write(frame); err != nil {
 				h.detachLocked(id, f)
@@ -166,10 +171,12 @@ func (h *Hub) detachLocked(id string, f *liveFollower) {
 // here) until the context ends, the hub closes, or a write fails.
 //
 // bootstrap forces a snapshot-first start (epoch mismatch or an
-// explicit resync); even without it, a cursor that falls off retention
-// mid-catch-up recovers by sending a snapshot frame in-stream — the
-// follower treats any snapshot frame as "discard local state, re-root
-// here".
+// explicit resync). Without it the stream starts from a snapshot when
+// no cursor opens at from (retention dropped the events after it, or
+// it lies past this store's history); the hello's Bootstrap flag says
+// which start follows. A cursor that falls off retention mid-catch-up
+// recovers by sending a snapshot frame in-stream — the follower treats
+// any snapshot frame as "discard local state, re-root here".
 func (h *Hub) ServeStream(ctx context.Context, w http.ResponseWriter, id string, from uint64, bootstrap bool) error {
 	// The stream hijacks the connection: each frame then costs one raw
 	// TCP write instead of a pass through the chunked encoder and its
@@ -207,22 +214,29 @@ func (h *Hub) ServeStream(ctx context.Context, w http.ResponseWriter, id string,
 		_, err := sink.Write(frame)
 		return err
 	}
-	send := func(m Message) error { return write(journal.EncodeFrame(m.Encode())) }
+	// Catch-up frames are built in fresh buffers, so a snapshot frame
+	// is not pinned for the life of the stream.
+	send := func(m Message) error { return write(journal.AppendFrame(nil, m.AppendTo(nil))) }
 
 	st := h.cfg.Store
-	if !bootstrap && from < st.OldestRetained() {
-		bootstrap = true
-	}
-	if err := send(Message{Kind: KindHello, Epoch: h.cfg.Epoch(), Seq: st.Seq(), Bootstrap: bootstrap}); err != nil {
-		return fmt.Errorf("%w: hello: %v", ErrStream, err)
-	}
-
 	var cur *journal.Cursor
 	defer func() {
 		if cur != nil {
 			_ = cur.Close()
 		}
 	}()
+	if !bootstrap {
+		var err error
+		cur, err = st.OpenCursor(from)
+		if errors.Is(err, journal.ErrCompacted) {
+			bootstrap = true
+		} else if err != nil {
+			return err
+		}
+	}
+	if err := send(Message{Kind: KindHello, Epoch: h.cfg.Epoch(), Seq: st.Seq(), Bootstrap: bootstrap}); err != nil {
+		return fmt.Errorf("%w: hello: %v", ErrStream, err)
+	}
 	// sendSnapshot re-roots the follower at the newest snapshot and
 	// points the cursor at the events that follow it.
 	sendSnapshot := func() error {
@@ -239,15 +253,6 @@ func (h *Hub) ServeStream(ctx context.Context, w http.ResponseWriter, id string,
 	}
 	if bootstrap {
 		if err := sendSnapshot(); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		cur, err = st.OpenCursor(from)
-		if errors.Is(err, journal.ErrCompacted) {
-			err = sendSnapshot()
-		}
-		if err != nil {
 			return err
 		}
 	}

@@ -10,20 +10,22 @@
 //   - The journal is an ordered, CRC-framed log of every acknowledged
 //     state mutation, so "replicate the journal" is exactly "replicate
 //     the service state". Stream frames reuse the journal's framing
-//     (journal.EncodeFrame/ReadFrame): a follower validates shipped
-//     bytes with the same parser its boot replay trusts, and a torn
-//     stream is detected the same way as a torn segment.
+//     (journal.AppendFrame/ReadFrame) and its minimal-varint reader
+//     (journal.ReadUvarint): a follower validates shipped bytes with
+//     the same parser its boot replay trusts, and a torn stream is
+//     detected the same way as a torn segment.
 //   - Ship-before-ack: the Hub writes an appended event to every live
 //     follower's connection (through the kernel send buffer) while
 //     still inside the append critical section, before the client's
 //     200 is written. kill -9 of the primary cannot revoke bytes the
 //     kernel has accepted for delivery, so every acknowledged event is
 //     either on a follower's wire or the follower was already detached
-//     (and will catch up from the journal on reconnect).
+//     (and will catch up from the journal on reconnect). The Hub
+//     frames each live event once, in one buffer it reuses.
 //   - Catch-up reads come from the journal itself via a Cursor —
-//     retained rotated segments plus snapshot-first bootstrap when a
-//     follower's position predates retention — so the Hub holds no
-//     replication buffer of its own.
+//     retained rotated segments plus snapshot-first bootstrap when no
+//     cursor opens at the follower's position, which the hello frame
+//     announces — so the Hub holds no backlog of its own.
 //   - Fencing: the epoch is a monotonic term persisted in the journal
 //     directory. Promotion bumps it; every data- and replication-plane
 //     exchange carries it; the side with the lower epoch loses. A
@@ -36,6 +38,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -85,24 +88,23 @@ type Message struct {
 	Payload   []byte // snapshot state or journal event payload
 }
 
-// Encode renders m as a stream-frame payload (the caller wraps it with
-// journal.EncodeFrame for the CRC framing).
-func (m Message) Encode() []byte {
-	buf := make([]byte, 0, 2+2*binary.MaxVarintLen64+1+len(m.Payload))
-	buf = append(buf, frameFormat, m.Kind)
-	buf = binary.AppendUvarint(buf, m.Epoch)
-	buf = binary.AppendUvarint(buf, m.Seq)
+// AppendTo appends m's stream-frame payload to dst (the caller wraps it
+// with journal.AppendFrame for the CRC framing).
+func (m Message) AppendTo(dst []byte) []byte {
+	dst = slices.Grow(dst, 2+2*binary.MaxVarintLen64+1+len(m.Payload))
+	dst = append(dst, frameFormat, m.Kind)
+	dst = binary.AppendUvarint(dst, m.Epoch)
+	dst = binary.AppendUvarint(dst, m.Seq)
 	var flags byte
 	if m.Bootstrap {
 		flags |= 1
 	}
-	buf = append(buf, flags)
-	buf = append(buf, m.Payload...)
-	return buf
+	dst = append(dst, flags)
+	return append(dst, m.Payload...)
 }
 
 // Decode parses a stream-frame payload. It accepts only the bytes
-// Encode writes, so every accepted payload re-encodes to itself:
+// AppendTo writes, so every accepted payload re-encodes to itself:
 // unknown formats, unknown kinds, truncated or non-minimal varints,
 // flag bits beyond bit 0 and trailing bytes on payload-less kinds all
 // fail with ErrBadFrame.
@@ -144,17 +146,13 @@ func Decode(p []byte) (Message, error) {
 }
 
 // readUvarint reads one uvarint field of a frame in its minimal form,
-// the only one Encode writes: a padded varint (a final 0x00 group)
-// decodes to the same value from other bytes.
+// the only one AppendTo writes.
 func readUvarint(p []byte, field string) (uint64, []byte, error) {
-	v, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: truncated %s", ErrBadFrame, field)
+	v, rest, err := journal.ReadUvarint(p)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: %s: %v", ErrBadFrame, field, err)
 	}
-	if n > 1 && p[n-1] == 0 {
-		return 0, nil, fmt.Errorf("%w: non-minimal %s varint % x", ErrBadFrame, field, p[:n])
-	}
-	return v, p[n:], nil
+	return v, rest, nil
 }
 
 // epochFile is the fencing token's home, beside the journal segments

@@ -17,7 +17,7 @@ var roundTripCases = []Message{
 
 func TestMessageRoundTrip(t *testing.T) {
 	for i, want := range roundTripCases {
-		got, err := Decode(want.Encode())
+		got, err := Decode(want.AppendTo(nil))
 		if err != nil {
 			t.Fatalf("case %d: Decode: %v", i, err)
 		}
@@ -39,7 +39,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{frameFormat, KindHello, 0, 0},           // missing flags
 		{frameFormat, KindHello, 0, 0, 0, 0xAB},  // trailing bytes on hello
 		{frameFormat, KindHeartbeat, 0, 0, 0, 1}, // trailing bytes on heartbeat
-		// Non-canonical encodings of frames Encode writes differently.
+		// Non-canonical encodings of frames AppendTo writes differently.
 		{frameFormat, KindHeartbeat, 0x80, 0x00, 0x05, 0x00}, // padded epoch varint
 		{frameFormat, KindHeartbeat, 0x00, 0x85, 0x00, 0x00}, // padded seq varint
 		{frameFormat, KindHeartbeat, 0x01, 0x05, 0xfe},       // flag bits beyond bit 0
@@ -57,7 +57,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 // re-encodes byte for byte, so no message has two encodings.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range roundTripCases {
-		f.Add(m.Encode())
+		f.Add(m.AppendTo(nil))
 	}
 	f.Add([]byte{frameFormat, KindHeartbeat, 0x80, 0x00, 0x05, 0x00})
 	f.Add([]byte{frameFormat, KindHeartbeat, 0x01, 0x05, 0xfe})
@@ -69,7 +69,7 @@ func FuzzDecodeMessage(f *testing.F) {
 			}
 			return
 		}
-		if got := m.Encode(); !bytes.Equal(got, p) {
+		if got := m.AppendTo(nil); !bytes.Equal(got, p) {
 			t.Fatalf("% x decodes to %+v, which re-encodes to % x", p, m, got)
 		}
 	})

@@ -2,14 +2,15 @@ package replicate
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -201,9 +202,16 @@ func (t *Tailer) postAck(ctx context.Context) {
 	}
 	actx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	body := fmt.Sprintf(`{"v":1,"id":%q,"epoch":%d,"seq":%d}`, t.cfg.ID, t.cfg.Epoch(), seq)
+	// encoding/json escapes any ID, control bytes and invalid UTF-8
+	// included; a struct of a string and integers always encodes.
+	body, _ := json.Marshal(struct {
+		V     int    `json:"v"`
+		ID    string `json:"id"`
+		Epoch uint64 `json:"epoch"`
+		Seq   uint64 `json:"seq"`
+	}{1, t.cfg.ID, t.cfg.Epoch(), seq})
 	req, err := http.NewRequestWithContext(actx, http.MethodPost,
-		"http://"+t.cfg.Primary+"/v1/replicate/ack", strings.NewReader(body))
+		"http://"+t.cfg.Primary+"/v1/replicate/ack", bytes.NewReader(body))
 	if err != nil {
 		return
 	}

@@ -143,17 +143,14 @@ func decodeEvent(payload []byte) (*journalEvent, error) {
 	}
 	ev, rest := &journalEvent{op: payload[1]}, payload[2:]
 	readUvarint := func() (int, error) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, fmt.Errorf("journal event: truncated varint")
-		}
-		if n > 1 && rest[n-1] == 0 {
-			return 0, fmt.Errorf("journal event: non-minimal varint % x", rest[:n])
+		v, after, err := journal.ReadUvarint(rest)
+		if err != nil {
+			return 0, fmt.Errorf("journal event: %w", err)
 		}
 		if v > math.MaxInt {
 			return 0, fmt.Errorf("journal event: varint %d overflows int", v)
 		}
-		rest = rest[n:]
+		rest = after
 		return int(v), nil
 	}
 	readFloat := func() (float64, error) {
@@ -301,12 +298,10 @@ func decodeSnapshot(payload []byte) (*fleetSnapshot, error) {
 	default:
 		return nil, fmt.Errorf("journal snapshot: unknown format byte %#x", payload[0])
 	}
-	rest := payload[1:]
-	n, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return nil, fmt.Errorf("journal snapshot: truncated header length")
+	n, rest, err := journal.ReadUvarint(payload[1:])
+	if err != nil {
+		return nil, fmt.Errorf("journal snapshot: header length: %w", err)
 	}
-	rest = rest[k:]
 	if n > uint64(len(rest)) {
 		return nil, fmt.Errorf("journal snapshot: %d-byte header runs past the %d bytes left", n, len(rest))
 	}

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/replicate"
 	"repro/internal/resilience"
 	"repro/wire"
@@ -140,6 +143,73 @@ func TestFollowerCatchUpLiveStream(t *testing.T) {
 	})
 }
 
+// TestStreamPastHistoryBootstraps: a follower whose position lies past
+// the primary's history reads, off the raw stream, a hello that
+// announces a bootstrap and then the snapshot frame.
+func TestStreamPastHistoryBootstraps(t *testing.T) {
+	cfg := Config{Devices: 8, Shards: 2, BatteryJ: 30, CapacityJ: 100}
+	primary, srv, addr := newPrimary(t, cfg)
+	defer primary.Close()
+	defer srv.Close()
+	fleetMutations(t, primary.Handler(), 6, 8)
+
+	resp, err := http.Get(fmt.Sprintf("http://%s/v1/replicate?from=%d&epoch=1&id=ahead", addr, primary.store.Seq()+5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.CloseClientConnections()
+	defer resp.Body.Close()
+	r := bufio.NewReader(resp.Body)
+	for _, want := range []byte{replicate.KindHello, replicate.KindSnapshot} {
+		p, err := journal.ReadFrame(r)
+		if err != nil {
+			t.Fatalf("reading frame %d: %v", want, err)
+		}
+		m, err := replicate.Decode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Kind != want {
+			t.Fatalf("frame kind %d, want %d", m.Kind, want)
+		}
+		if m.Kind == replicate.KindHello && !m.Bootstrap {
+			t.Fatalf("hello %+v does not announce the snapshot that follows", m)
+		}
+	}
+}
+
+// TestAckWithEscapedFollowerID: a follower ID holding a control byte,
+// which its JSON ack body must escape, still reaches the primary's lag
+// accounting.
+func TestAckWithEscapedFollowerID(t *testing.T) {
+	cfg := Config{Devices: 8, Shards: 2, BatteryJ: 30, CapacityJ: 100}
+	primary, srv, addr := newPrimary(t, cfg)
+	defer primary.Close()
+	defer srv.Close()
+	fcfg := cfg
+	fcfg.FollowerID = "edge\x01id"
+	follower := newFollower(t, fcfg, addr)
+	defer follower.Close()
+
+	fleetMutations(t, primary.Handler(), 6, 8)
+	waitCaughtUp(t, primary, follower)
+	waitFor(t, 10*time.Second, func() bool {
+		var st wire.StatsResponse
+		rec := do(t, primary.Handler(), http.MethodGet, "/v1/stats", nil)
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.Replication == nil {
+			return false
+		}
+		for _, f := range st.Replication.Followers {
+			if f.ID == fcfg.FollowerID && f.AckSeq == primary.store.Seq() {
+				return true
+			}
+		}
+		return false
+	}, func() string {
+		return fmt.Sprintf("primary follower lag = %+v", primary.Stats().Replication)
+	})
+}
+
 func TestFollowerRefusesMutationsWithLeaderHint(t *testing.T) {
 	cfg := Config{Devices: 8, BatteryJ: 20, CapacityJ: 100}
 	primary, srv, addr := newPrimary(t, cfg)
@@ -200,8 +270,8 @@ func TestSnapshotBootstrapBehindRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if oldest := primary.store.OldestRetained(); oldest == 0 {
-		t.Fatalf("oldest retained still 0 after %d compactions", retainSegments+2)
+	if _, err := primary.store.OpenCursor(0); !errors.Is(err, journal.ErrCompacted) {
+		t.Fatalf("a cursor at seq 0 still opens after %d compactions (err %v)", retainSegments+2, err)
 	}
 	// Edge values set outside the journal reach the follower only
 	// through the snapshot, so a bit-for-bit match below proves the
@@ -604,5 +674,14 @@ func BenchmarkReportPathReplicated(b *testing.B) {
 		}()
 		waitLive(b, primary)
 		loop(b, primary.Handler())
+		// Still timed: the follower's work allocates too, so wait until
+		// it has applied every event and each run counts all of it.
+		deadline := time.Now().Add(10 * time.Second)
+		for follower.store.Seq() != primary.store.Seq() {
+			if time.Now().After(deadline) {
+				b.Fatalf("follower at seq %d, primary at seq %d", follower.store.Seq(), primary.store.Seq())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	})
 }

@@ -401,7 +401,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.solves.Add(1)
-	writeJSON(w, http.StatusOK, wire.NewSolveResponse(cfg, alloc))
+	writeBody(w, http.StatusOK, func(dst []byte) ([]byte, error) { return wire.AppendSolve(dst, cfg, alloc) })
 }
 
 func (s *Service) handleBatchSolve(w http.ResponseWriter, r *http.Request) {
@@ -422,9 +422,8 @@ func (s *Service) handleBatchSolve(w http.ResponseWriter, r *http.Request) {
 			results[i] = reap.Result{Err: err}
 		}
 	}
-	resp := wire.NewBatchSolveResponse(reqs, results)
 	s.batchItems.Add(uint64(len(req.Items)))
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, func(dst []byte) ([]byte, error) { return wire.AppendBatchSolve(dst, reqs, results) })
 }
 
 func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -801,13 +800,18 @@ const maxPooledResponse = 1 << 20
 
 var respBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeJSON encodes v whole before the header goes out, so every
-// response carries Content-Length instead of a chunked body, and a
-// value that cannot be encoded (a NaN or infinite float) answers
-// 500/internal rather than an empty 200.
+// writeJSON answers with v's JSON encoding through writeBody.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, func(dst []byte) ([]byte, error) { return wire.AppendJSON(dst, v) })
+}
+
+// writeBody has encode append the whole body to a pooled buffer before
+// the header goes out, so every response carries Content-Length instead
+// of a chunked body, and a value that cannot be encoded (a NaN or
+// infinite float) answers 500/internal rather than an empty 200.
+func writeBody(w http.ResponseWriter, status int, encode func([]byte) ([]byte, error)) {
 	bp := respBufs.Get().(*[]byte)
-	body, err := wire.AppendJSON((*bp)[:0], v)
+	body, err := encode((*bp)[:0])
 	if err != nil {
 		status = http.StatusInternalServerError
 		body, _ = wire.AppendJSON(body[:0], &wire.ErrorResponse{V: wire.Version,

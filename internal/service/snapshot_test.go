@@ -110,6 +110,12 @@ func snapshotRejects(tb testing.TB) []snapshotReject {
 		return append(buf, valid[len(valid)-2*stateRecordSize:]...)
 	}
 	hdr := string(raw)
+	// The header length padded with a final 0x00 group: the same value
+	// in one byte more than newSnapshotBuffer writes.
+	lenEnd := len(binary.AppendUvarint([]byte{snapBinary}, uint64(len(raw))))
+	padded := append([]byte(nil), valid[:lenEnd]...)
+	padded[lenEnd-1] |= 0x80
+	padded = append(append(padded, 0), valid[lenEnd:]...)
 	bigSteps := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint64(bigSteps[len(bigSteps)-stateRecordSize+32:], uint64(math.MaxInt)+1)
 	return []snapshotReject{
@@ -132,6 +138,7 @@ func snapshotRejects(tb testing.TB) []snapshotReject {
 		{"steps_above_maxint", bigSteps},
 		{"json_truncated", []byte(`{"v":1,"fingerprint":"x","states":[`)},
 		{"json_wrong_type", []byte(`{"v":"one"}`)},
+		{"padded_header_length", padded},
 	}
 }
 

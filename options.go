@@ -20,7 +20,6 @@ type settings struct {
 	solve     core.SolveFunc // nil: solve on the plan
 	batteryJ  float64
 	capacityJ float64
-	workers   int
 
 	// deviceOverride refines settings per device when NewFleet builds a
 	// heterogeneous fleet; nil means every device is identical.
@@ -167,18 +166,6 @@ func WithDeviceOverride(override func(device int) []Option) Option {
 			return fmt.Errorf("%w: nil device override", ErrInvalidConfig)
 		}
 		s.deviceOverride = override
-		return nil
-	}
-}
-
-// WithWorkers bounds the worker pool a Fleet uses for StepAll. Zero (the
-// default) selects GOMAXPROCS. New and NewConfig ignore this option.
-func WithWorkers(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("%w: workers %d must be non-negative", ErrInvalidConfig, n)
-		}
-		s.workers = n
 		return nil
 	}
 }

@@ -91,12 +91,11 @@ type Scenario struct {
 	// empty Solver resolves to simplex, pinned so that the solver named
 	// in each golden trace's header does not move (the golden harness
 	// separately asserts the plan reproduces every trace
-	// byte-for-byte). Workers bounds StepAll's pool (0 = GOMAXPROCS).
+	// byte-for-byte).
 	Alpha     float64 `json:"alpha,omitempty"`
 	BatteryJ  float64 `json:"battery_j,omitempty"`
 	CapacityJ float64 `json:"capacity_j,omitempty"`
 	Solver    string  `json:"solver,omitempty"`
-	Workers   int     `json:"workers,omitempty"`
 
 	// Forecast plans each budget from an EWMA prediction of the hour's
 	// harvest (internal/forecast, per device) instead of the actual
@@ -296,7 +295,7 @@ func (sc Scenario) Validate() error {
 	// fleet from (spelled out in both places, so that neither list
 	// escapes to the heap), and Validate refuses what Run would.
 	if _, err := reap.NewConfig(reap.WithAlpha(sc.Alpha), reap.WithBattery(sc.BatteryJ, sc.CapacityJ),
-		reap.WithSolver(sc.Solver), reap.WithWorkers(sc.Workers)); err != nil {
+		reap.WithSolver(sc.Solver)); err != nil {
 		return fmt.Errorf("%w: %s: %w", ErrInvalidScenario, sc.Name, err)
 	}
 	if sc.Forecast && !(sc.ForecastLambda > 0 && sc.ForecastLambda <= 1) {
@@ -812,7 +811,6 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		reap.WithAlpha(sc.Alpha),
 		reap.WithBattery(sc.BatteryJ, sc.CapacityJ),
 		reap.WithSolver(sc.Solver),
-		reap.WithWorkers(sc.Workers),
 	}
 	if override := sc.perDeviceOverride(); override != nil {
 		opts = append(opts, reap.WithDeviceOverride(override))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -45,25 +46,26 @@ func TestSameSeedByteIdenticalTrace(t *testing.T) {
 	}
 }
 
-// TestTraceIndependentOfWorkers: the pool runs one worker per
-// 256-device chunk at most, so the corpus worlds, at 16 devices or
-// fewer, never start one. cloudy-bursts at 1,024 devices spans four
-// chunks, and a four-worker run must write the one-worker run's trace
-// byte for byte.
+// TestTraceIndependentOfWorkers: the pool runs up to GOMAXPROCS
+// workers, one per 256-device chunk at most, so the corpus worlds, at
+// 16 devices or fewer, never start one. cloudy-bursts at 1,024 devices
+// spans four chunks, and a run at GOMAXPROCS 4 must write the trace of
+// a run at GOMAXPROCS 1 byte for byte.
 func TestTraceIndependentOfWorkers(t *testing.T) {
 	sc := mustScenario(t, "cloudy-bursts")
 	sc.Devices = 1024
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var traces [2][]byte
-	for i, workers := range []int{1, 4} {
-		sc.Workers = workers
+	for i, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		res, err := Run(context.Background(), sc)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		traces[i] = res.Trace.Bytes()
 	}
 	if !bytes.Equal(traces[0], traces[1]) {
-		t.Fatalf("4 workers wrote a different trace than 1 (%d vs %d bytes)", len(traces[1]), len(traces[0]))
+		t.Fatalf("GOMAXPROCS 4 wrote a different trace than 1 (%d vs %d bytes)", len(traces[1]), len(traces[0]))
 	}
 }
 
@@ -223,7 +225,6 @@ func TestScenarioValidation(t *testing.T) {
 		"bad solver":        func(s *Scenario) { s.Solver = "no-such-backend" },
 		"bad pop battery":   func(s *Scenario) { s.Populations = []Population{{BatteryJ: 10}} },
 		"neg alpha":         func(s *Scenario) { s.Alpha = -1 },
-		"neg workers":       func(s *Scenario) { s.Workers = -2 },
 		"bad lambda":        func(s *Scenario) { s.Forecast, s.ForecastLambda = true, 5 },
 		"residue no mod":    func(s *Scenario) { s.Populations = []Population{{Residue: 3}} },
 		"battery over":      func(s *Scenario) { s.BatteryJ, s.CapacityJ = 50, 10 },

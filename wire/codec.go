@@ -9,13 +9,14 @@ import (
 	"sync"
 	"unsafe"
 
+	reap "repro"
 	"repro/internal/fpx"
 )
 
-// This file is the single-pass codec behind DecodeStrict and
-// AppendJSON. The scanner reads the canonical subset of JSON that
-// encoding/json itself emits for SolveRequest, BatchSolveRequest and
-// ReportRequest:
+// This file is the single-pass codec behind DecodeStrict and the
+// response appenders (AppendSolve, AppendBatchSolve, AppendJSON). The
+// scanner reads the canonical subset of JSON that encoding/json itself
+// emits for SolveRequest, BatchSolveRequest and ReportRequest:
 //
 //   - keys known and exact-case, each at most once per object;
 //   - no null;
@@ -42,10 +43,11 @@ import (
 // still goes to strconv.ParseFloat. An int field takes the mantissa
 // itself when it fits and strconv.ParseInt's verdict otherwise.
 //
-// The encoder writes a whole-number float below 2^53 in magnitude,
-// other than −0, with strconv.AppendInt: its digits are the shortest
-// form json.Encoder would write. Every other float goes through
-// strconv.AppendFloat.
+// The encoder writes the solve answers from what reap.Solve and
+// reap.SolveBatch returned, building no response struct. It writes a
+// whole-number float below 2^53 in magnitude, other than −0, with
+// strconv.AppendInt: its digits are the shortest form json.Encoder
+// would write. Every other float goes through strconv.AppendFloat.
 
 // maxPooled caps the bytes a pooled decoder keeps: one outsized body
 // must not pin its buffers for as long as the pool stays busy.
@@ -596,32 +598,19 @@ func (d *decoder) integer(p *int) bool {
 }
 
 // AppendJSON appends v's JSON encoding to dst, byte-identical to
-// json.Encoder's, trailing newline included. *BatchSolveResponse,
-// *SolveResponse and *ReportResponse are written directly; every other
-// type goes through encoding/json. A NaN or infinite float is an error,
-// as it is for encoding/json, and returns dst unchanged.
+// json.Encoder's, trailing newline included. *ReportResponse is written
+// directly; every other type goes through encoding/json. A NaN or
+// infinite float is an error, as it is for encoding/json, and returns
+// dst unchanged.
 func AppendJSON(dst []byte, v any) ([]byte, error) {
-	e := encoder{b: dst}
-	switch v := v.(type) {
-	case *BatchSolveResponse:
-		if v != nil {
-			e.batchSolveResponse(v)
-			return e.finish(dst)
-		}
-	case *SolveResponse:
-		if v != nil {
-			e.solveResponse(v)
-			return e.finish(dst)
-		}
-	case *ReportResponse:
-		if v != nil {
-			e.b = append(e.b, `{"v":`...)
-			e.b = strconv.AppendInt(e.b, int64(v.V), 10)
-			e.b = append(e.b, `,"accepted":`...)
-			e.b = strconv.AppendInt(e.b, int64(v.Accepted), 10)
-			e.b = append(e.b, '}')
-			return e.finish(dst)
-		}
+	if v, ok := v.(*ReportResponse); ok && v != nil {
+		e := encoder{b: dst}
+		e.b = append(e.b, `{"v":`...)
+		e.b = strconv.AppendInt(e.b, int64(v.V), 10)
+		e.b = append(e.b, `,"accepted":`...)
+		e.b = strconv.AppendInt(e.b, int64(v.Accepted), 10)
+		e.b = append(e.b, '}')
+		return e.finish(dst)
 	}
 	buf := bytes.NewBuffer(dst)
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
@@ -643,49 +632,58 @@ func (e *encoder) finish(dst []byte) ([]byte, error) {
 	return append(e.b, '\n'), nil
 }
 
-func (e *encoder) batchSolveResponse(v *BatchSolveResponse) {
+// AppendSolve appends the /v1/solve answer for allocation a solved
+// under cfg: json.Encoder's bytes for NewSolveResponse(cfg, a),
+// trailing newline included. A NaN or infinite float is an error and
+// returns dst unchanged.
+func AppendSolve(dst []byte, cfg reap.Config, a reap.Allocation) ([]byte, error) {
+	e := encoder{b: dst}
+	e.solve(cfg, a)
+	return e.finish(dst)
+}
+
+// AppendBatchSolve appends the /v1/batch-solve answer to reqs, where
+// results[i] answers reqs[i]: json.Encoder's bytes for a
+// BatchSolveResponse whose items are NewSolveResponse(reqs[i].Config,
+// results[i].Allocation) or AsError(results[i].Err), trailing newline
+// included. A NaN or infinite float is an error and returns dst
+// unchanged.
+func AppendBatchSolve(dst []byte, reqs []reap.Request, results []reap.Result) ([]byte, error) {
+	e := encoder{b: dst}
 	e.b = append(e.b, `{"v":`...)
-	e.b = strconv.AppendInt(e.b, int64(v.V), 10)
-	e.b = append(e.b, `,"results":`...)
-	if v.Results == nil {
-		e.b = append(e.b, "null}"...)
-		return
-	}
-	e.b = append(e.b, '[')
-	for i := range v.Results {
+	e.b = strconv.AppendInt(e.b, Version, 10)
+	e.b = append(e.b, `,"results":[`...)
+	for i, res := range results {
 		if i > 0 {
 			e.b = append(e.b, ',')
 		}
-		r := &v.Results[i]
-		e.b = append(e.b, '{')
-		if r.Solve != nil {
-			e.b = append(e.b, `"solve":`...)
-			e.solveResponse(r.Solve)
-		}
-		if r.Error != nil {
-			if r.Solve != nil {
-				e.b = append(e.b, ',')
-			}
-			e.b = append(e.b, `"error":{"code":`...)
-			e.str(r.Error.Code)
+		if res.Err != nil {
+			we := AsError(res.Err)
+			e.b = append(e.b, `{"error":{"code":`...)
+			e.str(we.Code)
 			e.b = append(e.b, `,"message":`...)
-			e.str(r.Error.Message)
-			e.b = append(e.b, '}')
+			e.str(we.Message)
+			e.b = append(e.b, "}}"...)
+			continue
 		}
+		e.b = append(e.b, `{"solve":`...)
+		e.solve(reqs[i].Config, res.Allocation)
 		e.b = append(e.b, '}')
 	}
 	e.b = append(e.b, "]}"...)
+	return e.finish(dst)
 }
 
-func (e *encoder) solveResponse(v *SolveResponse) {
+// solve writes the SolveResponse NewSolveResponse(cfg, a) would build.
+func (e *encoder) solve(cfg reap.Config, a reap.Allocation) {
 	e.b = append(e.b, `{"v":`...)
-	e.b = strconv.AppendInt(e.b, int64(v.V), 10)
+	e.b = strconv.AppendInt(e.b, Version, 10)
 	e.b = append(e.b, `,"allocation":{"active_s":`...)
-	if v.Allocation.ActiveS == nil {
-		e.b = append(e.b, "null"...)
+	if len(a.Active) == 0 {
+		e.b = append(e.b, "null"...) // FromAllocation's copy of an empty Active is nil
 	} else {
 		e.b = append(e.b, '[')
-		for i, f := range v.Allocation.ActiveS {
+		for i, f := range a.Active {
 			if i > 0 {
 				e.b = append(e.b, ',')
 			}
@@ -694,13 +692,13 @@ func (e *encoder) solveResponse(v *SolveResponse) {
 		e.b = append(e.b, ']')
 	}
 	e.b = append(e.b, `,"off_s":`...)
-	e.float(v.Allocation.OffS)
+	e.float(a.Off)
 	e.b = append(e.b, `,"dead_s":`...)
-	e.float(v.Allocation.DeadS)
+	e.float(a.Dead)
 	e.b = append(e.b, `},"energy_j":`...)
-	e.float(v.EnergyJ)
+	e.float(a.Energy(cfg))
 	e.b = append(e.b, `,"expected_accuracy":`...)
-	e.float(v.ExpectedAccuracy)
+	e.float(a.ExpectedAccuracy(cfg))
 	e.b = append(e.b, '}')
 }
 

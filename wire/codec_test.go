@@ -15,6 +15,7 @@ import (
 	"testing/iotest"
 	"unsafe"
 
+	reap "repro"
 	"repro/wire"
 )
 
@@ -381,37 +382,53 @@ var encodeStrings = []string{
 	"<script>", "é and 日本", "bad \xff utf8", "line\nbreak\ttab\x01", "  ", "del\x7f",
 }
 
-func randomBatchResponse(rng *rand.Rand) *wire.BatchSolveResponse {
+// randomResults returns up to five solver results and the requests they
+// answer: errors drawn from encodeStrings, as wire errors and as
+// solver errors for AsError to classify, empty Active slices, and
+// encodeFloats among the times and powers, so the integer path and the
+// 'e' switch of the float format are both exercised.
+func randomResults(rng *rand.Rand) ([]reap.Request, []reap.Result) {
 	pick := func() float64 {
 		if rng.Intn(3) == 0 {
 			return encodeFloats[rng.Intn(len(encodeFloats))]
 		}
 		return math.Ldexp(rng.Float64(), rng.Intn(160)-80) * float64(1-2*rng.Intn(2))
 	}
-	resp := &wire.BatchSolveResponse{V: rng.Intn(3) - 1}
-	if rng.Intn(8) == 0 {
-		return resp // nil Results
+	text := func() string { return encodeStrings[rng.Intn(len(encodeStrings))] }
+	n := rng.Intn(6)
+	reqs, results := make([]reap.Request, n), make([]reap.Result, n)
+	for i := range results {
+		dps := make([]reap.DesignPoint, rng.Intn(6))
+		for j := range dps {
+			dps[j] = reap.DesignPoint{Accuracy: rng.Float64(), Power: pick()}
+		}
+		reqs[i] = reap.Request{Config: reap.Config{Period: 3600, POff: pick(), DPs: dps}, Budget: pick()}
+		switch rng.Intn(4) {
+		case 0:
+			results[i].Err = &wire.Error{Code: text(), Message: text()}
+		case 1:
+			results[i].Err = fmt.Errorf("%w: %s", reap.ErrInfeasible, text())
+		default:
+			a := reap.Allocation{Active: make([]float64, len(dps)), Off: pick(), Dead: pick()}
+			for j := range a.Active {
+				a.Active[j] = pick()
+			}
+			results[i].Allocation = a
+		}
 	}
-	resp.Results = make([]wire.SolveResult, rng.Intn(6))
-	for i := range resp.Results {
-		r := &resp.Results[i]
-		if rng.Intn(3) > 0 {
-			s := &wire.SolveResponse{V: 1, EnergyJ: pick(), ExpectedAccuracy: pick()}
-			s.Allocation.OffS, s.Allocation.DeadS = pick(), pick()
-			if n := rng.Intn(7) - 1; n >= 0 {
-				s.Allocation.ActiveS = make([]float64, n)
-				for j := range s.Allocation.ActiveS {
-					s.Allocation.ActiveS[j] = pick()
-				}
-			}
-			r.Solve = s
+	return reqs, results
+}
+
+// batchResponse is the answer AppendBatchSolve must encode, built item
+// by item with NewSolveResponse and AsError.
+func batchResponse(reqs []reap.Request, results []reap.Result) *wire.BatchSolveResponse {
+	resp := &wire.BatchSolveResponse{V: wire.Version, Results: make([]wire.SolveResult, len(results))}
+	for i, res := range results {
+		if res.Err != nil {
+			resp.Results[i].Error = wire.AsError(res.Err)
+			continue
 		}
-		if rng.Intn(3) == 0 {
-			r.Error = &wire.Error{
-				Code:    encodeStrings[rng.Intn(len(encodeStrings))],
-				Message: encodeStrings[rng.Intn(len(encodeStrings))],
-			}
-		}
+		resp.Results[i].Solve = wire.NewSolveResponse(reqs[i].Config, res.Allocation)
 	}
 	return resp
 }
@@ -422,62 +439,113 @@ func encoderBytes(v any) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// TestAppendJSONMatchesEncoder: AppendJSON writes json.Encoder's bytes
-// exactly, for the types it encodes itself and for the rest.
-func TestAppendJSONMatchesEncoder(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	values := []any{
-		&wire.SolveResponse{},
-		&wire.ReportResponse{V: 1, Accepted: 64},
-		&wire.StatsResponse{V: 1, Devices: 3, TotalBatteryJ: 1e-9},
-		&wire.ErrorResponse{V: 1, Error: wire.Error{Code: "x", Message: "<&>"}},
-		(*wire.BatchSolveResponse)(nil),
-		&wire.BatchSolveResponse{V: 1, Results: []wire.SolveResult{}},
-		&wire.BatchSolveResponse{V: 1, Results: []wire.SolveResult{{}}},
+// matchesEncoder checks that appendTo, given a prefix, wrote
+// json.Encoder's bytes for v after it, or, where json.Encoder fails,
+// failed too and returned the prefix alone. It reports whether v
+// encoded.
+func matchesEncoder(t *testing.T, v any, appendTo func([]byte) ([]byte, error)) bool {
+	t.Helper()
+	prefix := []byte("prefix")
+	want, wantErr := encoderBytes(v)
+	got, err := appendTo(prefix[:len(prefix):len(prefix)])
+	switch {
+	case wantErr != nil && err == nil:
+		t.Fatalf("json.Encoder failed (%v) but the appender wrote\n%s", wantErr, got[len(prefix):])
+	case wantErr != nil && string(got) != string(prefix):
+		t.Fatalf("appender returned %q on error, want dst unchanged", got)
+	case wantErr == nil && err != nil:
+		t.Fatalf("appender failed (%v) where json.Encoder wrote\n%s", err, want)
+	case wantErr == nil && !bytes.Equal(got, append(prefix, want...)):
+		t.Fatalf("appender wrote\n%s\njson.Encoder wrote\n%s", got[len(prefix):], want)
 	}
+	return wantErr == nil
+}
+
+// TestAppendSolveMatchesEncoder: AppendSolve and AppendBatchSolve write
+// json.Encoder's bytes for the responses NewSolveResponse and AsError
+// build from the same results, and fail where it fails.
+func TestAppendSolveMatchesEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	encoded, failed := 0, 0
+	check := func(reqs []reap.Request, results []reap.Result) {
+		for i, res := range results {
+			if res.Err == nil {
+				cfg := reqs[i].Config
+				matchesEncoder(t, wire.NewSolveResponse(cfg, res.Allocation), func(dst []byte) ([]byte, error) {
+					return wire.AppendSolve(dst, cfg, res.Allocation)
+				})
+			}
+		}
+		if matchesEncoder(t, batchResponse(reqs, results), func(dst []byte) ([]byte, error) {
+			return wire.AppendBatchSolve(dst, reqs, results)
+		}) {
+			encoded++
+		} else {
+			failed++
+		}
+	}
+	check(nil, nil) // an empty batch answers "results":[]
+	paper := reap.Config{Period: 3600, POff: 50e-6, Alpha: 1, DPs: reap.PaperDesignPoints()}
 	for _, f := range encodeFloats {
-		values = append(values, &wire.SolveResponse{V: 1, EnergyJ: f, ExpectedAccuracy: -f,
-			Allocation: wire.Allocation{ActiveS: []float64{f, -f}, OffS: f, DeadS: f}})
+		a := reap.Allocation{Active: []float64{f, -f, 0, 1, f}, Off: f, Dead: -f}
+		check([]reap.Request{{Config: paper}}, []reap.Result{{Allocation: a}})
 	}
 	for i := 0; i < 2000; i++ {
-		values = append(values, randomBatchResponse(rng))
+		check(randomResults(rng))
 	}
-	prefix := []byte("prefix")
-	for _, v := range values {
-		want, err := encoderBytes(v)
-		if err != nil {
-			t.Fatalf("json.Encoder %+v: %v", v, err)
-		}
-		got, err := wire.AppendJSON(append([]byte(nil), prefix...), v)
-		if err != nil {
-			t.Fatalf("AppendJSON %+v: %v", v, err)
-		}
-		if !bytes.Equal(got, append(append([]byte(nil), prefix...), want...)) {
-			t.Fatalf("AppendJSON wrote\n%s\njson.Encoder wrote\n%s", got[len(prefix):], want)
-		}
+	t.Logf("%d batches encoded, %d failed", encoded, failed)
+	if encoded < 1000 || failed == 0 {
+		t.Fatalf("%d batches encoded and %d failed: the random results miss a path", encoded, failed)
 	}
 }
 
-// TestAppendJSONRejectsNonFinite: NaN and ±Inf fail both encoders, and
-// AppendJSON leaves dst as it was.
-func TestAppendJSONRejectsNonFinite(t *testing.T) {
+// TestAppendJSONMatchesEncoder: AppendJSON writes json.Encoder's bytes
+// exactly, for the type it encodes itself and for the rest.
+func TestAppendJSONMatchesEncoder(t *testing.T) {
+	values := []any{
+		&wire.ReportResponse{V: 1, Accepted: 64},
+		&wire.ReportResponse{V: -1, Accepted: math.MinInt},
+		(*wire.ReportResponse)(nil),
+		&wire.StatsResponse{V: 1, Devices: 3, TotalBatteryJ: 1e-9},
+		&wire.ErrorResponse{V: 1, Error: wire.Error{Code: "x", Message: "<&>"}},
+		&wire.SolveResponse{},
+		&wire.BatchSolveResponse{V: 1, Results: []wire.SolveResult{{}}},
+	}
+	for _, v := range values {
+		matchesEncoder(t, v, func(dst []byte) ([]byte, error) { return wire.AppendJSON(dst, v) })
+	}
+}
+
+// TestAppendRejectsNonFinite: a NaN or ±Inf anywhere in an answer fails
+// every appender as it fails json.Encoder, and leaves dst as it was.
+func TestAppendRejectsNonFinite(t *testing.T) {
+	paper := reap.Config{Period: 3600, POff: 50e-6, Alpha: 1, DPs: reap.PaperDesignPoints()}
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		values := []any{
-			&wire.SolveResponse{V: 1, EnergyJ: f},
-			&wire.BatchSolveResponse{V: 1, Results: []wire.SolveResult{{Solve: &wire.SolveResponse{
-				Allocation: wire.Allocation{ActiveS: []float64{1, f}}}}}},
-		}
-		for _, v := range values {
-			if _, err := encoderBytes(v); err == nil {
-				t.Fatalf("json.Encoder accepted %v", f)
+		for _, a := range []reap.Allocation{
+			{Active: []float64{1, 2, f, 0, 0}},
+			{Active: []float64{0, 0, 0, 0, 0}, Off: f},
+			{Dead: f},
+		} {
+			reqs := []reap.Request{{Config: paper}, {Config: paper}}
+			results := []reap.Result{{Err: reap.ErrInfeasible}, {Allocation: a}}
+			appenders := map[string]func([]byte) ([]byte, error){
+				"AppendSolve": func(dst []byte) ([]byte, error) { return wire.AppendSolve(dst, paper, a) },
+				"AppendBatchSolve": func(dst []byte) ([]byte, error) {
+					return wire.AppendBatchSolve(dst, reqs, results)
+				},
+				"AppendJSON": func(dst []byte) ([]byte, error) {
+					return wire.AppendJSON(dst, wire.NewSolveResponse(paper, a))
+				},
 			}
-			dst := []byte("kept")
-			got, err := wire.AppendJSON(dst, v)
-			if err == nil {
-				t.Fatalf("AppendJSON accepted %v", f)
-			}
-			if string(got) != "kept" {
-				t.Fatalf("AppendJSON returned %q on error, want dst unchanged", got)
+			for name, appendTo := range appenders {
+				dst := []byte("kept")
+				got, err := appendTo(dst)
+				if err == nil {
+					t.Fatalf("%s accepted %v in %+v", name, f, a)
+				}
+				if string(got) != "kept" {
+					t.Fatalf("%s returned %q on error, want dst unchanged", name, got)
+				}
 			}
 		}
 	}

@@ -148,57 +148,13 @@ func FromAllocation(a reap.Allocation) Allocation {
 
 // NewSolveResponse assembles the response for a solved request,
 // deriving the reported energy and expected accuracy under the solved
-// configuration.
+// configuration. AppendSolve writes the same answer without building
+// it.
 func NewSolveResponse(cfg reap.Config, a reap.Allocation) *SolveResponse {
-	r := new(SolveResponse)
-	r.fill(cfg, a, make([]float64, len(a.Active)))
-	return r
-}
-
-// NewBatchSolveResponse assembles the answer to a batch from
-// reap.SolveBatch's results, where results[i] answers reqs[i]. Each
-// item reads as NewSolveResponse or AsError would make it, but the
-// solves and their active_s copies are carved out of one slab each, so
-// the solved items cost a fixed number of allocations per batch.
-func NewBatchSolveResponse(reqs []reap.Request, results []reap.Result) *BatchSolveResponse {
-	solved, active := 0, 0
-	for _, res := range results {
-		if res.Err == nil {
-			solved++
-			active += len(res.Allocation.Active)
-		}
-	}
-	solves := make([]SolveResponse, solved)
-	slab := make([]float64, active)
-	resp := &BatchSolveResponse{V: Version, Results: make([]SolveResult, len(results))}
-	for i, res := range results {
-		if res.Err != nil {
-			resp.Results[i].Error = AsError(res.Err)
-			continue
-		}
-		s := &solves[0]
-		solves = solves[1:]
-		slab = s.fill(reqs[i].Config, res.Allocation, slab)
-		resp.Results[i].Solve = s
-	}
-	return resp
-}
-
-// fill sets r to the response for allocation a solved under cfg. Its
-// active_s is a copy of a.Active, made in the front of slab (wire
-// values outlive the solver's reused buffers); fill returns the rest
-// of slab.
-func (r *SolveResponse) fill(cfg reap.Config, a reap.Allocation, slab []float64) []float64 {
-	var active []float64 // nil for an empty Active, so active_s encodes as null as FromAllocation's copy does
-	if n := len(a.Active); n > 0 {
-		active = slab[:n:n]
-		copy(active, a.Active)
-	}
-	*r = SolveResponse{
+	return &SolveResponse{
 		V:                Version,
-		Allocation:       Allocation{ActiveS: active, OffS: a.Off, DeadS: a.Dead},
+		Allocation:       FromAllocation(a),
 		EnergyJ:          a.Energy(cfg),
 		ExpectedAccuracy: a.ExpectedAccuracy(cfg),
 	}
-	return slab[len(active):]
 }
