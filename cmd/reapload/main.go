@@ -19,7 +19,8 @@
 // reports per request for devices cycling through [0, -devices); -mode
 // mixed interleaves those two with α changes on /v1/alpha (α in
 // 0.5–2) and one-line /v1/telemetry harvest steps for the same devices,
-// so every kind of journaled mutation rides the traffic, and counts the
+// so every kind of journaled mutation rides the traffic; every other
+// report batch lists its devices in descending order. It counts the
 // acknowledged reports, steps and α changes (a step is acknowledged by
 // a 200 whose result line carries no error). Budgets cycle through a fixed
 // spread covering every operating region of the paper's configuration,
@@ -65,6 +66,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -517,7 +519,10 @@ func tear(addr string, p payload, rng *rand.Rand) {
 // configuration) so consecutive requests exercise distinct solves;
 // report batches walk the device space in sorted runs, the shape a
 // fleet gateway produces. Mixed mode adds an α change and a harvest
-// step per variant, each for one device of the space.
+// step per variant, each for one device of the space, and sends the
+// odd variants' report batches in descending device order, so the
+// daemon journals, replays and ships batches whose devices cross its
+// shards out of order.
 func buildPayloads(mode string, batch, devices int) []payload {
 	budget := func(i int) float64 { return 11.0 * float64(i%97) / 97 }
 	const variants = 16
@@ -539,6 +544,9 @@ func buildPayloads(mode string, batch, devices int) []payload {
 			reps[i] = wire.DeviceReport{Device: (v*batch + i*7) % devices, ConsumedJ: 1e-6}
 		}
 		sort.Slice(reps, func(i, j int) bool { return reps[i].Device < reps[j].Device })
+		if mode == "mixed" && v%2 == 1 {
+			slices.Reverse(reps)
+		}
 		reports = append(reports, payload{path: "/v1/report", reports: batch,
 			body: mustEncode(&wire.ReportRequest{V: wire.Version, Reports: reps})})
 		device := (v * 37) % devices

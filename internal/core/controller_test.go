@@ -211,8 +211,8 @@ func TestPaperHeadlineClaims(t *testing.T) {
 	// "REAP achieves both 46% higher expected accuracy and 66% longer
 	// active time compared to the highest performance design point."
 	// These gains are averages over the constrained regions; verify that
-	// budgets exist where the gains are at least this large, and compute
-	// the sweep-average for EXPERIMENTS.md elsewhere.
+	// budgets exist where the gains are at least this large; the
+	// sweep averages are cmd/experiments' headline report.
 	c := DefaultConfig()
 	bestAccGain, bestTimeGain := 0.0, 0.0
 	for budget := 0.5; budget <= 9.9; budget += 0.1 {

@@ -12,7 +12,9 @@
 //   - the from-scratch simulated characterization (har.Characterize), which
 //     regenerates Table 2 and Figure 3 themselves.
 //
-// EXPERIMENTS.md records both views.
+// cmd/experiments prints both views as its reports; its -skip-training
+// output, which leaves out the two that train classifiers, is pinned by
+// cmd/experiments/testdata/skip-training.golden.
 package eval
 
 import (

@@ -194,7 +194,10 @@ func TestResetReRootsHistory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open after Reset: %v", err)
 	}
-	snap, snapSeq := st2.Snapshot()
+	snap, snapSeq, err := st2.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot after Reset: %v", err)
+	}
 	if string(snap) != "primary-state" || snapSeq != 1000 {
 		t.Fatalf("Snapshot after Reset = (%q, %d), want (primary-state, 1000)", snap, snapSeq)
 	}

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -103,7 +104,10 @@ func TestSnapshotCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, seq := st2.Snapshot()
+	snap, seq, err := st2.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if string(snap) != "state@5" || seq != 5 {
 		t.Fatalf("Snapshot = %q@%d, want state@5@5", snap, seq)
 	}
@@ -131,6 +135,145 @@ func TestSnapshotCompaction(t *testing.T) {
 	if len(segs) != 1 || len(snaps) != 1 {
 		t.Errorf("compaction left %d segments, %d snapshots; want 1 and 1", len(segs), len(snaps))
 	}
+}
+
+// wantSnapshot checks that st.Snapshot reads back payload at seq.
+func wantSnapshot(t *testing.T, st *Store, payload string, seq uint64) {
+	t.Helper()
+	got, gotSeq, err := st.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if string(got) != payload || gotSeq != seq {
+		t.Fatalf("Snapshot = %q@%d, want %q@%d", got, gotSeq, payload, seq)
+	}
+}
+
+// TestSnapshotReadsBackInstalled: Snapshot reads back what Compact and
+// Reset installed, and what a reopen found, from the file alone; a
+// directory without a snapshot answers nil, 0, nil.
+func TestSnapshotReadsBackInstalled(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, seq, err := st.Snapshot(); got != nil || seq != 0 || err != nil {
+		t.Fatalf("fresh directory: Snapshot = %q, %d, %v; want nil, 0, nil", got, seq, err)
+	}
+	if err := st.Start(func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append([]byte("e1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact([]byte("state@1")); err != nil {
+		t.Fatal(err)
+	}
+	wantSnapshot(t, st, "state@1", 1)
+	if err := st.Reset([]byte("primary@40"), 40); err != nil {
+		t.Fatal(err)
+	}
+	wantSnapshot(t, st, "primary@40", 40)
+	if _, err := st.Append([]byte("e41")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSnapshot(t, st2, "primary@40", 40)
+}
+
+// TestSnapshotCorruptAfterOpen: the store keeps no copy of the snapshot,
+// so a file that stops reading back as exactly one valid record after
+// Open makes Snapshot fail with ErrCorrupt instead of serving stale
+// bytes.
+func TestSnapshotCorruptAfterOpen(t *testing.T) {
+	for name, damage := range map[string]func(raw []byte) []byte{
+		"garbage":      func(raw []byte) []byte { return bytes.Repeat([]byte{0xa5}, len(raw)) },
+		"truncated":    func(raw []byte) []byte { return raw[:len(raw)-1] },
+		"empty":        func([]byte) []byte { return nil },
+		"second frame": func(raw []byte) []byte { return AppendFrame(raw, []byte("more")) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, _ := openStarted(t, dir, Options{})
+			if _, err := st.Append([]byte("e1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Compact([]byte("state@1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st2, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, snapName(1))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, damage(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, seq, err := st2.Snapshot(); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Snapshot of a damaged file = %q@%d, %v; want ErrCorrupt", got, seq, err)
+			}
+		})
+	}
+}
+
+// TestSnapshotBesideCompact: Snapshot runs while Compact keeps
+// installing newer snapshots and removing older ones. The file is
+// opened under the store mutex, so no read fails, and every payload
+// read back is one that was installed, at the seq it was installed at.
+func TestSnapshotBesideCompact(t *testing.T) {
+	st, _ := openStarted(t, t.TempDir(), Options{})
+	defer st.Close()
+	payload := func(seq uint64) []byte { return bytes.Repeat([]byte(fmt.Sprintf("state@%d|", seq)), 500) }
+	if err := st.Compact(payload(0)); err != nil {
+		t.Fatal(err)
+	}
+
+	const compactions = 200
+	done := make(chan struct{})
+	defer func() { <-done }() // before Close, on every path
+	go func() {
+		defer close(done)
+		for range compactions {
+			seq, err := st.Append([]byte("e"))
+			if err == nil {
+				err = st.Compact(payload(seq))
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	reads := 0
+	for running := true; running; reads++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		got, seq, err := st.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot beside Compact: %v", err)
+		}
+		if !bytes.Equal(got, payload(seq)) {
+			t.Fatalf("Snapshot at seq %d read back %q..., not the payload installed there", seq, got[:min(len(got), 24)])
+		}
+	}
+	t.Logf("%d reads beside %d compactions", reads, compactions)
 }
 
 // TestSnapshotFileIsOneFrame: a snapshot file, written as a frame
@@ -184,7 +327,10 @@ func TestRepeatedCompactionAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, seq := st2.Snapshot()
+	snap, seq, err := st2.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if string(snap) != "state@28" || seq != 28 {
 		t.Fatalf("Snapshot = %q@%d, want state@28@28", snap, seq)
 	}

@@ -51,11 +51,13 @@ type Stats struct {
 // Store owns one journal directory: the newest snapshot, the log
 // segments that follow it, and the active segment appends go to.
 //
-// Lifecycle: Open scans and validates the directory and loads the
-// newest snapshot into memory; the caller restores its state from
-// Snapshot, then calls Start with a replay function to apply the logged
-// tail; only then may Append, Sync and Compact be used. All methods are
-// safe for concurrent use after Start.
+// Lifecycle: Open scans the directory and picks the newest snapshot
+// file that reads back validly; the caller restores its state from
+// Snapshot, which reads that file again, then calls Start with a replay
+// function to apply the logged tail; only then may Append, Sync and
+// Compact be used. A snapshot is kept only in its file: the store holds
+// its path and sequence number, never its bytes. All methods are safe
+// for concurrent use after Start.
 type Store struct {
 	dir  string
 	opts Options
@@ -67,7 +69,7 @@ type Store struct {
 	seq     uint64 // events in history (snapshot base + replayed + appended)
 	frame   []byte // the last record writeRecord framed, reused by the next
 
-	snapshot []byte
+	snapPath string // the newest valid snapshot file, "" when there is none
 	snapSeq  uint64
 
 	replayed    uint64
@@ -117,10 +119,11 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
-// Open scans dir (created if absent), validates and loads the newest
-// readable snapshot, and records which log segments must replay. The
-// returned store is not yet appendable — restore state from Snapshot,
-// then call Start.
+// Open scans dir (created if absent), picks the newest snapshot file
+// that reads back as one valid record, and records which log segments
+// must replay. It keeps the snapshot's path and sequence number, not
+// its bytes. The returned store is not yet appendable — restore state
+// from Snapshot, then call Start.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
@@ -154,31 +157,37 @@ func Open(dir string, opts Options) (*Store, error) {
 	// (which the atomic rename should make impossible) falls back to the
 	// previous, whose covering segments are still on disk until cleanup.
 	for _, sn := range snaps {
-		payload, ok := readSnapshot(sn.path)
-		if !ok {
+		f, err := os.Open(sn.path)
+		if err != nil {
 			continue
 		}
-		s.snapshot = payload
-		s.snapSeq = sn.start
+		_, err = readSnapshot(f)
+		_ = f.Close()
+		if err != nil {
+			continue
+		}
+		s.snapPath, s.snapSeq = sn.path, sn.start
 		break
 	}
 	s.seq = s.snapSeq
 	return s, nil
 }
 
-// readSnapshot loads a snapshot file: exactly one valid record.
-func readSnapshot(path string) ([]byte, bool) {
-	var payload []byte
-	n := 0
-	_, torn, err := scanSegment(path, func(p []byte) error {
-		payload = p
-		n++
-		return nil
-	})
-	if err != nil || torn || n != 1 {
-		return nil, false
+// readSnapshot reads the snapshot file f from its start: exactly one
+// valid record and nothing after it. Anything else is an error wrapping
+// ErrCorrupt.
+func readSnapshot(f *os.File) ([]byte, error) {
+	payload, err := ReadFrame(f)
+	if err == nil {
+		var b [1]byte
+		if _, err = f.Read(b[:]); err == io.EOF {
+			return payload, nil
+		}
+		if err == nil {
+			err = errors.New("bytes after its record")
+		}
 	}
-	return payload, true
+	return nil, fmt.Errorf("%w: snapshot %s: %v", ErrCorrupt, filepath.Base(f.Name()), err)
 }
 
 // Start replays every logged event after the snapshot through fn (in
@@ -390,7 +399,8 @@ func (s *Store) Compact(snapshot []byte) error {
 	}
 
 	// 2. Snapshot: temp write, fsync, atomic rename.
-	if err := s.installSnapshot(snapshot, seq); err != nil {
+	path, err := s.installSnapshot(snapshot, seq)
+	if err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
 	}
 
@@ -404,11 +414,10 @@ func (s *Store) Compact(snapshot []byte) error {
 		}
 		s.disk = append(s.disk[:0:0], s.disk[drop:]...)
 	}
-	if s.snapSeq < seq && s.snapshot != nil {
-		_ = os.Remove(filepath.Join(s.dir, snapName(s.snapSeq)))
+	if s.snapPath != "" && s.snapPath != path {
+		_ = os.Remove(s.snapPath)
 	}
-	s.snapshot = snapshot
-	s.snapSeq = seq
+	s.snapPath, s.snapSeq = path, seq
 	s.compactions++
 	return nil
 }
@@ -418,14 +427,15 @@ func (s *Store) Compact(snapshot []byte) error {
 // go out as two writes, so a fleet-sized snapshot is never copied into
 // a framed buffer; unlike for a segment append that is safe here,
 // because the rename, not a single write(2), is what makes the file
-// appear whole. Callers hold s.mu.
-func (s *Store) installSnapshot(payload []byte, seq uint64) error {
+// appear whole. It returns the file's path. Callers hold s.mu.
+func (s *Store) installSnapshot(payload []byte, seq uint64) (string, error) {
 	var frame [frameSize]byte
 	frameHeaderInto(frame[:], payload)
-	if err := InstallFile(filepath.Join(s.dir, snapName(seq)), frame[:], payload); err != nil {
-		return fmt.Errorf("writing snapshot: %w", err)
+	path := filepath.Join(s.dir, snapName(seq))
+	if err := InstallFile(path, frame[:], payload); err != nil {
+		return "", fmt.Errorf("writing snapshot: %w", err)
 	}
-	return nil
+	return path, nil
 }
 
 // InstallFile atomically makes the concatenation of parts the file at
@@ -523,14 +533,31 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Snapshot returns the newest snapshot payload and the sequence number
-// it covers: the one Open loaded (nil and 0 for a directory without
-// one) until Compact or Reset installs a newer one. The payload must be
-// treated as read-only.
-func (s *Store) Snapshot() (payload []byte, seq uint64) {
+// Snapshot reads back the newest snapshot and returns its payload and
+// the sequence number it covers: the one Open picked until Compact or
+// Reset installs a newer one, and nil, 0, nil when there is none. The
+// file is opened under the store mutex, so no Compact can remove it
+// first (an open descriptor keeps an unlinked file readable), and read
+// after releasing it, so no append waits on the read. A file that no
+// longer reads back as exactly one valid record is an error wrapping
+// ErrCorrupt.
+func (s *Store) Snapshot() (payload []byte, seq uint64, err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshot, s.snapSeq
+	if s.snapPath == "" {
+		s.mu.Unlock()
+		return nil, 0, nil
+	}
+	seq = s.snapSeq
+	f, err := os.Open(s.snapPath)
+	s.mu.Unlock()
+	if err != nil {
+		return nil, 0, fmt.Errorf("journal: snapshot: %w", err)
+	}
+	defer f.Close()
+	if payload, err = readSnapshot(f); err != nil {
+		return nil, 0, err
+	}
+	return payload, seq, nil
 }
 
 // Reset discards the store's entire on-disk history and re-roots it at
@@ -560,15 +587,15 @@ func (s *Store) Reset(snapshot []byte, seq uint64) error {
 			_ = os.Remove(filepath.Join(s.dir, name))
 		}
 	}
-	if err := s.installSnapshot(snapshot, seq); err != nil {
+	path, err := s.installSnapshot(snapshot, seq)
+	if err != nil {
 		return fmt.Errorf("journal: reset: %w", err)
 	}
 	s.disk = nil
 	if err := s.openSegment(seq); err != nil {
 		return fmt.Errorf("journal: reset: %w", err)
 	}
-	s.seq, s.snapSeq = seq, seq
-	s.snapshot = snapshot
+	s.seq, s.snapSeq, s.snapPath = seq, seq, path
 	s.compactions++
 	return nil
 }

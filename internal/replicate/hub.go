@@ -237,17 +237,21 @@ func (h *Hub) ServeStream(ctx context.Context, w http.ResponseWriter, id string,
 	if err := send(Message{Kind: KindHello, Epoch: h.cfg.Epoch(), Seq: st.Seq(), Bootstrap: bootstrap}); err != nil {
 		return fmt.Errorf("%w: hello: %v", ErrStream, err)
 	}
-	// sendSnapshot re-roots the follower at the newest snapshot and
-	// points the cursor at the events that follow it.
+	// sendSnapshot re-roots the follower at the newest snapshot, read
+	// back from its file, and points the cursor at the events that
+	// follow it. A snapshot that cannot be read ends the stream, and the
+	// follower reconnects.
 	sendSnapshot := func() error {
 		if cur != nil {
 			_ = cur.Close()
 		}
-		snap, snapSeq := st.Snapshot()
+		snap, snapSeq, err := st.Snapshot()
+		if err != nil {
+			return err
+		}
 		if err := send(Message{Kind: KindSnapshot, Seq: snapSeq, Payload: snap}); err != nil {
 			return fmt.Errorf("%w: snapshot: %v", ErrStream, err)
 		}
-		var err error
 		cur, err = st.OpenCursor(snapSeq)
 		return err
 	}

@@ -347,8 +347,9 @@ func (s *Service) fingerprint() string {
 		s.cfg.Devices, s.cfg.BatteryJ, s.cfg.CapacityJ)
 }
 
-// openJournal runs the two-phase boot: Open loads the newest snapshot,
-// restoreSnapshot rebuilds fleet state and counters from it, Start
+// openJournal runs the two-phase boot: Open picks the newest valid
+// snapshot, restoreSnapshot rebuilds fleet state and counters from the
+// payload Snapshot reads back from its file, Start
 // replays the logged tail through replayEvent, and a fresh compaction
 // re-bases the journal so the next boot replays only what this process
 // appends. Called from New before the service serves anything.
@@ -360,7 +361,11 @@ func (s *Service) openJournal() error {
 	if err != nil {
 		return err
 	}
-	if payload, _ := store.Snapshot(); payload != nil {
+	payload, _, err := store.Snapshot()
+	if err != nil {
+		return err
+	}
+	if payload != nil {
 		if err := s.restoreSnapshot(payload); err != nil {
 			return err
 		}
@@ -541,11 +546,7 @@ func (s *Service) compact() error {
 	if err != nil {
 		return err
 	}
-	if err := s.store.Compact(payload); err != nil {
-		return err
-	}
-	s.appendsAtCompact.Store(s.store.Stats().Appended)
-	return nil
+	return s.store.Compact(payload)
 }
 
 // maintain is the journal's background loop: under the "interval"
@@ -565,7 +566,7 @@ func (s *Service) maintain() {
 			if s.cfg.FsyncPolicy == FsyncInterval {
 				_ = s.store.Sync()
 			}
-			if n := s.store.Stats().Appended; n-s.appendsAtCompact.Load() >= s.cfg.SnapshotEvery {
+			if st := s.store.Stats(); st.Seq-st.SnapshotSeq >= s.cfg.SnapshotEvery {
 				_ = s.compact()
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/journal"
 	"repro/internal/replicate"
@@ -156,6 +157,12 @@ func (s *Service) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := q.Get("id")
+	if !utf8.ValidString(id) {
+		// Its acks would arrive under another key: JSON replaces an
+		// invalid byte with U+FFFD.
+		writeError(w, http.StatusBadRequest, wire.Errorf(wire.CodeMalformed, "id %q is not valid UTF-8", id))
+		return
+	}
 	if id == "" {
 		id = r.RemoteAddr
 	}
@@ -330,7 +337,6 @@ func (s *Service) replSnapshot(seq uint64, payload []byte) error {
 		}
 		return err
 	}
-	s.appendsAtCompact.Store(s.store.Stats().Appended)
 	s.applied.Add(1)
 	s.noteFrame(seq)
 	return nil

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	reap "repro"
 	"repro/internal/journal"
 	"repro/internal/replicate"
 	"repro/internal/resilience"
@@ -210,6 +211,37 @@ func TestAckWithEscapedFollowerID(t *testing.T) {
 	})
 }
 
+// TestFollowerIDMustBeUTF8: a follower ID that is not valid UTF-8 is
+// refused at boot and on the stream request. Its JSON acks would carry
+// U+FFFD in place of the invalid byte, so the primary would list one
+// follower under two keys.
+func TestFollowerIDMustBeUTF8(t *testing.T) {
+	cfg := Config{Devices: 8, Shards: 2, BatteryJ: 30, CapacityJ: 100}
+	primary, srv, addr := newPrimary(t, cfg)
+	defer primary.Close()
+	defer srv.Close()
+
+	fcfg := cfg
+	fcfg.JournalDir = t.TempDir()
+	fcfg.Role = wire.RoleFollower
+	fcfg.PrimaryAddr = addr
+	fcfg.FollowerID = "bad\xff"
+	if svc, err := New(fcfg); !errors.Is(err, reap.ErrInvalidConfig) {
+		if svc != nil {
+			svc.Close()
+		}
+		t.Fatalf("New with follower ID %q: %v, want ErrInvalidConfig", fcfg.FollowerID, err)
+	}
+
+	rec := do(t, primary.Handler(), http.MethodGet, "/v1/replicate?from=0&epoch=1&id=bad%FF", nil)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("stream with id bad%%FF: status %d, want 400 (%s)", rec.Code, rec.Body)
+	}
+	if code := decodeErrCode(t, rec); code != wire.CodeMalformed {
+		t.Errorf("stream with id bad%%FF: code %q, want %q", code, wire.CodeMalformed)
+	}
+}
+
 func TestFollowerRefusesMutationsWithLeaderHint(t *testing.T) {
 	cfg := Config{Devices: 8, BatteryJ: 20, CapacityJ: 100}
 	primary, srv, addr := newPrimary(t, cfg)
@@ -288,13 +320,99 @@ func TestSnapshotBootstrapBehindRetention(t *testing.T) {
 	defer follower.Close()
 	waitCaughtUp(t, primary, follower)
 	expectStatesEqual(t, deviceStates(t, follower), deviceStates(t, primary))
-	if payload, _ := follower.store.Snapshot(); len(payload) == 0 || payload[0] != snapBinary {
+	if payload, _, err := follower.store.Snapshot(); err != nil || len(payload) == 0 || payload[0] != snapBinary {
 		t.Errorf("follower's snapshot is not in the binary format")
 	}
 
 	fleetMutations(t, primary.Handler(), 4, 12)
 	waitCaughtUp(t, primary, follower)
 	expectStatesEqual(t, deviceStates(t, follower), deviceStates(t, primary))
+}
+
+// journalEvents reads st's journal with a cursor from seq from to its
+// end.
+func journalEvents(t *testing.T, st *journal.Store, from uint64) []journalEntry {
+	t.Helper()
+	cur, err := st.OpenCursor(from)
+	if err != nil {
+		t.Fatalf("cursor at %d: %v", from, err)
+	}
+	defer cur.Close()
+	var out []journalEntry
+	for {
+		payload, seq, err := cur.Next()
+		if errors.Is(err, journal.ErrNotReady) {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("cursor after %d: %v", cur.Seq(), err)
+		}
+		out = append(out, journalEntry{seq, string(payload)})
+	}
+}
+
+type journalEntry struct {
+	seq     uint64
+	payload string
+}
+
+// oldestRetained returns the earliest seq a cursor on st opens at.
+func oldestRetained(st *journal.Store) uint64 {
+	from := st.Seq()
+	for from > 0 {
+		cur, err := st.OpenCursor(from - 1)
+		if err != nil {
+			break
+		}
+		_ = cur.Close()
+		from--
+	}
+	return from
+}
+
+// TestFollowerJournalMatchesPrimary: a follower bootstrapped from a
+// snapshot, then caught up from the primary's cursor and fed live,
+// journals the primary's events byte for byte: from the follower's
+// oldest retained seq on, both directories hold equal (seq, payload)
+// pairs, so every acknowledged event is on the caught-up follower.
+func TestFollowerJournalMatchesPrimary(t *testing.T) {
+	cfg := Config{Devices: 12, Shards: 4, BatteryJ: 30, CapacityJ: 100}
+	primary, srv, addr := newPrimary(t, cfg)
+	defer primary.Close()
+	defer srv.Close()
+	for range retainSegments + 2 {
+		fleetMutations(t, primary.Handler(), 3, 12)
+		if err := primary.compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fleetMutations(t, primary.Handler(), 5, 12) // read by the catch-up cursor
+
+	follower := newFollower(t, cfg, addr)
+	defer follower.Close()
+	waitCaughtUp(t, primary, follower)
+	fleetMutations(t, primary.Handler(), 9, 12) // shipped live
+	reportOutOfOrderAndStopped(t, primary)
+	waitCaughtUp(t, primary, follower)
+
+	from := oldestRetained(follower.store)
+	if snap := primary.store.Stats().SnapshotSeq; from != snap {
+		t.Fatalf("follower retains history from seq %d, want the primary's snapshot at %d", from, snap)
+	}
+	got, want := journalEvents(t, follower.store, from), journalEvents(t, primary.store, from)
+	// 5 caught up, 9 live, and the two report batches, the second
+	// journaled for the prefix before its unknown device.
+	if len(want) != 5+9+2 {
+		t.Fatalf("primary journaled %d events after seq %d, want 16", len(want), from)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("follower journaled %d events after seq %d, primary %d", len(got), from, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: follower %+q, primary %+q", i, got[i], want[i])
+		}
+	}
 }
 
 func TestStreamTearResync(t *testing.T) {

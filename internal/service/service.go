@@ -47,6 +47,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	reap "repro"
 	"repro/internal/journal"
@@ -99,7 +100,9 @@ type Config struct {
 	// Leader hint attached to its refusals.
 	PrimaryAddr string
 	// FollowerID names this follower in the primary's lag accounting
-	// (default "follower").
+	// (default "follower"). It must be valid UTF-8: the primary keys a
+	// follower by the ID its stream request carries byte for byte and by
+	// the one its JSON acks carry, and JSON cannot carry an invalid byte.
 	FollowerID string
 	// QuarantineAfter takes a shard out of service (503
 	// shard_quarantined) after that many panics inside its handlers —
@@ -154,11 +157,6 @@ type Service struct {
 	alphaSets   atomic.Uint64
 	rateLimited atomic.Uint64
 	panics      atomic.Uint64
-
-	// appendsAtCompact is the journal's appended-count as of the last
-	// compaction — the maintenance loop compacts again SnapshotEvery
-	// appends later.
-	appendsAtCompact atomic.Uint64
 
 	stop      chan struct{} // closes to stop the maintenance loop
 	closeOnce sync.Once
@@ -222,6 +220,9 @@ func New(cfg Config) (*Service, error) {
 		}
 		if cfg.FollowerID == "" {
 			cfg.FollowerID = "follower"
+		}
+		if !utf8.ValidString(cfg.FollowerID) {
+			return nil, fmt.Errorf("%w: follower ID %q is not valid UTF-8", reap.ErrInvalidConfig, cfg.FollowerID)
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown role %q (want %q or %q)",

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -274,10 +275,56 @@ func TestRestartRestoresStatesBitForBit(t *testing.T) {
 	restored := newTestService(t, cfg)
 	defer restored.Close()
 	expectStatesEqual(t, deviceStates(t, restored), want)
-	payload, _ := restored.store.Snapshot()
+	payload, _, err := restored.store.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if want := 1 + 1 + stateRecordSize*cfg.Devices; len(payload) < want || payload[0] != snapBinary {
 		t.Errorf("boot snapshot: %d bytes starting %#x, want a binary snapshot of over %d bytes",
 			len(payload), payload[0], want)
+	}
+}
+
+// TestJournaledServiceHoldsNoSnapshot: a journal keeps its snapshot
+// only in its file, so after a GC a journaled service holds less than
+// half a snapshot's bytes more heap than a plain one of the same size.
+func TestJournaledServiceHoldsNoSnapshot(t *testing.T) {
+	cfg := Config{Devices: 1 << 16, BatteryJ: 30, CapacityJ: 100}
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// held builds a service of cfg and returns the heap it holds.
+	held := func(cfg Config) int64 {
+		before := liveHeap()
+		svc := newTestService(t, cfg)
+		after := liveHeap()
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return after - before
+	}
+	held(cfg) // the first build also warms the plan memo
+	plain := held(cfg)
+	cfg.JournalDir = t.TempDir()
+	journaled := held(cfg)
+
+	snaps, err := filepath.Glob(filepath.Join(cfg.JournalDir, "snap-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("journal holds snapshots %q (%v), want one", snaps, err)
+	}
+	fi, err := os.Stat(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d devices: plain service %d B, journaled %d B, snapshot %d B",
+		cfg.Devices, plain, journaled, fi.Size())
+	if extra := journaled - plain; extra >= fi.Size()/2 {
+		t.Errorf("a journaled service holds %d B more heap than a plain one, over half its %d-byte snapshot",
+			extra, fi.Size())
 	}
 }
 
@@ -346,7 +393,10 @@ func snapshotOnDisk(t *testing.T, dir string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _ := st.Snapshot()
+	payload, _, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(payload) == 0 {
 		t.Fatalf("no snapshot in %s", dir)
 	}

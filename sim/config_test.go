@@ -119,6 +119,9 @@ func TestConfigStrictDecode(t *testing.T) {
 		"removed cache":              `{"v": 2, "name": "x", "devices": 1, "days": 1, "seed": 1, "month": 6, "year": 2016, "cache": true}`,
 		"removed cache_size":         `{"v": 2, "name": "x", "devices": 1, "days": 1, "seed": 1, "month": 6, "year": 2016, "cache_size": 64}`,
 		"removed cache_resolution_j": `{"v": 2, "name": "x", "devices": 1, "days": 1, "seed": 1, "month": 6, "year": 2016, "cache_resolution_j": 0.001}`,
+		// No world set these two; they are constants now.
+		"removed forecast_lambda": `{"v": 2, "name": "x", "devices": 1, "days": 1, "seed": 1, "month": 6, "year": 2016, "forecast": true, "forecast_lambda": 0.5}`,
+		"removed telemetry_bytes": `{"v": 2, "name": "x", "devices": 1, "days": 1, "seed": 1, "month": 6, "year": 2016, "telemetry_bytes": 24}`,
 	}
 	for name, input := range cases {
 		_, err := decodeScenario([]byte(input))

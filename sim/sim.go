@@ -98,22 +98,17 @@ type Scenario struct {
 	Solver    string  `json:"solver,omitempty"`
 
 	// Forecast plans each budget from an EWMA prediction of the hour's
-	// harvest (internal/forecast, per device) instead of the actual
-	// value; the first day warms the predictor up on actuals.
-	// ForecastLambda is the predictor's smoothing weight in (0, 1]
-	// (default 0.5).
-	Forecast       bool    `json:"forecast,omitempty"`
-	ForecastLambda float64 `json:"forecast_lambda,omitempty"`
+	// harvest (internal/forecast, per device, smoothing weight
+	// forecastLambda) instead of the actual value; the first day warms
+	// the predictor up on actuals.
+	Forecast bool `json:"forecast,omitempty"`
 
 	// Noise is the relative standard deviation of execution noise on
 	// consumed energy. FaultRate is the per-device-hour probability of a
 	// sensor fault episode (internal/synth's failure modes) with the
-	// energy/utility effects documented at faultEffect. TelemetryBytes
-	// is the hourly fleet-telemetry BLE payload every powered device
-	// uploads (internal/energy's radio model; default 24 bytes).
-	Noise          float64 `json:"noise,omitempty"`
-	FaultRate      float64 `json:"fault_rate,omitempty"`
-	TelemetryBytes int     `json:"telemetry_bytes,omitempty"`
+	// energy/utility effects documented at faultEffect.
+	Noise     float64 `json:"noise,omitempty"`
+	FaultRate float64 `json:"fault_rate,omitempty"`
 
 	// AgingPerDay models battery aging over long horizons: each elapsed
 	// day inflates realized consumption by a factor (1+AgingPerDay) —
@@ -235,6 +230,14 @@ func (sc Scenario) spanDays() int {
 	return total
 }
 
+// forecastLambda is the smoothing weight of every Forecast device's
+// EWMA predictor.
+const forecastLambda = 0.5
+
+// telemetryBytes is the fleet-telemetry BLE payload every powered
+// device uploads each hour (internal/energy's radio model).
+const telemetryBytes = 24
+
 // withDefaults fills the zero-value knobs with the documented defaults.
 func (sc Scenario) withDefaults() Scenario {
 	if fpx.Zero(sc.HarvestScale) {
@@ -245,12 +248,6 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	if sc.Solver == "" {
 		sc.Solver = reap.SolverSimplex
-	}
-	if fpx.Zero(sc.ForecastLambda) {
-		sc.ForecastLambda = 0.5
-	}
-	if sc.TelemetryBytes == 0 {
-		sc.TelemetryBytes = 24
 	}
 	return sc
 }
@@ -285,9 +282,6 @@ func (sc Scenario) Validate() error {
 	if sc.FaultRate < 0 || sc.FaultRate > 1 || math.IsNaN(sc.FaultRate) {
 		return fmt.Errorf("%w: %s: fault rate %v outside [0,1]", ErrInvalidScenario, sc.Name, sc.FaultRate)
 	}
-	if sc.TelemetryBytes < 0 {
-		return fmt.Errorf("%w: %s: telemetry payload %d must be non-negative", ErrInvalidScenario, sc.Name, sc.TelemetryBytes)
-	}
 	if sc.AgingPerDay < 0 || sc.AgingPerDay > 0.1 || math.IsNaN(sc.AgingPerDay) {
 		return fmt.Errorf("%w: %s: aging %v per day outside [0, 0.1]", ErrInvalidScenario, sc.Name, sc.AgingPerDay)
 	}
@@ -297,9 +291,6 @@ func (sc Scenario) Validate() error {
 	if _, err := reap.NewConfig(reap.WithAlpha(sc.Alpha), reap.WithBattery(sc.BatteryJ, sc.CapacityJ),
 		reap.WithSolver(sc.Solver)); err != nil {
 		return fmt.Errorf("%w: %s: %w", ErrInvalidScenario, sc.Name, err)
-	}
-	if sc.Forecast && !(sc.ForecastLambda > 0 && sc.ForecastLambda <= 1) {
-		return fmt.Errorf("%w: %s: forecast lambda %v outside (0, 1]", ErrInvalidScenario, sc.Name, sc.ForecastLambda)
 	}
 	for pi, p := range sc.Populations {
 		if p.Modulus == 0 && p.Residue != 0 {
@@ -825,7 +816,7 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 		fleet:      fleet,
 		cfgs:       make([]reap.Config, sc.Devices),
 		jitter:     make([]float64, sc.Devices),
-		telemetryJ: energy.BLETransmission(sc.TelemetryBytes),
+		telemetryJ: energy.BLETransmission(telemetryBytes),
 		actual:     make([]float64, sc.Devices),
 		planned:    make([]float64, sc.Devices),
 		intensity:  make([]float64, sc.Devices),
@@ -871,7 +862,7 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	if sc.Forecast {
 		s.ewma = make([]*forecast.EWMA, sc.Devices)
 		for i := range s.ewma {
-			if s.ewma[i], err = forecast.NewEWMA(sc.ForecastLambda); err != nil {
+			if s.ewma[i], err = forecast.NewEWMA(forecastLambda); err != nil {
 				return nil, fmt.Errorf("sim: %s: %w", sc.Name, err)
 			}
 		}

@@ -225,7 +225,6 @@ func TestScenarioValidation(t *testing.T) {
 		"bad solver":        func(s *Scenario) { s.Solver = "no-such-backend" },
 		"bad pop battery":   func(s *Scenario) { s.Populations = []Population{{BatteryJ: 10}} },
 		"neg alpha":         func(s *Scenario) { s.Alpha = -1 },
-		"bad lambda":        func(s *Scenario) { s.Forecast, s.ForecastLambda = true, 5 },
 		"residue no mod":    func(s *Scenario) { s.Populations = []Population{{Residue: 3}} },
 		"battery over":      func(s *Scenario) { s.BatteryJ, s.CapacityJ = 50, 10 },
 		"dup region":        func(s *Scenario) { s.Regions = []Region{{Name: "a"}, {Name: "a"}} },
