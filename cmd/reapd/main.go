@@ -122,8 +122,10 @@ func main() {
 		log.Fatal(err)
 	}
 	if js := svc.Stats().Journal; js != nil {
+		// Boot compacts after the replay, so SnapshotSeq already counts
+		// the replayed events; the snapshot boot loaded lies that far back.
 		log.Printf("journal %s: replayed %d events onto snapshot seq %d (torn tail: %v), fsync %s",
-			*journalDir, js.Replayed, js.SnapshotSeq, js.TornTail, js.FsyncPolicy)
+			*journalDir, js.Replayed, js.SnapshotSeq-js.Replayed, js.TornTail, js.FsyncPolicy)
 	}
 	if rs := svc.Stats().Replication; rs != nil {
 		if rs.Role == "follower" {

@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -19,9 +20,11 @@ type benchBody struct {
 
 // benchBodies builds a solve-hot body (default config, budgets
 // U[0,11] J), a solve-distinct body (alpha 0.5-2, Table 2 accuracy
-// ±2%, power ±5%) and an ingest body (device-sorted reports). It uses
-// only API that predates the codec, so the same file benchmarks
-// DecodeStrict before and after it.
+// ±2%, power ±5%) and an ingest body (device-sorted reports). It and
+// BenchmarkDecodeStrict use only API that predates the codec, and
+// BenchmarkAppendBatchSolve only API as old as AppendBatchSolve, so the
+// file can be copied into an older checkout to benchmark both sides of
+// a change.
 func benchBodies(b *testing.B) []benchBody {
 	rng := rand.New(rand.NewSource(1))
 	hot := make([]wire.SolveItem, 64)
@@ -61,6 +64,34 @@ func BenchmarkDecodeStrict(b *testing.B) {
 			b.SetBytes(int64(len(body.raw)))
 			for i := 0; i < b.N; i++ {
 				if err := wire.DecodeStrict(bytes.NewReader(body.raw), body.new()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAppendBatchSolve appends the answers to the hot and distinct
+// bodies, solved once outside the timer, into a reused buffer: the
+// encoder's share of a /v1/batch-solve request.
+func BenchmarkAppendBatchSolve(b *testing.B) {
+	for _, body := range benchBodies(b)[:2] {
+		b.Run(body.name, func(b *testing.B) {
+			var req wire.BatchSolveRequest
+			if err := wire.DecodeStrict(bytes.NewReader(body.raw), &req); err != nil {
+				b.Fatal(err)
+			}
+			reqs := wire.ToRequests(req.Items)
+			results := reap.SolveBatch(context.Background(), reqs)
+			buf, err := wire.AppendBatchSolve(nil, reqs, results)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(buf)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if buf, err = wire.AppendBatchSolve(buf[:0], reqs, results); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -47,7 +47,10 @@ import (
 // reap.SolveBatch returned, building no response struct. It writes a
 // whole-number float below 2^53 in magnitude, other than −0, with
 // strconv.AppendInt: its digits are the shortest form json.Encoder
-// would write. Every other float goes through strconv.AppendFloat.
+// would write. Every other float with 1e-6 ≤ |f| < 1e21 goes through
+// the shortest formatter in float.go, which writes strconv's 'f' bytes
+// for it; −0 and the 'e' range outside still go through
+// strconv.AppendFloat.
 
 // maxPooled caps the bytes a pooled decoder keeps: one outsized body
 // must not pin its buffers for as long as the pool stays busy.
@@ -705,7 +708,8 @@ func (e *encoder) solve(cfg reap.Config, a reap.Allocation) {
 // float formats as encoding/json's float64 encoder does: the shortest
 // representation, 'e' notation below 1e-6 and from 1e21, with e-07
 // cleaned to e-7. A whole number below 2^53 other than −0, whose
-// shortest form is its digits, is written as an integer.
+// shortest form is its digits, is written as an integer, and every
+// other float of the plain range by appendShortest.
 func (e *encoder) float(f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		if e.err == nil {
@@ -720,9 +724,13 @@ func (e *encoder) float(f float64) {
 			return
 		}
 	}
-	format := byte('f')
-	if !fpx.Zero(abs) && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if abs >= 1e-6 && abs < 1e21 {
+		e.b = appendShortest(e.b, f)
+		return
+	}
+	format := byte('e')
+	if fpx.Zero(abs) {
+		format = 'f' // −0
 	}
 	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
 	if n := len(e.b); format == 'e' && n >= 4 && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {

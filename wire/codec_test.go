@@ -367,14 +367,9 @@ func TestDecodeStrictConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// encodeFloats straddle every boundary of encoding/json's float format
-// and of the encoder's integer path, which ends below 2^53.
-var encodeFloats = []float64{
-	0, math.Copysign(0, -1), 1, -1, 0.5, 3600, 1e-6, 9.999999999999999e-7, -1e-6,
-	1e-7, 1.5e-9, 1e21, 9.999999999999999e20, -1e21, 1e22, 123456789e300,
-	math.SmallestNonzeroFloat64, math.MaxFloat64, 0.1 + 0.2, 1.0 / 3,
-	1<<53 - 1, 1 << 53, 1<<53 + 2, 1<<53 - 0.5, 1e20, 1e15 + 0.5,
-}
+// encodeFloats straddle every boundary of the encoder's float paths
+// (float_test.go lists them).
+var encodeFloats = wire.EncodeFloats
 
 // encodeStrings need every escape encoding/json applies.
 var encodeStrings = []string{

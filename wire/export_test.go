@@ -6,3 +6,6 @@ func Scans(body []byte, dst any) bool {
 	d := &decoder{data: body}
 	return d.scan(dst)
 }
+
+// EncodeFloats are the float edges the codec tests encode.
+var EncodeFloats = encodeFloats
