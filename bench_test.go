@@ -50,9 +50,11 @@ func BenchmarkTable2(b *testing.B) {
 	ds := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Table2On(ds); err != nil {
+		points, err := har.Characterize(ds, har.PaperFive())
+		if err != nil {
 			b.Fatal(err)
 		}
+		eval.Table2(points)
 	}
 }
 
@@ -61,9 +63,11 @@ func BenchmarkFigure3(b *testing.B) {
 	ds := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Figure3On(ds); err != nil {
+		points, err := har.Characterize(ds, har.AllSpecs())
+		if err != nil {
 			b.Fatal(err)
 		}
+		eval.Figure3(points)
 	}
 }
 
@@ -119,7 +123,11 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	cfg := DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Figure7(cfg); err != nil {
+		tr, err := solar.September2015()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eval.Figure7(cfg, tr, []float64{0.5, 1, 2, 4, 8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -146,7 +154,7 @@ func BenchmarkAblationDutyCycle(b *testing.B) {
 	budgets := tr.Hours[:240]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.AblationOn(cfg, budgets); err != nil {
+		if _, err := eval.Ablation(cfg, budgets); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -78,8 +78,7 @@ func run(w io.Writer, args []string) error {
 			return err
 		}
 		rh := &device.RecedingHorizon{
-			Cfg: cfg, CapacityJ: *capacity, BatteryJ: *battery,
-			Horizon: 24, Forecast: ew,
+			Cfg: cfg, CapacityJ: *capacity, BatteryJ: *battery, Forecast: ew,
 		}
 		res, err := rh.Run(harvest)
 		if err != nil {

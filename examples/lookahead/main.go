@@ -48,7 +48,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rhEWMA := &device.RecedingHorizon{Cfg: cfg, CapacityJ: 200, Horizon: 24, Forecast: ew}
+	rhEWMA := &device.RecedingHorizon{Cfg: cfg, CapacityJ: 200, Forecast: ew}
 	ewmaRun, err := rhEWMA.Run(week)
 	if err != nil {
 		return err
@@ -56,7 +56,7 @@ func run(w io.Writer) error {
 
 	// Upper bound: perfect forecast.
 	rhOracle := &device.RecedingHorizon{
-		Cfg: cfg, CapacityJ: 200, Horizon: 24,
+		Cfg: cfg, CapacityJ: 200,
 		Forecast: &device.OracleForecaster{Trace: week},
 	}
 	oracleRun, err := rhOracle.Run(week)

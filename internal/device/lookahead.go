@@ -42,8 +42,11 @@ func (o *OracleForecaster) Predict(k int) []float64 {
 	return out
 }
 
+// horizon is how many hours RecedingHorizon plans ahead: a day.
+const horizon = 24
+
 // RecedingHorizon runs the lookahead planner in closed loop: every hour it
-// re-plans the next Horizon hours against the forecast, executes only the
+// re-plans the next 24 hours against the forecast, executes only the
 // first hour against the true harvest, settles the battery, and feeds the
 // observation back to the forecaster. With an oracle forecaster this is
 // the paper's natural "what if the budget allocation layer saw the
@@ -52,7 +55,6 @@ type RecedingHorizon struct {
 	Cfg       core.Config
 	CapacityJ float64
 	BatteryJ  float64
-	Horizon   int
 	Forecast  Forecaster
 }
 
@@ -63,9 +65,6 @@ type RecedingHorizon struct {
 func (rh *RecedingHorizon) Run(harvest []float64) (*RunResult, error) {
 	if rh.Forecast == nil {
 		return nil, fmt.Errorf("device: receding horizon needs a forecaster")
-	}
-	if rh.Horizon <= 0 {
-		rh.Horizon = 24
 	}
 	ctl, err := core.NewController(rh.Cfg, rh.BatteryJ, rh.CapacityJ)
 	if err != nil {
@@ -85,9 +84,9 @@ func (rh *RecedingHorizon) Run(harvest []float64) (*RunResult, error) {
 	})
 	res := &RunResult{}
 	for _, actual := range harvest {
-		forecast = rh.Forecast.Predict(rh.Horizon)
+		forecast = rh.Forecast.Predict(horizon)
 		if len(forecast) == 0 {
-			return nil, fmt.Errorf("device: forecaster predicted no hours for a %d-hour horizon", rh.Horizon)
+			return nil, fmt.Errorf("device: forecaster predicted no hours for a %d-hour horizon", horizon)
 		}
 		// The first planned hour uses the actual harvest (now known to
 		// the harvesting circuitry as it arrives); later hours use the

@@ -74,7 +74,7 @@ func TestRecedingHorizonBanksForTheNight(t *testing.T) {
 		}
 	}
 	rh := &RecedingHorizon{
-		Cfg: cfg, CapacityJ: 200, Horizon: 24,
+		Cfg: cfg, CapacityJ: 200,
 		Forecast: &OracleForecaster{Trace: harvest},
 	}
 	look, err := rh.Run(harvest)
@@ -108,7 +108,7 @@ func TestRecedingHorizonWithEWMAOnSolar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh := &RecedingHorizon{Cfg: core.DefaultConfig(), CapacityJ: 200, Horizon: 24, Forecast: ew}
+	rh := &RecedingHorizon{Cfg: core.DefaultConfig(), CapacityJ: 200, Forecast: ew}
 	res, err := rh.Run(tr.Hours[:168]) // one week
 	if err != nil {
 		t.Fatal(err)
@@ -148,9 +148,6 @@ func TestRecedingHorizonDefaultHorizon(t *testing.T) {
 	res, err := rh.Run([]float64{5})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rh.Horizon != 24 {
-		t.Fatalf("default horizon %d", rh.Horizon)
 	}
 	if math.Abs(res.Hours[0].Consumed-res.Hours[0].Alloc.Energy(rh.Cfg)) > 1e-9 {
 		t.Fatal("consumed != planned without noise")

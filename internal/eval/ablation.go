@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/solar"
 )
 
 // AblationRow compares REAP restricted to a subset of design points over
@@ -27,18 +26,10 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
-// Ablation runs REAP over the September trace with progressively richer
+// Ablation runs REAP over an hourly budget trace (the experiments
+// command passes the September month) with progressively richer
 // design-point sets.
-func Ablation(cfg core.Config) (*AblationResult, error) {
-	tr, err := solar.September2015()
-	if err != nil {
-		return nil, err
-	}
-	return AblationOn(cfg, tr.Hours)
-}
-
-// AblationOn evaluates the ablation on an arbitrary hourly budget trace.
-func AblationOn(cfg core.Config, budgets []float64) (*AblationResult, error) {
+func Ablation(cfg core.Config, budgets []float64) (*AblationResult, error) {
 	cfg.Alpha = 1
 	if err := cfg.Validate(); err != nil {
 		return nil, err

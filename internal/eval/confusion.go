@@ -20,12 +20,8 @@ type ConfusionResult struct {
 	Accuracy float64
 }
 
-// Confusion trains the spec and tabulates its test-split confusion.
-func Confusion(ds *synth.Dataset, spec har.DesignPointSpec) (*ConfusionResult, error) {
-	model, err := har.TrainModel(ds, spec)
-	if err != nil {
-		return nil, err
-	}
+// Confusion tabulates the test-split confusion of a model trained on ds.
+func Confusion(ds *synth.Dataset, model *har.Model) (*ConfusionResult, error) {
 	matrix := make([][]int, synth.NumActivities)
 	for i := range matrix {
 		matrix[i] = make([]int, synth.NumActivities)
@@ -43,7 +39,7 @@ func Confusion(ds *synth.Dataset, spec har.DesignPointSpec) (*ConfusionResult, e
 		}
 	}
 	return &ConfusionResult{
-		Spec:     spec,
+		Spec:     model.Spec,
 		Matrix:   matrix,
 		Accuracy: float64(correct) / float64(len(ds.Test)),
 	}, nil

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -81,5 +83,48 @@ func TestRenderCSVOnRealExperiments(t *testing.T) {
 	}
 	if width != 7 { // budget, REAP J, 5 DP columns
 		t.Fatalf("figure 6 CSV width %d, want 7", width)
+	}
+
+	// Empty cells keep their columns: Figure 3 leaves pareto (a middle
+	// cell) and published (the last) empty, Extended leaves pareto empty.
+	fig3 := &Figure3Result{Points: []Figure3Point{
+		{Name: "DP1", EnergyMJ: 4.48, AccuracyPct: 94, OnFront: true, Published: true},
+		{Name: "DP2", EnergyMJ: 3.1, AccuracyPct: 93, Published: true},
+		{Name: "xyz-75", EnergyMJ: 3.9, AccuracyPct: 92},
+	}}
+	assertCSV(t, fig3.Render(), [][]string{
+		{"name", "energy/act(mJ)", "accuracy(%)", "pareto", "published"},
+		{"DP1", "4.48", "94.0", "*", "DP"},
+		{"DP2", "3.10", "93.0", "", "DP"},
+		{"xyz-75", "3.90", "92.0", "", ""},
+	})
+	ext := &ExtendedResult{Rows: []ExtendedRow{
+		{Name: "DP1", AccuracyPct: 94, EnergyMJ: 4.6, PowerMW: 2.87},
+		{Name: "DP5-gz6", AccuracyPct: 74.4, EnergyMJ: 1.62, PowerMW: 1.01, OnFront: true, Extension: true},
+	}}
+	assertCSV(t, ext.Render(), [][]string{
+		{"name", "acc%", "E/act(mJ)", "power(mW)", "pareto", "kind"},
+		{"DP1", "94.0", "4.60", "2.87", "", "paper"},
+		{"DP5-gz6", "74.4", "1.62", "1.01", "*", "extension"},
+	})
+}
+
+// assertCSV converts rendered and requires its records, comment lines
+// aside, to be want: every row as wide as the header, each cell in its
+// column.
+func assertCSV(t *testing.T, rendered string, want [][]string) {
+	t.Helper()
+	out, err := RenderCSV(rendered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := csv.NewReader(strings.NewReader(out))
+	r.Comment = '#'
+	got, err := r.ReadAll() // FieldsPerRecord 0: every row as wide as the first
+	if err != nil {
+		t.Fatalf("%v in:\n%s", err, out)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("records %q, want %q; CSV:\n%s", got, want, out)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/har"
-	"repro/internal/solar"
 	"repro/internal/synth"
 )
 
@@ -146,14 +145,4 @@ func (r *DayInLifeResult) Render() string {
 	return fmt.Sprintf(
 		"Day in the life: realized %.1f%% on the live stream (coverage %.0f%%)\n",
 		100*r.DayRealized, 100*r.Coverage) + t.String()
-}
-
-// SolarDayBudget extracts day d (1-based) of the September trace as a
-// 24-hour budget vector.
-func SolarDayBudget(d int) ([]float64, error) {
-	tr, err := solar.September2015()
-	if err != nil {
-		return nil, err
-	}
-	return tr.Day(d)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/har"
 	"repro/internal/solar"
 	"repro/internal/synth"
 )
@@ -19,6 +20,10 @@ var (
 	smallOnce sync.Once
 	smallDS   *synth.Dataset
 	smallErr  error
+
+	smallPtsOnce sync.Once
+	smallPts     []har.Characterized
+	smallPtsErr  error
 )
 
 // smallCorpus keeps training-based tests quick.
@@ -35,14 +40,37 @@ func smallCorpus(t *testing.T) *synth.Dataset {
 	return smallDS
 }
 
+// smallPoints characterizes every design point on smallCorpus once, in
+// the experiments command's order: har.AllSpecs, then har.ExtendedSpecs.
+// So [:5] are the published five, [:24] Figure 3's space and [24:] the
+// extension variants.
+func smallPoints(t *testing.T) []har.Characterized {
+	t.Helper()
+	ds := smallCorpus(t)
+	smallPtsOnce.Do(func() {
+		smallPts, smallPtsErr = har.Characterize(ds, append(har.AllSpecs(), har.ExtendedSpecs()...))
+	})
+	if smallPtsErr != nil {
+		t.Fatal(smallPtsErr)
+	}
+	return smallPts
+}
+
+// september is the paper's case-study month.
+func september(t *testing.T) *solar.Trace {
+	t.Helper()
+	tr, err := solar.September2015()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestTable2Experiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training in -short mode")
 	}
-	res, err := Table2On(smallCorpus(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Table2(smallPoints(t)[:5])
 	if len(res.Rows) != 5 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -67,10 +95,7 @@ func TestFigure3Experiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training in -short mode")
 	}
-	res, err := Figure3On(smallCorpus(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Figure3(smallPoints(t)[:24])
 	if len(res.Points) != 24 {
 		t.Fatalf("%d points, want 24", len(res.Points))
 	}
@@ -254,7 +279,7 @@ func TestFigureAlphaTrend(t *testing.T) {
 }
 
 func TestFigure7Experiment(t *testing.T) {
-	res, err := Figure7(paperCfg())
+	res, err := Figure7(paperCfg(), september(t), []float64{0.5, 1, 2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +357,7 @@ func TestHeadlineExperiment(t *testing.T) {
 
 func TestAblationExperiment(t *testing.T) {
 	// Use a short deterministic budget trace for speed.
-	tr, err := solar.September2015()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := AblationOn(paperCfg(), tr.Hours[:240])
+	res, err := Ablation(paperCfg(), september(t).Hours[:240])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +415,7 @@ func TestFigureValidationErrors(t *testing.T) {
 	if _, err := Headline(core.Config{}); err == nil {
 		t.Error("Headline accepted empty config")
 	}
-	if _, err := AblationOn(core.Config{}, []float64{1}); err == nil {
+	if _, err := Ablation(core.Config{}, []float64{1}); err == nil {
 		t.Error("Ablation accepted empty config")
 	}
 }

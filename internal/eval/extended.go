@@ -1,9 +1,6 @@
 package eval
 
-import (
-	"repro/internal/har"
-	"repro/internal/synth"
-)
+import "repro/internal/har"
 
 // ExtendedRow is one design point of the extended space (published five +
 // int8-quantized five + partial-spectrum Goertzel variants).
@@ -22,23 +19,10 @@ type ExtendedResult struct {
 	Rows []ExtendedRow
 }
 
-// Extended characterizes the published five plus the extension variants
-// on a fresh paper-scale corpus.
-func Extended() (*ExtendedResult, error) {
-	ds, err := synth.NewDataset(synth.DefaultCorpusConfig())
-	if err != nil {
-		return nil, err
-	}
-	return ExtendedOn(ds)
-}
-
-// ExtendedOn runs the experiment against a caller-provided corpus.
-func ExtendedOn(ds *synth.Dataset) (*ExtendedResult, error) {
-	specs := append(har.PaperFive(), har.ExtendedSpecs()...)
-	points, err := har.Characterize(ds, specs)
-	if err != nil {
-		return nil, err
-	}
+// Extended marks the Pareto front of the published five plus the
+// extension variants (har.PaperFive then har.ExtendedSpecs,
+// characterized).
+func Extended(points []har.Characterized) *ExtendedResult {
 	front := har.ParetoFront(points)
 	onFront := make(map[string]bool, len(front))
 	for _, f := range front {
@@ -56,7 +40,7 @@ func ExtendedOn(ds *synth.Dataset) (*ExtendedResult, error) {
 			Extension:   !base[p.Spec.Name],
 		})
 	}
-	return res, nil
+	return res
 }
 
 // Render prints the extended scatter.

@@ -24,10 +24,8 @@ func TestExtendedExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training in -short mode")
 	}
-	res, err := ExtendedOn(smallCorpus(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := smallPoints(t)
+	res := Extended(append(all[:5:5], all[24:]...))
 	if len(res.Rows) != 12 { // 5 paper + 5 int8 + 2 goertzel
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -62,14 +60,14 @@ func TestConfusionExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training in -short mode")
 	}
-	ds := smallCorpus(t)
+	ds, five := smallCorpus(t), smallPoints(t)[:5]
 
 	// DP5 (stretch only) must confuse static postures far more than DP1.
-	dp1, err := Confusion(ds, har.PaperFive()[0])
+	dp1, err := Confusion(ds, five[0].Model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp5, err := Confusion(ds, har.PaperFive()[4])
+	dp5, err := Confusion(ds, five[4].Model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,17 +139,13 @@ func TestDayInLifeExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training in -short mode")
 	}
-	ds := smallCorpus(t)
-	points, err := har.Characterize(ds, har.PaperFive())
-	if err != nil {
-		t.Fatal(err)
+	ds, five := smallCorpus(t), smallPoints(t)[:5]
+	cfg := har.CoreConfig(five, 1)
+	models := make([]*har.Model, len(five))
+	for i := range five {
+		models[i] = five[i].Model
 	}
-	cfg := har.CoreConfig(points, 1)
-	models := make([]*har.Model, len(points))
-	for i := range points {
-		models[i] = points[i].Model
-	}
-	day, err := SolarDayBudget(5)
+	day, err := september(t).Day(5)
 	if err != nil {
 		t.Fatal(err)
 	}

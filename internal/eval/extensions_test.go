@@ -3,18 +3,11 @@ package eval
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/har"
-	"repro/internal/solar"
 )
 
 func TestStrategiesExperiment(t *testing.T) {
-	tr, err := solar.September2015()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Ten days keeps the receding-horizon LPs quick.
-	res, err := StrategiesOn(paperCfg(), tr.Hours[:240])
+	res, err := Strategies(paperCfg(), september(t).Hours[:240])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +46,7 @@ func TestStrategiesExperiment(t *testing.T) {
 }
 
 func TestStrategiesValidation(t *testing.T) {
-	if _, err := StrategiesOn(paperCfg(), nil); err != nil {
+	if _, err := Strategies(paperCfg(), nil); err != nil {
 		t.Fatalf("empty trace should be fine: %v", err)
 	}
 }
@@ -62,7 +55,7 @@ func TestQuantizationExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training in -short mode")
 	}
-	res, err := QuantizationOn(smallCorpus(t))
+	res, err := Quantization(smallCorpus(t), smallPoints(t)[:5])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +84,7 @@ func TestGeneralizationExperiment(t *testing.T) {
 		t.Skip("training in -short mode")
 	}
 	ds := smallCorpus(t)
-	res, err := Generalization(ds, har.PaperFive()[0])
+	res, err := Generalization(ds, smallPoints(t)[0].Model)
 	if err != nil {
 		t.Fatal(err)
 	}

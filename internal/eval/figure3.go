@@ -1,9 +1,6 @@
 package eval
 
-import (
-	"repro/internal/har"
-	"repro/internal/synth"
-)
+import "repro/internal/har"
 
 // Figure3Point is one design point in the energy-accuracy scatter.
 type Figure3Point struct {
@@ -20,21 +17,9 @@ type Figure3Result struct {
 	Points []Figure3Point
 }
 
-// Figure3 characterizes the full 24-point design space on a fresh corpus.
-func Figure3() (*Figure3Result, error) {
-	ds, err := synth.NewDataset(synth.DefaultCorpusConfig())
-	if err != nil {
-		return nil, err
-	}
-	return Figure3On(ds)
-}
-
-// Figure3On is Figure3 against a caller-provided corpus.
-func Figure3On(ds *synth.Dataset) (*Figure3Result, error) {
-	points, err := har.Characterize(ds, har.AllSpecs())
-	if err != nil {
-		return nil, err
-	}
+// Figure3 marks the Pareto front of the characterized 24-point design
+// space (har.AllSpecs).
+func Figure3(points []har.Characterized) *Figure3Result {
 	front := har.ParetoFront(points)
 	onFront := make(map[string]bool, len(front))
 	for _, f := range front {
@@ -51,7 +36,7 @@ func Figure3On(ds *synth.Dataset) (*Figure3Result, error) {
 			Published:   published[p.Spec.Name],
 		})
 	}
-	return res, nil
+	return res
 }
 
 // Render prints the scatter as (energy, accuracy) rows with front markers.

@@ -36,18 +36,10 @@ type Figure7Result struct {
 // highest-performance (DP1), best-trade-off (DP3) and lowest-energy (DP5).
 var Figure7Baselines = map[string]int{"DP1": 0, "DP3": 2, "DP5": 4}
 
-// Figure7 runs REAP and the baselines over the September 2015 synthetic
-// solar trace for the standard α sweep.
-func Figure7(cfg core.Config) (*Figure7Result, error) {
-	tr, err := solar.September2015()
-	if err != nil {
-		return nil, err
-	}
-	return Figure7On(cfg, tr, []float64{0.5, 1, 2, 4, 8})
-}
-
-// Figure7On evaluates an arbitrary trace and α set.
-func Figure7On(cfg core.Config, tr *solar.Trace, alphas []float64) (*Figure7Result, error) {
+// Figure7 runs REAP and the baselines over a solar trace for each α in
+// alphas; the paper's figure is the September 2015 trace at α = 0.5, 1,
+// 2, 4 and 8.
+func Figure7(cfg core.Config, tr *solar.Trace, alphas []float64) (*Figure7Result, error) {
 	budgets := solar.GreedyAllocator{}.Budgets(tr.Hours)
 	res := &Figure7Result{Month: tr.Month, Year: tr.Year, Alphas: alphas, HarvestTotalJ: tr.Total()}
 	days := len(tr.Hours) / 24

@@ -24,22 +24,19 @@ type GeneralizationResult struct {
 	LOUO *har.LOUOResult
 }
 
-// Generalization evaluates a design point both ways on the given corpus.
-func Generalization(ds *synth.Dataset, spec har.DesignPointSpec) (*GeneralizationResult, error) {
-	model, err := har.TrainModel(ds, spec)
-	if err != nil {
-		return nil, err
-	}
+// Generalization evaluates a design point both ways on ds: the per-user
+// spread of its model, trained on ds, and leave-one-user-out retraining.
+func Generalization(ds *synth.Dataset, model *har.Model) (*GeneralizationResult, error) {
 	perUser, err := har.PerUserAccuracy(ds, model, ds.Test)
 	if err != nil {
 		return nil, err
 	}
-	louo, err := har.LeaveOneUserOut(ds, spec)
+	louo, err := har.LeaveOneUserOut(ds, model.Spec)
 	if err != nil {
 		return nil, err
 	}
 	res := &GeneralizationResult{
-		Spec:        spec,
+		Spec:        model.Spec,
 		WithinSplit: model.TestAcc,
 		PerUser:     perUser,
 		PerUserMin:  1,

@@ -31,7 +31,7 @@ func MultiYear(cfg core.Config) (*MultiYearResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		fig, err := Figure7On(cfg, tr, []float64{1})
+		fig, err := Figure7(cfg, tr, []float64{1})
 		if err != nil {
 			return nil, err
 		}

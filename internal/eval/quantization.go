@@ -25,25 +25,12 @@ type QuantizationResult struct {
 	Rows []QuantizationRow
 }
 
-// Quantization trains the five published design points, quantizes each
-// classifier to int8, and reprices the design point with native-MAC
-// inference.
-func Quantization() (*QuantizationResult, error) {
-	ds, err := synth.NewDataset(synth.DefaultCorpusConfig())
-	if err != nil {
-		return nil, err
-	}
-	return QuantizationOn(ds)
-}
-
-// QuantizationOn runs the experiment against a caller-provided corpus.
-func QuantizationOn(ds *synth.Dataset) (*QuantizationResult, error) {
-	points, err := har.Characterize(ds, har.PaperFive())
-	if err != nil {
-		return nil, err
-	}
+// Quantization quantizes the classifier of each of the five published
+// design points, characterized on ds, to int8, re-evaluates it on ds's
+// test split and reprices the design point with native-MAC inference.
+func Quantization(ds *synth.Dataset, five []har.Characterized) (*QuantizationResult, error) {
 	res := &QuantizationResult{}
-	for _, p := range points {
+	for _, p := range five {
 		q, err := nn.Quantize(p.Model.Net)
 		if err != nil {
 			return nil, err

@@ -9,12 +9,21 @@
 //
 //   - the paper's measured Table 2 numbers (core.PaperDesignPoints), which
 //     reproduce the optimizer-level figures (5, 6, 7) exactly as published;
-//   - the from-scratch simulated characterization (har.Characterize), which
-//     regenerates Table 2 and Figure 3 themselves.
+//   - the from-scratch simulated characterization, which regenerates
+//     Table 2 and Figure 3 themselves.
+//
+// The reports take their inputs as arguments: none builds a corpus,
+// trains a design point or builds the September 2015 solar month.
+// cmd/experiments makes each once (the default corpus, one
+// har.Characterize of its 31 design points, har.AllSpecs then
+// har.ExtendedSpecs, and solar.September2015) and hands the same inputs
+// to every report that reads them. Generalization's leave-one-user-out
+// folds still train, each on its own data, and MultiYear, Seasonal,
+// Placement and Tilt build the other traces they sweep.
 //
 // cmd/experiments prints both views as its reports; its -skip-training
-// output, which leaves out the two that train classifiers, is pinned by
-// cmd/experiments/testdata/skip-training.golden.
+// output, which leaves out the reports that read trained classifiers,
+// is pinned by cmd/experiments/testdata/skip-training.golden.
 package eval
 
 import (

@@ -26,19 +26,16 @@ type RobustnessResult struct {
 	Cells    []RobustnessCell
 }
 
-// Robustness evaluates the five published design points against every
-// fault on the corpus's test split (each test window corrupted once).
-func Robustness(ds *synth.Dataset, seed int64) (*RobustnessResult, error) {
-	points, err := har.Characterize(ds, har.PaperFive())
-	if err != nil {
-		return nil, err
-	}
+// Robustness evaluates the five published design points, characterized
+// on ds, against every fault on ds's test split (each test window
+// corrupted once).
+func Robustness(ds *synth.Dataset, five []har.Characterized, seed int64) (*RobustnessResult, error) {
 	res := &RobustnessResult{CleanPct: make(map[string]float64)}
-	for _, p := range points {
+	for _, p := range five {
 		res.CleanPct[p.Spec.Name] = 100 * p.Accuracy
 	}
 	for _, f := range synth.Faults() {
-		for _, p := range points {
+		for _, p := range five {
 			rng := rand.New(rand.NewSource(seed + int64(f)*1000))
 			correct, total := 0, 0
 			for _, i := range ds.Test {

@@ -11,7 +11,7 @@ func TestRobustnessExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training in -short mode")
 	}
-	res, err := Robustness(smallCorpus(t), 17)
+	res, err := Robustness(smallCorpus(t), smallPoints(t)[:5], 17)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package eval
 import (
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/solar"
 )
 
 // StorageRow compares one storage architecture over the solar month.
@@ -23,18 +22,15 @@ type StorageResult struct {
 	Rows []StorageRow
 }
 
-// Storage runs the comparison.
-func Storage(cfg core.Config) (*StorageResult, error) {
+// Storage runs the comparison over an hourly harvest trace (the
+// experiments command passes the September month).
+func Storage(cfg core.Config, harvest []float64) (*StorageResult, error) {
 	cfg.Alpha = 1
-	tr, err := solar.September2015()
-	if err != nil {
-		return nil, err
-	}
 	res := &StorageResult{}
 
 	// Capacitor-only intermittent device.
 	inter := &device.IntermittentDevice{Cfg: cfg, Cap: device.DefaultCapacitor()}
-	interRun, err := inter.Run(tr.Hours)
+	interRun, err := inter.Run(harvest)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +48,7 @@ func Storage(cfg core.Config) (*StorageResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := device.Run(ctl, tr.Hours, 0, 0)
+		run, err := device.Run(ctl, harvest, 0, 0)
 		if err != nil {
 			return nil, err
 		}

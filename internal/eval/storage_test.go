@@ -8,7 +8,8 @@ import (
 )
 
 func TestStorageExperiment(t *testing.T) {
-	res, err := Storage(paperCfg())
+	tr := september(t)
+	res, err := Storage(paperCfg(), tr.Hours)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestStorageExperiment(t *testing.T) {
 	if !strings.Contains(res.Render(), "capacitor") {
 		t.Error("render incomplete")
 	}
-	if _, err := Storage(core.Config{}); err == nil {
+	if _, err := Storage(core.Config{}, tr.Hours); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

@@ -27,7 +27,8 @@ type StrategiesResult struct {
 	Rows []StrategyRow
 }
 
-// Strategies runs four stacks over the September trace:
+// Strategies runs four stacks over an hourly harvest trace (the
+// experiments command passes the September month):
 //
 //  1. greedy: spend each hour's harvest, no storage (battery-less class);
 //  2. battery: Kansal-style day-smoothing allocator + myopic REAP;
@@ -35,16 +36,7 @@ type StrategiesResult struct {
 //     forecaster (deployable);
 //  4. oracle-lookahead: receding-horizon planner with perfect forecasts
 //     (upper bound).
-func Strategies(cfg core.Config) (*StrategiesResult, error) {
-	tr, err := solar.September2015()
-	if err != nil {
-		return nil, err
-	}
-	return StrategiesOn(cfg, tr.Hours)
-}
-
-// StrategiesOn evaluates the four stacks on an arbitrary harvest trace.
-func StrategiesOn(cfg core.Config, harvest []float64) (*StrategiesResult, error) {
+func Strategies(cfg core.Config, harvest []float64) (*StrategiesResult, error) {
 	cfg.Alpha = 1
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -69,7 +61,7 @@ func StrategiesOn(cfg core.Config, harvest []float64) (*StrategiesResult, error)
 	if err != nil {
 		return nil, err
 	}
-	rhEWMA := &device.RecedingHorizon{Cfg: cfg, CapacityJ: capacity, Horizon: 24, Forecast: ew}
+	rhEWMA := &device.RecedingHorizon{Cfg: cfg, CapacityJ: capacity, Forecast: ew}
 	ewmaRun, err := rhEWMA.Run(harvest)
 	if err != nil {
 		return nil, err
@@ -77,7 +69,7 @@ func StrategiesOn(cfg core.Config, harvest []float64) (*StrategiesResult, error)
 	res.add("EWMA-forecast lookahead", ewmaRun)
 
 	rhOracle := &device.RecedingHorizon{
-		Cfg: cfg, CapacityJ: capacity, Horizon: 24,
+		Cfg: cfg, CapacityJ: capacity,
 		Forecast: &device.OracleForecaster{Trace: harvest},
 	}
 	oracleRun, err := rhOracle.Run(harvest)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/har"
-	"repro/internal/synth"
 )
 
 // Table2Row is one characterized design point, mirroring the columns of
@@ -32,25 +31,11 @@ type Table2Result struct {
 	PaperAccuracyPct []float64
 }
 
-// Table2 trains the five Pareto design points on a fresh paper-scale
-// corpus and prices them with the calibrated energy model.
-func Table2() (*Table2Result, error) {
-	ds, err := synth.NewDataset(synth.DefaultCorpusConfig())
-	if err != nil {
-		return nil, err
-	}
-	return Table2On(ds)
-}
-
-// Table2On is Table2 against a caller-provided corpus (tests use smaller
-// ones).
-func Table2On(ds *synth.Dataset) (*Table2Result, error) {
-	points, err := har.Characterize(ds, har.PaperFive())
-	if err != nil {
-		return nil, err
-	}
+// Table2 prices the five Pareto design points, characterized in
+// har.PaperFive order, with the calibrated energy model.
+func Table2(five []har.Characterized) *Table2Result {
 	res := &Table2Result{PaperAccuracyPct: []float64{94, 93, 92, 90, 76}}
-	for _, p := range points {
+	for _, p := range five {
 		b := p.Breakdown
 		res.Rows = append(res.Rows, Table2Row{
 			Name: p.Spec.Name,
@@ -68,7 +53,7 @@ func Table2On(ds *synth.Dataset) (*Table2Result, error) {
 			PowerMW:       1e3 * b.Power(),
 		})
 	}
-	return res, nil
+	return res
 }
 
 // Render prints the table in the paper's column order.

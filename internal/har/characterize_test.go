@@ -235,3 +235,57 @@ func TestCharacterizeSmallCorpusRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestCharacterizeBatchIndependent: a design point trains the same
+// network, to the bit, whatever else its Characterize batch holds. The
+// experiments command characterizes every design point in one batch and
+// reads the published five from it, so a spec's training must not
+// depend on the others (through a shared RNG, say).
+func TestCharacterizeBatchIndependent(t *testing.T) {
+	ds, err := synth.NewDataset(synth.CorpusConfig{NumUsers: 3, TotalWindows: 210, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := Characterize(ds, PaperFive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := Characterize(ds, append(PaperFive(), ExtendedSpecs()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range alone {
+		b := batch[i]
+		if a.Spec.Name != b.Spec.Name || a.Accuracy != b.Accuracy || a.Breakdown != b.Breakdown {
+			t.Fatalf("%s: accuracy %v breakdown %+v alone, %s: %v %+v in the batch",
+				a.Spec.Name, a.Accuracy, a.Breakdown, b.Spec.Name, b.Accuracy, b.Breakdown)
+		}
+		la, lb := a.Model.Net.Layers, b.Model.Net.Layers
+		if len(la) != len(lb) {
+			t.Fatalf("%s: %d layers alone, %d in the batch", a.Spec.Name, len(la), len(lb))
+		}
+		for l := range la {
+			for name, pair := range map[string][2][]float64{
+				"weight": {la[l].W, lb[l].W},
+				"bias":   {la[l].B, lb[l].B},
+			} {
+				if !sameBits(pair[0], pair[1]) {
+					t.Fatalf("%s layer %d: %ss differ between the two batches", a.Spec.Name, l, name)
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}

@@ -122,6 +122,9 @@ func TestConfigStrictDecode(t *testing.T) {
 		// No world set these two; they are constants now.
 		"removed forecast_lambda": `{"v": 2, "name": "x", "devices": 1, "days": 1, "seed": 1, "month": 6, "year": 2016, "forecast": true, "forecast_lambda": 0.5}`,
 		"removed telemetry_bytes": `{"v": 2, "name": "x", "devices": 1, "days": 1, "seed": 1, "month": 6, "year": 2016, "telemetry_bytes": 24}`,
+		// No world set a fleet-wide α; a population with modulus 0
+		// covers every device.
+		"removed alpha": `{"v": 2, "name": "x", "devices": 1, "days": 1, "seed": 1, "month": 6, "year": 2016, "alpha": 2}`,
 	}
 	for name, input := range cases {
 		_, err := decodeScenario([]byte(input))

@@ -13,7 +13,7 @@ import (
 // and returns each device's battery before the first step.
 func startBatteries(t *testing.T, sc Scenario) []float64 {
 	t.Helper()
-	opts := []reap.Option{reap.WithAlpha(sc.Alpha), reap.WithBattery(sc.BatteryJ, sc.CapacityJ)}
+	opts := []reap.Option{reap.WithBattery(sc.BatteryJ, sc.CapacityJ)}
 	if override := sc.perDeviceOverride(); override != nil {
 		opts = append(opts, reap.WithDeviceOverride(override))
 	}

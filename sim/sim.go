@@ -85,14 +85,14 @@ type Scenario struct {
 	HarvestScale float64 `json:"harvest_scale,omitempty"`
 	DeviceJitter float64 `json:"device_jitter,omitempty"`
 
-	// Alpha, BatteryJ, CapacityJ configure every controller (refine per
-	// device with Populations). Solver is a name reap.WithSolver accepts
+	// BatteryJ, CapacityJ configure every controller's battery, and every
+	// controller starts at α = 1 (refine either per device with
+	// Populations). Solver is a name reap.WithSolver accepts
 	// ("plan", "simplex" or "enumerate"); Validate refuses any other. An
 	// empty Solver resolves to simplex, pinned so that the solver named
 	// in each golden trace's header does not move (the golden harness
 	// separately asserts the plan reproduces every trace
 	// byte-for-byte).
-	Alpha     float64 `json:"alpha,omitempty"`
 	BatteryJ  float64 `json:"battery_j,omitempty"`
 	CapacityJ float64 `json:"capacity_j,omitempty"`
 	Solver    string  `json:"solver,omitempty"`
@@ -161,7 +161,8 @@ type Population struct {
 	// Modulus 0 selects every device and needs Residue 0.
 	Modulus int `json:"modulus,omitempty"`
 	Residue int `json:"residue,omitempty"`
-	// Alpha overrides the accuracy/active-time emphasis (0 inherits).
+	// Alpha overrides the accuracy/active-time emphasis, which is 1
+	// unless an earlier matching population set it (0 inherits).
 	Alpha float64 `json:"alpha,omitempty"`
 	// BatteryJ/CapacityJ override the battery (both zero inherits; when
 	// set, they must pass reap.WithBattery).
@@ -243,9 +244,6 @@ func (sc Scenario) withDefaults() Scenario {
 	if fpx.Zero(sc.HarvestScale) {
 		sc.HarvestScale = 1
 	}
-	if fpx.Zero(sc.Alpha) {
-		sc.Alpha = 1
-	}
 	if sc.Solver == "" {
 		sc.Solver = reap.SolverSimplex
 	}
@@ -288,7 +286,7 @@ func (sc Scenario) Validate() error {
 	// The controller settings go through the options Run builds the
 	// fleet from (spelled out in both places, so that neither list
 	// escapes to the heap), and Validate refuses what Run would.
-	if _, err := reap.NewConfig(reap.WithAlpha(sc.Alpha), reap.WithBattery(sc.BatteryJ, sc.CapacityJ),
+	if _, err := reap.NewConfig(reap.WithBattery(sc.BatteryJ, sc.CapacityJ),
 		reap.WithSolver(sc.Solver)); err != nil {
 		return fmt.Errorf("%w: %s: %w", ErrInvalidScenario, sc.Name, err)
 	}
@@ -799,7 +797,6 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	steps := sc.Days * 24
 
 	opts := []reap.Option{
-		reap.WithAlpha(sc.Alpha),
 		reap.WithBattery(sc.BatteryJ, sc.CapacityJ),
 		reap.WithSolver(sc.Solver),
 	}

@@ -224,7 +224,7 @@ func TestScenarioValidation(t *testing.T) {
 		"bad residue":       func(s *Scenario) { s.Populations = []Population{{Modulus: 3, Residue: 3}} },
 		"bad solver":        func(s *Scenario) { s.Solver = "no-such-backend" },
 		"bad pop battery":   func(s *Scenario) { s.Populations = []Population{{BatteryJ: 10}} },
-		"neg alpha":         func(s *Scenario) { s.Alpha = -1 },
+		"neg pop alpha":     func(s *Scenario) { s.Populations = []Population{{Alpha: -1}} },
 		"residue no mod":    func(s *Scenario) { s.Populations = []Population{{Residue: 3}} },
 		"battery over":      func(s *Scenario) { s.BatteryJ, s.CapacityJ = 50, 10 },
 		"dup region":        func(s *Scenario) { s.Regions = []Region{{Name: "a"}, {Name: "a"}} },
